@@ -49,7 +49,6 @@ from .sim import (
     SimResult,
     StandardCache,
     simulate_many,
-    simulate_stream,
 )
 from .stream import TraceStream, open_trace
 from .telemetry import TelemetryReport, TelemetrySpec, analyze
@@ -74,7 +73,6 @@ __all__ = [
     "BypassCache",
     "simulate",
     "simulate_many",
-    "simulate_stream",
     # traces & workloads
     "Trace",
     "TraceBuilder",

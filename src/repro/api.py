@@ -1,9 +1,9 @@
 """The unified run surface: one ``simulate()`` for every path.
 
-Historically callers picked an entry point by import: ``sim.simulate``
-for in-memory traces, ``sim.simulate_stream`` for out-of-core streams,
-``telemetry.analyze`` for probed runs.  :func:`simulate` subsumes all
-three behind one signature and dispatches on what it is given:
+The simulation entry points underneath are :func:`repro.sim.simulate`
+(one entry for in-memory traces and out-of-core streams alike) and
+``telemetry.analyze`` for probed runs.  :func:`simulate` puts both
+behind one signature and dispatches on what it is given:
 
 ==============================  =======================================
 argument                        dispatch
@@ -11,13 +11,13 @@ argument                        dispatch
 ``config`` is a CacheSpec       a fresh model is built
 ``config`` is a preset name     looked up in :data:`repro.presets.SPECS`
 ``config`` is a model           used as-is (warm state allowed)
-``trace`` is a Trace            in-memory simulation
+``trace`` is a Trace            delivered whole, as one chunk
 ``trace`` is a stream / path    chunked out-of-core simulation
 ``telemetry=`` given            probed run returning a TelemetryReport
 ==============================  =======================================
 
-The specialised entry points remain importable and behave exactly as
-before — they are what this facade delegates to.
+The specialised entry points remain importable — they are what this
+facade delegates to.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core.spec import CacheSpec
-from .memtrace.trace import Trace
 from .sim.result import SimResult
 
 
@@ -49,7 +48,6 @@ def simulate(
     engine: Optional[str] = None,
     probes=None,
     telemetry=None,
-    pipeline: Optional[int] = None,
 ) -> Union[SimResult, "TelemetryReport"]:
     """Run one simulation, whatever the config and trace delivery.
 
@@ -72,12 +70,6 @@ def simulate(
     ``result.engine_refusal``.  ``reset=False`` and
     ``warmup_refs`` behave as in the specialised entry points (and are
     incompatible with probed runs, which need the full cold trace).
-
-    ``pipeline`` is a worker count for the multi-process pipelined
-    streaming engine (:mod:`repro.stream.pipeline`; ``0`` or ``"auto"``
-    means one worker per CPU, default ``$REPRO_PIPELINE_WORKERS``).
-    In-memory traces are windowed into a stream first, so every trace
-    delivery can be pipelined; counts <= 1 keep the serial paths.
     """
     from .sim import driver
 
@@ -108,17 +100,7 @@ def simulate(
             )
         return analyze(model, trace, telemetry=spec, engine=engine)
 
-    if isinstance(trace, Trace):
-        if pipeline is not None:
-            from .stream import TraceStream
-
-            trace = TraceStream.from_trace(trace)
-        else:
-            return driver.simulate(
-                model, trace, reset=reset, warmup_refs=warmup_refs,
-                engine=engine, probes=probes,
-            )
-    return driver.simulate_stream(
+    return driver.simulate(
         model, trace, reset=reset, warmup_refs=warmup_refs,
-        engine=engine, probes=probes, workers=pipeline,
+        engine=engine, probes=probes,
     )

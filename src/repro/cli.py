@@ -131,13 +131,6 @@ def _parser() -> argparse.ArgumentParser:
         "--engine) selects and the structured refusal (code: message) "
         "when the fast engine cannot run; no simulation happens",
     )
-    sim.add_argument(
-        "--workers", default=None, metavar="N",
-        help="run streamed simulation through the multi-process "
-        "pipelined engine with N workers ('auto' or 0 = one per CPU; "
-        "default $REPRO_PIPELINE_WORKERS); configs the pipeline cannot "
-        "run fall back to the serial path",
-    )
     _add_jobs_argument(sim)
     _add_engine_argument(sim)
 
@@ -157,15 +150,13 @@ def _parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--scenario",
         choices=(
-            "engine", "soft", "native", "stream", "pipeline", "probes",
-            "serve", "all",
+            "engine", "soft", "native", "stream", "probes", "serve", "all",
         ),
         default="engine",
         help="'engine' = per-engine throughput, 'soft' = assisted-path "
         "kernels on the blocked-loop workload, 'native' = the compiled "
         "C tier vs fast and reference, 'stream' = streamed vs "
-        "in-memory throughput and peak memory, 'pipeline' = "
-        "multi-process pipelined streaming vs serial, 'probes' = "
+        "in-memory throughput and peak memory, 'probes' = "
         "telemetry overhead with probes off and on, 'serve' = "
         "closed-loop latency/throughput of the repro-serve HTTP API "
         "(writes BENCH_serve.json, not BENCH_sim.json), 'all' = every "
@@ -189,12 +180,6 @@ def _parser() -> argparse.ArgumentParser:
         "speedup falls below X (CI guard; implies the native scenario "
         "ran; degrades to a completed-run check when no C compiler is "
         "present)",
-    )
-    bench.add_argument(
-        "--min-pipeline-speedup", type=float, default=None, metavar="X",
-        help="fail (exit 1) if the 2-worker pipelined speedup over "
-        "serial falls below X (CI guard; implies the pipeline scenario "
-        "ran; skipped automatically on machines with fewer than 2 CPUs)",
     )
     bench.add_argument(
         "--stream-refs", type=int, default=None, metavar="N",
@@ -551,7 +536,7 @@ def _cmd_simulate(
     benchmark: Optional[str], config: str, scale: str, seed: int,
     jobs: Optional[int] = None, engine: Optional[str] = None,
     cross_validate: bool = False, trace_path: Optional[str] = None,
-    explain_engine: bool = False, workers: Optional[str] = None,
+    explain_engine: bool = False,
 ) -> int:
     if explain_engine:
         return _explain_engine(config, engine)
@@ -586,42 +571,6 @@ def _cmd_simulate(
             f"cross-validated {validated}/{len(chosen)} configs: "
             "fast and reference engines agree on every counter"
         )
-    if workers is not None:
-        # Pipelined runs bypass the sweep result cache: each config is
-        # simulated directly through the facade, counters identical to
-        # the serial path.  Configs the pipeline refuses run serially.
-        from .api import simulate as simulate_one
-        from .stream.pipeline import pipeline_refusal, resolve_workers
-
-        n_workers = resolve_workers(workers)
-        rows = {}
-        pipelined = []
-        for label, spec in chosen.items():
-            model = spec.build()
-            can_pipeline = (
-                n_workers > 1 and pipeline_refusal(model) is None
-            )
-            r = simulate_one(
-                model, trace, engine=engine,
-                pipeline=n_workers if can_pipeline else None,
-            )
-            if can_pipeline:
-                pipelined.append(label)
-            rows[label] = {
-                "AMAT": r.amat,
-                "miss %": 100 * r.miss_ratio,
-                "words/ref": r.traffic,
-                "main hit %": 100 * r.main_hit_fraction,
-            }
-        print(
-            f"{label_trace} ({len(trace)} references, {origin}; "
-            f"{n_workers} pipeline workers: "
-            f"{', '.join(pipelined) if pipelined else 'no eligible config'})"
-        )
-        print(
-            format_table(["AMAT", "miss %", "words/ref", "main hit %"], rows)
-        )
-        return 0
     sweep = run_sweep({label_trace: trace}, chosen, jobs=jobs, engine=engine)
     rows = {}
     for label, r in sweep.results[label_trace].items():
@@ -698,7 +647,6 @@ def _cmd_bench(
     scenario: str = "engine", stream_refs: Optional[int] = None,
     chunk_refs: int = 1 << 18, min_soft_speedup: Optional[float] = None,
     min_assoc_soft_speedup: Optional[float] = None,
-    min_pipeline_speedup: Optional[float] = None,
     min_native_speedup: Optional[float] = None,
     serve_requests: Optional[int] = None,
     serve_concurrency: Optional[int] = None,
@@ -715,16 +663,13 @@ def _cmd_bench(
         DEFAULT_STREAM_REFS,
         format_bench,
         format_native_bench,
-        format_pipeline_bench,
         format_probe_bench,
         format_serve_bench,
         format_soft_bench,
         format_stream_bench,
         native_bench_guard,
-        pipeline_bench_guard,
         run_bench,
         run_native_bench,
-        run_pipeline_bench,
         run_probe_bench,
         run_serve_bench,
         run_soft_bench,
@@ -768,18 +713,6 @@ def _cmd_bench(
         )
         print(format_stream_bench(stream_payload))
         payload["stream"] = stream_payload
-    if scenario in ("pipeline", "all") or min_pipeline_speedup is not None:
-        pipeline_payload = run_pipeline_bench(
-            refs=stream_refs or DEFAULT_STREAM_REFS,
-            chunk_refs=chunk_refs,
-            repeat=repeat,
-        )
-        print(format_pipeline_bench(pipeline_payload))
-        payload["pipeline"] = pipeline_payload
-        if min_pipeline_speedup is not None:
-            guard_problems.extend(
-                pipeline_bench_guard(pipeline_payload, min_pipeline_speedup)
-            )
     if scenario in ("probes", "all"):
         probe_payload = run_probe_bench(
             refs=refs or DEFAULT_REFS, repeat=repeat
@@ -1256,14 +1189,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_simulate(
                 args.benchmark, args.config, args.scale, args.seed,
                 args.jobs, args.engine, args.cross_validate,
-                args.trace_path, args.explain_engine, args.workers,
+                args.trace_path, args.explain_engine,
             )
         if args.command == "bench":
             return _cmd_bench(
                 args.refs, args.repeat, args.out,
                 args.scenario, args.stream_refs, args.chunk_refs,
                 args.min_soft_speedup, args.min_assoc_soft_speedup,
-                args.min_pipeline_speedup, args.min_native_speedup,
+                args.min_native_speedup,
                 args.serve_requests, args.serve_concurrency,
                 args.serve_hit_ratio, args.min_serve_hit_rps,
                 args.max_serve_p99_ms, args.serve_out,

@@ -510,12 +510,12 @@ def run_stream_bench(
 ) -> Dict:
     """Prove streaming stays bounded in memory without losing speed.
 
-    For each config the same trace is simulated twice — streamed from a
-    chunked on-disk store (:func:`~repro.sim.driver.simulate_stream`)
-    and materialised in memory — measuring end-to-end throughput from
-    the same on-disk input (best of ``repeat``) and peak traced
-    allocations (one extra ``tracemalloc`` pass each; not wall-clock
-    comparable).  The payload records the
+    For each config the same trace is simulated twice through
+    :func:`~repro.sim.driver.simulate` — streamed from a chunked
+    on-disk store and materialised in memory — measuring end-to-end
+    throughput from the same on-disk input (best of ``repeat``) and
+    peak traced allocations (one extra ``tracemalloc`` pass each; not
+    wall-clock comparable).  The payload records the
     streamed/in-memory throughput ratio and the peak-memory ratio; a
     bounded streamed peak shows as a small fraction of the in-memory
     peak, which is O(trace).
@@ -524,7 +524,6 @@ def run_stream_bench(
     import shutil
     import tempfile
 
-    from ..sim.driver import simulate_stream
     from ..stream import TraceStream
 
     specs = _bench_specs(configs)
@@ -544,7 +543,7 @@ def run_stream_bench(
                 engine = "reference"
 
             def streamed():
-                simulate_stream(spec.build(), stream, engine=engine)
+                simulate(spec.build(), stream, engine=engine)
 
             def in_memory():
                 simulate(spec.build(), stream.load(), engine=engine)
@@ -586,14 +585,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - begin
 
 
-# ----------------------------------------------------------------------
-# Pipelined streaming
-# ----------------------------------------------------------------------
-#: Worker counts measured by bench-pipeline (the ISSUE target is the
-#: 4-worker row; CI guards the conservative 2-worker row).
-PIPELINE_WORKER_COUNTS = (2, 4)
-
-
 def _available_cpus() -> int:
     """CPUs actually usable by this process (affinity-aware — a
     container limited to one core reports one here even when the host
@@ -602,142 +593,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def run_pipeline_bench(
-    refs: int = DEFAULT_STREAM_REFS,
-    chunk_refs: int = 1 << 18,
-    repeat: int = 2,
-    workers: Sequence[int] = PIPELINE_WORKER_COUNTS,
-    workdir: Optional[str] = None,
-) -> Dict:
-    """Measure the pipelined streaming engine against the serial path.
-
-    Streams the standard config from an on-disk store through
-    :func:`~repro.sim.driver.simulate_stream` serially and with each
-    worker count (best of ``repeat``), recording throughput and the
-    speedup over serial.  The payload records the CPUs available to the
-    process — the speedup a worker count can deliver is capped by the
-    cores backing it, which is what :func:`pipeline_bench_guard` keys
-    on.
-    """
-    import shutil
-    import tempfile
-
-    from ..presets import SPECS
-    from ..sim.driver import simulate_stream
-    from ..stream import TraceStream
-
-    spec = SPECS["standard"]
-    root = tempfile.mkdtemp(prefix="bench-pipeline-", dir=workdir)
-    rows: List[Dict] = []
-    try:
-        store = _write_bench_store(refs, chunk_refs, f"{root}/trace.store")
-        stream = TraceStream.from_store(store)
-
-        serial_s = min(
-            _timed(
-                lambda: simulate_stream(spec.build(), stream, engine="fast")
-            )
-            for _ in range(repeat)
-        )
-        cpus = _available_cpus()
-        for count in workers:
-            seconds = min(
-                _timed(
-                    lambda: simulate_stream(
-                        spec.build(), stream, workers=count
-                    )
-                )
-                for _ in range(repeat)
-            )
-            row = {
-                "workers": count,
-                "seconds": round(seconds, 6),
-                "refs_per_sec": round(refs / seconds),
-            }
-            if cpus < count:
-                # Fewer cores than workers: a "speedup" here would just
-                # measure oversubscription, and a sub-1x number reads as
-                # a pipeline regression when it is a machine property.
-                row["insufficient_cpus"] = True
-            else:
-                row["speedup"] = round(serial_s / seconds, 2)
-            rows.append(row)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    return {
-        "refs": refs,
-        "chunk_refs": chunk_refs,
-        "repeat": repeat,
-        "config": "standard",
-        "cpus": cpus,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "serial_refs_per_sec": round(refs / serial_s),
-        "results": rows,
-    }
-
-
-def pipeline_bench_guard(
-    payload: Dict, min_speedup: float, at_workers: int = 2
-) -> List[str]:
-    """CI guard over a :func:`run_pipeline_bench` payload.
-
-    Enforces ``speedup >= min_speedup`` on the ``at_workers`` row —
-    but only when the process actually had that many CPUs: a pipeline
-    cannot beat serial on one core, so rows stamped
-    ``insufficient_cpus`` (and machines whose CPU count is below the
-    worker count) degrade the guard to checking that the pipelined run
-    completed (its bit-identical parity is covered by tests, not this
-    guard).
-    """
-    problems: List[str] = []
-    rows = {row["workers"]: row for row in payload["results"]}
-    row = rows.get(at_workers)
-    if row is None:
-        problems.append(
-            f"pipeline bench has no measurement at {at_workers} workers"
-        )
-        return problems
-    if row["refs_per_sec"] <= 0:
-        problems.append(
-            f"pipeline run at {at_workers} workers recorded no throughput"
-        )
-    cpus = payload.get("cpus", 1)
-    if row.get("insufficient_cpus") or cpus < at_workers:
-        return problems  # not enough cores to demand a speedup
-    if row["speedup"] < min_speedup:
-        problems.append(
-            f"pipeline speedup at {at_workers} workers is "
-            f"{row['speedup']}x, below the {min_speedup}x floor "
-            f"({cpus} CPUs available)"
-        )
-    return problems
-
-
-def format_pipeline_bench(payload: Dict) -> str:
-    """Human-readable rendering of a bench-pipeline payload."""
-    lines = [
-        f"pipelined streaming ({payload['refs']} refs, chunks of "
-        f"{payload['chunk_refs']}, best of {payload['repeat']}, "
-        f"{payload['cpus']} CPUs)"
-    ]
-    lines.append(
-        f"  serial [{payload['config']}]  "
-        f"{payload['serial_refs_per_sec'] / 1e6:7.3f} Mrefs/s"
-    )
-    for row in payload["results"]:
-        if row.get("insufficient_cpus"):
-            verdict = "(insufficient CPUs; no speedup claim)"
-        else:
-            verdict = f"({row['speedup']:.2f}x serial)"
-        lines.append(
-            f"  {row['workers']} workers          "
-            f"{row['refs_per_sec'] / 1e6:7.3f} Mrefs/s {verdict}"
-        )
-    return "\n".join(lines)
 
 
 def _best_of(sample, repeat: int) -> float:
@@ -834,7 +689,7 @@ def run_probe_bench(
                 from ..sim.fast import simulate_fast
 
                 def bare() -> None:
-                    simulate_fast(spec.build(), trace)
+                    simulate_fast(spec.build(), (trace,), trace.name)
 
             else:
 
@@ -1034,9 +889,8 @@ def run_serve_bench(
     ``requests`` total submissions: a ``hit_ratio`` fraction aimed at
     the warm population (round-robin over a per-client PRNG), the rest
     at never-repeated cold cells.  Records hit-path and overall
-    latency percentiles plus hit-serving throughput, and — honesty
-    fields, mirroring the pipeline bench's ``insufficient_cpus``
-    convention — the CPU count, target/observed hit ratio and client
+    latency percentiles plus hit-serving throughput, and honesty
+    fields — the CPU count, target/observed hit ratio and client
     concurrency, so CI floors degrade gracefully on small runners.
     """
     import tempfile
@@ -1163,9 +1017,8 @@ def run_serve_bench(
     }
     if cpus < 2:
         # Server loop and closed-loop clients share one core: latency
-        # measures scheduler contention, not the serving path.  Mirror
-        # the pipeline bench's honesty convention: record the fact, let
-        # the guard degrade to a completed-run check.
+        # measures scheduler contention, not the serving path.  Record
+        # the fact and let the guard degrade to a completed-run check.
         payload["insufficient_cpus"] = True
     return payload
 

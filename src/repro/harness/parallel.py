@@ -349,12 +349,6 @@ def simulate_cell(payload: Tuple) -> SimResult:
         report = analyze(spec, trace, telemetry=telemetry_spec, engine=engine)
         write_jsonl(report, artifact_path)
         return report.result
-    from ..stream import TraceStream
-
-    if isinstance(trace, TraceStream):
-        from ..sim.driver import simulate_stream
-
-        return simulate_stream(spec.build(), trace, engine=engine)
     return simulate(spec.build(), trace, engine=engine)
 
 

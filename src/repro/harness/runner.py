@@ -149,15 +149,7 @@ def run_sweep(
     for index, (trace_name, config_name, config) in enumerate(grid):
         result = cell_results.get(index)
         if result is None:  # legacy factory: serial, uncached
-            trace = traces[trace_name]
-            from ..stream import TraceStream
-
-            if isinstance(trace, TraceStream):
-                from ..sim.driver import simulate_stream
-
-                result = simulate_stream(config(), trace, engine=engine)
-            else:
-                result = simulate(config(), trace, engine=engine)
+            result = simulate(config(), traces[trace_name], engine=engine)
         sweep.add(trace_name, config_name, result)
         if index in cell_artifacts:
             sweep.telemetry.setdefault(trace_name, {})[

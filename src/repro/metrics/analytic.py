@@ -62,7 +62,7 @@ Entry points: :func:`predict` (a :class:`Prediction` of per-metric
 :class:`~repro.sim.result.SimResult` against a distribution, raising
 :class:`OracleMismatch`), and :func:`verify_oracle` (the ``repro
 verify --oracle`` battery driving every engine tier — reference, fast,
-fast_soft, native, pipelined, streamed — over every distribution).
+fast_soft, native, streamed — over every distribution).
 """
 
 from __future__ import annotations
@@ -761,10 +761,10 @@ def oracle_check(
 #: Every engine tier the battery drives.  ``fast`` covers plain batch
 #: kernels, ``fast_soft`` the event-driven assisted walkers (both reach
 #: the simulator through ``engine="fast"`` — the tier records which
-#: family actually ran); ``pipelined`` and ``streamed`` are delivery
-#: tiers over the same engines.
+#: family actually ran); ``streamed`` is a delivery tier over the same
+#: engines.
 ORACLE_TIERS = (
-    "reference", "fast", "fast_soft", "native", "pipelined", "streamed",
+    "reference", "fast", "fast_soft", "native", "streamed",
 )
 
 #: Default configurations: one plain and one assisted family member.
@@ -773,11 +773,10 @@ ORACLE_CONFIGS = ("standard", "soft")
 
 def _tier_result(tier: str, spec, dist: AccessDistribution):
     """Run one tier; ``(result, skip_reason)`` — exactly one is None."""
-    from ..sim.driver import simulate, simulate_stream
+    from ..sim.driver import simulate
     from ..sim.engine import fast_refusal, native_refusal
     from ..sim.fast_soft import is_assisted
     from ..stream import TraceStream
-    from ..stream.pipeline import pipeline_refusal
 
     trace = dist.trace()
     model = spec.build()
@@ -798,15 +797,10 @@ def _tier_result(tier: str, spec, dist: AccessDistribution):
         if refusal is not None:
             return None, f"[{refusal.code}] {refusal}"
         return simulate(model, trace, engine="native"), None
-    chunk_refs = max(1024, len(trace) // 4)
-    stream = TraceStream.from_trace(trace, chunk_refs=chunk_refs)
     if tier == "streamed":
-        return simulate_stream(model, stream), None
-    if tier == "pipelined":
-        refusal = pipeline_refusal(model)
-        if refusal is not None:
-            return None, f"[{refusal.code}] {refusal}"
-        return simulate_stream(model, stream, workers=2), None
+        chunk_refs = max(1024, len(trace) // 4)
+        stream = TraceStream.from_trace(trace, chunk_refs=chunk_refs)
+        return simulate(model, stream), None
     raise ConfigError(f"unknown oracle tier {tier!r}")
 
 

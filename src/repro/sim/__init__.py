@@ -4,7 +4,7 @@ from .base import CacheModel
 from .belady import simulate_belady
 from .bypass import BypassCache
 from .column_assoc import ColumnAssociativeCache
-from .driver import simulate, simulate_many, simulate_stream
+from .driver import simulate, simulate_many
 from .engine import (
     ENGINES,
     EngineMismatchError,
@@ -48,5 +48,4 @@ __all__ = [
     "simulate",
     "simulate_belady",
     "simulate_many",
-    "simulate_stream",
 ]

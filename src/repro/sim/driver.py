@@ -12,19 +12,23 @@ kernels of :mod:`repro.sim.native`.  The default (``auto``) walks the
 ladder top-down, using the highest tier that proves equivalence (for
 native, also that a toolchain or prebuilt library exists).
 
+There is one entry point, :func:`simulate`, for every trace delivery:
+each tier consumes an iterable of chunk traces, an in-memory trace being
+the one chunk ``(trace,)`` and a :class:`~repro.stream.TraceStream` its
+chunk windows.  So there is one reference loop, below, and one chunk
+entry per batch tier.
+
 The ``probes`` knob attaches a telemetry
 :class:`~repro.telemetry.probes.ProbeSet`.  Probes-off runs keep the
-hot loops below byte-identical to the un-probed code (the only cost is
+hot loop below byte-identical to the un-probed code (the only cost is
 one ``is None`` test per call); probed runs route through
-:func:`_simulate_reference_probed`, a single instrumented loop shared
-by the in-memory and streamed entry points (and by
-:func:`repro.metrics.attribution.attribute`), or through the fast
-engine's exact per-reference reconstruction.
+:func:`_simulate_reference_probed`, a single instrumented loop (also
+reached by :func:`repro.metrics.attribution.attribute`), or through
+the batch tiers' exact per-reference reconstruction.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional
 
 from ..errors import ConfigError
@@ -46,13 +50,24 @@ def _check_probed_run(probes, reset: bool, warmup_refs: int) -> None:
 
 def simulate(
     model: CacheModel,
-    trace: Trace,
+    trace,
     reset: bool = True,
     warmup_refs: int = 0,
     engine: Optional[str] = None,
     probes=None,
 ) -> SimResult:
     """Run ``trace`` through ``model`` and return the finalised result.
+
+    ``trace`` is an in-memory :class:`~repro.memtrace.trace.Trace` or a
+    :class:`~repro.stream.TraceStream` (anything with ``chunks()`` and
+    ``name``).  Every engine tier consumes an iterable of chunk traces:
+    a stream delivers its chunk windows, so memory stays O(chunk); an
+    in-memory trace is delivered whole, as the one chunk ``(trace,)``,
+    so the per-trace caches stored on it
+    (:meth:`~repro.memtrace.trace.Trace.columns_list`, the assisted
+    kernels' sorted scaffolding) are shared across a sweep's configs.
+    Counters are identical for every delivery — each tier carries its
+    state across chunk boundaries exactly.
 
     ``reset=False`` continues from the model's current state (used to
     simulate phase sequences on a warm cache).  ``warmup_refs`` runs the
@@ -69,200 +84,59 @@ def simulate(
     if warmup_refs < 0:
         raise ValueError(f"warmup_refs must be >= 0: {warmup_refs}")
     _check_probed_run(probes, reset, warmup_refs)
+    chunks = (trace,) if isinstance(trace, Trace) else trace.chunks()
+    name = trace.name
     chosen, refusal = select_engine(
         engine, model, reset=reset, warmup_refs=warmup_refs
     )
     if chosen == "native":
         from .native import simulate_native
 
-        return simulate_native(model, trace, probes=probes)
+        return simulate_native(model, chunks, name, probes=probes)
     if chosen == "fast":
         from .fast import simulate_fast
 
-        if probes is not None:
-            result = simulate_fast(model, trace, probes=probes)
-        else:
-            result = simulate_fast(model, trace)
+        result = simulate_fast(model, chunks, name, probes=probes)
         result.engine_refusal = refusal
         return result
     if probes is not None:
-        # One instrumented reference loop serves both entry points: the
-        # trace is windowed into a stream (zero-copy chunk views, same
-        # name/fingerprint), so probed in-memory and streamed runs are
-        # literally the same code path.
-        from ..stream import TraceStream
-
-        stats = _simulate_reference_probed(
-            model, TraceStream.from_trace(trace), probes
-        )
+        stats = _simulate_reference_probed(model, chunks, name, probes)
         stats.engine_refusal = refusal
         return stats
 
     if reset:
         model.reset()
-    addresses, is_write, temporal, spatial, gaps = trace.columns_list()
     access = model.access
     timing = getattr(model, "timing", None)
     pipelined = timing.hit_time if timing is not None else 1
 
     clock = 0
     total = 0
+    start = 0
     warm_snapshot = None
-    for position, (addr, w, t, s, g) in enumerate(
-        zip(addresses, is_write, temporal, spatial, gaps)
-    ):
-        if warmup_refs and position == warmup_refs:
-            warm_snapshot = (total, _snapshot(model.stats))
-        clock += g
-        cycles = access(addr, w, temporal=t, spatial=s, now=clock)
-        total += cycles
-        # The gap distribution was measured assuming every instruction
-        # executes in one cycle; anything beyond the pipelined hit is a
-        # stall that pushes wall-clock time.
-        extra = cycles - pipelined
-        if extra > 0:
-            clock += extra
-    if warmup_refs and warm_snapshot is None and len(trace):
+    for chunk in chunks:
+        addresses, is_write, temporal, spatial, gaps = chunk.columns_list()
+        for position, (addr, w, t, s, g) in enumerate(
+            zip(addresses, is_write, temporal, spatial, gaps), start
+        ):
+            if warmup_refs and position == warmup_refs:
+                warm_snapshot = (total, _snapshot(model.stats))
+            clock += g
+            cycles = access(addr, w, temporal=t, spatial=s, now=clock)
+            total += cycles
+            # The gap distribution was measured assuming every instruction
+            # executes in one cycle; anything beyond the pipelined hit is a
+            # stall that pushes wall-clock time.
+            extra = cycles - pipelined
+            if extra > 0:
+                clock += extra
+        start += len(addresses)
+    if warmup_refs and warm_snapshot is None and start:
         # The whole trace was shorter than the warm-up window.
         warm_snapshot = (total, _snapshot(model.stats))
 
     stats = model.stats
-    stats.trace = trace.name
-    stats.engine = "reference"
-    stats.engine_refusal = refusal
-    stats.cycles = total
-    if warm_snapshot is not None:
-        warm_cycles, counters = warm_snapshot
-        stats.cycles -= warm_cycles
-        for field, value in counters.items():
-            setattr(stats, field, getattr(stats, field) - value)
-    stats.check()
-    return stats
-
-
-def simulate_stream(
-    model: CacheModel,
-    stream,
-    reset: bool = True,
-    warmup_refs: int = 0,
-    engine: Optional[str] = None,
-    probes=None,
-    workers: Optional[int] = None,
-) -> SimResult:
-    """Run a :class:`~repro.stream.TraceStream` through ``model``.
-
-    The out-of-core counterpart of :func:`simulate`: the trace is
-    consumed one chunk at a time, so peak memory is O(chunk), not
-    O(trace).  Counters are bit-identical to materialising the stream
-    and calling :func:`simulate` — the reference loop below carries the
-    clock across chunk windows, and the fast path
-    (:func:`repro.sim.fast.simulate_fast_stream`) carries cache, write
-    buffer and timing state explicitly.  Engine selection, warm-up,
-    ``reset`` and ``probes`` semantics match :func:`simulate`; probed
-    streams stay O(chunk) (probes hold aggregate state only).
-
-    ``workers`` > 1 runs the multi-process pipelined engine
-    (:mod:`repro.stream.pipeline`): chunk decode and the carry-free
-    kernel scan overlap across a worker pool while the sequential
-    state carry stays here — still bit-identical.  An explicit count
-    is strict (:class:`~repro.errors.ConfigError` when the config
-    cannot be pipelined or ``engine="reference"`` / ``engine="native"``
-    forces the serial path); the ambient ``$REPRO_PIPELINE_WORKERS``
-    falls back to the serial path silently, mirroring ``engine="auto"``
-    — and when the serial native tier applies, ``auto`` prefers it over
-    the pipeline (one compiled loop beats fan-out overhead).
-    """
-    if warmup_refs < 0:
-        raise ValueError(f"warmup_refs must be >= 0: {warmup_refs}")
-    _check_probed_run(probes, reset, warmup_refs)
-    if workers is not None or os.environ.get("REPRO_PIPELINE_WORKERS"):
-        from ..stream.pipeline import (
-            pipeline_refusal, resolve_workers, simulate_pipeline,
-        )
-        from .engine import native_refusal, resolve_engine
-
-        n_workers = resolve_workers(workers)
-        if n_workers > 1:
-            reason = pipeline_refusal(
-                model, reset=reset, warmup_refs=warmup_refs
-            )
-            resolved = resolve_engine(engine)
-            forced_serial = resolved in ("reference", "native")
-            # With an *ambient* worker count, auto defers to the engine
-            # ladder: the serial native tier beats the pipelined fast
-            # engine, so prefer it when it applies.  An explicit
-            # ``workers=`` request keeps the pipeline.
-            ambient_native = (
-                workers is None
-                and resolved == "auto"
-                and native_refusal(
-                    model, reset=reset, warmup_refs=warmup_refs
-                ) is None
-            )
-            if reason is None and not forced_serial and not ambient_native:
-                return simulate_pipeline(
-                    model, stream, n_workers, probes=probes
-                )
-            if workers is not None:
-                detail = (
-                    f"engine={resolved!r} forces the serial path"
-                    if reason is None else str(reason)
-                )
-                raise ConfigError(
-                    f"workers={workers!r} needs the pipelined fast "
-                    f"engine, which cannot run {model.name!r}: {detail}"
-                )
-            # Ambient worker count: fall back to the serial path.
-    chosen, refusal = select_engine(
-        engine, model, reset=reset, warmup_refs=warmup_refs
-    )
-    if chosen == "native":
-        from .native import simulate_native_stream
-
-        return simulate_native_stream(model, stream, probes=probes)
-    if chosen == "fast":
-        from .fast import simulate_fast_stream
-
-        if probes is not None:
-            result = simulate_fast_stream(model, stream, probes=probes)
-        else:
-            result = simulate_fast_stream(model, stream)
-        result.engine_refusal = refusal
-        return result
-    if probes is not None:
-        stats = _simulate_reference_probed(model, stream, probes)
-        stats.engine_refusal = refusal
-        return stats
-
-    if reset:
-        model.reset()
-    access = model.access
-    timing = getattr(model, "timing", None)
-    pipelined = timing.hit_time if timing is not None else 1
-
-    clock = 0
-    total = 0
-    position = 0
-    warm_snapshot = None
-    for chunk in stream.chunks():
-        addresses, is_write, temporal, spatial, gaps = chunk.columns_list()
-        for addr, w, t, s, g in zip(
-            addresses, is_write, temporal, spatial, gaps
-        ):
-            if warmup_refs and position == warmup_refs:
-                warm_snapshot = (total, _snapshot(model.stats))
-            position += 1
-            clock += g
-            cycles = access(addr, w, temporal=t, spatial=s, now=clock)
-            total += cycles
-            extra = cycles - pipelined
-            if extra > 0:
-                clock += extra
-    if warmup_refs and warm_snapshot is None and position:
-        warm_snapshot = (total, _snapshot(model.stats))
-
-    stats = model.stats
-    stats.trace = stream.name
+    stats.trace = name
     stats.engine = "reference"
     stats.engine_refusal = refusal
     stats.cycles = total
@@ -276,11 +150,11 @@ def simulate_stream(
 
 
 def _simulate_reference_probed(
-    model: CacheModel, stream, probes
+    model: CacheModel, chunks, name: str, probes
 ) -> SimResult:
     """The reference loop with telemetry batch emission.
 
-    Same clock discipline as the plain loops above; additionally every
+    Same clock discipline as the plain loop above; additionally every
     access's outcome is read off the model's counter deltas (a single
     access increments ``misses``/``hits_assist`` by at most one and
     ``words_fetched``/``write_buffer_stalls`` by its own contribution),
@@ -306,7 +180,7 @@ def _simulate_reference_probed(
     prev_assist = stats.hits_assist
     prev_words = stats.words_fetched
     prev_stall = stats.write_buffer_stalls
-    for chunk in stream.chunks():
+    for chunk in chunks:
         addresses, is_write, temporal, spatial, gaps = chunk.columns_list()
         n = len(addresses)
         miss_col = np.zeros(n, dtype=bool)
@@ -359,7 +233,7 @@ def _simulate_reference_probed(
         )
         position += n
 
-    stats.trace = stream.name
+    stats.trace = name
     stats.engine = "reference"
     stats.cycles = total
     stats.check()

@@ -91,10 +91,6 @@ class EngineRefusal(str):
         # compiled kernels do not cover, or no toolchain/library.
         "native-assisted",    # assisted walkers stay in Python
         "native-unavailable",  # no C compiler and no prebuilt library
-        # Pipelined streaming only (stream/pipeline.py): configs the
-        # fast engine accepts but whose kernels have no carry-free half
-        # to ship to workers.
-        "pipeline-assisted",  # assisted walker is event-sequential
     )
 
     def __new__(cls, code: str, message: str) -> "EngineRefusal":
@@ -294,17 +290,16 @@ def cross_validate_stream(
 ) -> SimResult:
     """Assert chunked streaming matches the monolithic path exactly.
 
-    Runs ``stream`` chunk-wise through :func:`~repro.sim.driver
-    .simulate_stream` and its materialised trace through
-    :func:`~repro.sim.driver.simulate`, on fresh models from ``build``,
-    and compares every counter.  This is the orthogonal axis to
-    :func:`cross_validate`: same engine, different trace delivery.
-    Returns the streamed result; raises :class:`EngineMismatchError` on
-    any difference.
+    Runs :func:`~repro.sim.driver.simulate` twice on fresh models from
+    ``build``: once over ``stream`` chunk-wise and once over its
+    materialised trace (delivered whole), and compares every counter.
+    This is the orthogonal axis to :func:`cross_validate`: same engine,
+    different trace delivery.  Returns the streamed result; raises
+    :class:`EngineMismatchError` on any difference.
     """
-    from .driver import simulate, simulate_stream
+    from .driver import simulate
 
-    streamed = simulate_stream(build(), stream, engine=engine)
+    streamed = simulate(build(), stream, engine=engine)
     monolithic = simulate(build(), stream.load(), engine=engine)
     mismatches = [
         f"{name}: monolithic={getattr(monolithic, name)} "

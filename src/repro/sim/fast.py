@@ -32,272 +32,23 @@ and stalls occur only at dirty-victim evictions, which are replayed
 through the real :class:`~repro.sim.write_buffer.WriteBuffer` in a loop
 over *push events only* (a small fraction of the trace).
 
-The kernel also materialises the model's final state (cache contents,
-``stats``, write buffer, ``_ready_at``), so a fast run is substitutable
-for a reference run even for callers that inspect the model afterwards.
+The kernels consume the trace as a sequence of chunks (an in-memory
+trace is the single chunk ``(trace,)``), carrying a small sufficient
+statistic across chunk boundaries, and materialise the model's final
+state (cache contents, ``stats``, write buffer, ``_ready_at``), so a
+fast run is substitutable for a reference run even for callers that
+inspect the model afterwards.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..memtrace.trace import Trace
 from .result import SimResult
 from .write_buffer import WriteBuffer
-
-
-class _Functional:
-    """Output of the functional pass, in original trace order."""
-
-    __slots__ = ("hits", "victim_dirty", "final_sets")
-
-    def __init__(
-        self,
-        hits: np.ndarray,
-        victim_dirty: np.ndarray,
-        final_sets: List[Tuple[int, int, bool, bool]],
-    ) -> None:
-        self.hits = hits
-        self.victim_dirty = victim_dirty
-        #: (set index, line address, dirty, temporal) of every line
-        #: resident at the end of the trace, MRU-first within a set.
-        self.final_sets = final_sets
-
-
-def _functional_direct_mapped(
-    la: np.ndarray,
-    sets: np.ndarray,
-    is_write: np.ndarray,
-    temporal: np.ndarray,
-) -> _Functional:
-    """Exact hit/victim analysis of a direct-mapped LRU cache.
-
-    Stable-sorting by set index makes each set's reference subsequence
-    contiguous; within it, consecutive equal line addresses form a
-    *residency run* (a fill plus its hits — any other line address would
-    have evicted the resident line).  Hits, victim dirtiness and final
-    contents are all per-run aggregates.
-    """
-    n = len(la)
-    order = np.argsort(sets, kind="stable")
-    la_s = la[order]
-    set_s = sets[order]
-    w_s = is_write[order]
-
-    same_set = np.zeros(n, dtype=bool)
-    same_set[1:] = set_s[1:] == set_s[:-1]
-    hit_s = np.zeros(n, dtype=bool)
-    hit_s[1:] = same_set[1:] & (la_s[1:] == la_s[:-1])
-    miss_s = ~hit_s
-
-    # Runs never span sets: a set-group boundary always starts a miss.
-    run_id = np.cumsum(miss_s) - 1
-    n_runs = int(run_id[-1]) + 1
-    run_dirty = np.bincount(run_id, weights=w_s, minlength=n_runs) > 0
-    run_temporal = (
-        np.bincount(run_id, weights=temporal[order], minlength=n_runs) > 0
-    )
-
-    # A miss that is not first-in-set evicts the previous run's line.
-    victim_s = miss_s & same_set
-    victim_dirty_s = np.zeros(n, dtype=bool)
-    victim_dirty_s[victim_s] = run_dirty[run_id[victim_s] - 1]
-
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hit_s
-    victim_dirty = np.empty(n, dtype=bool)
-    victim_dirty[order] = victim_dirty_s
-
-    # Final contents: the last run of each set group survives.
-    group_last = np.nonzero(set_s[1:] != set_s[:-1])[0].tolist() + [n - 1]
-    final_sets = [
-        (
-            int(set_s[j]),
-            int(la_s[j]),
-            bool(run_dirty[run_id[j]]),
-            bool(run_temporal[run_id[j]]),
-        )
-        for j in group_last
-    ]
-    return _Functional(hits, victim_dirty, final_sets)
-
-
-def _functional_set_associative(
-    la: np.ndarray,
-    sets: np.ndarray,
-    is_write: np.ndarray,
-    temporal: np.ndarray,
-    ways: int,
-    temporal_priority: bool,
-) -> _Functional:
-    """Per-set short-stream fallback for ``ways > 1`` geometries.
-
-    Functionally the reference LRU loop, but run per set over
-    precomputed index streams with no stats/timing work per reference.
-    ``temporal_priority`` selects the figure-9b victim rule (LRU among
-    non-temporal lines) instead of plain LRU.
-    """
-    n = len(la)
-    order = np.argsort(sets, kind="stable")
-    set_s = sets[order]
-    boundaries = np.nonzero(set_s[1:] != set_s[:-1])[0] + 1
-    starts = [0] + boundaries.tolist()
-    ends = boundaries.tolist() + [n]
-
-    hits = np.zeros(n, dtype=bool)
-    victim_dirty = np.zeros(n, dtype=bool)
-    final_sets: List[Tuple[int, int, bool, bool]] = []
-
-    la_list = la.tolist()
-    w_list = is_write.tolist()
-    t_list = temporal.tolist()
-    order_list = order.tolist()
-
-    for lo, hi in zip(starts, ends):
-        entries: List[List] = []  # MRU-first [addr, dirty, temporal]
-        for j in range(lo, hi):
-            index = order_list[j]
-            line = la_list[index]
-            for position, entry in enumerate(entries):
-                if entry[0] == line:
-                    if position:
-                        del entries[position]
-                        entries.insert(0, entry)
-                    if w_list[index]:
-                        entry[1] = True
-                    if t_list[index]:
-                        entry[2] = True
-                    hits[index] = True
-                    break
-            else:
-                if len(entries) >= ways:
-                    victim_index = len(entries) - 1
-                    if temporal_priority:
-                        for k in range(len(entries) - 1, -1, -1):
-                            if not entries[k][2]:
-                                victim_index = k
-                                break
-                    victim = entries.pop(victim_index)
-                    victim_dirty[index] = victim[1]
-                entries.insert(0, [line, w_list[index], t_list[index]])
-        set_index = int(set_s[lo])
-        for entry in entries:
-            final_sets.append(
-                (set_index, entry[0], bool(entry[1]), bool(entry[2]))
-            )
-    return _Functional(hits, victim_dirty, final_sets)
-
-
-class _Timing:
-    """Output of the timing pass."""
-
-    __slots__ = (
-        "cycles", "stalls", "write_buffer", "ready_at", "bus_free_at"
-    )
-
-    def __init__(self, cycles, stalls, write_buffer, ready_at, bus_free_at):
-        self.cycles = cycles
-        self.stalls = stalls
-        self.write_buffer = write_buffer
-        self.ready_at = ready_at
-        self.bus_free_at = bus_free_at
-
-
-def _accumulate_timing(
-    gaps: np.ndarray,
-    hits: np.ndarray,
-    victim_dirty: np.ndarray,
-    hit_time: int,
-    penalty: int,
-    wb_entries: int,
-    wb_drain: int,
-    per_ref_stalls: Optional[np.ndarray] = None,
-) -> _Timing:
-    """Exact cycle/stall accounting over the miss mask.
-
-    ``start`` times without stalls are a prefix sum (see module
-    docstring); each write-buffer stall shifts every later start by the
-    same amount, so the replay walks push events only, carrying the
-    cumulative offset.  Two closed forms skip even that walk: pushes
-    happen at starts of dirty-miss accesses, which are at least
-    ``penalty`` cycles apart — so with ``penalty >= drain`` a buffered
-    write buffer can never back up (every push finds it empty), and an
-    unbuffered one (``entries == 0``) stalls exactly ``drain`` per push.
-
-    ``per_ref_stalls`` (an int64 zeros array of trace length, telemetry
-    only) receives each push's stall at its reference index — together
-    with the history-free per-reference wait this reconstructs every
-    access's exact cycle charge (see :func:`_per_ref_cycles`).
-    """
-    n = len(gaps)
-    n_hits = int(hits.sum())
-    n_misses = n - n_hits
-
-    wait = hit_time - gaps
-    np.clip(wait, 0, None, out=wait)
-    wait[0] = 0
-
-    delta = np.maximum(gaps, hit_time)
-    delta[0] = gaps[0]
-    delta[1:] += (penalty - hit_time) * (~hits[:-1])
-    base_start = np.cumsum(delta)
-
-    write_buffer = WriteBuffer(wb_entries, wb_drain)
-    offset = 0
-    last_push_index = -1
-    last_push_stall = 0
-    pushes = np.nonzero(victim_dirty)[0]
-    if len(pushes) and wb_entries == 0:
-        # Unbuffered: the processor eats the full drain on every push.
-        n_pushes = len(pushes)
-        offset = n_pushes * wb_drain
-        last_push_index = int(pushes[-1])
-        last_push_stall = wb_drain
-        write_buffer.pushes = n_pushes
-        write_buffer.stall_cycles = offset
-        if per_ref_stalls is not None:
-            per_ref_stalls[pushes] = wb_drain
-    elif len(pushes) and penalty >= wb_drain:
-        # Never backs up: zero stall per push, and at the last push the
-        # buffer was found empty, so exactly one entry is left draining.
-        last_push_index = int(pushes[-1])
-        write_buffer.pushes = len(pushes)
-        write_buffer._completions.append(
-            int(base_start[last_push_index]) + wb_drain
-        )
-    else:
-        for index in pushes.tolist():
-            stall = write_buffer.push(int(base_start[index]) + offset)
-            offset += stall
-            last_push_index = index
-            last_push_stall = stall
-            if per_ref_stalls is not None:
-                per_ref_stalls[index] = stall
-
-    cycles = (
-        int(wait.sum()) + offset
-        + hit_time * n_hits + penalty * n_misses
-    )
-
-    ready_at = (
-        int(base_start[-1]) + offset
-        + (hit_time if hits[-1] else penalty)
-    )
-    # The memory bus finishes with the last miss's transfer; its start
-    # excludes that access's own victim stall (the fetch is requested
-    # before the victim drains).
-    misses = np.nonzero(~hits)[0]
-    if len(misses):
-        last_miss = int(misses[-1])
-        before = offset - (
-            last_push_stall if last_push_index == last_miss else 0
-        )
-        bus_free_at = int(base_start[last_miss]) + before + penalty
-    else:
-        bus_free_at = 0
-    return _Timing(cycles, offset, write_buffer, ready_at, bus_free_at)
 
 
 def _per_ref_cycles(
@@ -326,121 +77,18 @@ def _per_ref_cycles(
     return wait + stalls + service
 
 
-def simulate_fast(model, trace: Trace, probes=None) -> SimResult:
-    """Run ``trace`` through the batch kernels and return the result.
+def simulate_fast(
+    model, chunks: Iterable[Trace], name: str, probes=None
+) -> SimResult:
+    """Run a sequence of chunk traces through the batch kernels.
 
     ``model`` must have been accepted by
     :func:`repro.sim.engine.fast_refusal` — a write-back LRU cache with
-    no assist structures.  The model is reset, its counters computed in
-    batch, and its final state materialised as if the reference engine
-    had run.  With ``probes``, per-reference outcomes are reconstructed
-    exactly from the kernel outputs and emitted as one telemetry batch.
-
-    Software-assisted models (bounce-back cache or virtual lines)
-    dispatch to the event-driven walkers of :mod:`repro.sim.fast_soft`;
-    plain write-back LRU configurations use the pure batch kernels
-    below.
-    """
-    from .fast_soft import is_assisted, simulate_soft
-
-    if is_assisted(model):
-        return simulate_soft(model, trace, probes=probes)
-    model.reset()
-    stats = model.stats
-    stats.trace = trace.name
-    stats.engine = "fast"
-    n = len(trace)
-    if n == 0:
-        stats.check()
-        if probes is not None:
-            probes.finish(stats)
-        return stats
-
-    geometry = model.geometry
-    timing = model.timing
-    n_sets = geometry.n_sets
-    ways = geometry.ways
-    hit_time = timing.hit_time
-    penalty = timing.latency + timing.transfer_cycles(geometry.line_size)
-    words_per_line = geometry.line_size // 8
-
-    la = trace.addresses >> geometry.line_shift
-    sets = la % n_sets
-    if ways == 1:
-        functional = _functional_direct_mapped(
-            la, sets, trace.is_write, trace.temporal
-        )
-    else:
-        functional = _functional_set_associative(
-            la, sets, trace.is_write, trace.temporal, ways,
-            bool(getattr(model, "_temporal_priority", False)),
-        )
-
-    per_ref_stalls = (
-        np.zeros(n, dtype=np.int64) if probes is not None else None
-    )
-    timed = _accumulate_timing(
-        trace.gaps.astype(np.int64, copy=True),
-        functional.hits,
-        functional.victim_dirty,
-        hit_time,
-        penalty,
-        model.write_buffer.entries,
-        model.write_buffer.drain_cycles,
-        per_ref_stalls=per_ref_stalls,
-    )
-
-    stats.refs = n
-    stats.hits_main = int(functional.hits.sum())
-    stats.misses = n - stats.hits_main
-    stats.lines_fetched = stats.misses
-    stats.words_fetched = stats.misses * words_per_line
-    stats.writebacks = int(functional.victim_dirty.sum())
-    stats.write_buffer_stalls = timed.stalls
-    stats.cycles = timed.cycles
-
-    _materialise_state(model, trace, functional, timed)
-    stats.check()
-    if probes is not None:
-        from ..telemetry.events import TelemetryBatch
-
-        miss = ~functional.hits
-        cycles_col = _per_ref_cycles(
-            trace.gaps, functional.hits, per_ref_stalls,
-            hit_time, penalty, first=True,
-        )
-        assert int(cycles_col.sum()) == stats.cycles, (
-            "per-reference cycle reconstruction disagrees with the "
-            "timing pass"
-        )
-        probes.on_batch(
-            TelemetryBatch(
-                start=0,
-                addresses=trace.addresses,
-                is_write=trace.is_write,
-                temporal=trace.temporal,
-                spatial=trace.spatial,
-                gaps=trace.gaps,
-                miss=miss,
-                assist_hit=np.zeros(n, dtype=bool),
-                cycles=cycles_col,
-                words=miss.astype(np.int64) * words_per_line,
-                wb_stall=per_ref_stalls,
-                ref_ids=trace.ref_ids,
-            )
-        )
-        probes.finish(stats)
-    return stats
-
-
-def simulate_fast_stream(model, stream, probes=None) -> SimResult:
-    """Chunk-wise batch simulation with explicit state carry-over.
-
-    Consumes a :class:`~repro.stream.TraceStream` one chunk at a time —
-    memory stays O(chunk) — and produces counters and final model state
-    bit-identical to :func:`simulate_fast` on the materialised trace
-    (and therefore to the reference engine).  Eligibility is the same
-    as the monolithic fast path (:func:`repro.sim.engine.fast_refusal`).
+    no assist structures.  The model is reset, its counters computed
+    chunk by chunk, and its final state materialised as if the
+    reference engine had run.  With ``probes``, per-reference outcomes
+    are reconstructed exactly from the kernel outputs and emitted as one
+    telemetry batch per chunk.
 
     Carrying state across chunks is exact because both kernel passes
     admit a small sufficient statistic:
@@ -456,17 +104,18 @@ def simulate_fast_stream(model, stream, probes=None) -> SimResult:
       hit/miss outcome and the live write buffer fully seed the next
       chunk's accumulation.
 
-    Software-assisted models dispatch to the chunked walker of
-    :mod:`repro.sim.fast_soft`, which carries the same sufficient
-    statistic plus the live bounce-back buffer.
+    Software-assisted models (bounce-back cache or virtual lines)
+    dispatch to the event-driven walkers of :mod:`repro.sim.fast_soft`,
+    which carry the same sufficient statistic plus the live bounce-back
+    buffer.
     """
-    from .fast_soft import is_assisted, simulate_soft_stream
+    from .fast_soft import is_assisted, simulate_soft
 
     if is_assisted(model):
-        return simulate_soft_stream(model, stream, probes=probes)
+        return simulate_soft(model, chunks, name, probes=probes)
     model.reset()
     stats = model.stats
-    stats.trace = stream.name
+    stats.trace = name
     stats.engine = "fast"
 
     geometry = model.geometry
@@ -508,7 +157,7 @@ def simulate_fast_stream(model, stream, probes=None) -> SimResult:
     last_hit = True
     last_la = 0
 
-    for chunk in stream.chunks():
+    for chunk in chunks:
         n = len(chunk)
         if n == 0:
             continue
@@ -582,7 +231,7 @@ def simulate_fast_stream(model, stream, probes=None) -> SimResult:
     stats.write_buffer_stalls = stalls
     stats.cycles = cycles
 
-    # Materialise final model state, as the monolithic kernels do.
+    # Leave the model exactly as the reference engine would have.
     model.write_buffer = write_buffer
     model._ready_at = ready_at
     if hasattr(model, "_bus_free_at"):
@@ -608,170 +257,6 @@ def simulate_fast_stream(model, stream, probes=None) -> SimResult:
     return stats
 
 
-class _DMChunkScan:
-    """Carry-free half of the direct-mapped chunk group-by.
-
-    Everything :func:`_dm_chunk_scan` computes depends only on the chunk
-    itself, never on the residency carried in from earlier chunks — so
-    it can run on a pipeline worker with no ordering constraint.  The
-    carried state perturbs the scan's answer in O(set groups) places
-    only, which :func:`_dm_apply_carry` patches on the sequential
-    critical path:
-
-    * ``hits`` treats every group-first reference as a miss; the carry
-      can only flip it to a hit (when the carried line matches).
-    * ``victim_dirty`` knows nothing about the carried line's eviction
-      (group firsts) and may under-report the dirtiness of the victim
-      at the head of a group's *second* run — the only victim whose
-      previous run is the group's first run, which on a group-first hit
-      continues the carried residency and inherits its dirty bit.
-      ``pos2_glob`` records that position per group (-1 when the group
-      has a single run).
-    * the per-group tail aggregates (``la_last`` &c.) seed the carry
-      update, where a continuation run again inherits carried bits when
-      the group's first run is also its last (``first_is_last``).
-
-    Positions (``gf_glob``, ``pos2_glob``) are in original trace order,
-    matching the scattered ``hits``/``victim_dirty`` arrays.
-    """
-
-    __slots__ = (
-        "hits", "victim_dirty", "gsets", "la_first", "gf_glob",
-        "pos2_glob", "la_last", "last_run_dirty", "last_run_temporal",
-        "first_is_last",
-    )
-
-    def __init__(
-        self, hits, victim_dirty, gsets, la_first, gf_glob, pos2_glob,
-        la_last, last_run_dirty, last_run_temporal, first_is_last,
-    ) -> None:
-        self.hits = hits
-        self.victim_dirty = victim_dirty
-        self.gsets = gsets
-        self.la_first = la_first
-        self.gf_glob = gf_glob
-        self.pos2_glob = pos2_glob
-        self.la_last = la_last
-        self.last_run_dirty = last_run_dirty
-        self.last_run_temporal = last_run_temporal
-        self.first_is_last = first_is_last
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-
-
-def _dm_chunk_scan(
-    la: np.ndarray,
-    sets: np.ndarray,
-    is_write: np.ndarray,
-    temporal: np.ndarray,
-) -> _DMChunkScan:
-    """Carry-free residency-run analysis of one direct-mapped chunk.
-
-    Same group-by as :func:`_functional_direct_mapped`; set groups open
-    with a provisional miss.  ``run_start = miss | gstart`` is invariant
-    under the carry (a group first starts a run whether the carried line
-    turns it into a hit or not), so run ids — and every within-chunk
-    aggregate over them — are final here.
-    """
-    n = len(la)
-    order = np.argsort(sets, kind="stable")
-    la_s = la[order]
-    set_s = sets[order]
-    w_s = is_write[order]
-    t_s = temporal[order]
-
-    gstart = np.ones(n, dtype=bool)
-    gstart[1:] = set_s[1:] != set_s[:-1]
-    hit_s = np.zeros(n, dtype=bool)
-    hit_s[1:] = ~gstart[1:] & (la_s[1:] == la_s[:-1])
-    miss_s = ~hit_s
-
-    run_start = miss_s | gstart
-    run_id = np.cumsum(run_start) - 1
-    n_runs = int(run_id[-1]) + 1
-    run_dirty = np.bincount(run_id, weights=w_s, minlength=n_runs) > 0
-    run_temporal = np.bincount(run_id, weights=t_s, minlength=n_runs) > 0
-
-    # Victims: a non-first miss evicts the previous run's line.  All of
-    # them reference fully within-chunk runs except the head of a
-    # group's second run (see the class docstring).
-    victim_s = miss_s & ~gstart
-    victim_dirty_s = np.zeros(n, dtype=bool)
-    victim_dirty_s[victim_s] = run_dirty[run_id[victim_s] - 1]
-
-    group_first = np.nonzero(gstart)[0]
-    group_last = np.append(group_first[1:] - 1, n - 1)
-    group_end = np.append(group_first[1:], n)
-    heads = np.nonzero(run_start)[0]
-    rid_first = run_id[group_first]
-    has2 = rid_first + 1 < n_runs
-    cand = heads[np.minimum(rid_first + 1, n_runs - 1)]
-    valid2 = has2 & (cand < group_end)
-
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hit_s
-    victim_dirty = np.empty(n, dtype=bool)
-    victim_dirty[order] = victim_dirty_s
-
-    return _DMChunkScan(
-        hits=hits,
-        victim_dirty=victim_dirty,
-        gsets=set_s[group_first],
-        la_first=la_s[group_first],
-        gf_glob=order[group_first],
-        pos2_glob=np.where(valid2, order[np.minimum(cand, n - 1)], -1),
-        la_last=la_s[group_last],
-        last_run_dirty=run_dirty[run_id[group_last]],
-        last_run_temporal=run_temporal[run_id[group_last]],
-        first_is_last=rid_first == run_id[group_last],
-    )
-
-
-def _dm_apply_carry(
-    scan: _DMChunkScan,
-    tags: np.ndarray,
-    dirty: np.ndarray,
-    temporal_bits: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Patch a carry-free scan with the carried per-set residency.
-
-    O(set groups): flips group-first provisional misses into hits where
-    the carried line matches, charges the carried line's eviction where
-    it does not, propagates the carried dirty bit to the one victim per
-    group it can reach, and advances the carry arrays in place to each
-    touched set's final residency.  ``scan.hits``/``scan.victim_dirty``
-    are corrected in place and returned.
-    """
-    gsets = scan.gsets
-    carried_tag = tags[gsets]
-    carried_dirty = dirty[gsets]
-    carried_temporal = temporal_bits[gsets]
-    first_hits = carried_tag == scan.la_first
-
-    hits = scan.hits
-    victim_dirty = scan.victim_dirty
-    hits[scan.gf_glob[first_hits]] = True
-    first_misses = ~first_hits
-    victim_dirty[scan.gf_glob[first_misses]] = (
-        carried_dirty[first_misses] & (carried_tag[first_misses] != -1)
-    )
-    fix2 = first_hits & carried_dirty & (scan.pos2_glob >= 0)
-    victim_dirty[scan.pos2_glob[fix2]] = True
-
-    continuation = scan.first_is_last & first_hits
-    tags[gsets] = scan.la_last
-    dirty[gsets] = scan.last_run_dirty | (continuation & carried_dirty)
-    temporal_bits[gsets] = (
-        scan.last_run_temporal | (continuation & carried_temporal)
-    )
-    return hits, victim_dirty
-
-
 def _functional_dm_chunk(
     la: np.ndarray,
     sets: np.ndarray,
@@ -783,98 +268,116 @@ def _functional_dm_chunk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One chunk of the direct-mapped group-by, seeded by carried state.
 
-    Composed of the carry-free :func:`_dm_chunk_scan` and the O(groups)
-    :func:`_dm_apply_carry` — the exact seam the pipelined streaming
-    engine (:mod:`repro.stream.pipeline`) splits across processes, so
-    the serial path exercises the same two halves.  (a) a run may start
-    at a set-group boundary even on a *hit* (the carried resident line
-    continues its pre-chunk run, whose dirty and temporal bits it
-    inherits), and (b) a group-first miss on an occupied set evicts the
-    carried line.  The carry arrays are updated in place to each touched
-    set's final residency.
+    Stable-sorting by set index makes each set's reference subsequence
+    contiguous; within it, consecutive equal line addresses form a
+    *residency run* (a fill plus its hits — any other line address would
+    have evicted the resident line).  Hits, victim dirtiness and final
+    contents are all per-run aggregates.
+
+    The carried per-set residency (``tags``/``dirty``/``temporal_bits``)
+    matters only where a set group begins, so it is applied in
+    O(set groups) after the chunk-local scan: (a) a group-first
+    reference hits when the carried line matches — its run then
+    continues the carried residency and inherits its dirty and
+    temporal bits, which the victim at the head of the group's second
+    run sees — and (b) a group-first miss on an occupied set evicts the
+    carried line.  The carry arrays are updated in place to each
+    touched set's final residency.
     """
-    scan = _dm_chunk_scan(la, sets, is_write, temporal)
-    return _dm_apply_carry(scan, tags, dirty, temporal_bits)
+    n = len(la)
+    order = np.argsort(sets, kind="stable")
+    la_s = la[order]
+    set_s = sets[order]
 
-
-class _AssocChunkScan:
-    """Carry-free half of the set-associative chunk walk.
-
-    Unlike the direct-mapped scan there is no provisional outcome to
-    patch: every reference's hit/victim depends on its set's carried
-    MRU order, so the walk itself stays sequential.  What *is*
-    carry-free — and what the pipelined engine farms to workers — is
-    everything upstream of the walk: chunk page-in, fingerprint verify,
-    decode, the stable set-order argsort and the group boundaries.
-    ``starts``/``ends`` are numpy index arrays (compact to pickle);
-    :func:`_assoc_apply_carry` walks them on the critical path.
-    """
-
-    __slots__ = (
-        "order", "set_s", "starts", "ends", "la", "is_write", "temporal",
+    gstart = np.ones(n, dtype=bool)
+    gstart[1:] = set_s[1:] != set_s[:-1]
+    hit_s = np.zeros(n, dtype=bool)
+    hit_s[1:] = ~gstart[1:] & (la_s[1:] == la_s[:-1])
+    # Group firsts start as misses, so every miss starts a run and runs
+    # never span sets.
+    miss_s = ~hit_s
+    heads = np.nonzero(miss_s)[0]
+    run_id = np.cumsum(miss_s) - 1
+    n_runs = len(heads)
+    run_dirty = (
+        np.bincount(run_id, weights=is_write[order], minlength=n_runs) > 0
+    )
+    run_temporal = (
+        np.bincount(run_id, weights=temporal[order], minlength=n_runs) > 0
     )
 
-    def __init__(
-        self, order, set_s, starts, ends, la, is_write, temporal,
-    ) -> None:
-        self.order = order
-        self.set_s = set_s
-        self.starts = starts
-        self.ends = ends
-        self.la = la
-        self.is_write = is_write
-        self.temporal = temporal
+    # A miss that is not first-in-group evicts the previous run's line.
+    victim_s = miss_s & ~gstart
+    victim_dirty_s = np.zeros(n, dtype=bool)
+    victim_dirty_s[victim_s] = run_dirty[run_id[victim_s] - 1]
 
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    group_first = np.nonzero(gstart)[0]
+    group_last = np.append(group_first[1:] - 1, n - 1)
+    gsets = set_s[group_first]
+    rid_first = run_id[group_first]
+    rid_last = run_id[group_last]
 
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
+    carried_tag = tags[gsets]
+    carried_dirty = dirty[gsets]
+    carried_temporal = temporal_bits[gsets]
+    first_hits = carried_tag == la_s[group_first]
+    first_misses = ~first_hits
+    hit_s[group_first[first_hits]] = True
+    victim_dirty_s[group_first[first_misses]] = (
+        carried_dirty[first_misses] & (carried_tag[first_misses] != -1)
+    )
+    second = first_hits & carried_dirty & (rid_first < rid_last)
+    victim_dirty_s[heads[rid_first[second] + 1]] = True
+
+    continuation = first_hits & (rid_first == rid_last)
+    tags[gsets] = la_s[group_last]
+    dirty[gsets] = run_dirty[rid_last] | (continuation & carried_dirty)
+    temporal_bits[gsets] = (
+        run_temporal[rid_last] | (continuation & carried_temporal)
+    )
+
+    hits = np.empty(n, dtype=bool)
+    hits[order] = hit_s
+    victim_dirty = np.empty(n, dtype=bool)
+    victim_dirty[order] = victim_dirty_s
+    return hits, victim_dirty
 
 
-def _assoc_chunk_scan(
+def _functional_assoc_chunk(
     la: np.ndarray,
     sets: np.ndarray,
     is_write: np.ndarray,
     temporal: np.ndarray,
-) -> _AssocChunkScan:
-    """Carry-free set-group analysis of one set-associative chunk."""
-    n = len(la)
-    order = np.argsort(sets, kind="stable")
-    set_s = sets[order]
-    boundaries = np.nonzero(set_s[1:] != set_s[:-1])[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    return _AssocChunkScan(
-        order=order, set_s=set_s, starts=starts, ends=ends,
-        la=la, is_write=is_write, temporal=temporal,
-    )
-
-
-def _assoc_apply_carry(
-    scan: _AssocChunkScan,
     ways: int,
     temporal_priority: bool,
     sets_state: List[List[List]],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Walk a scanned chunk's set groups over the carried MRU state.
+    """One chunk of the per-set LRU loop over persistent set state.
 
-    Identical logic to :func:`_functional_set_associative`, but the
-    MRU-first entry lists live in ``sets_state`` and carry across
-    chunks (sets untouched by this chunk keep their entries untouched).
+    Functionally the reference LRU loop, but run per set over
+    precomputed index streams with no stats/timing work per reference.
+    The MRU-first ``[line, dirty, temporal]`` entry lists live in
+    ``sets_state`` and carry across chunks (sets untouched by this
+    chunk keep their entries untouched).  ``temporal_priority`` selects
+    the figure-9b victim rule (LRU among non-temporal lines) instead of
+    plain LRU.
     """
-    n = len(scan.la)
+    n = len(la)
+    order = np.argsort(sets, kind="stable")
+    set_s = sets[order]
+    boundaries = np.nonzero(set_s[1:] != set_s[:-1])[0] + 1
+    starts = [0] + boundaries.tolist()
+    ends = boundaries.tolist() + [n]
+
     hits = np.zeros(n, dtype=bool)
     victim_dirty = np.zeros(n, dtype=bool)
 
-    la_list = scan.la.tolist()
-    w_list = scan.is_write.tolist()
-    t_list = scan.temporal.tolist()
-    order_list = scan.order.tolist()
-    set_s = scan.set_s
+    la_list = la.tolist()
+    w_list = is_write.tolist()
+    t_list = temporal.tolist()
+    order_list = order.tolist()
 
-    for lo, hi in zip(scan.starts.tolist(), scan.ends.tolist()):
+    for lo, hi in zip(starts, ends):
         entries = sets_state[int(set_s[lo])]
         for j in range(lo, hi):
             index = order_list[j]
@@ -904,26 +407,6 @@ def _assoc_apply_carry(
     return hits, victim_dirty
 
 
-def _functional_assoc_chunk(
-    la: np.ndarray,
-    sets: np.ndarray,
-    is_write: np.ndarray,
-    temporal: np.ndarray,
-    ways: int,
-    temporal_priority: bool,
-    sets_state: List[List[List]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One chunk of the per-set LRU loop over persistent set state.
-
-    Composed of the carry-free :func:`_assoc_chunk_scan` and the
-    sequential :func:`_assoc_apply_carry` — the seam the pipelined
-    streaming engine (:mod:`repro.stream.pipeline`) splits across
-    processes, so the serial path exercises the same two halves.
-    """
-    scan = _assoc_chunk_scan(la, sets, is_write, temporal)
-    return _assoc_apply_carry(scan, ways, temporal_priority, sets_state)
-
-
 def _chunk_timing(
     gaps: np.ndarray,
     hits: np.ndarray,
@@ -936,16 +419,28 @@ def _chunk_timing(
     prev_miss: bool,
     per_ref_stalls: Optional[np.ndarray] = None,
 ) -> Tuple[int, int, int, int, Optional[int]]:
-    """One chunk of :func:`_accumulate_timing`, seeded by carried state.
+    """Exact cycle/stall accounting of one chunk over its miss mask.
+
+    ``start`` times without stalls are a prefix sum (see module
+    docstring); each write-buffer stall shifts every later start by the
+    same amount, so the replay walks push events only, carrying the
+    cumulative offset.  Two closed forms skip even that walk: pushes
+    happen at starts of dirty-miss accesses, which are at least
+    ``penalty`` cycles apart — so with ``penalty >= drain`` a buffered
+    write buffer can never back up (every push finds it empty), and an
+    unbuffered one (``entries == 0``) stalls exactly ``drain`` per push.
 
     ``prev_base`` is ``start + stall`` of the previous chunk's last
     reference (absolute cycles, all earlier stalls included) and
     ``prev_miss`` its outcome; together with the live ``write_buffer``
-    they are exactly what the one-reference-back recurrence needs.
-    Returns ``(cycles, stalls, new_base, ready_at, bus_free_at)``
-    where ``bus_free_at`` is None when the chunk had no miss.
-    ``per_ref_stalls`` is the telemetry hook of
-    :func:`_accumulate_timing`, chunk-local.
+    they are exactly what the one-reference-back recurrence needs
+    (``first`` marks the trace's first chunk, which has no previous
+    reference).  Returns ``(cycles, stalls, new_base, ready_at,
+    bus_free_at)`` where ``bus_free_at`` is None when the chunk had no
+    miss.  ``per_ref_stalls`` (an int64 zeros array of chunk length,
+    telemetry only) receives each push's stall at its reference index —
+    together with the history-free per-reference wait this reconstructs
+    every access's exact cycle charge (see :func:`_per_ref_cycles`).
     """
     n = len(gaps)
     wait = hit_time - gaps
@@ -1013,29 +508,3 @@ def _chunk_timing(
         )
         bus_free_at = int(base_start[last_miss]) + before + penalty
     return chunk_cycles, offset, new_base, ready_at, bus_free_at
-
-
-def _materialise_state(
-    model, trace: Trace, functional: _Functional, timed: _Timing
-) -> None:
-    """Leave the model exactly as the reference engine would have."""
-    model.write_buffer = timed.write_buffer
-    model._ready_at = timed.ready_at
-    if hasattr(model, "_bus_free_at"):
-        model._bus_free_at = timed.bus_free_at
-
-    last_la = int(trace.addresses[-1]) >> model.geometry.line_shift
-    model.last_fetch = [] if functional.hits[-1] else [last_la]
-
-    tracks_temporal = model._entry_has_temporal
-    if getattr(model, "_tags", None) is not None:
-        # Array-backed direct-mapped state.
-        for set_index, line, dirty, temporal in functional.final_sets:
-            model._tags[set_index] = line
-            model._dirty[set_index] = dirty
-            if tracks_temporal:
-                model._temporal[set_index] = temporal
-    else:
-        for set_index, line, dirty, temporal in functional.final_sets:
-            entry = [line, dirty, temporal] if tracks_temporal else [line, dirty]
-            model._sets[set_index].append(entry)

@@ -82,17 +82,10 @@ def is_assisted(model) -> bool:
     )
 
 
-def simulate_soft(model, trace, probes=None) -> SimResult:
-    """Monolithic assisted-path fast run (one chunk)."""
-    return _run(model, [trace], trace.name, probes)
-
-
-def simulate_soft_stream(model, stream, probes=None) -> SimResult:
-    """Chunk-wise assisted-path fast run with explicit state carry."""
-    return _run(model, stream.chunks(), stream.name, probes)
-
-
-def _run(model, chunks, name: str, probes) -> SimResult:
+def simulate_soft(model, chunks, name: str, probes=None) -> SimResult:
+    """Run a sequence of chunk traces through the assisted-path walkers,
+    carrying walker state (cache, bounce-back buffer, write buffer,
+    clock) across chunk boundaries."""
     model.reset()
     walker_cls = _DirectWalker if model._ways == 1 else _AssocWalker
     walker = walker_cls(model)

@@ -78,8 +78,8 @@ class TwoLevelCache:
         L2 hits depend on the exact interleaving of L1 fetches, which
         the batch kernels do not replay — so equivalence cannot be
         proved and ``auto`` must fall back (streaming still works:
-        :func:`~repro.sim.driver.simulate_stream` carries the clock
-        through the reference loop chunk by chunk).
+        :func:`~repro.sim.driver.simulate` carries the clock through
+        the reference loop chunk by chunk).
         """
         from .engine import EngineRefusal
 

@@ -14,7 +14,7 @@ library and prints its cache path.
 """
 
 from .build import availability, ensure_library, library_path, reset
-from .runner import simulate_native, simulate_native_stream
+from .runner import simulate_native
 
 __all__ = [
     "availability",
@@ -22,5 +22,4 @@ __all__ = [
     "library_path",
     "reset",
     "simulate_native",
-    "simulate_native_stream",
 ]

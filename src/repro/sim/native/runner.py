@@ -1,11 +1,11 @@
 """ctypes driver for the native engine tier.
 
-:func:`simulate_native` / :func:`simulate_native_stream` mirror the
-fast engine's entry points (:mod:`repro.sim.fast`) exactly — counters,
-final model state and per-reference telemetry are bit-identical — but
-run the fused functional+timing loop of ``kernels.c`` instead of the
-numpy batch kernels.  Both are thin wrappers over one chunked core:
-the in-memory path is simply a single-chunk stream.
+:func:`simulate_native` mirrors the fast engine's chunk entry
+(:func:`repro.sim.fast.simulate_fast`) exactly — counters, final model
+state and per-reference telemetry are bit-identical — but runs the
+fused functional+timing loop of ``kernels.c`` instead of the numpy
+batch kernels.  An in-memory trace is simply the single chunk
+``(trace,)``.
 
 Eligibility is the caller's job (:func:`repro.sim.engine
 .native_refusal`): a cold-start, no-warm-up run of a plain write-back
@@ -63,18 +63,8 @@ def _require_library():
     return lib
 
 
-def simulate_native(model, trace, probes=None) -> SimResult:
-    """Run an in-memory trace through the compiled kernels."""
-    return _run(model, [trace], trace.name, probes)
-
-
-def simulate_native_stream(model, stream, probes=None) -> SimResult:
-    """Run a :class:`~repro.stream.TraceStream` chunk-wise through the
-    compiled kernels, O(chunk) memory."""
-    return _run(model, stream.chunks(), stream.name, probes)
-
-
-def _run(model, chunks, name, probes) -> SimResult:
+def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
+    """Run a sequence of chunk traces through the compiled kernels."""
     lib = _require_library()
     model.reset()
     stats = model.stats
@@ -189,7 +179,7 @@ def _run(model, chunks, name, probes) -> SimResult:
 def _materialise(model, tags, dirty, tbits, set_count, wb_ring, regs,
                  refs, tracks_temporal, wb_entries, wb_drain) -> None:
     """Leave the model exactly as the reference engine would have
-    (mirrors :func:`repro.sim.fast._materialise_state`)."""
+    (mirrors the end of :func:`repro.sim.fast.simulate_fast`)."""
     write_buffer = WriteBuffer(wb_entries, wb_drain)
     write_buffer.pushes = int(regs[R_WB_PUSHES])
     write_buffer.stall_cycles = int(regs[R_WB_STALL])

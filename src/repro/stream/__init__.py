@@ -1,11 +1,11 @@
-"""Streaming trace pipeline: bounded-memory trace iteration.
+"""Streaming traces: bounded-memory trace iteration.
 
-The simulation layers historically consumed a whole in-memory
-:class:`~repro.memtrace.trace.Trace`.  :class:`TraceStream` is the
-O(chunk) alternative both engines understand
-(:func:`repro.sim.driver.simulate_stream`): a restartable iterator of
-column-chunk ``Trace`` windows plus the trace-level metadata the
-harness needs (name, length, content fingerprint).
+Every engine tier consumes a trace as an iterable of chunk traces; an
+in-memory :class:`~repro.memtrace.trace.Trace` is the single chunk
+``(trace,)``.  :class:`TraceStream` is the O(chunk) alternative that
+:func:`repro.sim.driver.simulate` accepts directly: a restartable
+iterator of column-chunk ``Trace`` windows plus the trace-level
+metadata the harness needs (name, length, content fingerprint).
 
 A stream is backed either by
 
@@ -14,8 +14,7 @@ A stream is backed either by
   time, with an optional read-ahead thread overlapping decompression
   with simulation), or
 * an in-memory ``Trace`` (windowed zero-copy views — useful for
-  chunked/monolithic parity testing and for feeding the same code path
-  everywhere).
+  chunked/monolithic parity testing).
 
 Streams are picklable (the store backend ships only its path and
 manifest), so sweep cells carrying a stream cross process-pool
@@ -37,23 +36,13 @@ from typing import Iterator, Optional, Union
 from ..errors import TraceError
 from ..memtrace.store import DEFAULT_CHUNK_REFS, TraceStore, is_store
 from ..memtrace.trace import Trace
-from .pipeline import (
-    MAX_PIPELINE_WORKERS,
-    PipelineError,
-    resolve_workers,
-    simulate_pipeline,
-)
 
 __all__ = [
     "DEFAULT_CHUNK_REFS",
-    "MAX_PIPELINE_WORKERS",
     "MAX_READAHEAD",
-    "PipelineError",
     "TraceStream",
     "open_trace",
     "resolve_readahead",
-    "resolve_workers",
-    "simulate_pipeline",
 ]
 
 #: Hard ceiling on the read-ahead queue depth.  Each buffered chunk
@@ -197,21 +186,6 @@ class TraceStream:
             name=f"{trace.name}[{index}]",
             ref_ids=None if trace.ref_ids is None else trace.ref_ids[lo:hi],
         )
-
-    def chunk(self, index: int, verify: bool = True) -> Trace:
-        """Random access to one chunk window (store- or trace-backed).
-
-        The pipelined streaming engine uses this to hand workers chunk
-        *indices* instead of chunk data; each worker pages its own chunk
-        in.  Equivalent to the ``index``-th item of :meth:`chunks`.
-        """
-        if not 0 <= index < self.n_chunks:
-            raise TraceError(
-                f"chunk index out of range: {index} (of {self.n_chunks})"
-            )
-        if self._store is None:
-            return self._window(index)
-        return self._store.chunk(index, verify=verify)
 
     def chunks(
         self, verify: bool = True, prefetch: Optional[int] = None

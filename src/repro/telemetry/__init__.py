@@ -2,9 +2,9 @@
 
 The simulators historically emitted end-of-run counters only; this
 package turns a run into an *explained* run.  A
-:class:`~repro.telemetry.probes.ProbeSet` attaches to
-``simulate``/``simulate_stream`` and consumes a canonical per-reference
-event stream (:mod:`repro.telemetry.events`) that both engines emit
+:class:`~repro.telemetry.probes.ProbeSet` attaches to ``simulate`` and
+consumes a canonical per-reference event stream
+(:mod:`repro.telemetry.events`) that both engines emit
 identically — the reference loop from counter deltas, the fast kernels
 from exact per-reference reconstruction — so every report below is
 bit-identical across ``engine=reference``/``fast`` and

@@ -11,8 +11,8 @@ contract that keeps engine/stream parity:
 * ``report`` returns plain ints/floats/strs/lists/dicts only.
 
 Probes are *off* by default: the engines' hot paths are untouched
-unless a :class:`ProbeSet` is passed to ``simulate``/``simulate_stream``
-(see :mod:`repro.sim.driver`), so disabled-probe overhead is one
+unless a :class:`ProbeSet` is passed to ``simulate`` (see
+:mod:`repro.sim.driver`), so disabled-probe overhead is one
 ``is None`` test per call.
 """
 

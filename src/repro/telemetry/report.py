@@ -226,13 +226,10 @@ def analyze(
     the trace was chunked — the probes consume one canonical event
     stream (see :mod:`repro.telemetry.events`).
     """
-    from ..sim.driver import simulate, simulate_stream
+    from ..sim.driver import simulate
 
     spec = telemetry if telemetry is not None else TelemetrySpec()
     model = config.build() if isinstance(config, CacheSpec) else config
     probes = spec.build_probes(model)
-    if isinstance(trace, Trace):
-        result = simulate(model, trace, engine=engine, probes=probes)
-    else:
-        result = simulate_stream(model, trace, engine=engine, probes=probes)
+    result = simulate(model, trace, engine=engine, probes=probes)
     return TelemetryReport(result=result, spec=spec, sections=probes.report())

@@ -287,8 +287,8 @@ class TestCrossValidate:
 
         true_fast = fast_module.simulate_fast
 
-        def crooked(model, trace):
-            result = true_fast(model, trace)
+        def crooked(model, chunks, name, probes=None):
+            result = true_fast(model, chunks, name, probes=probes)
             result.cycles += 1
             return result
 

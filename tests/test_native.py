@@ -25,7 +25,6 @@ from repro.sim import (
     select_engine,
     simulate,
 )
-from repro.sim.driver import simulate_stream
 from repro.sim.engine import PARITY_FIELDS
 from repro.sim.native import availability, build
 from repro.stream import TraceStream
@@ -164,7 +163,7 @@ class TestNativeParity:
         trace = random_trace(5)
         monolithic = simulate(standard(ways=2), trace, engine="native")
         m_stream = standard(ways=2)
-        streamed = simulate_stream(
+        streamed = simulate(
             m_stream, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
             engine="native",
         )
@@ -200,7 +199,7 @@ class TestNativeParity:
     def test_property_parity(self, seed, refs, chunk_refs, ways):
         trace = random_trace(seed, refs=refs)
         reference = simulate(standard(ways), trace, engine="reference")
-        streamed = simulate_stream(
+        streamed = simulate(
             standard(ways),
             TraceStream.from_trace(trace, chunk_refs=chunk_refs),
             engine="native",

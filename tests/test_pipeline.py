@@ -1,41 +1,24 @@
-"""Pipelined streaming engine: parity, policy and failure handling.
+"""Chunk pipeline: a windowed trace matches the whole trace, exactly.
 
-The pipeline's contract is the strongest in the repo: for every config
-it accepts, ``simulate_stream(..., workers=N)`` must be *bit-identical*
-to the serial streamed fast engine — counters, final model state, and
-every per-reference telemetry column — at any worker count and any
-chunk size.  These tests check that contract on randomized traces with
-deliberately awkward chunk sizes (1, primes, chunk == trace), both
-trace- and store-backed, plus the surrounding machinery: worker
-resolution, refusal codes, the explicit-vs-ambient worker policy, and
-crash propagation (a worker raising, and a worker dying outright).
+Every engine tier has one entry that takes an iterable of chunk
+``Trace``s.  An in-memory trace reaches it whole, as ``(trace,)``; a
+``TraceStream`` reaches it as windows.  For every config the two
+deliveries must agree bit for bit — counters and final model state — at
+any chunk size.  These tests check that on randomized traces with
+deliberately awkward chunk sizes (1, primes, chunk == trace), on
+store-backed streams, with an unbuffered write buffer, and on a
+one-reference trace.
 """
 
 import copy
-import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.api import simulate as api_simulate
-from repro.errors import ConfigError
-from repro.harness.bench import pipeline_bench_guard, soft_bench_guard
 from repro.memtrace import TraceStore
-from repro.presets import spec as preset_spec
 from repro.sim import CacheGeometry, MemoryTiming, StandardCache, simulate
-from repro.sim.driver import simulate_stream
 from repro.sim.engine import PARITY_FIELDS
-from repro.stream import (
-    MAX_PIPELINE_WORKERS,
-    PipelineError,
-    TraceStream,
-    resolve_workers,
-    simulate_pipeline,
-)
-from repro.stream import pipeline as pipeline_mod
-from repro.stream.pipeline import pipeline_refusal
+from repro.stream import TraceStream
 
 from conftest import make_trace
 
@@ -58,18 +41,18 @@ def build_standard(ways=1):
     return StandardCache(CacheGeometry(1024, 32, ways=ways), TIMING)
 
 
-def assert_parity(reference, pipelined):
+def assert_parity(whole, chunked):
     bad = {
-        name: (getattr(reference, name), getattr(pipelined, name))
+        name: (getattr(whole, name), getattr(chunked, name))
         for name in PARITY_FIELDS
-        if getattr(reference, name) != getattr(pipelined, name)
+        if getattr(whole, name) != getattr(chunked, name)
     }
-    assert not bad, f"pipelined counters diverge: {bad}"
+    assert not bad, f"chunked counters diverge: {bad}"
 
 
 def model_state(model):
     state = {}
-    for attr in ("_tags", "_dirty", "_temporal", "_ready_at",
+    for attr in ("_tags", "_dirty", "_temporal", "_sets", "_ready_at",
                  "_bus_free_at", "last_fetch"):
         if hasattr(model, attr):
             state[attr] = copy.deepcopy(getattr(model, attr))
@@ -77,70 +60,39 @@ def model_state(model):
     return state
 
 
-class Recorder:
-    """A probe that keeps every telemetry batch for column comparison."""
+def assert_same_run(build, trace, stream, engine="fast"):
+    """``stream`` and the whole ``trace`` leave identical counters and
+    identical model state on ``engine``."""
+    m_whole, m_chunked = build(), build()
+    whole = simulate(m_whole, trace, engine=engine)
+    chunked = simulate(m_chunked, stream, engine=engine)
+    assert whole.engine == chunked.engine
+    assert_parity(whole, chunked)
+    assert model_state(m_whole) == model_state(m_chunked)
+    return chunked
 
-    def __init__(self):
-        self.batches = []
-        self.finished = None
-
-    def on_batch(self, batch):
-        self.batches.append(batch)
-
-    def finish(self, result):
-        self.finished = result
-
-
-COLUMNS = ("addresses", "is_write", "temporal", "spatial", "gaps",
-           "miss", "assist_hit", "cycles", "words", "wb_stall")
-
-
-def assert_telemetry_equal(serial, pipelined):
-    assert len(serial.batches) == len(pipelined.batches)
-    for a, b in zip(serial.batches, pipelined.batches):
-        assert a.start == b.start
-        for name in COLUMNS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (
-                f"telemetry column {name} diverges in batch at {a.start}"
-            )
-
-
-# ----------------------------------------------------------------------
-# Bit-identical parity
-# ----------------------------------------------------------------------
 
 class TestPipelineParity:
     @pytest.mark.parametrize("ways", [1, 2, 4])
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("seed", [2, 3])
     @pytest.mark.parametrize("chunk_refs", [1, 37, 509, 3000])
-    def test_counters_and_state(self, workers, chunk_refs, ways):
-        trace = random_trace(40, refs=3000)
-        m_serial = build_standard(ways=ways)
-        serial = simulate_stream(
-            m_serial,
-            TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            engine="fast",
-        )
-        assert serial.engine == "fast"
-        m_pipe = build_standard(ways=ways)
-        pipelined = simulate_stream(
-            m_pipe, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            workers=workers,
-        )
-        assert pipelined.engine == "fast"
-        assert_parity(serial, pipelined)
-        assert model_state(m_serial) == model_state(m_pipe)
+    def test_counters_and_state(self, seed, chunk_refs, ways):
+        trace = random_trace(40 + seed, refs=3000)
+        build = lambda: build_standard(ways=ways)
+        stream = TraceStream.from_trace(trace, chunk_refs=chunk_refs)
+        chunked = assert_same_run(build, trace, stream)
+        assert chunked.engine == "fast"
+        # auto takes the fastest eligible tier (native when built); the
+        # windowed delivery must still match the whole trace on it.
+        assert_same_run(build, trace, stream, engine="auto")
 
     def test_store_backed(self, tmp_path):
         trace = random_trace(41, refs=4000, write_ratio=0.5)
         store = TraceStore.save(trace, tmp_path / "t.store", chunk_refs=777)
-        serial = simulate_stream(
-            build_standard(), TraceStream.from_store(store)
-        )
-        pipelined = simulate_stream(
-            build_standard(), TraceStream.from_store(store), workers=2
-        )
-        assert_parity(serial, pipelined)
+        for engine in ("reference", "fast"):
+            assert_same_run(
+                build_standard, trace, TraceStream.from_store(store), engine
+            )
 
     def test_unbuffered_write_buffer(self):
         timing = MemoryTiming(
@@ -148,318 +100,15 @@ class TestPipelineParity:
         )
         trace = random_trace(42, write_ratio=0.6)
         build = lambda: StandardCache(CacheGeometry(512, 32), timing)
-        serial = simulate_stream(
-            build(), TraceStream.from_trace(trace, chunk_refs=101)
+        assert_same_run(
+            build, trace, TraceStream.from_trace(trace, chunk_refs=101)
         )
-        pipelined = simulate_stream(
-            build(), TraceStream.from_trace(trace, chunk_refs=101), workers=2
-        )
-        assert_parity(serial, pipelined)
-
-    def test_telemetry_columns(self):
-        trace = random_trace(43, refs=2500)
-        serial_rec, pipe_rec = Recorder(), Recorder()
-        serial = simulate_stream(
-            build_standard(),
-            TraceStream.from_trace(trace, chunk_refs=211),
-            probes=serial_rec,
-        )
-        pipelined = simulate_stream(
-            build_standard(),
-            TraceStream.from_trace(trace, chunk_refs=211),
-            probes=pipe_rec, workers=2,
-        )
-        assert_parity(serial, pipelined)
-        assert_telemetry_equal(serial_rec, pipe_rec)
-        assert pipe_rec.finished is pipelined
-
-    def test_more_workers_than_chunks(self):
-        trace = random_trace(44, refs=600)
-        serial = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=500)
-        )
-        pipelined = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=500),
-            workers=8,
-        )
-        assert_parity(serial, pipelined)
 
     def test_single_reference_trace(self):
         trace = make_trace([64], is_write=[True])
-        serial = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=1)
-        )
-        pipelined = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=1),
-            workers=2,
-        )
-        assert_parity(serial, pipelined)
-
-    def test_api_simulate_pipeline_kwarg_wraps_trace(self):
-        trace = random_trace(45, refs=1200)
-        plain = api_simulate(build_standard(), trace)
-        piped = api_simulate(build_standard(), trace, pipeline=2)
-        assert piped.engine == "fast"
-        assert_parity(plain, piped)
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        refs=st.integers(1, 1200),
-        chunk_refs=st.integers(1, 400),
-        workers=st.integers(2, 3),
-    )
-    def test_property_parity(self, seed, refs, chunk_refs, workers):
-        trace = random_trace(seed, refs=refs)
-        m_serial = build_standard()
-        serial = simulate_stream(
-            m_serial, TraceStream.from_trace(trace, chunk_refs=chunk_refs)
-        )
-        m_pipe = build_standard()
-        pipelined = simulate_stream(
-            m_pipe, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            workers=workers,
-        )
-        assert_parity(serial, pipelined)
-        assert model_state(m_serial) == model_state(m_pipe)
-
-
-# ----------------------------------------------------------------------
-# Worker resolution and refusal policy
-# ----------------------------------------------------------------------
-
-class TestResolveWorkers:
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE_WORKERS", raising=False)
-        assert resolve_workers() == 1
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE_WORKERS", "7")
-        assert resolve_workers(3) == 3
-        assert resolve_workers() == 7
-
-    def test_auto_means_cpu_count(self):
-        expected = min(os.cpu_count() or 1, MAX_PIPELINE_WORKERS)
-        assert resolve_workers("auto") == expected
-        assert resolve_workers(0) == expected
-
-    def test_clamped_to_max(self):
-        assert resolve_workers(10_000) == MAX_PIPELINE_WORKERS
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_workers(-1)
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            resolve_workers()
-
-
-class TestPipelineRefusal:
-    def test_standard_accepted(self):
-        assert pipeline_refusal(preset_spec("standard").build()) is None
-
-    def test_assisted_refused(self):
-        reason = pipeline_refusal(preset_spec("soft").build())
-        assert reason.code == "pipeline-assisted"
-
-    def test_set_associative_accepted(self):
-        # ways != 1 used to refuse as "pipeline-assoc"; the LRU scan is
-        # now split like the direct-mapped one, and the code is retired.
-        model = StandardCache(CacheGeometry(2048, 32, ways=2), TIMING)
-        assert pipeline_refusal(model) is None
-        from repro.sim.engine import EngineRefusal
-
-        assert "pipeline-assoc" not in EngineRefusal.CODES
-
-    def test_assisted_refusal_covers_assoc_assisted(self):
-        # temporal-priority is assisted *and* 2-way: with the assoc
-        # refusal retired, the assisted refusal is what remains.
-        reason = pipeline_refusal(preset_spec("temporal-priority").build())
-        assert reason.code == "pipeline-assisted"
-
-    def test_fast_refusal_passes_through(self):
-        reason = pipeline_refusal(
-            preset_spec("standard").build(), reset=False
-        )
-        assert reason.code == "warm-start"
-
-    def test_explicit_workers_on_refusing_config_raises(self):
-        trace = random_trace(50, refs=500)
-        model = preset_spec("soft").build()
-        with pytest.raises(ConfigError, match="pipeline"):
-            simulate_stream(
-                model, TraceStream.from_trace(trace, chunk_refs=100),
-                workers=2,
+        for engine in ("reference", "fast"):
+            chunked = assert_same_run(
+                build_standard, trace,
+                TraceStream.from_trace(trace, chunk_refs=1), engine,
             )
-
-    def test_explicit_workers_with_reference_engine_raises(self):
-        trace = random_trace(51, refs=500)
-        with pytest.raises(ConfigError, match="reference"):
-            simulate_stream(
-                build_standard(),
-                TraceStream.from_trace(trace, chunk_refs=100),
-                engine="reference", workers=2,
-            )
-
-    def test_ambient_workers_fall_back_to_serial(self, monkeypatch):
-        # $REPRO_PIPELINE_WORKERS is a performance hint, not a demand:
-        # a refusing config silently keeps its serial engine.
-        monkeypatch.setenv("REPRO_PIPELINE_WORKERS", "2")
-        trace = random_trace(52, refs=500)
-        plain = simulate(preset_spec("soft").build(), trace)
-        streamed = simulate_stream(
-            preset_spec("soft").build(),
-            TraceStream.from_trace(trace, chunk_refs=100),
-        )
-        assert_parity(plain, streamed)
-
-    def test_ambient_workers_pipeline_eligible_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE_WORKERS", "2")
-        trace = random_trace(53, refs=900)
-        serial = simulate(build_standard(), trace)
-        streamed = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=256)
-        )
-        assert_parity(serial, streamed)
-
-    def test_workers_one_stays_serial(self):
-        trace = random_trace(54, refs=500)
-        serial = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=100)
-        )
-        one = simulate_stream(
-            build_standard(), TraceStream.from_trace(trace, chunk_refs=100),
-            workers=1,
-        )
-        assert_parity(serial, one)
-
-
-# ----------------------------------------------------------------------
-# Failure propagation
-# ----------------------------------------------------------------------
-
-def _boom(stream, index, line_shift, n_sets, ways, probed):
-    raise RuntimeError(f"synthetic failure on chunk {index}")
-
-
-def _die(stream, index, line_shift, n_sets, ways, probed):
-    os._exit(3)
-
-
-class TestFailurePropagation:
-    # The pool uses the fork start method, so monkeypatching the
-    # worker's chunk function in the parent propagates into workers.
-
-    def test_worker_exception_raises_pipeline_error(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "_chunk_payload", _boom)
-        trace = random_trace(60, refs=800)
-        with pytest.raises(PipelineError, match="synthetic failure"):
-            simulate_pipeline(
-                build_standard(),
-                TraceStream.from_trace(trace, chunk_refs=100),
-                workers=2,
-            )
-
-    def test_worker_death_raises_pipeline_error(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "_chunk_payload", _die)
-        trace = random_trace(61, refs=800)
-        with pytest.raises(PipelineError, match="died"):
-            simulate_pipeline(
-                build_standard(),
-                TraceStream.from_trace(trace, chunk_refs=100),
-                workers=2,
-            )
-
-    def test_failure_leaves_no_shared_memory_behind(self, monkeypatch):
-        monkeypatch.setattr(pipeline_mod, "_chunk_payload", _boom)
-        trace = random_trace(62, refs=400)
-        created = []
-        real_pool = pipeline_mod._slab_pool
-
-        def tracking_pool(n_slabs, slab_bytes):
-            slabs = real_pool(n_slabs, slab_bytes)
-            if slabs:
-                created.extend(slabs)
-            return slabs
-
-        monkeypatch.setattr(pipeline_mod, "_slab_pool", tracking_pool)
-        with pytest.raises(PipelineError):
-            simulate_pipeline(
-                build_standard(),
-                TraceStream.from_trace(trace, chunk_refs=100),
-                workers=2,
-            )
-        for name in created:
-            assert not os.path.exists(f"/dev/shm/{name}"), (
-                f"slab {name} leaked after pipeline failure"
-            )
-
-
-# ----------------------------------------------------------------------
-# Bench guards
-# ----------------------------------------------------------------------
-
-class TestPipelineBenchGuard:
-    @staticmethod
-    def payload(cpus, speedup, workers=2):
-        return {
-            "cpus": cpus,
-            "results": [
-                {"workers": workers, "speedup": speedup,
-                 "refs_per_sec": 1_000_000, "seconds": 1.0},
-            ],
-        }
-
-    def test_passes_above_floor(self):
-        assert pipeline_bench_guard(self.payload(4, 1.8), 1.5) == []
-
-    def test_fails_below_floor(self):
-        problems = pipeline_bench_guard(self.payload(4, 1.1), 1.5)
-        assert problems and "below" in problems[0]
-
-    def test_degrades_without_cpus(self):
-        # One core cannot beat serial: the guard only demands the run
-        # completed (parity is covered by tests, not throughput).
-        assert pipeline_bench_guard(self.payload(1, 0.7), 1.5) == []
-
-    def test_missing_row_is_a_problem(self):
-        problems = pipeline_bench_guard(
-            self.payload(4, 2.0, workers=4), 1.5, at_workers=2
-        )
-        assert problems and "no measurement" in problems[0]
-
-    def test_zero_throughput_is_a_problem(self):
-        payload = self.payload(1, 0.0)
-        payload["results"][0]["refs_per_sec"] = 0
-        problems = pipeline_bench_guard(payload, 1.5)
-        assert problems and "no throughput" in problems[0]
-
-
-class TestSoftBenchGuardAssocFloor:
-    @staticmethod
-    def payload(dm_speedup, assoc_speedup):
-        return {
-            "refusal_matrix": {"soft": None, "temporal-priority": None},
-            "fast_speedup": {
-                "soft": dm_speedup, "temporal-priority": assoc_speedup,
-            },
-            "miss_ratio": {"soft": 0.01, "temporal-priority": 0.01},
-        }
-
-    def test_assoc_floor_applies_to_assoc_configs_only(self):
-        problems = soft_bench_guard(
-            self.payload(8.0, 3.5), min_speedup=5.0, assoc_min_speedup=3.0
-        )
-        assert problems == []
-
-    def test_assoc_below_its_floor(self):
-        problems = soft_bench_guard(
-            self.payload(8.0, 2.0), min_speedup=5.0, assoc_min_speedup=3.0
-        )
-        assert len(problems) == 1 and "temporal-priority" in problems[0]
-
-    def test_without_assoc_floor_main_floor_applies(self):
-        problems = soft_bench_guard(self.payload(8.0, 3.5), min_speedup=5.0)
-        assert len(problems) == 1 and "temporal-priority" in problems[0]
+            assert chunked.refs == 1

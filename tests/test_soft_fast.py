@@ -275,3 +275,31 @@ class TestBenchGuard:
         np.testing.assert_array_equal(a.addresses, b.addresses)
         assert not np.any(a.temporal & a.spatial)
         assert a.temporal.any() and a.spatial.any()
+
+
+class TestSoftBenchGuardAssocFloor:
+    @staticmethod
+    def payload(dm_speedup, assoc_speedup):
+        return {
+            "refusal_matrix": {"soft": None, "temporal-priority": None},
+            "fast_speedup": {
+                "soft": dm_speedup, "temporal-priority": assoc_speedup,
+            },
+            "miss_ratio": {"soft": 0.01, "temporal-priority": 0.01},
+        }
+
+    def test_assoc_floor_applies_to_assoc_configs_only(self):
+        problems = soft_bench_guard(
+            self.payload(8.0, 3.5), min_speedup=5.0, assoc_min_speedup=3.0
+        )
+        assert problems == []
+
+    def test_assoc_below_its_floor(self):
+        problems = soft_bench_guard(
+            self.payload(8.0, 2.0), min_speedup=5.0, assoc_min_speedup=3.0
+        )
+        assert len(problems) == 1 and "temporal-priority" in problems[0]
+
+    def test_without_assoc_floor_main_floor_applies(self):
+        problems = soft_bench_guard(self.payload(8.0, 3.5), min_speedup=5.0)
+        assert len(problems) == 1 and "temporal-priority" in problems[0]

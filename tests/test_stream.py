@@ -15,12 +15,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SoftCacheConfig, SoftwareAssistedCache
 from repro.errors import TraceError
-from repro.memtrace import TraceStore
+from repro.memtrace import Trace, TraceStore
 from repro.sim import (
     CacheGeometry,
     EngineMismatchError,
@@ -29,7 +29,6 @@ from repro.sim import (
     TwoLevelCache,
     cross_validate_stream,
     simulate,
-    simulate_stream,
 )
 from repro.sim.engine import PARITY_FIELDS
 from repro.stream import TraceStream, open_trace
@@ -68,6 +67,38 @@ def model_state(model):
             state[attr] = copy.deepcopy(getattr(model, attr))
     state["wb"] = (model.write_buffer.pushes, model.write_buffer.stall_cycles)
     return state
+
+
+class Recorder:
+    """A probe that keeps every telemetry batch for column comparison."""
+
+    def __init__(self):
+        self.batches = []
+
+    def on_batch(self, batch):
+        self.batches.append(batch)
+
+    def finish(self, result):
+        self.finished = result
+
+
+TELEMETRY_COLUMNS = ("addresses", "is_write", "temporal", "spatial", "gaps",
+                     "miss", "assist_hit", "cycles", "words", "wb_stall")
+
+
+def assert_same_telemetry(whole, chunked):
+    """The per-reference columns agree however the trace was delivered,
+    and every batch starts where the previous one ended."""
+    for recorder in (whole, chunked):
+        starts = [batch.start for batch in recorder.batches]
+        ends = np.cumsum([len(batch.miss) for batch in recorder.batches])
+        assert starts == [0] + ends[:-1].tolist()
+    for name in TELEMETRY_COLUMNS:
+        a, b = (
+            np.concatenate([getattr(batch, name) for batch in r.batches])
+            for r in (whole, chunked)
+        )
+        assert np.array_equal(a, b), f"telemetry column {name} diverges"
 
 
 class TestStreamBasics:
@@ -148,7 +179,7 @@ class TestReferenceEngineParity:
         build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
         ref = simulate(build(), trace, engine="reference")
         m = build()
-        streamed = simulate_stream(
+        streamed = simulate(
             m, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
             engine="reference",
         )
@@ -167,7 +198,7 @@ class TestReferenceEngineParity:
         ref = simulate(build(), trace, engine="reference")
         # auto now picks the batch kernels for this config; pin the
         # engine — this class covers the windowed reference loop.
-        streamed = simulate_stream(
+        streamed = simulate(
             build(), TraceStream.from_trace(trace, chunk_refs=chunk_refs),
             engine="reference",
         )
@@ -180,7 +211,7 @@ class TestReferenceEngineParity:
             CacheGeometry(1024, 32), TIMING, write_policy="write-through"
         )
         ref = simulate(build(), trace, engine="reference")
-        streamed = simulate_stream(
+        streamed = simulate(
             build(), TraceStream.from_trace(trace, chunk_refs=97)
         )
         assert_parity(ref, streamed)
@@ -193,7 +224,7 @@ class TestReferenceEngineParity:
             12,
         )
         ref = simulate(build(), trace, engine="reference")
-        streamed = simulate_stream(
+        streamed = simulate(
             build(), TraceStream.from_trace(trace, chunk_refs=173)
         )
         assert streamed.engine == "reference"
@@ -203,7 +234,7 @@ class TestReferenceEngineParity:
         trace = random_trace(14, refs=800)
         build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
         ref = simulate(build(), trace, engine="reference", warmup_refs=350)
-        streamed = simulate_stream(
+        streamed = simulate(
             build(), TraceStream.from_trace(trace, chunk_refs=100),
             warmup_refs=350,
         )
@@ -211,21 +242,29 @@ class TestReferenceEngineParity:
 
 
 class TestFastEngineParity:
+    # Chunk sizes 1 and primes put set groups and write-buffer pushes on
+    # chunk boundaries.
     @pytest.mark.parametrize("ways", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_refs", [1, 37, 500, 10_000])
+    @pytest.mark.parametrize("chunk_refs", [1, 37, 211, 500, 10_000])
     def test_counters_and_state(self, ways, chunk_refs):
         trace = random_trace(20 + ways)
         build = lambda: StandardCache(CacheGeometry(2048, 32, ways), TIMING)
         m_ref = build()
         ref = simulate(m_ref, trace, engine="reference")
-        m_fast = build()
-        streamed = simulate_stream(
+        m_whole, whole_probe = build(), Recorder()
+        whole = simulate(m_whole, trace, engine="fast", probes=whole_probe)
+        m_fast, chunk_probe = build(), Recorder()
+        streamed = simulate(
             m_fast, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            engine="fast",
+            engine="fast", probes=chunk_probe,
         )
         assert streamed.engine == "fast"
         assert_parity(ref, streamed)
+        assert_parity(whole, streamed)
         assert model_state(m_ref) == model_state(m_fast)
+        assert model_state(m_whole) == model_state(m_fast)
+        assert_same_telemetry(whole_probe, chunk_probe)
+        assert chunk_probe.finished is streamed
 
     def test_unbuffered_write_buffer(self):
         timing = MemoryTiming(
@@ -234,11 +273,16 @@ class TestFastEngineParity:
         trace = random_trace(30, write_ratio=0.6)
         build = lambda: StandardCache(CacheGeometry(512, 32), timing)
         ref = simulate(build(), trace, engine="reference")
-        streamed = simulate_stream(
-            build(), TraceStream.from_trace(trace, chunk_refs=41),
+        m_whole = build()
+        whole = simulate(m_whole, trace, engine="fast")
+        m_stream = build()
+        streamed = simulate(
+            m_stream, TraceStream.from_trace(trace, chunk_refs=41),
             engine="fast",
         )
         assert_parity(ref, streamed)
+        assert_parity(whole, streamed)
+        assert model_state(m_whole) == model_state(m_stream)
 
     def test_plain_soft_model(self):
         # Software-assisted model with assists off is fast-eligible;
@@ -252,7 +296,7 @@ class TestFastEngineParity:
         m_ref = build()
         ref = simulate(m_ref, trace, engine="fast")
         m_stream = build()
-        streamed = simulate_stream(
+        streamed = simulate(
             m_stream, TraceStream.from_trace(trace, chunk_refs=59),
             engine="fast",
         )
@@ -263,11 +307,16 @@ class TestFastEngineParity:
         trace = random_trace(32)
         store = TraceStore.save(trace, tmp_path / "t.store", chunk_refs=128)
         build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
-        a = simulate_stream(build(), TraceStream.from_store(store))
-        b = simulate_stream(
+        m_store = build()
+        a = simulate(m_store, TraceStream.from_store(store))
+        b = simulate(
             build(), TraceStream.from_trace(trace, chunk_refs=128)
         )
+        m_whole = build()
+        whole = simulate(m_whole, trace)
         assert_parity(a, b)
+        assert_parity(whole, a)
+        assert model_state(m_whole) == model_state(m_store)
 
 
 class TestCrossValidateStream:
@@ -315,6 +364,7 @@ class TestPropertyParity:
         chunk_refs=st.integers(1, 97),
         ways=st.sampled_from([1, 2]),
     )
+    @example(seed=0, refs=1, chunk_refs=1, ways=1)  # single reference
     def test_store_roundtrip_both_engines(
         self, tmp_path_factory, seed, refs, chunk_refs, ways
     ):
@@ -335,10 +385,12 @@ class TestPropertyParity:
         # fast-eligible standard cache: both engines
         plain = lambda: StandardCache(CacheGeometry(512, 32, ways), TIMING)
         for engine in ("reference", "fast"):
+            m_whole, m_stream = plain(), plain()
             assert_parity(
-                simulate(plain(), trace, engine=engine),
-                simulate_stream(plain(), stream, engine=engine),
+                simulate(m_whole, trace, engine=engine),
+                simulate(m_stream, stream, engine=engine),
             )
+            assert model_state(m_whole) == model_state(m_stream)
 
         # full assists (virtual lines spanning chunk boundaries):
         # reference engine only
@@ -348,5 +400,47 @@ class TestPropertyParity:
         ))
         assert_parity(
             simulate(assisted(), trace, engine="reference"),
-            simulate_stream(assisted(), stream),
+            simulate(assisted(), stream),
         )
+
+
+class TestDelivery:
+    """An in-memory trace reaches every tier whole, as ``(trace,)`` —
+    never windowed — so the caches stored on the trace object are
+    shared across runs; a stream is accepted by the same entry."""
+
+    def test_soft_kernel_cache_reused(self):
+        trace = random_trace(50)
+        build = lambda: SoftwareAssistedCache(SoftCacheConfig(
+            size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
+            virtual_line_size=128, timing=TIMING,
+        ))
+        assert simulate(build(), trace, engine="fast").engine == "fast"
+        cached = trace._soft_kernel_cache
+        assert cached is not None
+        simulate(build(), trace, engine="fast")
+        assert trace._soft_kernel_cache is cached
+
+    def test_reference_columns_materialised_once(self, monkeypatch):
+        trace = random_trace(51)
+        calls = []
+        columns = Trace.columns
+
+        def counting(self):
+            calls.append(self)
+            return columns(self)
+
+        monkeypatch.setattr(Trace, "columns", counting)
+        build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
+        for _ in range(2):
+            simulate(build(), trace, engine="reference")
+        assert calls == [trace]
+
+    def test_stream_accepted_directly(self):
+        trace = random_trace(52)
+        build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
+        stream = TraceStream.from_trace(trace, chunk_refs=100)
+        for engine in ("reference", "fast"):
+            streamed = simulate(build(), stream, engine=engine)
+            assert streamed.trace == trace.name
+            assert_parity(simulate(build(), trace, engine=engine), streamed)
