@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-serial lint bench bench-sim bench-native bench-serve native serve-smoke trace-demo analyze-demo figures clean-cache
+.PHONY: test test-serial lint bench bench-sim bench-serve native serve-smoke trace-demo analyze-demo figures clean-cache
 
 # Tier-1: the unit/integration/property suite.  REPRO_JOBS=2 keeps the
 # process-pool path (and spec pickling) exercised on every run;
@@ -23,27 +23,25 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Engine throughput benchmark (refs/second per engine, fast-vs-reference
-# speedups).  Writes BENCH_sim.json; compare against the committed copy
-# to catch perf regressions.
+# Every simulation scenario of the bench table (engine, soft, stream,
+# probes) at CI's sizes: regenerates the committed BENCH_sim.json;
+# compare against it to catch perf regressions.  Add --check to apply
+# the floor table.
 bench-sim:
-	$(PYTHON) -m repro bench --out BENCH_sim.json
+	$(PYTHON) -m repro bench --scenario all --refs 100000 \
+		--stream-refs 500000 --chunk-refs 65536 --repeat 2 \
+		--out BENCH_sim.json
 
 # Force-build the native compiled kernels and print the cached .so
 # path (a no-op beyond the print when the cache is already warm).
 native:
 	$(PYTHON) -m repro.sim.native
 
-# Native-tier throughput: reference vs fast vs compiled-C on the
-# standard configs, plus the native refusal matrix and toolchain.
-bench-native:
-	$(PYTHON) -m repro bench --scenario native --out BENCH_native.json
-
 # Serving-layer closed-loop benchmark (p50/p99 latency, hit-serving
 # throughput at a ~95% hit mix).  Writes BENCH_serve.json — its own
 # artifact, separate from BENCH_sim.json.  See docs/serve.md.
 bench-serve:
-	$(PYTHON) -m repro bench --scenario serve --serve-out BENCH_serve.json
+	$(PYTHON) -m repro bench --scenario serve --out BENCH_serve.json
 
 # End-to-end self-test of `repro serve`: start a server, submit a
 # small sweep twice, assert the second pass is all hot/disk hits with

@@ -29,9 +29,11 @@ serve
     concurrent result store with request coalescing and backpressure
     (``--smoke`` runs the end-to-end self-test and exits).
 bench
-    Measure simulation throughput per engine, streaming overhead,
-    telemetry probe overhead (writes BENCH_sim.json) and the serving
-    layer's closed-loop latency/throughput (writes BENCH_serve.json).
+    Run one scenario of the bench table (``--scenario all`` for every
+    one but serve): per-tier throughput on two traces, streamed vs
+    in-memory, telemetry probe overhead (written to BENCH_sim.json) and
+    the serving layer's closed-loop latency (BENCH_serve.json).
+    ``--check`` exits 1 when a block misses its constant floor.
 """
 
 from __future__ import annotations
@@ -58,6 +60,23 @@ from .workloads.registry import BENCHMARK_ORDER, build_program, get_trace
 CONFIGS: Dict[str, CacheSpec] = SPECS
 
 SCALES = ("tiny", "test", "paper")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {value}")
+    return value
+
+
+def _write_json(payload: Dict, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
@@ -138,89 +157,46 @@ def _parser() -> argparse.ArgumentParser:
         "bench", help="measure simulation throughput per engine"
     )
     bench.add_argument(
-        "--refs", type=int, default=None, metavar="N",
+        "--scenario",
+        choices=("engine", "soft", "stream", "probes", "serve", "all"),
+        default="engine",
+        help="'engine' = every tier on a uniform trace, 'soft' = the "
+        "assisted family on a blocked-loop trace, 'stream' = streamed vs "
+        "in-memory throughput and peak memory, 'probes' = telemetry "
+        "overhead, 'serve' = closed-loop latency/throughput of the "
+        "repro-serve HTTP API, 'all' = every scenario but serve "
+        "(default engine)",
+    )
+    bench.add_argument(
+        "--refs", type=_positive_int, default=None, metavar="N",
         help="trace length (default 400000)",
     )
-    bench.add_argument("--repeat", type=int, default=3, metavar="K",
-                       help="timing repetitions, best taken (default 3)")
     bench.add_argument(
-        "--out", default="BENCH_sim.json",
-        help="output JSON path (default BENCH_sim.json; '-' = stdout only)",
+        "--repeat", type=_positive_int, default=None, metavar="K",
+        help="timing repetitions, best taken (default 3)",
     )
     bench.add_argument(
-        "--scenario",
-        choices=(
-            "engine", "soft", "native", "stream", "probes", "serve", "all",
-        ),
-        default="engine",
-        help="'engine' = per-engine throughput, 'soft' = assisted-path "
-        "kernels on the blocked-loop workload, 'native' = the compiled "
-        "C tier vs fast and reference, 'stream' = streamed vs "
-        "in-memory throughput and peak memory, 'probes' = "
-        "telemetry overhead with probes off and on, 'serve' = "
-        "closed-loop latency/throughput of the repro-serve HTTP API "
-        "(writes BENCH_serve.json, not BENCH_sim.json), 'all' = every "
-        "simulation scenario (serve has its own CI job and is NOT part "
-        "of 'all') (default engine)",
-    )
-    bench.add_argument(
-        "--min-soft-speedup", type=float, default=None, metavar="X",
-        help="fail (exit 1) if any soft-family fast speedup falls below "
-        "X or the soft refusal matrix has entries (CI guard; implies "
-        "the soft scenario ran)",
-    )
-    bench.add_argument(
-        "--min-assoc-soft-speedup", type=float, default=None, metavar="X",
-        help="separate floor for the set-associative soft configs "
-        "(default: the --min-soft-speedup floor)",
-    )
-    bench.add_argument(
-        "--min-native-speedup", type=float, default=None, metavar="X",
-        help="fail (exit 1) if any native-battery native-over-fast "
-        "speedup falls below X (CI guard; implies the native scenario "
-        "ran; degrades to a completed-run check when no C compiler is "
-        "present)",
-    )
-    bench.add_argument(
-        "--stream-refs", type=int, default=None, metavar="N",
+        "--stream-refs", type=_positive_int, default=None, metavar="N",
         help="streamed trace length for the stream scenario "
         "(default 10000000)",
     )
     bench.add_argument(
-        "--chunk-refs", type=int, default=1 << 18, metavar="N",
+        "--chunk-refs", type=int, default=None, metavar="N",
         help="store chunk size for the stream scenario (default 262144)",
     )
     bench.add_argument(
-        "--serve-requests", type=int, default=None, metavar="N",
-        help="total closed-loop requests for the serve scenario "
-        "(default 2000)",
+        "--out", default=None,
+        help="output JSON path ('-' = stdout only; default "
+        "BENCH_serve.json for serve, else BENCH_sim.json)",
     )
     bench.add_argument(
-        "--serve-concurrency", type=int, default=None, metavar="C",
-        help="closed-loop client connections for the serve scenario "
-        "(default 8)",
-    )
-    bench.add_argument(
-        "--serve-hit-ratio", type=float, default=None, metavar="R",
-        help="fraction of serve-scenario requests aimed at warm cells "
-        "(default 0.95 — the millions-of-users regime)",
-    )
-    bench.add_argument(
-        "--min-serve-hit-rps", type=float, default=None, metavar="X",
-        help="fail (exit 1) if serve-scenario cache-hit throughput "
-        "falls below X requests/s (CI guard; implies the serve "
-        "scenario ran; degrades to a completed-run check on 1-CPU "
-        "machines, where server and clients share a core)",
-    )
-    bench.add_argument(
-        "--max-serve-p99-ms", type=float, default=None, metavar="MS",
-        help="fail (exit 1) if the serve-scenario hit-path p99 latency "
-        "exceeds MS milliseconds (skipped on 1-CPU machines)",
-    )
-    bench.add_argument(
-        "--serve-out", default="BENCH_serve.json",
-        help="serve-scenario output JSON path (default BENCH_serve.json; "
-        "'-' = stdout only)",
+        "--check", action="store_true",
+        help="exit 1 if a block that ran misses its floor: soft fast "
+        "over reference >= 5x (3x on temporal-priority), engine native "
+        "over fast >= 5x on standard and standard_cache (only the fast "
+        "rows must complete when no C toolchain exists), serve hit "
+        "throughput >= 200 rps and hit p99 <= 50 ms (skipped on <2 "
+        "CPUs; serve's integrity checks always apply)",
     )
 
     tags = sub.add_parser("tags", help="show compiler locality tags")
@@ -642,115 +618,37 @@ def _explain_engine(config: str, engine: Optional[str]) -> int:
     return 0
 
 
-def _cmd_bench(
-    refs: Optional[int], repeat: int, out: str,
-    scenario: str = "engine", stream_refs: Optional[int] = None,
-    chunk_refs: int = 1 << 18, min_soft_speedup: Optional[float] = None,
-    min_assoc_soft_speedup: Optional[float] = None,
-    min_native_speedup: Optional[float] = None,
-    serve_requests: Optional[int] = None,
-    serve_concurrency: Optional[int] = None,
-    serve_hit_ratio: Optional[float] = None,
-    min_serve_hit_rps: Optional[float] = None,
-    max_serve_p99_ms: Optional[float] = None,
-    serve_out: str = "BENCH_serve.json",
-) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     from .harness.bench import (
-        DEFAULT_REFS,
-        DEFAULT_SERVE_CONCURRENCY,
-        DEFAULT_SERVE_HIT_RATIO,
-        DEFAULT_SERVE_REQUESTS,
-        DEFAULT_STREAM_REFS,
+        SCENARIOS,
+        Sizes,
+        bench_guard,
         format_bench,
-        format_native_bench,
-        format_probe_bench,
-        format_serve_bench,
-        format_soft_bench,
-        format_stream_bench,
-        native_bench_guard,
-        run_bench,
-        run_native_bench,
-        run_probe_bench,
-        run_serve_bench,
-        run_soft_bench,
-        run_stream_bench,
-        serve_bench_guard,
-        soft_bench_guard,
-        write_bench,
+        machine_record,
+        run_scenario,
     )
 
-    payload = {}
-    guard_problems = []
-    if scenario in ("engine", "all"):
-        payload = run_bench(refs=refs or DEFAULT_REFS, repeat=repeat)
-        print(format_bench(payload))
-    if scenario in ("soft", "all") or min_soft_speedup is not None:
-        soft_payload = run_soft_bench(
-            refs=refs or DEFAULT_REFS, repeat=repeat
-        )
-        print(format_soft_bench(soft_payload))
-        payload["soft"] = soft_payload
-        if min_soft_speedup is not None:
-            guard_problems = soft_bench_guard(
-                soft_payload, min_soft_speedup,
-                assoc_min_speedup=min_assoc_soft_speedup,
-            )
-    if scenario in ("native", "all") or min_native_speedup is not None:
-        native_payload = run_native_bench(
-            refs=refs or DEFAULT_REFS, repeat=repeat
-        )
-        print(format_native_bench(native_payload))
-        payload["native"] = native_payload
-        if min_native_speedup is not None:
-            guard_problems.extend(
-                native_bench_guard(native_payload, min_native_speedup)
-            )
-    if scenario in ("stream", "all"):
-        stream_payload = run_stream_bench(
-            refs=stream_refs or DEFAULT_STREAM_REFS,
-            chunk_refs=chunk_refs,
-            repeat=repeat,
-        )
-        print(format_stream_bench(stream_payload))
-        payload["stream"] = stream_payload
-    if scenario in ("probes", "all"):
-        probe_payload = run_probe_bench(
-            refs=refs or DEFAULT_REFS, repeat=repeat
-        )
-        print(format_probe_bench(probe_payload))
-        payload["probes"] = probe_payload
-    if scenario == "serve" or min_serve_hit_rps is not None:
-        serve_payload = run_serve_bench(
-            requests=serve_requests or DEFAULT_SERVE_REQUESTS,
-            concurrency=serve_concurrency or DEFAULT_SERVE_CONCURRENCY,
-            hit_ratio=(
-                serve_hit_ratio
-                if serve_hit_ratio is not None
-                else DEFAULT_SERVE_HIT_RATIO
-            ),
-        )
-        print(format_serve_bench(serve_payload))
-        if min_serve_hit_rps is not None or max_serve_p99_ms is not None:
-            guard_problems.extend(
-                serve_bench_guard(
-                    serve_payload,
-                    min_hit_rps=min_serve_hit_rps,
-                    max_p99_ms=max_serve_p99_ms,
-                )
-            )
-        if serve_out != "-":
-            write_bench({"serve": serve_payload}, serve_out)
-            print(f"wrote {serve_out}")
-    if out != "-" and payload:
-        # payload is empty when only the serve scenario ran (it has its
-        # own artifact file); don't clobber BENCH_sim.json with {}.
-        write_bench(payload, out)
+    names = [args.scenario]
+    if args.scenario == "all":
+        names = [name for name in SCENARIOS if name != "serve"]
+    given = {
+        "refs": args.refs, "repeat": args.repeat,
+        "stream_refs": args.stream_refs, "chunk_refs": args.chunk_refs,
+    }
+    sizes = Sizes(**{k: v for k, v in given.items() if v is not None})
+    payload = {"machine": machine_record()}
+    print(format_bench(payload))
+    for name in names:
+        payload[name] = run_scenario(name, sizes)
+        print(format_bench({name: payload[name]}))
+    out = args.out or SCENARIOS[names[0]].artifact
+    if out != "-":
+        _write_json(payload, out)
         print(f"wrote {out}")
-    if guard_problems:
-        for problem in guard_problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    problems = bench_guard(payload) if args.check else []
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1158,8 +1056,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             )
         return 0
     if command == "run":
-        from .harness.bench import format_corpus_summary, write_bench
-
         payload = run_corpus(
             corpus,
             args.presets,
@@ -1168,12 +1064,35 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             cache=False if args.no_cache else "auto",
             cache_root=args.cache_dir,
         )
-        print(format_corpus_summary(payload))
+        print(_format_corpus_summary(payload))
         if args.out:
-            write_bench(payload, args.out)
+            _write_json(payload, args.out)
             print(f"wrote {args.out}")
         return 0
     raise AssertionError(f"unhandled corpus command {command!r}")
+
+
+def _format_corpus_summary(payload: Dict) -> str:
+    """Human-readable rendering of a ``repro corpus run`` payload."""
+    lines = [
+        f"corpus {payload['corpus']!r}: {len(payload['traces'])} traces x "
+        f"{len(payload['configs'])} configs"
+    ]
+    for row in payload["rows"]:
+        lines.append(
+            f"  {row['trace']:>16} x {row['config']:<10} "
+            f"[{row['engine'] or '?':>9}]  "
+            f"amat {row['amat']:7.3f}  miss {row['miss_ratio']:.4f}  "
+            f"traffic {row['traffic']:6.3f}  ({row['refs']} refs, "
+            f"fp {row['fingerprint'][:12]})"
+        )
+    for config, metrics in payload["geomean"].items():
+        rendered = "  ".join(
+            f"{name} {value:.4f}" if value is not None else f"{name} n/a"
+            for name, value in metrics.items()
+        )
+        lines.append(f"  geomean {config:<10} {rendered}")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1192,15 +1111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.trace_path, args.explain_engine,
             )
         if args.command == "bench":
-            return _cmd_bench(
-                args.refs, args.repeat, args.out,
-                args.scenario, args.stream_refs, args.chunk_refs,
-                args.min_soft_speedup, args.min_assoc_soft_speedup,
-                args.min_native_speedup,
-                args.serve_requests, args.serve_concurrency,
-                args.serve_hit_ratio, args.min_serve_hit_rps,
-                args.max_serve_p99_ms, args.serve_out,
-            )
+            return _cmd_bench(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "tags":

@@ -97,3 +97,46 @@ def mv_tiny_trace():
     from repro.workloads import mv_program
 
     return generate_trace(mv_program("tiny"), seed=3, gap_distribution=UNIT_GAPS)
+
+
+@pytest.fixture
+def bench_payload():
+    """A ``repro bench`` payload that passes every ``--check`` floor:
+    each floored (tier, config) pair at twice its floor with a completed
+    fast row, plus a clean serve block.  Guard tests break one field."""
+    from repro.harness.bench import (
+        SERVE_MAX_HIT_P99_MS,
+        SERVE_MIN_HIT_RPS,
+        SPEEDUP_FLOORS,
+    )
+
+    payload = {"machine": {"cpus": 2}}
+    for name, floors in SPEEDUP_FLOORS.items():
+        block = payload[name] = {
+            "rows": [],
+            "summary": {"fast_speedup": {}, "native_speedup": {}},
+            "refusals": {},
+        }
+        for (tier, config), floor in floors.items():
+            block["rows"].append(
+                {"config": config, "engine": "fast", "variant": "",
+                 "refs": 1000, "seconds": 0.001, "refs_per_sec": 1_000_000}
+            )
+            block["summary"][f"{tier}_speedup"][config] = 2 * floor
+            block["refusals"][config] = {"fast": None, "native": None}
+    payload["serve"] = {
+        "requests": 10,
+        "warm_cells": 4,
+        "summary": {
+            "hit_rps": 2 * SERVE_MIN_HIT_RPS,
+            "hit_p99_ms": SERVE_MAX_HIT_P99_MS / 2,
+        },
+        "integrity": {
+            "completed": 10,
+            "served": {"hot": 9, "disk": 0, "simulated": 1, "coalesced": 0},
+            "simulations": 5,
+            "server_errors": 0,
+            "client_failures": [],
+        },
+    }
+    return payload

@@ -111,19 +111,23 @@ class TestTrace:
 
 class TestBenchStream:
     def test_run_stream_bench_payload(self, tmp_path):
-        from repro.harness.bench import run_stream_bench
+        from repro.harness.bench import Sizes, run_scenario
 
-        payload = run_stream_bench(
-            refs=4000, chunk_refs=1000, repeat=1, workdir=str(tmp_path)
+        block = run_scenario(
+            "stream", Sizes(stream_refs=4000, chunk_refs=1000, repeat=1),
+            workdir=str(tmp_path),
         )
-        assert payload["refs"] == 4000
-        assert payload["max_rss_kb"] > 0
-        configs = [row["config"] for row in payload["results"]]
-        assert configs == ["standard", "soft"]
-        for row in payload["results"]:
-            assert row["streamed_refs_per_sec"] > 0
-            assert row["streamed_peak_bytes"] > 0
-            assert row["in_memory_peak_bytes"] > 0
+        assert block["refs"] == 4000
+        assert block["summary"]["max_rss_kb"] > 0
+        assert [(row["config"], row["variant"]) for row in block["rows"]] == [
+            ("standard", "streamed"), ("standard", "in-memory"),
+            ("soft", "streamed"), ("soft", "in-memory"),
+        ]
+        for row in block["rows"]:
+            assert row["refs"] == 4000
+            assert row["refs_per_sec"] > 0
+            assert row["peak_bytes"] > 0
+        assert set(block["summary"]["peak_ratio"]) == {"standard", "soft"}
         # the benchmark work directory is cleaned up afterwards
         assert not list(tmp_path.glob("bench-stream-*"))
 
@@ -135,11 +139,87 @@ class TestBenchStream:
             ["bench", "--scenario", "stream", "--stream-refs", "3000",
              "--chunk-refs", "800", "--repeat", "1", "--out", str(out)]
         ) == 0
+        from repro.harness.bench import SCENARIOS
+
         text = capsys.readouterr().out
-        assert "streaming vs in-memory" in text
+        assert f"stream: {SCENARIOS['stream'].why}" in text
         payload = json.loads(out.read_text())
+        assert set(payload) == {"machine", "stream"}
         assert payload["stream"]["refs"] == 3000
         assert payload["stream"]["chunk_refs"] == 800
+
+
+class TestBenchCLI:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--repeat", "0"],
+            ["--refs", "-5"],
+            ["--refs", "0"],
+            ["--stream-refs", "0"],
+        ],
+        ids=["repeat-0", "refs-negative", "refs-0", "stream-refs-0"],
+    )
+    def test_sizes_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *argv, "--out", "-"])
+        assert exit_info.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_help_lists_seven_options_and_six_scenarios(self, capsys):
+        import re
+
+        from repro.harness.bench import SCENARIOS
+
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        text = capsys.readouterr().out
+        assert re.findall(r"^  (--[\w-]+)", text, re.M) == [
+            "--scenario", "--refs", "--repeat", "--stream-refs",
+            "--chunk-refs", "--out", "--check",
+        ]
+        choices = re.search(r"--scenario \{([^}]*)\}", text).group(1)
+        assert choices.split(",") == [*SCENARIOS, "all"]
+
+    def test_all_payload_rows_are_unique(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "BENCH_sim.json"
+        assert main(
+            ["bench", "--scenario", "all", "--refs", "2000",
+             "--stream-refs", "2000", "--chunk-refs", "500",
+             "--repeat", "1", "--out", str(out)]
+        ) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["machine", "engine", "soft", "stream",
+                                 "probes"]
+        for name, block in payload.items():
+            if name == "machine":
+                continue
+            keys = [(r["config"], r["engine"], r["variant"])
+                    for r in block["rows"]]
+            assert len(keys) == len(set(keys)), name
+        engine = payload["engine"]
+        for config in ("standard", "standard_cache"):
+            code = engine["refusals"][config]["native"]
+            native_rows = [r for r in engine["rows"]
+                           if r["config"] == config and r["engine"] == "native"]
+            if code is None:
+                assert len(native_rows) == 1
+            else:
+                assert code == "native-unavailable" and not native_rows
+
+    def test_check_exits_1_below_a_floor(self, monkeypatch, capsys):
+        from repro.harness import bench
+
+        monkeypatch.setitem(
+            bench.SPEEDUP_FLOORS, "soft", {("fast", "victim"): 1e9}
+        )
+        assert main(
+            ["bench", "--scenario", "soft", "--refs", "2000",
+             "--repeat", "1", "--out", "-", "--check"]
+        ) == 1
+        assert "victim: fast speedup" in capsys.readouterr().err
 
 
 class TestAttribute:
@@ -185,52 +265,54 @@ class TestServeCLI:
 
 
 class TestBenchServe:
-    def test_serve_scenario_writes_own_payload(self, tmp_path, capsys):
+    def test_serve_scenario_writes_own_payload(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import dataclasses
+        import functools
         import json
 
-        serve_out = tmp_path / "BENCH_serve.json"
-        sim_out = tmp_path / "BENCH_sim.json"
-        assert main(
-            ["bench", "--scenario", "serve",
-             "--serve-requests", "80", "--serve-concurrency", "2",
-             "--serve-out", str(serve_out), "--out", str(sim_out)]
-        ) == 0
+        from repro.harness import bench
+
+        small = functools.partial(bench.measure_serve, requests=80,
+                                  concurrency=2)
+        monkeypatch.setitem(
+            bench.SCENARIOS, "serve",
+            dataclasses.replace(bench.SCENARIOS["serve"], measure=small),
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--scenario", "serve"]) == 0
         text = capsys.readouterr().out
-        assert "serve closed-loop" in text
-        payload = json.loads(serve_out.read_text())["serve"]
-        assert payload["completed"] == payload["requests"] == 80
-        assert payload["cpus"] >= 1
-        assert payload["concurrency"] == 2
-        assert 0.0 <= payload["hit_ratio_observed"] <= 1.0
-        assert payload["client_failures"] == []
-        assert payload["server_errors"] == 0
-        # serve is its own artifact: BENCH_sim.json must not be
-        # clobbered with an empty payload.
-        assert not sim_out.exists()
+        assert "serve: closed-loop" in text
+        # serve is its own artifact: BENCH_sim.json is never written.
+        assert not (tmp_path / "BENCH_sim.json").exists()
+        payload = json.loads((tmp_path / "BENCH_serve.json").read_text())
+        assert payload["machine"]["cpus"] >= 1
+        block = payload["serve"]
+        assert block["integrity"]["completed"] == block["requests"] == 80
+        assert block["concurrency"] == 2
+        assert 0.0 <= block["summary"]["hit_ratio_observed"] <= 1.0
+        assert block["integrity"]["client_failures"] == []
+        assert block["integrity"]["server_errors"] == 0
 
-    def test_serve_guard_enforces_floors(self, tmp_path):
-        from repro.harness.bench import serve_bench_guard
+    def test_serve_guard_enforces_floors(self, bench_payload):
+        from repro.harness.bench import bench_guard
 
-        payload = {
-            "requests": 10, "completed": 10,
-            "server_errors": 0, "warm_cells": 4, "client_failures": [],
-            "served": {"hot": 9, "disk": 0, "simulated": 1, "coalesced": 0},
-            "simulations": 5, "hit_rps": 50.0, "hit_p99_ms": 100.0,
-        }
-        assert serve_bench_guard(dict(payload), None, None) == []
-        problems = serve_bench_guard(dict(payload), 500.0, 1.0)
+        serve = bench_payload["serve"]
+        assert bench_guard({"serve": serve}) == []
+        serve["summary"] = {"hit_rps": 50.0, "hit_p99_ms": 100.0}
+        problems = bench_guard({"serve": serve})
         assert len(problems) == 2  # throughput floor + latency ceiling
-        relaxed = dict(payload, insufficient_cpus=True)
-        assert serve_bench_guard(relaxed, 500.0, 1.0) == []
+        serve["insufficient_cpus"] = True
+        assert bench_guard({"serve": serve}) == []
 
-    def test_serve_guard_catches_dedup_violations(self):
-        from repro.harness.bench import serve_bench_guard
+    def test_serve_guard_catches_dedup_violations(self, bench_payload):
+        from repro.harness.bench import bench_guard
 
-        payload = {
-            "requests": 10, "completed": 10,
-            "server_errors": 0, "warm_cells": 4, "client_failures": [],
-            "served": {"hot": 8, "disk": 0, "simulated": 1, "coalesced": 0},
-            "simulations": 9,  # re-simulated cached cells
-        }
-        problems = serve_bench_guard(payload, None, None)
-        assert any("simulat" in p for p in problems)
+        serve = bench_payload["serve"]
+        serve["insufficient_cpus"] = True  # integrity checks still apply
+        serve["integrity"]["simulations"] = 9  # re-simulated cached cells
+        problems = bench_guard({"serve": serve})
+        assert len(problems) == 1 and "deduplication" in problems[0]
+
+

@@ -404,12 +404,12 @@ class TestEngineCLI:
             ["bench", "--refs", "5000", "--repeat", "1",
              "--out", str(out)]
         ) == 0
-        payload = json.loads(out.read_text())
-        assert payload["refs"] == 5000
-        assert {row["config"] for row in payload["results"]} >= {
+        block = json.loads(out.read_text())["engine"]
+        assert block["refs"] == 5000
+        assert {row["config"] for row in block["rows"]} >= {
             "standard", "soft"
         }
-        assert "fast_speedup" in payload
+        assert "fast_speedup" in block["summary"]
         text = capsys.readouterr().out
         assert "Mrefs/s" in text
 

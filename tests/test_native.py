@@ -352,59 +352,56 @@ class TestBuildCache:
 # ----------------------------------------------------------------------
 
 class TestNativeBenchGuard:
+    """The engine block's native-over-fast floor under ``--check``."""
+
     @staticmethod
-    def payload(matrix, native_speedup, fast_rps=1_000_000):
-        rows = []
-        for name in matrix:
-            rows.append({"config": name, "engine": "fast",
-                         "refs_per_sec": fast_rps})
-        return {
-            "results": rows,
-            "native_refusal_matrix": matrix,
-            "native_speedup": native_speedup,
-        }
+    def problems(payload, native=None, speedups=None, fast_rps=None):
+        from repro.harness.bench import bench_guard
 
-    def test_passes_above_floor(self):
-        from repro.harness.bench import native_bench_guard
+        block = payload["engine"]
+        for config, code in (native or {}).items():
+            block["refusals"][config]["native"] = code
+        if speedups is not None:
+            block["summary"]["native_speedup"] = speedups
+        if fast_rps is not None:
+            for row in block["rows"]:
+                row["refs_per_sec"] = fast_rps
+        return bench_guard({"engine": block})
 
-        payload = self.payload({"standard": None}, {"standard": 8.0})
-        assert native_bench_guard(payload, 5.0) == []
+    def test_passes_above_floor(self, bench_payload):
+        assert self.problems(bench_payload) == []
 
-    def test_fails_below_floor(self):
-        from repro.harness.bench import native_bench_guard
-
-        payload = self.payload({"standard": None}, {"standard": 3.0})
-        problems = native_bench_guard(payload, 5.0)
-        assert problems and "below" in problems[0]
-
-    def test_degrades_without_toolchain(self):
-        from repro.harness.bench import native_bench_guard
-
-        payload = self.payload(
-            {"standard": "native-unavailable",
-             "standard_cache": "native-unavailable"}, {},
+    def test_fails_below_floor(self, bench_payload):
+        problems = self.problems(
+            bench_payload, speedups={"standard": 3.0, "standard_cache": 8.0}
         )
-        assert native_bench_guard(payload, 5.0) == []
+        assert len(problems) == 1 and "below" in problems[0]
 
-    def test_no_throughput_fails_even_degraded(self):
-        from repro.harness.bench import native_bench_guard
-
-        payload = self.payload(
-            {"standard": "native-unavailable"}, {}, fast_rps=0,
+    def test_degrades_without_toolchain(self, bench_payload):
+        unavailable = dict.fromkeys(
+            ("standard", "standard_cache"), "native-unavailable"
         )
-        problems = native_bench_guard(payload, 5.0)
-        assert problems and "no throughput" in problems[0]
+        problems = self.problems(bench_payload, unavailable, speedups={})
+        assert problems == []
 
-    def test_unexpected_refusal_always_fails(self):
-        from repro.harness.bench import native_bench_guard
+    def test_no_throughput_fails_even_degraded(self, bench_payload):
+        problems = self.problems(
+            bench_payload, {"standard": "native-unavailable"},
+            speedups={"standard_cache": 8.0}, fast_rps=0,
+        )
+        assert len(problems) == 1 and "no throughput" in problems[0]
 
-        payload = self.payload({"standard": "native-assisted"}, {})
-        problems = native_bench_guard(payload, 5.0)
-        assert problems and "native-assisted" in problems[0]
+    def test_unexpected_refusal_always_fails(self, bench_payload):
+        problems = self.problems(
+            bench_payload, {"standard": "native-assisted"},
+            speedups={"standard_cache": 8.0},
+        )
+        assert len(problems) == 1 and "native-assisted" in problems[0]
 
-    def test_missing_measurement_fails(self):
-        from repro.harness.bench import native_bench_guard
-
-        payload = self.payload({"standard": None}, {})
-        problems = native_bench_guard(payload, 5.0)
-        assert problems and "no native-engine measurement" in problems[0]
+    def test_missing_measurement_fails(self, bench_payload):
+        problems = self.problems(
+            bench_payload, speedups={"standard_cache": 8.0}
+        )
+        assert problems == [
+            "engine: standard: no native-engine measurement"
+        ]

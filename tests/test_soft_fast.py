@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import presets
 from repro.core import SoftCacheConfig, SoftwareAssistedCache
-from repro.harness.bench import soft_bench_guard, soft_bench_trace
+from repro.harness.bench import bench_guard, soft_bench_trace
 from repro.memtrace import Trace
 from repro.sim import MemoryTiming, cross_validate, cross_validate_stream, simulate
 from repro.sim.engine import fast_refusal
@@ -243,30 +243,23 @@ class TestSelectionRegression:
 
 
 class TestBenchGuard:
-    PAYLOAD = {
-        "refusal_matrix": {"soft": None, "victim": None},
-        "fast_speedup": {"soft": 12.0, "victim": 11.0},
-        "miss_ratio": {"soft": 0.004, "victim": 0.008},
-    }
+    def test_clean_payload_passes(self, bench_payload):
+        assert bench_guard(bench_payload) == []
 
-    def test_clean_payload_passes(self):
-        assert soft_bench_guard(dict(self.PAYLOAD), 5.0) == []
-
-    def test_low_speedup_flagged(self):
-        payload = dict(self.PAYLOAD, fast_speedup={"soft": 3.0,
-                                                   "victim": 11.0})
-        problems = soft_bench_guard(payload, 5.0)
+    def test_low_speedup_flagged(self, bench_payload):
+        bench_payload["soft"]["summary"]["fast_speedup"]["soft"] = 3.0
+        problems = bench_guard(bench_payload)
         assert len(problems) == 1 and "soft" in problems[0]
+        assert "below" in problems[0]
 
-    def test_refusal_regrowth_flagged(self):
-        payload = dict(self.PAYLOAD,
-                       refusal_matrix={"soft": "prefetch", "victim": None})
-        problems = soft_bench_guard(payload, 5.0)
-        assert any("refuses" in p for p in problems)
+    def test_refusal_regrowth_flagged(self, bench_payload):
+        bench_payload["soft"]["refusals"]["soft"]["fast"] = "prefetch"
+        problems = bench_guard(bench_payload)
+        assert any("refuses" in p and "prefetch" in p for p in problems)
 
-    def test_missing_fast_row_flagged(self):
-        payload = dict(self.PAYLOAD, fast_speedup={"soft": 12.0})
-        problems = soft_bench_guard(payload, 5.0)
+    def test_missing_fast_row_flagged(self, bench_payload):
+        del bench_payload["soft"]["summary"]["fast_speedup"]["victim"]
+        problems = bench_guard(bench_payload)
         assert any("victim" in p and "no fast-engine" in p
                    for p in problems)
 
@@ -279,27 +272,19 @@ class TestBenchGuard:
 
 class TestSoftBenchGuardAssocFloor:
     @staticmethod
-    def payload(dm_speedup, assoc_speedup):
-        return {
-            "refusal_matrix": {"soft": None, "temporal-priority": None},
-            "fast_speedup": {
-                "soft": dm_speedup, "temporal-priority": assoc_speedup,
-            },
-            "miss_ratio": {"soft": 0.01, "temporal-priority": 0.01},
-        }
+    def problems(payload, config, speedup):
+        payload["soft"]["summary"]["fast_speedup"][config] = speedup
+        return bench_guard(payload)
 
-    def test_assoc_floor_applies_to_assoc_configs_only(self):
-        problems = soft_bench_guard(
-            self.payload(8.0, 3.5), min_speedup=5.0, assoc_min_speedup=3.0
-        )
-        assert problems == []
+    def test_assoc_floor_applies_to_assoc_configs_only(self, bench_payload):
+        assert self.problems(bench_payload, "temporal-priority", 3.5) == []
 
-    def test_assoc_below_its_floor(self):
-        problems = soft_bench_guard(
-            self.payload(8.0, 2.0), min_speedup=5.0, assoc_min_speedup=3.0
-        )
+    def test_assoc_below_its_floor(self, bench_payload):
+        problems = self.problems(bench_payload, "temporal-priority", 2.0)
         assert len(problems) == 1 and "temporal-priority" in problems[0]
 
-    def test_without_assoc_floor_main_floor_applies(self):
-        problems = soft_bench_guard(self.payload(8.0, 3.5), min_speedup=5.0)
-        assert len(problems) == 1 and "temporal-priority" in problems[0]
+    def test_without_assoc_floor_main_floor_applies(self, bench_payload):
+        # A direct-mapped member at the assoc config's passing speedup
+        # is still held to the 5x floor.
+        problems = self.problems(bench_payload, "spatial", 3.5)
+        assert len(problems) == 1 and "spatial" in problems[0]

@@ -425,20 +425,26 @@ class TestCLI:
 
 class TestProbeBench:
     def test_probe_bench_payload(self):
-        from repro.harness.bench import run_probe_bench
+        from repro.harness.bench import Sizes, run_scenario
 
-        payload = run_probe_bench(refs=20_000, repeat=2)
-        assert payload["budget"] == pytest.approx(0.02)
-        rows = payload["results"]
-        assert {(r["config"], r["engine"]) for r in rows} == {
+        block = run_scenario("probes", Sizes(refs=20_000, repeat=2))
+        assert block["budget"] == pytest.approx(0.02)
+        pairs = {
             ("standard", "reference"),
             ("standard", "fast"),
             ("soft", "reference"),
             ("soft", "fast"),
         }
-        for row in rows:
-            assert "within_budget" in row
+        assert {(r["config"], r["engine"], r["variant"])
+                for r in block["rows"]} == {
+            (config, engine, variant)
+            for config, engine in pairs
+            for variant in ("bare", "probes-off", "probed")
+        }
+        summary = block["summary"]
+        for config, engine in pairs:
+            assert engine in summary["within_budget"][config]
             # Generous sanity bound — the recorded BENCH_sim.json run
             # enforces the real 2% budget on a long, quiet measurement.
-            assert row["probes_off_overhead"] < 0.25
-            assert row["probed_refs_per_sec"] > 0
+            assert summary["probes_off_overhead"][config][engine] < 0.25
+        assert all(r["refs_per_sec"] > 0 for r in block["rows"])
