@@ -561,17 +561,24 @@ def _cmd_simulate(
     return 0
 
 
+#: The --explain-engine description of each tier select_engine can choose.
+_TIER_DETAIL = {
+    "native": "compiled kernels proven equivalent and loadable",
+    "fast": "batch kernels proven equivalent",
+    "reference": "per-reference loop",
+}
+
+
 def _explain_engine(config: str, engine: Optional[str]) -> int:
     """Report engine selection per configuration without simulating.
 
-    Walks the full ladder for each configuration: native (compiled C
-    kernels, conditional on a toolchain or prebuilt library), fast
-    (numpy batch kernels), reference.  With an explicit ``fast`` or
-    ``native`` knob a refusing configuration is an error, exactly as
-    ``simulate`` would raise.
+    Prints the ``(chosen, refusal)`` that
+    :func:`~repro.sim.engine.select_engine` returns for each
+    configuration — the same call ``simulate`` makes.  Under an explicit
+    ``fast`` or ``native`` knob a configuration the tier refuses prints
+    as an ``error`` row and the command fails, as ``simulate`` would.
     """
-    from .errors import ConfigError
-    from .sim.engine import fast_refusal, native_refusal, resolve_engine
+    from .sim.engine import resolve_engine, select_engine
 
     knob = resolve_engine(engine)
     chosen = dict(CONFIGS) if config == "all" else {config: CONFIGS[config]}
@@ -579,36 +586,15 @@ def _explain_engine(config: str, engine: Optional[str]) -> int:
     print(f"engine knob: {knob}")
     errors = False
     for label, spec in chosen.items():
-        refusal = fast_refusal(spec.build())
-        native = native_refusal(spec.build())
-        if knob == "reference":
-            selected, detail = "reference", "forced by the engine knob"
-        elif knob == "native":
-            if native is None:
-                selected = "native"
-                detail = "compiled kernels proven equivalent and loadable"
-            else:
-                selected = "error"
-                detail = f"refused [{native.code}]: {native.message}"
-        elif knob == "fast":
-            if refusal is None:
-                selected, detail = "fast", "batch kernels proven equivalent"
-            else:
-                selected = "error"
-                detail = f"refused [{refusal.code}]: {refusal.message}"
-        elif native is None:
-            selected = "native"
-            detail = "compiled kernels proven equivalent and loadable"
-        elif refusal is None:
-            selected = "fast"
-            detail = (
-                f"batch kernels proven equivalent; native passed over "
-                f"[{native.code}]"
-            )
+        try:
+            selected, refusal = select_engine(knob, spec.build())
+        except ConfigError as error:
+            selected, detail = "error", str(error)
+            errors = True
         else:
-            selected = "reference"
-            detail = f"[{refusal.code}] {refusal.message}"
-        errors = errors or selected == "error"
+            detail = _TIER_DETAIL[selected]
+            if refusal is not None:
+                detail += f"; passed over [{refusal.code}]: {refusal}"
         print(f"  {label:<{width}}  {selected:<9}  {detail}")
     if errors:
         raise ConfigError(

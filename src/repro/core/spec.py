@@ -36,8 +36,7 @@ _BUILDERS: Dict[str, Callable[..., Any]] = {}
 def stable_fingerprint(payload: Dict[str, Any]) -> str:
     """sha256 hex of the canonical JSON encoding of ``payload``.
 
-    The one fingerprinting convention shared by every content-addressed
-    key in the project (cache specs, telemetry specs): sorted keys, no
+    The fingerprinting convention of cache specs: sorted keys, no
     whitespace, so logically equal payloads hash identically.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -43,6 +43,12 @@ class SimulationError(ReproError):
     code = "simulation-error"
 
 
+class WorkerDiedError(ReproError):
+    """A worker process of a parallel sweep died before returning."""
+
+    code = "worker-died"
+
+
 def error_code(error: BaseException) -> str:
     """The stable code of any exception (``internal-error`` otherwise)."""
     return getattr(error, "code", "internal-error")

@@ -138,19 +138,3 @@ def physical_line(scale: str = "paper", seed: int = 0) -> FigureResult:
     return run_experiment(
         ABLATION_SPECS["ablation-physline"], scale=scale, seed=seed
     )
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    for fn in (
-        bounce_back_size,
-        bounce_back_associativity,
-        admission_policy,
-        temporal_reset,
-        physical_line,
-    ):
-        print(fn(scale).table())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -35,11 +35,3 @@ def miss_concentration(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "covering 90% of misses", covering)
         result.add(name, "fraction", attribution.concentration(0.9))
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(miss_concentration(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

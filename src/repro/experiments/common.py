@@ -15,7 +15,7 @@ parallel cached sweep engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.spec import CacheSpec
 from ..harness.tables import format_table
@@ -79,8 +79,8 @@ class ExperimentSpec:
     ``configs`` is an ordered tuple of ``(series name, CacheSpec)``
     pairs; ``benchmarks`` is a tuple of registered benchmark names (empty
     = the paper's full nine-benchmark suite).  The spec itself is frozen
-    and picklable, so whole experiments can be shipped, compared and
-    round-tripped like cache specs.
+    and picklable, so whole experiments can be shipped and compared like
+    cache specs.
     """
 
     figure: str
@@ -90,9 +90,6 @@ class ExperimentSpec:
     metric_label: str = "AMAT (cycles)"
     benchmarks: Tuple[str, ...] = ()
     notes: str = ""
-    #: Simulation-engine knob (``auto`` / ``reference`` / ``fast``),
-    #: forwarded to the sweep engine and into the result-cache key.
-    engine: str = "auto"
 
     @classmethod
     def create(
@@ -104,7 +101,6 @@ class ExperimentSpec:
         metric_label: str = "AMAT (cycles)",
         benchmarks: Sequence[str] = (),
         notes: str = "",
-        engine: str = "auto",
     ) -> "ExperimentSpec":
         return cls(
             figure=figure,
@@ -114,7 +110,6 @@ class ExperimentSpec:
             metric_label=metric_label,
             benchmarks=tuple(benchmarks),
             notes=notes,
-            engine=engine,
         )
 
     def config_map(self) -> Dict[str, CacheSpec]:
@@ -123,57 +118,19 @@ class ExperimentSpec:
     def series(self) -> List[str]:
         return [name for name, _ in self.configs]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "figure": self.figure,
-            "title": self.title,
-            "metric": self.metric,
-            "metric_label": self.metric_label,
-            "benchmarks": list(self.benchmarks),
-            "notes": self.notes,
-            "engine": self.engine,
-            "configs": [
-                {"name": name, "spec": spec.to_dict()}
-                for name, spec in self.configs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentSpec":
-        return cls(
-            figure=payload["figure"],
-            title=payload["title"],
-            metric=payload.get("metric", "amat"),
-            metric_label=payload.get("metric_label", "AMAT (cycles)"),
-            benchmarks=tuple(payload.get("benchmarks", ())),
-            notes=payload.get("notes", ""),
-            engine=payload.get("engine", "auto"),
-            configs=tuple(
-                (entry["name"], CacheSpec.from_dict(entry["spec"]))
-                for entry in payload["configs"]
-            ),
-        )
-
 
 def run_experiment(
     spec: ExperimentSpec,
     scale: str = "paper",
     seed: int = 0,
-    jobs: Union[int, str, None] = None,
-    cache: Any = "auto",
     traces: Optional[Mapping[str, Any]] = None,
-    engine: Optional[str] = None,
-    telemetry: Any = None,
-    telemetry_dir: Any = None,
 ) -> FigureResult:
     """Run one declared experiment through the sweep engine.
 
     ``traces`` overrides the benchmark registry (used by studies whose
-    rows are synthetic traces rather than suite benchmarks).  ``engine``
-    overrides the spec's engine knob for this run.  ``telemetry`` (a
-    :class:`~repro.telemetry.TelemetrySpec`) records per-cell telemetry
-    artifacts under ``telemetry_dir`` — a side channel that never alters
-    the figure's numbers or their result-cache keys.
+    rows are synthetic traces rather than suite benchmarks).  Worker
+    count, result cache and engine come from ``REPRO_JOBS``,
+    ``REPRO_CACHE`` and ``REPRO_ENGINE``, as for every other driver.
     """
     from ..harness.runner import run_sweep
     from ..workloads.registry import BENCHMARK_ORDER, get_trace
@@ -181,20 +138,7 @@ def run_experiment(
     if traces is None:
         names = spec.benchmarks or BENCHMARK_ORDER
         traces = {name: get_trace(name, scale, seed) for name in names}
-    if engine is None:
-        # The spec's default "auto" defers to $REPRO_ENGINE (the CLI's
-        # channel into figure drivers); a spec pinned to a concrete
-        # engine wins over the environment.
-        engine = spec.engine if spec.engine != "auto" else None
-    sweep = run_sweep(
-        traces,
-        spec.config_map(),
-        jobs=jobs,
-        cache=cache,
-        engine=engine,
-        telemetry=telemetry,
-        telemetry_dir=telemetry_dir,
-    )
+    sweep = run_sweep(traces, spec.config_map())
     result = FigureResult(
         figure=spec.figure,
         title=spec.title,

@@ -50,13 +50,3 @@ def vector_lengths(scale: str = "paper", seed: int = 0) -> FigureResult:
         for label, _ in VECTOR_BUCKETS:
             result.add(name, label, profile.fraction(label))
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(reuse_distances(scale).table())
-    print()
-    print(vector_lengths(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -44,13 +44,3 @@ def bypass_study(scale: str = "paper", seed: int = 0) -> FigureResult:
 def victim_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 3b: AMAT of Standard / Standard+Victim / Soft."""
     return run_experiment(FIG3B, scale=scale, seed=seed)
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(bypass_study(scale).table())
-    print()
-    print(victim_study(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

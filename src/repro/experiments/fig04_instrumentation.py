@@ -59,13 +59,3 @@ def time_distribution(scale: str = "paper", seed: int = 0) -> FigureResult:
     for value, weighted in totals.items():
         result.add(f"{value} cycles", "generated", weighted / max(1, grand))
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(tag_fractions(scale).table())
-    print()
-    print(time_distribution(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -51,13 +51,3 @@ def hit_repartition(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "main cache", r.main_hit_fraction)
         result.add(name, "bounce-back cache", r.assist_hit_fraction)
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(amat_breakdown(scale).table())
-    print()
-    print(hit_repartition(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -38,13 +38,3 @@ def traffic(scale: str = "paper", seed: int = 0) -> FigureResult:
 def miss_ratios(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 7b: miss ratio under each flavour of software control."""
     return run_experiment(FIG7B, scale=scale, seed=seed)
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(traffic(scale).table())
-    print()
-    print(miss_ratios(scale).table(precision=4))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

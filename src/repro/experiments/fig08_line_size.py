@@ -50,13 +50,3 @@ def virtual_sweep(scale: str = "paper", seed: int = 0) -> FigureResult:
 def physical_sweep(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 8b: AMAT vs physical line size on Standard, plus Soft."""
     return run_experiment(FIG8B, scale=scale, seed=seed)
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(virtual_sweep(scale).table())
-    print()
-    print(physical_sweep(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

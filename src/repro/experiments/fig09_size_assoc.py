@@ -73,13 +73,3 @@ def cache_size_study(scale: str = "paper", seed: int = 0) -> FigureResult:
 def associativity_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 9b: AMAT of the 2-way variants."""
     return run_experiment(FIG9B, scale=scale, seed=seed)
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(cache_size_study(scale).table(precision=1))
-    print()
-    print(associativity_study(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -61,13 +61,3 @@ def latency_sweep(scale: str = "paper", seed: int = 0) -> FigureResult:
             soft = row[f"Soft lat={latency}"]
             result.add(name, f"latency={latency}", soft.amat_gain_vs(base))
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(kernel_study(scale).table())
-    print()
-    print(latency_sweep(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -90,13 +90,3 @@ def copying_study(
             result.add(row, f"{label} (stand.)", cells["Standard"].amat)
             result.add(row, f"{label} (soft)", cells["Soft"].amat)
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(block_size_sweep(scale).table())
-    print()
-    print(copying_study(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

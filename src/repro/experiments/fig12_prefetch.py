@@ -27,11 +27,3 @@ FIG12 = ExperimentSpec.create("fig12", "Prefetching", PREFETCH_CONFIGS)
 def prefetch_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 12: AMAT with and without prefetching."""
     return run_experiment(FIG12, scale=scale, seed=seed)
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(prefetch_study(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -59,11 +59,3 @@ def headroom(scale: str = "paper", seed: int = 0) -> FigureResult:
         )
         result.add(name, "Soft", row["Soft"].miss_ratio)
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(headroom(scale).table(precision=4))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

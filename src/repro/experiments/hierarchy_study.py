@@ -64,11 +64,3 @@ def l2_retrospective(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "Soft +L2", l2_soft)
         result.add(name, "gain% +L2", 100 * (1 - l2_soft / l2_standard))
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(l2_retrospective(scale).table(precision=2))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

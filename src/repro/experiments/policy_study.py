@@ -12,8 +12,6 @@ in hardware is ports, energy and write-buffer pressure.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..compiler import Array, ArrayRef, Loop, Program, generate_trace, nest, var
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
@@ -69,11 +67,3 @@ def policy_comparison(scale: str = "paper", seed: int = 0) -> FigureResult:
             result.add(name, f"AMAT {suffix}", r.amat)
             result.add(name, f"bounces {suffix}", r.bounce_backs)
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(policy_comparison(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

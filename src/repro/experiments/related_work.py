@@ -156,19 +156,3 @@ def subblock_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     first spatial-tagged miss.
     """
     return run_experiment(SUBBLOCK_STUDY, scale=scale, seed=seed)
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(baseline_comparison(scale).table())
-    print()
-    print(baseline_traffic(scale).table())
-    print()
-    print(stream_buffer_study(scale).table())
-    print()
-    print(placement_study(scale).table())
-    print()
-    print(subblock_study(scale).table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

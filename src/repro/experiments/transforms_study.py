@@ -153,17 +153,3 @@ def expansion_study(scale: str = "paper", seed: int = 0) -> FigureResult:
         for config, value in row.items():
             result.add(label, config, value)
     return result
-
-
-def main(scale: str = "paper") -> None:  # pragma: no cover - CLI helper
-    print(interchange_study(scale).table())
-    print()
-    print(expansion_study(scale).table())
-    auto, hand = strip_mine_equivalence(scale)
-    same = (auto.addresses == hand.addresses).all()
-    print(f"\nstrip-mined MV == hand-blocked MV: {bool(same)} "
-          f"({len(auto)} references)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

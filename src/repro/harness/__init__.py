@@ -8,12 +8,10 @@ from .parallel import (
     resolve_jobs,
     run_cells,
 )
-from .runner import CacheFactory, ConfigLike, Sweep, run_sweep
+from .runner import Sweep, run_sweep
 from .tables import format_table
 
 __all__ = [
-    "CacheFactory",
-    "ConfigLike",
     "Sweep",
     "run_sweep",
     "format_table",

@@ -7,14 +7,15 @@ speed levers:
 
 * **process-level parallelism** — cells dispatch to a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Work units are
-  ``(Trace, CacheSpec)`` pairs, both plain picklable data; factories and
+  ``(trace, CacheSpec, engine)`` tuples, all plain picklable data;
   closures never cross the process boundary.
 * **a content-addressed result cache** — every finished cell is stored
-  on disk keyed by ``sha256(simulator version, trace fingerprint, spec
-  fingerprint, engine)``, so re-running an unchanged cell costs one
-  small JSON read instead of a simulation.  The engine knob is part of
-  the key so results from different engines can never alias, even
-  though the fast engine is validated to be counter-identical.
+  on disk as soon as it arrives, keyed by ``sha256(simulator version,
+  trace fingerprint, spec fingerprint, engine)``, so re-running an
+  unchanged cell costs one small JSON read instead of a simulation.
+  The engine knob is part of the key so results from different
+  engines can never alias, even though the fast engine is validated to
+  be counter-identical.
 
 Knobs (all also honoured by ``python -m repro run/simulate --jobs``):
 
@@ -41,14 +42,15 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.spec import CacheSpec
-from ..errors import ConfigError
+from ..errors import ConfigError, WorkerDiedError
 from ..memtrace.trace import Trace
 from ..sim.driver import simulate
-from ..sim.engine import resolve_engine
+from ..sim.engine import resolve_engine, select_engine
 from ..sim.result import SimResult
 
 #: Bump on any change that alters simulation results; invalidates the
@@ -327,28 +329,15 @@ def _open_cache(
 # Workers
 # ----------------------------------------------------------------------
 def simulate_cell(payload: Tuple) -> SimResult:
-    """Pool work unit: simulate one (trace, spec) cell on a cold cache.
+    """Pool work unit: simulate one ``(trace, spec, engine)`` cell cold.
 
     Module-level (not a closure) so it pickles under every start method.
     The trace slot also accepts a :class:`~repro.stream.TraceStream` —
     streams pickle as path + manifest, so out-of-core cells ship no
     trace data across the process boundary; each worker pages its own
     chunks in.
-
-    The payload is ``(trace, spec, engine)`` or, for a telemetry-
-    recording cell, ``(trace, spec, engine, (TelemetrySpec, artifact
-    path))`` — the probed run writes its JSONL artifact and returns the
-    (telemetry-identical) simulation result.
     """
-    trace, spec, engine = payload[:3]
-    telemetry = payload[3] if len(payload) > 3 else None
-    if telemetry is not None:
-        from ..telemetry import analyze, write_jsonl
-
-        telemetry_spec, artifact_path = telemetry
-        report = analyze(spec, trace, telemetry=telemetry_spec, engine=engine)
-        write_jsonl(report, artifact_path)
-        return report.result
+    trace, spec, engine = payload
     return simulate(spec.build(), trace, engine=engine)
 
 
@@ -357,109 +346,57 @@ def run_cells(
     jobs: Union[int, str, None] = None,
     cache: Union[ResultCache, str, os.PathLike, None, bool] = "auto",
     engine: Optional[str] = None,
-    telemetry=None,
-    telemetry_dir: Union[str, os.PathLike, None] = None,
 ) -> List[SimResult]:
     """Run independent (trace, spec) cells, in submitted order.
 
     Cache hits are resolved first; the remaining cells run serially
-    (``jobs == 1``) or on a process pool.  The returned list is aligned
-    with ``cells`` regardless of completion order.  ``engine`` is the
-    simulation-engine knob (resolved once; part of the cache key).
+    (``jobs == 1``) or on a process pool, and each one is stored as soon
+    as it arrives, so an interrupted sweep keeps every cell it finished.
+    The returned list is aligned with ``cells`` regardless of completion
+    order.  ``engine`` is the simulation-engine knob (resolved once;
+    part of the cache key).  An explicit ``fast`` or ``native`` knob
+    refuses a configuration it cannot prove whether or not the cell is
+    cached.  A pool worker that dies raises :class:`WorkerDiedError`.
 
     The trace slot accepts either an in-memory ``Trace`` or a
     :class:`~repro.stream.TraceStream`; both expose the same
     ``fingerprint()``, so a cell keyed while streamed and the same cell
     keyed in memory share one cache entry.
-
-    ``telemetry`` (a :class:`~repro.telemetry.TelemetrySpec`) records a
-    JSONL telemetry artifact per cell under ``telemetry_dir`` (default
-    :func:`~repro.telemetry.export.default_telemetry_dir`).  Artifacts
-    are keyed separately from results — the result-cache key is
-    untouched — but a cached result only short-circuits simulation when
-    its telemetry artifact also already exists.
     """
     jobs = resolve_jobs(jobs)
     engine = resolve_engine(engine)
     store = _open_cache(cache)
-    artifacts: Dict[int, Path] = {}
-    if telemetry is not None:
-        from ..telemetry.export import (
-            default_telemetry_dir,
-            telemetry_artifact_path,
-        )
-
-        tel_root = (
-            Path(telemetry_dir)
-            if telemetry_dir is not None
-            else default_telemetry_dir()
-        )
-        for index, (trace, spec) in enumerate(cells):
-            artifacts[index] = telemetry_artifact_path(
-                tel_root, trace, spec, engine, telemetry
-            )
+    if engine in ("fast", "native"):
+        for _, spec in cells:
+            select_engine(engine, spec.build())
     results: List[Optional[SimResult]] = [None] * len(cells)
-    pending: List[int] = []
     keys: Dict[int, str] = {}
-
     for index, (trace, spec) in enumerate(cells):
         if store is not None:
-            key = store.key(trace.fingerprint(), spec.fingerprint(), engine)
-            keys[index] = key
-            cached = store.get(key)
-            if cached is not None and (
-                telemetry is None or artifacts[index].exists()
-            ):
-                results[index] = cached
-                continue
-        pending.append(index)
-
-    if pending:
-        payloads = [
-            (cells[i][0], cells[i][1], engine)
-            if telemetry is None
-            else (
-                cells[i][0],
-                cells[i][1],
-                engine,
-                (telemetry, str(artifacts[i])),
+            keys[index] = store.key(
+                trace.fingerprint(), spec.fingerprint(), engine
             )
-            for i in pending
-        ]
-        if jobs == 1 or len(pending) == 1:
-            fresh = [simulate_cell(payload) for payload in payloads]
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                # map() preserves submission order even when cells
-                # complete out of order under the pool.
-                fresh = list(pool.map(simulate_cell, payloads))
-        for index, result in zip(pending, fresh):
+            results[index] = store.get(keys[index])
+    pending = [index for index, result in enumerate(results) if result is None]
+
+    payloads = [(*cells[index], engine) for index in pending]
+    workers = min(jobs, len(pending))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        # Both maps yield in submission order, whatever order the pool
+        # finishes cells in.
+        mapper = map if pool is None else pool.map
+        for index, result in zip(pending, mapper(simulate_cell, payloads)):
             results[index] = result
             if store is not None:
                 store.put(keys[index], result)
-
+    except BrokenProcessPool as error:
+        raise WorkerDiedError(
+            f"a sweep worker exited before returning its cell; "
+            f"{sum(r is not None for r in results)} of {len(cells)} "
+            f"cells finished"
+        ) from error
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return results  # type: ignore[return-value]
-
-
-def telemetry_paths(
-    cells: Sequence[Tuple[Trace, CacheSpec]],
-    telemetry,
-    telemetry_dir: Union[str, os.PathLike, None] = None,
-    engine: Optional[str] = None,
-) -> List[Path]:
-    """Artifact path per cell, mirroring :func:`run_cells`'s keying."""
-    from ..telemetry.export import (
-        default_telemetry_dir,
-        telemetry_artifact_path,
-    )
-
-    engine = resolve_engine(engine)
-    root = (
-        Path(telemetry_dir)
-        if telemetry_dir is not None
-        else default_telemetry_dir()
-    )
-    return [
-        telemetry_artifact_path(root, trace, spec, engine, telemetry)
-        for trace, spec in cells
-    ]

@@ -1,35 +1,27 @@
 """Sweep runner: simulate grids of (cache configuration x trace).
 
-Cache models are stateful, so sweep cells are described by
-:class:`~repro.core.spec.CacheSpec` objects — declarative, picklable
-descriptions from which every cell constructs a fresh model (cold cache,
-as in the paper).  Spec cells dispatch through
-:mod:`repro.harness.parallel`: they run on a process pool when
-``jobs > 1`` and hit the on-disk result cache when unchanged.
-
-Zero-argument factories (the pre-spec API) are still accepted; they run
-serially in-process and bypass the cache, since a closure has neither a
-stable fingerprint nor a guaranteed pickle.
+Cache models are stateful, so every sweep column is a
+:class:`~repro.core.spec.CacheSpec` — a declarative, picklable
+description from which each cell constructs a fresh model (cold cache,
+as in the paper).  Cells dispatch through
+:func:`repro.harness.parallel.run_cells`: they run on a process pool
+when ``jobs > 1``, and each finished cell is stored in the on-disk
+result cache as it arrives, so an unchanged cell is read back instead
+of simulated again.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from ..core.spec import CacheSpec
+from ..errors import ConfigError
 from ..memtrace.trace import Trace
-from ..sim.base import CacheModel
-from ..sim.driver import simulate
 from ..sim.result import SimResult
-from .parallel import ResultCache, run_cells, telemetry_paths
+from .parallel import ResultCache, run_cells
 from .tables import format_table
-
-CacheFactory = Callable[[], CacheModel]
-
-#: A sweep column: either a declarative spec or a legacy factory.
-ConfigLike = Union[CacheSpec, CacheFactory]
 
 
 @dataclass
@@ -39,9 +31,6 @@ class Sweep:
     #: trace name -> config name -> result
     results: Dict[str, Dict[str, SimResult]] = field(default_factory=dict)
     config_order: List[str] = field(default_factory=list)
-    #: trace name -> config name -> telemetry-artifact path (only filled
-    #: when the sweep ran with a TelemetrySpec; see run_sweep).
-    telemetry: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
     def add(self, trace_name: str, config_name: str, result: SimResult) -> None:
         self.results.setdefault(trace_name, {})[config_name] = result
@@ -55,18 +44,14 @@ class Sweep:
         the insertion order of individual cells, so tables stay
         deterministic however the grid was filled.
         """
-        out: Dict[str, Dict[str, float]] = {}
-        for trace, row in self.results.items():
-            ordered = {
+        return {
+            trace: {
                 cfg: getattr(row[cfg], name)
                 for cfg in self.config_order
                 if cfg in row
             }
-            for cfg, result in row.items():  # configs added out-of-band
-                if cfg not in ordered:
-                    ordered[cfg] = getattr(result, name)
-            out[trace] = ordered
-        return out
+            for trace, row in self.results.items()
+        }
 
     def table(self, metric: str = "amat", precision: int = 3) -> str:
         return format_table(
@@ -79,12 +64,10 @@ class Sweep:
 
 def run_sweep(
     traces: Mapping[str, Trace],
-    configs: Mapping[str, ConfigLike],
+    configs: Mapping[str, CacheSpec],
     jobs: Union[int, str, None] = None,
     cache: Union[ResultCache, str, os.PathLike, None, bool] = "auto",
     engine: Optional[str] = None,
-    telemetry=None,
-    telemetry_dir: Union[str, os.PathLike, None] = None,
 ) -> Sweep:
     """Simulate every trace against every configuration (fresh caches).
 
@@ -100,59 +83,23 @@ def run_sweep(
     :class:`~repro.stream.TraceStream` instances; streams simulate
     out-of-core in O(chunk) memory and share result-cache entries with
     their materialised equivalents (same content fingerprint).
-
-    ``telemetry`` (a :class:`~repro.telemetry.TelemetrySpec`) makes every
-    spec cell record a JSONL telemetry artifact under ``telemetry_dir``;
-    paths land in ``Sweep.telemetry`` keyed like ``Sweep.results``.
-    Telemetry never changes a result or its cache key — artifacts are
-    keyed separately (legacy factory cells have no fingerprint and are
-    skipped).
     """
-    # Submitted order: row-major over the input mappings.  The Sweep is
-    # assembled from this list after all cells complete, so parallel
-    # completion order can never reorder rows or columns.
-    grid: List[Tuple[str, str, ConfigLike]] = [
-        (trace_name, config_name, config)
-        for trace_name in traces
-        for config_name, config in configs.items()
-    ]
-
-    spec_cells = [
-        (index, (traces[t], cfg))
-        for index, (t, c, cfg) in enumerate(grid)
-        if isinstance(cfg, CacheSpec)
-    ]
-    cell_results: Dict[int, SimResult] = {}
-    cell_artifacts: Dict[int, str] = {}
-    if spec_cells:
-        outcomes = run_cells(
-            [cell for _, cell in spec_cells],
-            jobs=jobs,
-            cache=cache,
-            engine=engine,
-            telemetry=telemetry,
-            telemetry_dir=telemetry_dir,
-        )
-        for (index, _), result in zip(spec_cells, outcomes):
-            cell_results[index] = result
-        if telemetry is not None:
-            paths = telemetry_paths(
-                [cell for _, cell in spec_cells],
-                telemetry,
-                telemetry_dir=telemetry_dir,
-                engine=engine,
+    for name, spec in configs.items():
+        if not isinstance(spec, CacheSpec):
+            raise ConfigError(
+                f"sweep column {name!r} must be a CacheSpec, "
+                f"not {type(spec).__name__}"
             )
-            for (index, _), path in zip(spec_cells, paths):
-                cell_artifacts[index] = str(path)
-
+    # Row-major over the input mappings; run_cells returns results in
+    # this order, so parallel completion order never reorders the grid.
+    grid = [(trace, config) for trace in traces for config in configs]
+    results = run_cells(
+        [(traces[trace], configs[config]) for trace, config in grid],
+        jobs=jobs,
+        cache=cache,
+        engine=engine,
+    )
     sweep = Sweep()
-    for index, (trace_name, config_name, config) in enumerate(grid):
-        result = cell_results.get(index)
-        if result is None:  # legacy factory: serial, uncached
-            result = simulate(config(), traces[trace_name], engine=engine)
-        sweep.add(trace_name, config_name, result)
-        if index in cell_artifacts:
-            sweep.telemetry.setdefault(trace_name, {})[
-                config_name
-            ] = cell_artifacts[index]
+    for (trace, config), result in zip(grid, results):
+        sweep.add(trace, config, result)
     return sweep

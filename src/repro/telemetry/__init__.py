@@ -21,9 +21,10 @@ streamed/in-memory runs:
 * per static-instruction attribution (the probe behind
   :func:`repro.metrics.attribution.attribute`).
 
-Entry points: :func:`analyze` for one run,
-``run_sweep(..., telemetry=TelemetrySpec())`` for grids (artifacts are
-keyed separately from the result cache), and the ``repro analyze`` CLI.
+Entry points: :func:`analyze` (or ``repro.simulate(...,
+telemetry=...)``) for one run, the exporters of
+:mod:`repro.telemetry.export` for its files, and the ``repro analyze``
+CLI.
 """
 
 from .events import TelemetryBatch
@@ -37,11 +38,8 @@ from .probes import (
 from .classify import AssistImpactProbe, MissClassProbe, TagAuditProbe
 from .report import TelemetryReport, TelemetrySpec, analyze
 from .export import (
-    default_telemetry_dir,
     jsonl_lines,
     read_jsonl,
-    telemetry_artifact_path,
-    telemetry_key,
     write_csv,
     write_jsonl,
     write_report,
@@ -60,9 +58,6 @@ __all__ = [
     "TelemetrySpec",
     "TelemetryReport",
     "analyze",
-    "default_telemetry_dir",
-    "telemetry_key",
-    "telemetry_artifact_path",
     "jsonl_lines",
     "read_jsonl",
     "write_jsonl",

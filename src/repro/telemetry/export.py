@@ -1,4 +1,4 @@
-"""Telemetry exporters and the separately-keyed artifact store.
+"""Telemetry exporters: one probed run rendered to files.
 
 Formats
 -------
@@ -9,24 +9,16 @@ Formats
     One self-describing JSON object per line: first a ``{"type":
     "report", ...}`` line carrying the run summary and every scalar
     section, then one ``{"type": "window", ...}`` line per time-series
-    window.  Line-oriented so sweep artifacts concatenate and stream.
+    window.  Line-oriented so artifacts of several runs concatenate and
+    stream.
 ``windows.csv``
     The window series alone, one row per window — the
     spreadsheet-friendly view.
-
-Artifact keying
----------------
-Sweep telemetry artifacts are content-addressed like result-cache
-cells, but in their *own* key space: ``sha256(SIM_VERSION, trace
-fingerprint, cache-spec fingerprint, engine, telemetry fingerprint)``.
-The result-cache key never sees the telemetry fingerprint, so enabling
-telemetry can never invalidate (or fork) cached ``SimResult`` cells.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import tempfile
@@ -98,50 +90,3 @@ def read_jsonl(path: Union[str, os.PathLike]) -> List[Dict]:
     """Parse a JSONL artifact back into its line objects."""
     with open(path) as handle:
         return [json.loads(line) for line in handle if line.strip()]
-
-
-# ----------------------------------------------------------------------
-# Sweep artifact store
-# ----------------------------------------------------------------------
-def default_telemetry_dir() -> Path:
-    """Artifact location, honouring ``REPRO_TELEMETRY_DIR``/XDG."""
-    explicit = os.environ.get("REPRO_TELEMETRY_DIR")
-    if explicit:
-        return Path(explicit)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "telemetry"
-
-
-def telemetry_key(
-    trace_fingerprint: str,
-    spec_fingerprint: str,
-    engine: str,
-    telemetry_fingerprint: str,
-) -> str:
-    """Content key of one sweep cell's telemetry artifact."""
-    from ..harness.parallel import SIM_VERSION
-
-    material = (
-        f"{SIM_VERSION}\n{trace_fingerprint}\n{spec_fingerprint}"
-        f"\n{engine}\n{telemetry_fingerprint}"
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-def telemetry_artifact_path(
-    root: Union[str, os.PathLike, None],
-    trace,
-    spec,
-    engine: str,
-    telemetry,
-) -> Path:
-    """Deterministic artifact path of one (trace, spec, engine) cell."""
-    root = Path(root) if root is not None else default_telemetry_dir()
-    key = telemetry_key(
-        trace.fingerprint(),
-        spec.fingerprint(),
-        engine,
-        telemetry.fingerprint(),
-    )
-    return root / key[:2] / f"{key}.jsonl"

@@ -3,10 +3,7 @@
 A :class:`TelemetrySpec` is the telemetry analogue of
 :class:`~repro.core.spec.CacheSpec`: a frozen, picklable description of
 which probes to attach and how (window width, which shadow analyses).
-It has its own :meth:`~TelemetrySpec.fingerprint`, which the sweep
-engine hashes *separately* from the result-cache key — telemetry never
-changes what a simulation computes, so it must never change how its
-:class:`~repro.sim.result.SimResult` is cached.
+Telemetry never changes what a simulation computes.
 
 :func:`analyze` is the one-call entry: build the probes, run the
 simulation (any engine, in-memory or streamed) with them attached, and
@@ -18,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from ..core.spec import CacheSpec, stable_fingerprint
+from ..core.spec import CacheSpec
 from ..memtrace.trace import Trace
 from ..sim.result import SimResult
 from .probes import DEFAULT_WINDOW_REFS, AttributionProbe, ProbeSet, WindowProbe
@@ -62,10 +59,6 @@ class TelemetrySpec:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    def fingerprint(self) -> str:
-        """Stable content hash — the telemetry-artifact key component."""
-        return stable_fingerprint(self.to_dict())
 
 
 @dataclass

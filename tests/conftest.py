@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,18 @@ from repro.compiler import Array, ArrayRef, Loop, Program, nest, var
 from repro.core import SoftCacheConfig
 from repro.memtrace import Trace, UNIT_GAPS
 from repro.sim import CacheGeometry, MemoryTiming
+
+
+def pytest_configure(config):
+    """Give the session an empty result cache of its own.
+
+    Runs before collection (``test_native`` probes the compiler at
+    import), so no test reads a cell or native library that another
+    build left in the user's cache.
+    """
+    root = tempfile.mkdtemp(prefix="repro-tests-")
+    os.environ["REPRO_CACHE_DIR"] = root
+    config.add_cleanup(lambda: shutil.rmtree(root, ignore_errors=True))
 
 
 def make_trace(

@@ -249,6 +249,63 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [trace-error]:")
 
+    def test_worker_died_code(self, capsys, monkeypatch):
+        import repro.cli
+        from repro.errors import WorkerDiedError
+
+        def dying_sweep(*args, **kwargs):
+            raise WorkerDiedError("a sweep worker exited")
+
+        monkeypatch.setattr(repro.cli, "run_sweep", dying_sweep)
+        assert main(
+            ["simulate", "--benchmark", "MV", "--config", "standard",
+             "--scale", "tiny"]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error [worker-died]:")
+
+
+class TestExplainEngine:
+    """``--explain-engine`` prints what ``simulate`` would actually do."""
+
+    def _explain(self, capsys, knob):
+        status = main(
+            ["simulate", "--config", "all", "--explain-engine",
+             "--engine", knob]
+        )
+        rows = capsys.readouterr().out.splitlines()[1:]
+        return status, dict(row.split()[:2] for row in rows)
+
+    def test_auto_rows_match_the_engine_that_runs(self, capsys):
+        from repro.sim.driver import simulate
+        from repro.workloads.registry import get_trace
+
+        status, tiers = self._explain(capsys, "auto")
+        assert status == 0
+        assert set(tiers) == set(CONFIGS)
+        trace = get_trace("MV", "tiny")
+        for name, spec in CONFIGS.items():
+            result = simulate(spec.build(), trace, engine="auto")
+            assert tiers[name] == result.engine, name
+
+    @pytest.mark.parametrize("knob", ["fast", "native"])
+    def test_error_rows_are_the_refused_presets(self, capsys, knob):
+        from repro.errors import ConfigError
+        from repro.sim.driver import simulate
+        from repro.workloads.registry import get_trace
+
+        trace = get_trace("MV", "tiny")
+        refused = set()
+        for name, spec in CONFIGS.items():
+            try:
+                simulate(spec.build(), trace, engine=knob)
+            except ConfigError:
+                refused.add(name)
+        status, tiers = self._explain(capsys, knob)
+        errors = {name for name, tier in tiers.items() if tier == "error"}
+        assert errors == refused
+        assert status == (1 if refused else 0)
+        assert all(tiers[name] == knob for name in set(CONFIGS) - refused)
+
 
 class TestServeCLI:
     def test_smoke_flag_runs_end_to_end(self, capsys, monkeypatch, tmp_path):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core import SoftCacheConfig, SoftwareAssistedCache
 from repro.core.spec import CacheSpec
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentSpec
 from repro.harness.parallel import ResultCache, run_cells
 from repro.sim import (
     CacheGeometry,
@@ -341,24 +340,17 @@ class TestCacheKeyEngine:
         assert (probe.hits, probe.misses) == (0, 1)
         assert result.refs == 500
 
-
-class TestExperimentSpecEngine:
-    def test_round_trip(self):
-        spec = ExperimentSpec.create(
-            "fig0", "t", configs={"s": CacheSpec.of("standard_cache")},
-            engine="fast",
-        )
-        assert spec.engine == "fast"
-        clone = ExperimentSpec.from_dict(spec.to_dict())
-        assert clone.engine == "fast"
-
-    def test_missing_key_defaults_to_auto(self):
-        spec = ExperimentSpec.create(
-            "fig0", "t", configs={"s": CacheSpec.of("standard_cache")}
-        )
-        payload = spec.to_dict()
-        del payload["engine"]
-        assert ExperimentSpec.from_dict(payload).engine == "auto"
+    @pytest.mark.parametrize("knob", ["fast", "native"])
+    def test_explicit_knob_refuses_a_cached_cell(self, tmp_path, knob):
+        """A warm entry never answers for a configuration the knob's
+        tier refuses: prefetch is refused by both, for good."""
+        trace = random_trace(0, refs=500)
+        spec = CacheSpec.of("standard_prefetch")
+        store = ResultCache(tmp_path)
+        [result] = run_cells([(trace, spec)], cache=None, engine="reference")
+        store.put(store.key(trace.fingerprint(), spec.fingerprint(), knob), result)
+        with pytest.raises(ConfigError, match="prefetch"):
+            run_cells([(trace, spec)], cache=store, engine=knob)
 
 
 class TestEngineCLI:

@@ -1,9 +1,7 @@
 """Tests for the sweep runner and table rendering."""
 
-import pytest
-
-from repro.core import presets
-from repro.harness import Sweep, format_table, run_sweep
+from repro.core.spec import CacheSpec
+from repro.harness import format_table, run_sweep
 from repro.sim import MemoryTiming
 
 from conftest import make_trace
@@ -38,11 +36,11 @@ class TestSweep:
             "t2": make_trace([0, 128, 0, 128]),
         }
         configs = {
-            "Standard": lambda: presets.standard(
-                size_bytes=128, timing=timing
+            "Standard": CacheSpec.of(
+                "standard", size_bytes=128, timing=timing
             ),
-            "Victim": lambda: presets.victim(
-                size_bytes=128, victim_lines=2, timing=timing
+            "Victim": CacheSpec.of(
+                "victim", size_bytes=128, victim_lines=2, timing=timing
             ),
         }
         return run_sweep(traces, configs)

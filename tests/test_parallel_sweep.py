@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+from repro.core import spec as spec_module
 from repro.core.spec import CacheSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerDiedError
 from repro.harness.parallel import (
     ResultCache,
     payload_to_result,
     resolve_jobs,
     result_to_payload,
+    run_cells,
 )
 from repro.harness.runner import run_sweep
 from repro.sim.geometry import CacheGeometry
@@ -61,15 +67,51 @@ class TestParallelEquivalence:
         for row in sweep.metric("amat").values():
             assert list(row) == list(CONFIGS)
 
-    def test_legacy_factories_still_accepted(self):
+    def test_non_spec_column_is_rejected(self):
         traces = _suite(n_traces=1)
-        factories = {
-            "lambda": lambda: StandardCache(CacheGeometry(8 * 1024, 32, 1)),
+        configs = {
             "spec": CacheSpec.of("standard_cache"),
+            "lambda": lambda: StandardCache(CacheGeometry(8 * 1024, 32, 1)),
         }
-        sweep = run_sweep(traces, factories, cache=None)
-        row = sweep.results["t0"]
-        assert row["lambda"].misses == row["spec"].misses
+        with pytest.raises(ConfigError, match="'lambda'"):
+            run_sweep(traces, configs, cache=None)
+
+
+def _dying_model(root: str, wait_for: int):
+    """A spec builder that kills its worker once ``wait_for`` cells are
+    in the result cache at ``root`` (or after 30 s)."""
+    deadline = time.monotonic() + 30
+    while len(ResultCache(root)) < wait_for and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying kind is registered in this process only",
+)
+class TestWorkerDeath:
+    def test_finished_cells_are_cached_before_the_error(
+        self, tmp_path, monkeypatch
+    ):
+        # Registered for this test only; pool workers fork after it.
+        monkeypatch.setitem(
+            spec_module._BUILDERS, "test-dying-worker", _dying_model
+        )
+        traces = _suite(n_traces=4)
+        standard = CONFIGS["Standard"]
+        dying = CacheSpec.of(
+            "test-dying-worker", root=str(tmp_path), wait_for=3
+        )
+        cells = [(traces[f"t{k}"], standard) for k in range(3)]
+        cells.append((traces["t3"], dying))
+        with pytest.raises(WorkerDiedError) as caught:
+            run_cells(cells, jobs=2, cache=tmp_path)
+        assert caught.value.code == "worker-died"
+        probe = ResultCache(tmp_path)
+        warm = run_cells(cells[:3], jobs=1, cache=probe)
+        assert (probe.hits, probe.misses) == (3, 0)
+        assert [r.refs for r in warm] == [400, 400, 400]
 
 
 class TestResultCache:

@@ -5,7 +5,7 @@ a telemetry report is a function of (trace, configuration) alone — the
 same whether the reference loop or the fast batch kernels ran, and
 whether the trace was in memory or streamed at any chunk size.  These
 tests pin that contract, the crafted-case semantics of each probe, the
-sweep/artifact wiring, and the probes-off guards.
+exporters, and the probes-off guards.
 """
 
 import json
@@ -13,9 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.spec import CacheSpec
 from repro.errors import ConfigError, TraceError
-from repro.harness.runner import run_sweep
 from repro.memtrace import Trace
 from repro.presets import SPECS
 from repro.sim.driver import simulate
@@ -24,7 +22,6 @@ from repro.telemetry import (
     TelemetrySpec,
     analyze,
     read_jsonl,
-    telemetry_key,
     write_report,
 )
 
@@ -259,101 +256,11 @@ class TestGuards:
 
 
 class TestSpecAndKeys:
-    def test_fingerprint_stability(self):
-        assert TelemetrySpec().fingerprint() == TelemetrySpec().fingerprint()
-        assert (
-            TelemetrySpec(window_refs=128).fingerprint()
-            != TelemetrySpec(window_refs=256).fingerprint()
-        )
-
-    def test_telemetry_key_components(self):
-        base = telemetry_key("t", "s", "fast", "tel")
-        assert telemetry_key("t", "s", "reference", "tel") != base
-        assert telemetry_key("t", "s", "fast", "tel2") != base
-        assert telemetry_key("t2", "s", "fast", "tel") != base
-
     def test_duplicate_probe_keys_rejected(self):
         from repro.telemetry import ProbeSet, WindowProbe
 
         with pytest.raises(ConfigError):
             ProbeSet([WindowProbe(64), WindowProbe(128)])
-
-
-class TestSweepTelemetry:
-    def test_sweep_writes_artifacts(self, tmp_path):
-        trace = tagged_trace(refs=1200)
-        configs = {
-            "std": CacheSpec.of("standard"), "soft": CacheSpec.of("soft")
-        }
-        sweep = run_sweep(
-            {"tel": trace},
-            configs,
-            cache=tmp_path / "cache",
-            telemetry=TelemetrySpec(window_refs=256),
-            telemetry_dir=tmp_path / "tel",
-        )
-        assert set(sweep.telemetry["tel"]) == {"std", "soft"}
-        for name, path in sweep.telemetry["tel"].items():
-            lines = read_jsonl(path)
-            head = lines[0]
-            assert head["type"] == "report"
-            assert head["run"]["misses"] == sweep.results["tel"][name].misses
-            assert all(row["type"] == "window" for row in lines[1:])
-
-    def test_result_cache_key_unchanged_by_telemetry(self, tmp_path):
-        trace = tagged_trace(refs=800)
-        configs = {"std": CacheSpec.of("standard")}
-        cache_dir = tmp_path / "cache"
-        plain = run_sweep({"tel": trace}, configs, cache=cache_dir)
-        probed = run_sweep(
-            {"tel": trace},
-            configs,
-            cache=cache_dir,
-            telemetry=TelemetrySpec(),
-            telemetry_dir=tmp_path / "tel",
-        )
-        # One shared cache entry: the probed run re-simulated (to write
-        # its artifact) but keyed the result identically.
-        assert len(list((cache_dir).glob("*/*/*.json"))) == 1
-        assert plain.results["tel"]["std"] == probed.results["tel"]["std"]
-
-    def test_cached_result_still_regenerates_missing_artifact(
-        self, tmp_path
-    ):
-        import pathlib
-
-        trace = tagged_trace(refs=800)
-        configs = {"std": CacheSpec.of("standard")}
-        tel = TelemetrySpec()
-        kwargs = dict(
-            cache=tmp_path / "cache",
-            telemetry=tel,
-            telemetry_dir=tmp_path / "tel",
-        )
-        first = run_sweep({"tel": trace}, configs, **kwargs)
-        artifact = pathlib.Path(first.telemetry["tel"]["std"])
-        artifact.unlink()
-        second = run_sweep({"tel": trace}, configs, **kwargs)
-        assert pathlib.Path(second.telemetry["tel"]["std"]) == artifact
-        assert artifact.exists()
-
-    def test_run_experiment_passthrough(self, tmp_path):
-        from repro.experiments.common import ExperimentSpec, run_experiment
-
-        spec = ExperimentSpec.create(
-            "figX", "telemetry passthrough",
-            {"std": CacheSpec.of("standard")},
-        )
-        result = run_experiment(
-            spec,
-            traces={"tel": tagged_trace(refs=600)},
-            cache=tmp_path / "cache",
-            telemetry=TelemetrySpec(window_refs=128),
-            telemetry_dir=tmp_path / "tel",
-        )
-        assert "tel" in result.rows
-        artifacts = list((tmp_path / "tel").glob("*/*.jsonl"))
-        assert len(artifacts) == 1
 
 
 class TestExporters:
