@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-serial lint bench bench-sim bench-serve native serve-smoke trace-demo analyze-demo figures clean-cache
+.PHONY: test test-serial lint bench-sim bench-serve native serve-smoke trace-demo analyze-demo figures clean-cache
 
 # Tier-1: the unit/integration/property suite.  REPRO_JOBS=2 keeps the
 # process-pool path (and spec pickling) exercised on every run;
@@ -19,9 +19,6 @@ test-serial:
 # src/repro/harness/, grandfathered ignores elsewhere.
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Every simulation scenario of the bench table (engine, soft, stream,
 # probes) at CI's sizes: regenerates the committed BENCH_sim.json;

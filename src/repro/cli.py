@@ -5,7 +5,9 @@ Commands
 figures
     List every reproducible figure and extension study.
 run FIGURE [...]
-    Regenerate one or more figures (``run all`` for the whole battery).
+    Regenerate one or more figures (``run all`` for the whole battery),
+    each followed by a verdict per paper claim; the wall time of each
+    study goes to stderr.
 simulate
     Run a benchmark trace through one or all cache configurations.
 tags
@@ -42,6 +44,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Dict, List, Optional
 
 from .core.spec import CacheSpec
@@ -485,7 +488,7 @@ def _cmd_run(
     names: List[str], scale: str, chart: bool = False,
     jobs: Optional[int] = None, engine: Optional[str] = None,
 ) -> int:
-    from .experiments import ALL_FIGURES, EXTENSION_STUDIES
+    from .experiments import ALL_FIGURES, CLAIMS, EXTENSION_STUDIES
 
     if jobs is not None:
         # Figure drivers have heterogeneous signatures; the environment
@@ -502,9 +505,18 @@ def _cmd_run(
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
     for name in wanted:
+        start = time.perf_counter()
         result = battery[name](scale=scale)
+        elapsed = time.perf_counter() - start
         print(result.chart() if chart else result.table())
+        # A verdict per paper claim; claims need not hold at tiny scale,
+        # so they report and never change the exit status.
+        for claim in CLAIMS[name](result, scale) if name in CLAIMS else ():
+            print(claim.verdict())
         print()
+        # Wall time goes to stderr: stdout stays byte-identical across
+        # --jobs and --engine.
+        print(f"[{name}: {elapsed:.1f}s]", file=sys.stderr)
     return 0
 
 

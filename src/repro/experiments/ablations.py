@@ -19,10 +19,14 @@ and reports AMAT across the suite:
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
 from ..workloads.registry import suite_traces
-from .common import ExperimentSpec, FigureResult, run_experiment
+from .common import (
+    Claim, ExperimentSpec, FigureResult, compare, geomeans, run_experiment,
+)
 
 BB_SIZES = (4, 8, 16, 32)
 
@@ -138,3 +142,42 @@ def physical_line(scale: str = "paper", seed: int = 0) -> FigureResult:
     return run_experiment(
         ABLATION_SPECS["ablation-physline"], scale=scale, seed=seed
     )
+
+
+def bounce_back_size_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # The paper's 8 lines is within a few percent of 32, and 4 is still
+    # close (shorter bounce-back delay vs victim coverage).
+    return [
+        geomeans(result, "8 lines", "<=", "32 lines", 1.06),
+        geomeans(result, "4 lines", "<=", "8 lines", 1.08),
+    ]
+
+
+def bounce_back_associativity_claims(
+    result: FigureResult, scale: str
+) -> List[Claim]:
+    return [geomeans(result, "4-way", "<=", "fully assoc", 1.08)]
+
+
+def admission_policy_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # Admitting every victim (the buffer doubles as a victim cache) beats
+    # the "more natural" temporal-only admission.
+    return [
+        geomeans(result, "admit all victims", "<=", "temporal victims only", 1.01)
+    ]
+
+
+def temporal_reset_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # The adjustment never hurts much; dead data would bounce forever.
+    return [geomeans(result, "reset on bounce", "<=", "no reset", 1.03)]
+
+
+def physical_line_claims(result: FigureResult, scale: str) -> List[Claim]:
+    sixteen, thirty_two = result.geomean("LS=16B"), result.geomean("LS=32B")
+    # "Proved to be similar", enabling a cheaper multiplexer.
+    return [
+        compare(
+            "|LS=16B - LS=32B| / LS=32B < 0.25 (geomean)",
+            abs(sixteen - thirty_two) / thirty_two, "<", 0.25,
+        )
+    ]

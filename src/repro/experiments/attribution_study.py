@@ -10,10 +10,12 @@ cache's misses.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core import presets
 from ..metrics.attribution import attribute
 from ..workloads.registry import suite_traces
-from .common import FigureResult
+from .common import Claim, FigureResult, per_row
 
 
 def miss_concentration(scale: str = "paper", seed: int = 0) -> FigureResult:
@@ -35,3 +37,8 @@ def miss_concentration(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "covering 90% of misses", covering)
         result.add(name, "fraction", attribution.concentration(0.9))
     return result
+
+
+def miss_concentration_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # Abraham et al.: few static load/stores induce most misses.
+    return [per_row(result, "fraction", "<=", 0.65)]

@@ -1,8 +1,11 @@
 """Shared infrastructure for the per-figure experiment drivers.
 
 Every driver returns a :class:`FigureResult` — a named grid of series
-values — so the benchmark harness and EXPERIMENTS.md generation can
-treat all nineteen figures uniformly.
+values — so ``repro run`` and EXPERIMENTS.md generation can treat all
+nineteen figures uniformly.  Next to each driver sits its claims
+function, ``claims(result, scale) -> List[Claim]``: the paper's
+qualitative statements about that figure, each checked on the result
+(see ``CLAIMS`` in :mod:`repro.experiments`).
 
 Drivers whose figure is a plain (benchmark x configuration) grid are
 *declared* rather than coded: an :class:`ExperimentSpec` names the
@@ -14,11 +17,15 @@ parallel cached sweep engine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..core.spec import CacheSpec
 from ..harness.tables import format_table
+from ..metrics.summary import geometric_mean
 
 
 @dataclass
@@ -48,6 +55,14 @@ class FigureResult:
         """One series across all rows (a line on the paper's plot)."""
         return {row: cells[name] for row, cells in self.rows.items() if name in cells}
 
+    def geomean(self, name: str) -> float:
+        """Geometric mean of one series over every row."""
+        return geometric_mean(self.column(name).values())
+
+    def select(self, *rows: str) -> Dict[str, Dict[str, float]]:
+        """The named rows only, in the given order."""
+        return {row: self.rows[row] for row in rows}
+
     def chart(self, width: int = 48, precision: int = 3) -> str:
         """ASCII grouped-bar rendering (the paper's figures are bars)."""
         from ..harness.charts import bar_chart
@@ -70,6 +85,91 @@ class FigureResult:
 
     def __str__(self) -> str:
         return self.table()
+
+
+class Claim(NamedTuple):
+    """One qualitative statement of the paper, checked on a study result."""
+
+    name: str
+    ok: bool
+    detail: str
+
+    def verdict(self) -> str:
+        return f"  {'ok  ' if self.ok else 'FAIL'}  {self.name}  ({self.detail})"
+
+
+_COMPARISONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _times(factor: float) -> str:
+    return "" if factor == 1 else f"{factor:g} x "
+
+
+def compare(name: str, lhs: float, op: str, rhs: float) -> Claim:
+    """Claim ``lhs op rhs``; the detail shows both sides."""
+    return Claim(name, bool(_COMPARISONS[op](lhs, rhs)), f"{lhs:.4g} {op} {rhs:.4g}")
+
+
+def geomeans(
+    result: FigureResult, lhs: str, op: str, rhs: str, factor: float = 1.0
+) -> Claim:
+    """Claim ``geomean(lhs) op factor x geomean(rhs)`` over every row."""
+    return compare(
+        f"{lhs} {op} {_times(factor)}{rhs} (geomean)",
+        result.geomean(lhs), op, factor * result.geomean(rhs),
+    )
+
+
+def for_rows(
+    name: str,
+    rows: Mapping[str, Mapping[str, float]],
+    test: Callable[[Mapping[str, float]], bool],
+    at_least: Optional[int] = None,
+) -> Claim:
+    """Claim ``test(cells)`` on every row, or on ``at_least`` of them.
+
+    The detail counts the rows that hold and names the ones that fail
+    (the ones that hold, for an ``at_least`` claim).
+    """
+    holding = [row for row, cells in rows.items() if test(cells)]
+    failing = [row for row in rows if row not in holding]
+    detail = f"{len(holding)} of {len(rows)} rows"
+    if at_least is None:
+        ok = not failing
+        detail += "; fails on " + ", ".join(failing) if failing else ""
+    else:
+        ok = len(holding) >= at_least
+        detail += ": " + ", ".join(holding) if holding else ""
+    return Claim(name, ok, detail)
+
+
+def per_row(
+    result: FigureResult,
+    lhs: str,
+    op: str,
+    rhs,
+    factor: float = 1.0,
+    rows: Sequence[str] = (),
+    at_least: Optional[int] = None,
+) -> Claim:
+    """Claim ``lhs op factor x rhs`` row by row.
+
+    ``rhs`` is a series name or a constant.  ``rows`` restricts the
+    claim to the named rows; ``at_least`` asks only that many rows hold.
+    """
+    def test(cells):
+        bound = cells[rhs] if isinstance(rhs, str) else rhs
+        return _COMPARISONS[op](cells[lhs], factor * bound)
+
+    where = ", ".join(rows) or (
+        "every row" if at_least is None else f"at least {at_least} of the rows"
+    )
+    return for_rows(
+        f"{lhs} {op} {_times(factor)}{rhs} on {where}",
+        result.select(*rows) if rows else result.rows, test, at_least,
+    )
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from ..memtrace.reuse import REUSE_BUCKETS, reuse_profile
 from ..memtrace.vectors import VECTOR_BUCKETS, vector_profile
-from ..workloads.registry import suite_traces
-from .common import FigureResult
+from ..workloads.registry import BENCHMARK_ORDER, suite_traces
+from .common import Claim, FigureResult, for_rows, per_row
 
 #: The paper's estimate of a line's average lifetime in an 8 KB cache.
 AVERAGE_LINE_LIFETIME_REFS = 2500
@@ -50,3 +52,34 @@ def vector_lengths(scale: str = "paper", seed: int = 0) -> FigureResult:
         for label, _ in VECTOR_BUCKETS:
             result.add(name, label, profile.fraction(label))
     return result
+
+
+def _suite_rows(result: FigureResult) -> Claim:
+    ok = set(result.rows) == set(BENCHMARK_ORDER)
+    return Claim("one row per suite benchmark", ok, ", ".join(result.rows))
+
+
+def reuse_distances_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        _suite_rows(result),
+        # Much data is referenced only once: compulsory misses matter...
+        per_row(result, "no reuse", ">", 0.2, at_least=3),
+        # ...and reuses farther than 10^3 references exist: pollution
+        # threatens temporal reuse.
+        for_rows(
+            "reuse beyond 10^3 refs > 0.1 on at least 1 row", result.rows,
+            lambda c: c["10^3 - 10^4"] + c["> 10^4"] > 0.1, at_least=1,
+        ),
+    ]
+
+
+def vector_lengths_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # Vectors often exceed the 32 B line: unexploited spatial locality.
+    return [
+        _suite_rows(result),
+        for_rows(
+            "vectors longer than 32 B > 0.5 on at least 5 rows", result.rows,
+            lambda c: sum(v for k, v in c.items() if k != "<= 32 B") > 0.5,
+            at_least=5,
+        ),
+    ]

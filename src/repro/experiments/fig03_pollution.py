@@ -11,8 +11,12 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core.spec import CacheSpec
-from .common import ExperimentSpec, FigureResult, run_experiment
+from .common import (
+    Claim, ExperimentSpec, FigureResult, geomeans, per_row, run_experiment,
+)
 
 FIG3A = ExperimentSpec.create(
     "fig3a",
@@ -44,3 +48,25 @@ def bypass_study(scale: str = "paper", seed: int = 0) -> FigureResult:
 def victim_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 3b: AMAT of Standard / Standard+Victim / Soft."""
     return run_experiment(FIG3B, scale=scale, seed=seed)
+
+
+def bypass_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        # Plain bypassing is the worst option on average (spatial
+        # locality of non-reusable data pays a round trip per word)...
+        geomeans(result, "Bypass", ">", "Standard"),
+        # ...the bypass buffer recovers most of it, and Soft beats all.
+        geomeans(result, "Bypass buffer", "<", "Bypass"),
+        geomeans(result, "Soft", "<", "Standard"),
+        geomeans(result, "Soft", "<", "Bypass buffer"),
+    ]
+
+
+def victim_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # A victim cache helps (interferences) but cannot absorb pollution:
+    # the software-assisted cache is strictly stronger.
+    return [
+        geomeans(result, "Stand.+Victim", "<=", "Standard"),
+        geomeans(result, "Soft", "<", "Stand.+Victim"),
+        per_row(result, "Soft", "<=", "Standard", 1.001),
+    ]

@@ -12,10 +12,14 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
 from ..workloads.registry import suite_traces
-from .common import ExperimentSpec, FigureResult, run_experiment
+from .common import (
+    Claim, ExperimentSpec, FigureResult, geomeans, per_row, run_experiment,
+)
 
 #: The four configurations of figures 6a / 7a / 7b, in paper order.
 SOFTWARE_CONTROL_CONFIGS = {
@@ -51,3 +55,29 @@ def hit_repartition(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "main cache", r.main_hit_fraction)
         result.add(name, "bounce-back cache", r.assist_hit_fraction)
     return result
+
+
+def amat_breakdown_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        # Safety: Soft never loses to Standard on any benchmark.
+        per_row(result, "Soft", "<=", "Standard", 1.001),
+        # Both single mechanisms help on average; the combination is best.
+        geomeans(result, "Temp only", "<=", "Standard"),
+        geomeans(result, "Spat only", "<", "Standard"),
+        geomeans(result, "Soft", "<=", "Temp only"),
+        geomeans(result, "Soft", "<=", "Spat only"),
+        # The per-benchmark signatures: the bounce-back mechanism alone
+        # profits DYF/MV; virtual lines alone are stronger for NAS.
+        per_row(result, "Temp only", "<", "Standard", 0.99, rows=("DYF", "MV")),
+        per_row(result, "Spat only", "<", "Temp only", rows=("NAS",)),
+    ]
+
+
+def hit_repartition_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        # "Most cache hits are main cache hits, thanks to the bounce-back
+        # mechanism": the 1-cycle path dominates everywhere...
+        per_row(result, "main cache", ">", 0.7),
+        # ...but the bounce-back cache is not idle.
+        per_row(result, "bounce-back cache", ">", 0.005, at_least=1),
+    ]

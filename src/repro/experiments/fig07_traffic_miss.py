@@ -10,7 +10,11 @@
 
 from __future__ import annotations
 
-from .common import ExperimentSpec, FigureResult, run_experiment
+from typing import List
+
+from .common import (
+    Claim, ExperimentSpec, FigureResult, compare, per_row, run_experiment,
+)
 from .fig06_summary import SOFTWARE_CONTROL_CONFIGS
 
 FIG7A = ExperimentSpec.create(
@@ -38,3 +42,28 @@ def traffic(scale: str = "paper", seed: int = 0) -> FigureResult:
 def miss_ratios(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 7b: miss ratio under each flavour of software control."""
     return run_experiment(FIG7B, scale=scale, seed=seed)
+
+
+def traffic_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        # Virtual lines alone may increase traffic; combined with the
+        # bounce-back cache the increase (mostly) disappears...
+        per_row(result, "Soft", "<=", "Spat only", 1.05),
+        # ..."memory traffic is barely increased (except for TRF)".
+        per_row(
+            result, "Soft", "<=", "Standard", 1.02,
+            at_least=len(result.rows) - 2,
+        ),
+        per_row(result, "Soft", ">", "Standard", rows=("TRF",)),
+    ]
+
+
+def miss_ratios_claims(result: FigureResult, scale: str) -> List[Claim]:
+    mv = result.row("MV")
+    return [
+        per_row(result, "Soft", "<=", "Standard", 1.02),
+        # MV: the headline number (62% in the paper).
+        compare(
+            "MV misses removed > 45%", 1 - mv["Soft"] / mv["Standard"], ">", 0.45
+        ),
+    ]

@@ -13,8 +13,12 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core.spec import CacheSpec
-from .common import ExperimentSpec, FigureResult, run_experiment
+from .common import (
+    Claim, ExperimentSpec, FigureResult, geomeans, per_row, run_experiment,
+)
 
 #: The sweep points of both panels.
 VIRTUAL_LINE_SIZES = (32, 64, 128, 256)
@@ -50,3 +54,24 @@ def virtual_sweep(scale: str = "paper", seed: int = 0) -> FigureResult:
 def physical_sweep(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 8b: AMAT vs physical line size on Standard, plus Soft."""
     return run_experiment(FIG8B, scale=scale, seed=seed)
+
+
+def virtual_sweep_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        # Enabling virtual lines (64 B vs the 32 B no-op) pays on average,
+        # and even 256 B stays far from the blow-up of large physical
+        # lines (fig8b).
+        geomeans(result, "VL=64B", "<", "VL=32B"),
+        geomeans(result, "VL=256B", "<", "VL=32B", 1.1),
+    ]
+
+
+def physical_sweep_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # The 64-byte virtual line usually beats the 64-byte physical line.
+    claims = [per_row(result, "Soft", "<=", "Stand 64B", 1.02, at_least=5)]
+    if scale == "paper":
+        # Large physical lines break down somewhere (cache entries / line
+        # ratio), but only at full size: small working sets never stress
+        # the entry count.
+        claims.append(per_row(result, "Stand 256B", ">", "Stand 32B", at_least=1))
+    return claims

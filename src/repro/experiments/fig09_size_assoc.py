@@ -14,12 +14,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
 from ..workloads.registry import suite_traces
-from .common import ExperimentSpec, FigureResult, run_experiment
+from .common import (
+    Claim, ExperimentSpec, FigureResult, compare, geomeans, per_row, run_experiment,
+)
 
 #: Figure 9a's cache points: label -> (size_bytes, physical_line, virtual_line).
 FIG9A_CACHES: Dict[str, Tuple[int, int, int]] = {
@@ -73,3 +75,42 @@ def cache_size_study(scale: str = "paper", seed: int = 0) -> FigureResult:
 def associativity_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 9b: AMAT of the 2-way variants."""
     return run_experiment(FIG9B, scale=scale, seed=seed)
+
+
+def cache_size_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    claims = [
+        # The mechanism keeps helping at 8 KB everywhere...
+        per_row(result, "Cs=8k, Ls=32", ">", -1.0),
+        # ...and the average benefit shrinks as the cache grows (working
+        # sets fit; 64 B physical lines halve the virtual-line headroom).
+        compare(
+            "sum of Cs=64k, Ls=64 < sum of Cs=8k, Ls=32",
+            sum(result.column("Cs=64k, Ls=64").values()), "<",
+            sum(result.column("Cs=8k, Ls=32").values()),
+        ),
+    ]
+    if scale == "paper":
+        # LIV's working set fits into 16 KB, so the benefit shrinks.  Our
+        # LIV's residual misses there are compulsory vector misses, which
+        # virtual lines still halve: the share stays above the paper's
+        # near-zero (EXPERIMENTS.md).
+        claims.append(
+            per_row(result, "Cs=16k, Ls=64", "<", "Cs=8k, Ls=32", rows=("LIV",))
+        )
+    return claims
+
+
+def associativity_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    g = result.geomean
+    return [
+        # Victim caching and set-associativity are merely redundant.
+        compare(
+            "|2-way+victim - 2-way| < 0.15 (geomean)",
+            abs(g("2-way+victim") - g("2-way")), "<", 0.15,
+        ),
+        # Full software assistance still helps a 2-way cache, and the
+        # simplified variant (temporal-priority replacement, no
+        # bounce-back cache) is nearly as good for far cheaper hardware.
+        geomeans(result, "Soft 2-way", "<", "2-way"),
+        per_row(result, "Simplified Soft 2-way", "<=", "Soft 2-way", 1.15),
+    ]

@@ -15,14 +15,15 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import statistics
+from typing import List, Optional, Sequence
 
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
 from ..workloads.blocked import FIG11B_LEADING_DIMS
 from ..workloads.dense import BLOCKED_MV_SCALES, FIG11A_BLOCK_SIZES
 from ..workloads.registry import get_blocked_mm_trace, get_blocked_mv_trace
-from .common import FigureResult
+from .common import Claim, FigureResult, compare, per_row
 
 STANDARD_VS_SOFT = {
     "Standard": CacheSpec.of("standard"),
@@ -90,3 +91,40 @@ def copying_study(
             result.add(row, f"{label} (stand.)", cells["Standard"].amat)
             result.add(row, f"{label} (soft)", cells["Soft"].amat)
     return result
+
+
+def block_size_sweep_claims(result: FigureResult, scale: str) -> List[Claim]:
+    first, *_, last = result.rows.values()
+    return [
+        per_row(result, "Soft", "<=", "Standard", 1.001),
+        # Soft's advantage GROWS with the block size: pollution hurts the
+        # standard cache exactly where blocking theory wants big blocks.
+        compare(
+            "Standard - Soft: largest block > smallest block",
+            last["Standard"] - last["Soft"], ">", first["Standard"] - first["Soft"],
+        ),
+    ]
+
+
+def copying_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    def series(name):
+        return list(result.column(name).values())
+
+    return [
+        # Copying stabilises the blocked kernel: the no-copy AMAT varies
+        # (much) more across leading dimensions than the copy AMAT.
+        compare(
+            "pstdev No copy (stand.) >= 0.9 x pstdev Copy (stand.)",
+            statistics.pstdev(series("No copy (stand.)")), ">=",
+            0.9 * statistics.pstdev(series("Copy (stand.)")),
+        ),
+        # Under software assistance copying is consistently worthwhile
+        # (the refill no longer flushes the local array)...
+        compare(
+            "mean Copy (soft) <= 1.05 x mean No copy (soft)",
+            statistics.mean(series("Copy (soft)")), "<=",
+            1.05 * statistics.mean(series("No copy (soft)")),
+        ),
+        # ...and the soft cache improves the blocked kernel throughout.
+        per_row(result, "No copy (soft)", "<=", "No copy (stand.)", 1.001),
+    ]

@@ -16,10 +16,12 @@ the virtual line still halves them.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
 from ..workloads.registry import suite_traces
-from .common import FigureResult
+from .common import Claim, FigureResult, for_rows, per_row
 
 #: L2 hit latency (the L1's "memory" latency) and the extra cycles an
 #: L2 miss adds to reach DRAM (total 20, the paper's memory latency).
@@ -64,3 +66,19 @@ def l2_retrospective(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "Soft +L2", l2_soft)
         result.add(name, "gain% +L2", 100 * (1 - l2_soft / l2_standard))
     return result
+
+
+def l2_retrospective_claims(result: FigureResult, scale: str) -> List[Claim]:
+    return [
+        # Assistance still never hurts with an L2 behind it...
+        per_row(result, "Soft +L2", "<=", "Stand +L2", 1.005),
+        # ...but the relative gain shrinks: an L2 hit is exactly the
+        # short-latency regime of figure 10b...
+        for_rows(
+            "gain% +L2 <= gain% flat + 1 on every row", result.rows,
+            lambda c: c["gain% +L2"] <= c["gain% flat"] + 1.0,
+        ),
+        # ...and some survives: compulsory/streaming misses still pay the
+        # full memory trip, and virtual lines halve them.
+        per_row(result, "gain% +L2", ">", 5.0, at_least=1),
+    ]

@@ -12,6 +12,8 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from ..compiler import (
     Array,
     ArrayRef,
@@ -26,7 +28,7 @@ from ..compiler import (
 )
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
-from .common import FigureResult
+from .common import Claim, FigureResult, compare, per_row
 
 STANDARD_VS_SOFT = {
     "Standard": CacheSpec.of("standard"),
@@ -153,3 +155,26 @@ def expansion_study(scale: str = "paper", seed: int = 0) -> FigureResult:
         for config, value in row.items():
             result.add(label, config, value)
     return result
+
+
+def interchange_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    # The badly ordered sweep gets nothing from software assistance (no
+    # tags to act on); interchange recovers the spatial tag and the
+    # virtual-line gains follow.
+    return [
+        per_row(result, "Soft", ">=", "Standard", 0.98, rows=("original (J inner)",)),
+        per_row(result, "Soft", "<", "Standard", 0.8, rows=("interchanged (I inner)",)),
+    ]
+
+
+def expansion_study_claims(result: FigureResult, scale: str) -> List[Claim]:
+    plain = result.row("no expansion")
+    return [
+        # Without expansion the aliased sweep is untagged: Soft == Standard.
+        compare(
+            "no expansion: |Soft - Standard| / Standard <= 0.02",
+            abs(plain["Soft"] - plain["Standard"]) / plain["Standard"], "<=", 0.02,
+        ),
+        # Expansion recovers the stride-two spatial tags: virtual lines pay.
+        per_row(result, "Soft", "<", "Standard", 0.75, rows=("expanded",)),
+    ]

@@ -1,9 +1,9 @@
 """The one place cache configurations are registered by name.
 
-``SPECS`` maps every configuration selectable from the command line (and
-from ``benchmarks/``) to a frozen, picklable :class:`~repro.core.spec
-.CacheSpec`.  The CLI, the benchmark conftest and the experiment drivers
-all consume this registry instead of keeping their own dicts::
+``SPECS`` maps every configuration selectable from the command line to a
+frozen, picklable :class:`~repro.core.spec.CacheSpec`.  The CLI and the
+experiment drivers both consume this registry instead of keeping their
+own dicts::
 
     from repro import presets
 

@@ -120,6 +120,27 @@ class TestPredictions:
         with pytest.raises(ConfigError, match="distinct_lines"):
             small.predict(spec("soft").build())
 
+    def test_cyclic_scan_puts_lru_fa_above_lru_dm(self):
+        # A sweep one line larger than the 8 KB cache, through the
+        # headroom study's own LRU specs: fully associative LRU misses
+        # on every reference, direct mapping only on the one set two
+        # lines share.  So LRU-FA above LRU-DM (MDG, BDN, DYF and LIV
+        # at paper scale) is real, not an engine fault.
+        import repro
+        from repro.experiments.headroom_study import HEADROOM_CONFIGS
+
+        dist = SequentialScanDistribution(
+            array_bytes=257 * 32, passes=4, stride_bytes=32
+        )
+        misses = {}
+        for name in ("LRU-DM", "LRU-FA"):
+            config = HEADROOM_CONFIGS[name]
+            result = repro.simulate(config, dist.trace())
+            observed, interval = oracle_check(config, dist, result)["misses"]
+            assert interval.is_exact
+            misses[name] = observed
+        assert misses == {"LRU-DM": 263, "LRU-FA": 1028}
+
     def test_blocked_requires_fitting_blocks(self):
         big = BlockedLoopDistribution(
             block_bytes=16 * 1024, blocks=2, repeats=2

@@ -20,6 +20,15 @@ class TestRun:
         out = capsys.readouterr().out
         assert "fig4b" in out and "model" in out
 
+    def test_extension_by_name(self, capsys):
+        assert main(["run", "attribution", "--scale", "tiny"]) == 0
+        assert "attribution" in capsys.readouterr().out
+
+    def test_claim_verdicts_follow_the_table(self, capsys):
+        assert main(["run", "fig6a", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("fig6a") < out.index("Soft <= 1.001 x Standard on every row")
+
     def test_unknown_figure(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown" in capsys.readouterr().err

@@ -1,9 +1,7 @@
 """Tests for the experiment batch runner and registry plumbing."""
 
-import pytest
-
-from repro.experiments import ALL_FIGURES, EXTENSION_STUDIES
-from repro.experiments.__main__ import main as battery_main
+from repro.cli import main
+from repro.experiments import ALL_FIGURES, CLAIMS, EXTENSION_STUDIES
 from repro.workloads import (
     get_blocked_mm_trace,
     get_blocked_mv_trace,
@@ -20,6 +18,10 @@ class TestRegistries:
     def test_no_overlap_between_registries(self):
         assert not set(ALL_FIGURES) & set(EXTENSION_STUDIES)
 
+    def test_claims_name_known_studies(self):
+        studies = {**ALL_FIGURES, **EXTENSION_STUDIES}
+        assert set(CLAIMS) | {"ablation-writepolicy"} == set(studies)
+
     def test_all_drivers_accept_scale(self):
         import inspect
 
@@ -30,13 +32,12 @@ class TestRegistries:
 
 class TestBatteryMain:
     def test_single_figure(self, capsys):
-        assert battery_main(["tiny", "fig4b"]) == 0
-        out = capsys.readouterr().out
-        assert "fig4b" in out and "[fig4b:" in out
-
-    def test_extension_by_name(self, capsys):
-        assert battery_main(["tiny", "attribution"]) == 0
-        assert "attribution" in capsys.readouterr().out
+        # The battery prints the table to stdout and the wall time to
+        # stderr only, so stdout stays comparable across runs.
+        assert main(["run", "fig4b", "--scale", "tiny"]) == 0
+        captured = capsys.readouterr()
+        assert "fig4b" in captured.out and "[fig4b:" not in captured.out
+        assert "[fig4b:" in captured.err
 
 
 class TestTraceRegistries:

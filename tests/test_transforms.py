@@ -221,3 +221,15 @@ class TestStripMine:
         mined = strip_mine(loop, "j2", 4, a)
         tags = analyze_nest(mined, a)
         assert tags.body[0].temporal and tags.body[0].spatial
+
+    def test_strip_mined_mv_is_the_blocked_mv_workload(self):
+        # Strip-mining MV and hoisting the block loop reproduces the
+        # hand-written blocked-MV workload reference for reference.
+        from repro.experiments.transforms_study import strip_mine_equivalence
+
+        auto, hand = strip_mine_equivalence(scale="tiny")
+        assert len(auto) == len(hand) > 0
+        assert (auto.addresses == hand.addresses).all()
+        assert (auto.temporal == hand.temporal).all()
+        assert (auto.spatial == hand.spatial).all()
+        assert (auto.is_write == hand.is_write).all()
