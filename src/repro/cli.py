@@ -102,9 +102,9 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="simulation engine (default: $REPRO_ENGINE or auto; "
         "'auto' walks the ladder top-down — the native compiled "
-        "kernels when provably equivalent and a C toolchain or "
+        "loop when provably equivalent and a C toolchain or "
         "prebuilt library exists, else the fast batch kernels when "
-        "provably equivalent, else the reference loop)",
+        "provably equivalent (plain caches), else the reference loop)",
     )
 
 
@@ -142,16 +142,16 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--cross-validate",
         action="store_true",
-        help="run both engines on every eligible cell and assert "
-        "identical counters (configs with no fast path just run the "
-        "reference engine)",
+        help="run every engine tier on every eligible cell and assert "
+        "identical counters (configs no tier above the reference "
+        "accepts just run the reference engine)",
     )
     sim.add_argument(
         "--explain-engine",
         action="store_true",
         help="print, per configuration, which engine 'auto' (or "
         "--engine) selects and the structured refusal (code: message) "
-        "when the fast engine cannot run; no simulation happens",
+        "when the native tier cannot run; no simulation happens",
     )
     _add_jobs_argument(sim)
     _add_engine_argument(sim)
@@ -547,17 +547,17 @@ def _cmd_simulate(
     chosen = dict(CONFIGS) if config == "all" else {config: CONFIGS[config]}
     if cross_validate:
         from .sim.engine import cross_validate as check_engines
-        from .sim.engine import fast_refusal
+        from .sim.engine import select_engine
 
         check_trace = trace.load() if trace_path is not None else trace
         validated = 0
         for label, spec in chosen.items():
-            if fast_refusal(spec.build()) is None:
+            if select_engine("auto", spec.build())[0] != "reference":
                 check_engines(spec.build, check_trace)
                 validated += 1
         print(
             f"cross-validated {validated}/{len(chosen)} configs: "
-            "fast and reference engines agree on every counter"
+            "every engine tier agrees with the reference on every counter"
         )
     sweep = run_sweep({label_trace: trace}, chosen, jobs=jobs, engine=engine)
     rows = {}
@@ -575,7 +575,7 @@ def _cmd_simulate(
 
 #: The --explain-engine description of each tier select_engine can choose.
 _TIER_DETAIL = {
-    "native": "compiled kernels proven equivalent and loadable",
+    "native": "compiled loop proven equivalent and loadable",
     "fast": "batch kernels proven equivalent",
     "reference": "per-reference loop",
 }
@@ -942,7 +942,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # deterministic workload, per preset.
     from .metrics.analytic import SequentialScanDistribution
     from .presets import config_names, spec
-    from .sim.engine import EngineMismatchError, cross_validate, fast_refusal
+    from .sim.engine import EngineMismatchError, cross_validate, select_engine
 
     names = args.config or list(config_names())
     trace = SequentialScanDistribution(
@@ -951,8 +951,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name in names:
         cell = spec(name)
-        refusal = fast_refusal(cell.build())
-        if refusal is not None:
+        chosen, refusal = select_engine("auto", cell.build())
+        if chosen == "reference":
             print(f"  {name:>16} skipped: [{refusal.code}] {refusal}")
             continue
         try:

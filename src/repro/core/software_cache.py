@@ -55,7 +55,7 @@ from .config import SoftCacheConfig
 class SoftwareAssistedCache:
     """Main cache + bounce-back cache + virtual lines + temporal bits."""
 
-    #: Per-line state carries a temporal bit; read by the fast engine
+    #: Per-line state carries a temporal bit; read by the batch tiers
     #: when materialising final cache contents.
     _entry_has_temporal = True
 
@@ -137,25 +137,27 @@ class SoftwareAssistedCache:
         self._bus_free_at = 0
         self.last_fetch = []
 
+    def native_engine_refusal(self):
+        """The compiled loop transcribes this model's semantics for
+        every configuration (None: it always applies)."""
+        return None
+
     def fast_engine_refusal(self):
-        """Why the batch kernels are not equivalent (None = they are).
+        """Why the numpy batch kernels are not equivalent (None = they
+        are).
 
-        The assisted-path kernels (:mod:`repro.sim.fast_soft`) model
-        the full software-assisted design space — bounce-back cache,
-        virtual lines, temporal bits, temporal-priority replacement —
-        exactly.  Only prefetching remains outside the fast engine:
-        prefetch arrival times couple the bus into hit/miss behaviour,
-        which breaks the kernels' timing decoupling.  The degenerate
-        case of a miss penalty below the pipelined hit time breaks the
-        closed-form wait reconstruction and is also refused.
+        They cover only the plain configurations — no bounce-back
+        cache, hence no prefetch, and no virtual lines; the assisted
+        ones run on the native or the reference tier.  A miss penalty
+        below the pipelined hit time breaks the kernels' closed-form
+        wait reconstruction and is refused too.
         """
-        from ..sim.engine import EngineRefusal
+        from ..sim.engine import EngineRefusal, is_assisted
 
-        if self._prefetch_mode != "off":
+        if is_assisted(self):
             return EngineRefusal(
-                "prefetch",
-                f"prefetch mode {self._prefetch_mode!r} couples bus "
-                "arrival times into hit/miss behaviour",
+                "no-batch-kernel",
+                "assisted configurations have no numpy batch kernel",
             )
         if self._latency + self._line_transfer < self._hit_time:
             return EngineRefusal(

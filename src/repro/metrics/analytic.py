@@ -62,7 +62,7 @@ Entry points: :func:`predict` (a :class:`Prediction` of per-metric
 :class:`~repro.sim.result.SimResult` against a distribution, raising
 :class:`OracleMismatch`), and :func:`verify_oracle` (the ``repro
 verify --oracle`` battery driving every engine tier — reference, fast,
-fast_soft, native, streamed — over every distribution).
+native, streamed — over every distribution).
 """
 
 from __future__ import annotations
@@ -758,14 +758,10 @@ def oracle_check(
 # ----------------------------------------------------------------------
 # The engine-tier battery (repro verify --oracle)
 # ----------------------------------------------------------------------
-#: Every engine tier the battery drives.  ``fast`` covers plain batch
-#: kernels, ``fast_soft`` the event-driven assisted walkers (both reach
-#: the simulator through ``engine="fast"`` — the tier records which
-#: family actually ran); ``streamed`` is a delivery tier over the same
-#: engines.
-ORACLE_TIERS = (
-    "reference", "fast", "fast_soft", "native", "streamed",
-)
+#: Every engine tier the battery drives.  ``fast`` covers the plain
+#: configurations, ``native`` every write-back one; ``streamed`` is a
+#: delivery tier over the same engines.
+ORACLE_TIERS = ("reference", "fast", "native", "streamed")
 
 #: Default configurations: one plain and one assisted family member.
 ORACLE_CONFIGS = ("standard", "soft")
@@ -775,28 +771,18 @@ def _tier_result(tier: str, spec, dist: AccessDistribution):
     """Run one tier; ``(result, skip_reason)`` — exactly one is None."""
     from ..sim.driver import simulate
     from ..sim.engine import fast_refusal, native_refusal
-    from ..sim.fast_soft import is_assisted
     from ..stream import TraceStream
 
     trace = dist.trace()
     model = spec.build()
     if tier == "reference":
         return simulate(model, trace, engine="reference"), None
-    if tier in ("fast", "fast_soft"):
-        assisted = is_assisted(model)
-        if tier == "fast" and assisted:
-            return None, "assisted config: covered by the fast_soft tier"
-        if tier == "fast_soft" and not assisted:
-            return None, "plain config: covered by the fast tier"
-        refusal = fast_refusal(model)
+    if tier in ("fast", "native"):
+        refuse = fast_refusal if tier == "fast" else native_refusal
+        refusal = refuse(model)
         if refusal is not None:
             return None, f"[{refusal.code}] {refusal}"
-        return simulate(model, trace, engine="fast"), None
-    if tier == "native":
-        refusal = native_refusal(model)
-        if refusal is not None:
-            return None, f"[{refusal.code}] {refusal}"
-        return simulate(model, trace, engine="native"), None
+        return simulate(model, trace, engine=tier), None
     if tier == "streamed":
         chunk_refs = max(1024, len(trace) // 4)
         stream = TraceStream.from_trace(trace, chunk_refs=chunk_refs)

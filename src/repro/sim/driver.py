@@ -7,10 +7,11 @@ write-buffer drain and prefetch arrival see realistic wall-clock times.
 
 The ``engine`` knob selects between the three simulation tiers (see
 :mod:`repro.sim.engine`): the per-reference ``reference`` loop below,
-the exact batch kernels of :mod:`repro.sim.fast`, and the compiled C
-kernels of :mod:`repro.sim.native`.  The default (``auto``) walks the
-ladder top-down, using the highest tier that proves equivalence (for
-native, also that a toolchain or prebuilt library exists).
+its compiled C transcription in :mod:`repro.sim.native`, and the
+exact numpy batch kernels of :mod:`repro.sim.fast` for plain caches.
+The default (``auto``) walks the ladder top-down, using the highest
+tier that proves equivalence (for native, also that a toolchain or
+prebuilt library exists).
 
 There is one entry point, :func:`simulate`, for every trace delivery:
 each tier consumes an iterable of chunk traces, an in-memory trace being
@@ -24,7 +25,7 @@ hot loop below byte-identical to the un-probed code (the only cost is
 one ``is None`` test per call); probed runs route through
 :func:`_simulate_reference_probed`, a single instrumented loop (also
 reached by :func:`repro.metrics.attribution.attribute`), or through
-the batch tiers' exact per-reference reconstruction.
+the batch tiers' exact per-reference outputs.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def simulate(
     ``name``).  Every engine tier consumes an iterable of chunk traces:
     a stream delivers its chunk windows, so memory stays O(chunk); an
     in-memory trace is delivered whole, as the one chunk ``(trace,)``,
-    so the per-trace caches stored on it
-    (:meth:`~repro.memtrace.trace.Trace.columns_list`, the assisted
-    kernels' sorted scaffolding) are shared across a sweep's configs.
+    so the column lists cached on it
+    (:meth:`~repro.memtrace.trace.Trace.columns_list`) are shared across
+    a sweep's configs.
     Counters are identical for every delivery — each tier carries its
     state across chunk boundaries exactly.
 

@@ -5,34 +5,31 @@ Every simulation names an *engine*:
 ``reference``
     The per-reference Python loop (:mod:`repro.sim.driver` walking
     ``model.access``).  Always available, defines the semantics.
-``fast``
-    The batch kernels of :mod:`repro.sim.fast`.  Exact — counter- and
-    state-identical to the reference engine — but only for
-    configurations whose equivalence is *provable* from the config
-    alone: write-back LRU caches, including the paper's full
-    software-assisted family (bounce-back cache, virtual lines,
-    temporal bits), but not prefetching, warm-up windows or warm
-    starts.
 ``native``
-    The compiled C kernels of :mod:`repro.sim.native`: the fast tier's
-    plain write-back LRU subset (no assist structures) fused into one
-    serial loop, built on demand with the system C compiler and loaded
-    via ctypes.  Strictly above ``fast`` in the ladder, and
-    additionally conditional on a toolchain or prebuilt library being
-    present (the stable ``native-unavailable`` refusal when not).
+    The compiled C loop of :mod:`repro.sim.native`: a transcription of
+    the reference semantics for every write-back cache — a plain
+    :class:`~repro.sim.standard.StandardCache` and the paper's whole
+    software-assisted family (bounce-back cache, virtual lines,
+    temporal bits, prefetch) — built on demand with the system C
+    compiler and loaded via ctypes.  Conditional on a toolchain or a
+    prebuilt library being present (the stable ``native-unavailable``
+    refusal when not).
+``fast``
+    The numpy batch kernels of :mod:`repro.sim.fast`, exact for the
+    plain write-back LRU configurations only (no bounce-back cache, no
+    virtual lines).  It serves those when no compiler is present.
 ``auto`` (the default)
-    Walks the ladder top-down: ``native`` when
-    :func:`native_refusal` proves equivalence and the library loads,
-    else ``fast`` when the model proves equivalent, else silently
-    falls back to ``reference``.  The selection is recorded in
-    ``SimResult.engine``.
+    Walks the ladder top-down: ``native`` when :func:`native_refusal`
+    accepts the run, else ``fast`` when :func:`fast_refusal` does, else
+    ``reference``.  The selection is recorded in ``SimResult.engine``,
+    and the native tier's refusal in ``SimResult.engine_refusal``.
 
-Models opt in by implementing ``fast_engine_refusal() ->
-Optional[EngineRefusal]`` — returning ``None`` when the batch kernels
-apply, or an :class:`EngineRefusal` carrying a stable machine-readable
-``code`` plus a human-readable message.  The check is *conservative by
-construction*: any model without the hook, and any configuration the
-hook cannot vouch for, runs on the reference engine.
+Models opt in per tier by implementing ``native_engine_refusal()`` and
+``fast_engine_refusal()``, each returning ``None`` when that tier's
+kernel applies, or an :class:`EngineRefusal` carrying a stable
+machine-readable ``code`` plus a human-readable message.  The check is
+*conservative by construction*: a model without the hook, and any
+configuration the hook cannot vouch for, runs on a lower tier.
 
 ``REPRO_ENGINE`` sets the default engine when the caller passes none
 (mirrors ``REPRO_JOBS``); :func:`cross_validate` runs every applicable
@@ -67,7 +64,7 @@ class EngineMismatchError(ReproError):
 
 
 class EngineRefusal(str):
-    """Why the fast engine cannot run a simulation.
+    """Why an engine tier cannot run a simulation.
 
     A ``str`` subclass: legacy call sites that format or match the
     refusal as free text keep working, while programmatic consumers
@@ -82,14 +79,10 @@ class EngineRefusal(str):
     CODES = (
         "warm-start",         # continuation from warm cache state
         "warmup-window",      # warm-up prefix discards counters
-        "no-batch-kernel",    # model type has no fast path at all
-        "prefetch",           # prefetch modes couple bus timing
-        "degenerate-timing",  # miss penalty below the pipelined hit
+        "no-batch-kernel",    # the tier has no kernel for this model
+        "degenerate-timing",  # fast only: miss penalty below the hit
         "write-policy",       # non-write-back standard cache
         "two-level-hierarchy",  # L2 replays L1 fetches per reference
-        # Native tier only: configs the fast engine accepts but the
-        # compiled kernels do not cover, or no toolchain/library.
-        "native-assisted",    # assisted walkers stay in Python
         "native-unavailable",  # no C compiler and no prebuilt library
     )
 
@@ -124,15 +117,18 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-def fast_refusal(
-    model, reset: bool = True, warmup_refs: int = 0
-) -> Optional[EngineRefusal]:
-    """Why the fast engine cannot run this simulation (None = it can).
+def is_assisted(model) -> bool:
+    """True when ``model`` uses the software-assisted machinery
+    (a bounce-back cache, which prefetch requires, or virtual lines):
+    the configurations only the native and reference tiers run."""
+    return bool(getattr(model, "_use_bb", False)) or (
+        getattr(model, "_vl_lines", 1) > 1
+    )
 
-    Run-shape conditions (cold start, no warm-up) are checked here; the
-    model vouches for its own configuration through its
-    ``fast_engine_refusal`` hook.
-    """
+
+def _refusal(model, hook: str, reset: bool, warmup_refs: int, tier: str):
+    """Run-shape conditions (cold start, no warm-up), then the model's
+    own ``hook`` vouching for its configuration."""
     if not reset:
         return EngineRefusal(
             "warm-start", "continuation from warm cache state"
@@ -141,12 +137,20 @@ def fast_refusal(
         return EngineRefusal(
             "warmup-window", "warm-up window discards a counter prefix"
         )
-    hook = getattr(model, "fast_engine_refusal", None)
-    if hook is None:
+    check = getattr(model, hook, None)
+    if check is None:
         return EngineRefusal(
-            "no-batch-kernel", f"{type(model).__name__} has no batch kernel"
+            "no-batch-kernel", f"{type(model).__name__} has no {tier} kernel"
         )
-    return hook()
+    return check()
+
+
+def fast_refusal(
+    model, reset: bool = True, warmup_refs: int = 0
+) -> Optional[EngineRefusal]:
+    """Why the numpy batch kernels cannot run this simulation (None =
+    they can)."""
+    return _refusal(model, "fast_engine_refusal", reset, warmup_refs, "batch")
 
 
 def native_refusal(
@@ -154,24 +158,16 @@ def native_refusal(
 ) -> Optional[EngineRefusal]:
     """Why the native tier cannot run this simulation (None = it can).
 
-    Strictly stricter than :func:`fast_refusal`: any fast-engine
-    refusal applies verbatim; on top of it the compiled kernels cover
-    only the plain write-back LRU loops (the assisted family stays on
-    the Python event-driven walkers), and a C toolchain or a prebuilt
-    library must actually be present (``native-unavailable`` carries
-    the compiler diagnostic).
+    The model vouches for its configuration through its
+    ``native_engine_refusal`` hook; on top of it a C toolchain or a
+    prebuilt library must actually be present (``native-unavailable``
+    carries the compiler diagnostic).
     """
-    reason = fast_refusal(model, reset=reset, warmup_refs=warmup_refs)
+    reason = _refusal(
+        model, "native_engine_refusal", reset, warmup_refs, "compiled"
+    )
     if reason is not None:
         return reason
-    from .fast_soft import is_assisted
-
-    if is_assisted(model):
-        return EngineRefusal(
-            "native-assisted",
-            "assisted configurations run the event-driven Python "
-            "walkers, which have no compiled kernel",
-        )
     from .native import availability
 
     diagnostic = availability()
@@ -191,38 +187,29 @@ def select_engine(
     """Resolve the knob against a concrete simulation.
 
     Returns ``(chosen, refusal)`` where ``chosen`` is ``"native"``,
-    ``"fast"`` or ``"reference"``; ``refusal`` explains why a higher
-    tier was passed over (None when the top tier runs).
+    ``"fast"`` or ``"reference"``; ``refusal`` is the native tier's,
+    explaining why it was passed over (None when it runs).
     ``engine="fast"`` / ``engine="native"`` raise
-    :class:`~repro.errors.ConfigError` when equivalence cannot be
-    proved (for native, the message carries the compiler diagnostic),
-    rather than silently running a different simulation.
+    :class:`~repro.errors.ConfigError` when the tier cannot run the
+    simulation (for native, the message carries the compiler
+    diagnostic), rather than silently running a different simulation.
     """
     engine = resolve_engine(engine)
     if engine == "reference":
         return "reference", None
-    if engine == "native":
-        reason = native_refusal(model, reset=reset, warmup_refs=warmup_refs)
+    if engine in ("native", "fast"):
+        refuse = native_refusal if engine == "native" else fast_refusal
+        reason = refuse(model, reset=reset, warmup_refs=warmup_refs)
         if reason is not None:
             raise ConfigError(
-                f"engine='native' cannot run {model.name!r} "
+                f"engine={engine!r} cannot run {model.name!r} "
                 f"[{reason.code}]: {reason}"
             )
-        return "native", None
-    if engine == "fast":
-        reason = fast_refusal(model, reset=reset, warmup_refs=warmup_refs)
-        if reason is not None:
-            raise ConfigError(
-                f"engine='fast' is not equivalent for {model.name!r}: "
-                f"{reason}"
-            )
-        return "fast", None
-    # auto: walk the ladder top-down.  native_refusal layers on
-    # fast_refusal, so a native-only refusal means the fast tier runs.
+        return engine, None
     reason = native_refusal(model, reset=reset, warmup_refs=warmup_refs)
     if reason is None:
         return "native", None
-    if reason.code in ("native-assisted", "native-unavailable"):
+    if fast_refusal(model, reset=reset, warmup_refs=warmup_refs) is None:
         return "fast", reason
     return "reference", reason
 
@@ -238,13 +225,13 @@ def cross_validate(
     counters.
 
     ``build`` constructs a fresh model (a ``CacheSpec.build`` bound
-    method, a preset factory...).  Always runs the reference and fast
-    tiers; when :func:`native_refusal` clears the configuration the
-    native tier joins as a third leg, so one call checks the whole
-    ladder.  Returns the result of ``engine_result``.  Raises
-    :class:`EngineMismatchError` listing every differing counter per
-    engine, or :class:`~repro.errors.ConfigError` when the
-    configuration has no fast path to validate against.
+    method, a preset factory...).  Runs the reference loop and every
+    tier above it that accepts the configuration (``fast``, ``native``),
+    so one call checks the whole ladder.  Returns the result of
+    ``engine_result``.  Raises :class:`EngineMismatchError` listing
+    every differing counter per engine, or
+    :class:`~repro.errors.ConfigError` when no tier above reference
+    accepts the configuration.
 
     ``oracle`` adds the analytic leg: pass a
     :class:`~repro.metrics.analytic.AccessDistribution` and the
@@ -256,6 +243,12 @@ def cross_validate(
     """
     from .driver import simulate
 
+    chosen, refusal = select_engine("auto", build())
+    if chosen == "reference":
+        raise ConfigError(
+            f"no engine above reference runs {build().name!r} "
+            f"[{refusal.code}]: {refusal}"
+        )
     if trace is None:
         if oracle is None:
             raise ConfigError(
@@ -263,9 +256,11 @@ def cross_validate(
             )
         trace = oracle.trace()
     reference = simulate(build(), trace, engine="reference")
-    others = {"fast": simulate(build(), trace, engine="fast")}
-    if native_refusal(build()) is None:
-        others["native"] = simulate(build(), trace, engine="native")
+    others = {
+        tier: simulate(build(), trace, engine=tier)
+        for tier, refuse in (("fast", fast_refusal), ("native", native_refusal))
+        if refuse(build()) is None
+    }
     mismatches = [
         f"{name}: reference={getattr(reference, name)} "
         f"{engine}={getattr(result, name)}"

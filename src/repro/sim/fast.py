@@ -103,16 +103,7 @@ def simulate_fast(
       back, so ``start + stall`` of a chunk's last reference, its
       hit/miss outcome and the live write buffer fully seed the next
       chunk's accumulation.
-
-    Software-assisted models (bounce-back cache or virtual lines)
-    dispatch to the event-driven walkers of :mod:`repro.sim.fast_soft`,
-    which carry the same sufficient statistic plus the live bounce-back
-    buffer.
     """
-    from .fast_soft import is_assisted, simulate_soft
-
-    if is_assisted(model):
-        return simulate_soft(model, chunks, name, probes=probes)
     model.reset()
     stats = model.stats
     stats.trace = name

@@ -88,6 +88,8 @@ class TwoLevelCache:
             "two-level hierarchy replays L1 fetches per reference",
         )
 
+    native_engine_refusal = fast_engine_refusal
+
     def reset(self) -> None:
         self.l1.reset()
         self._l2_sets = [[] for _ in range(self.l2_geometry.n_sets)]

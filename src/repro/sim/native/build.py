@@ -17,7 +17,7 @@ error, unloadable library) is captured as a one-line *diagnostic*
 string.  :func:`availability` returns ``None`` when the library is
 ready and the diagnostic otherwise; the engine ladder turns a
 diagnostic into the stable ``native-unavailable`` refusal, so
-``engine=auto`` silently falls back to the fast tier while
+``engine=auto`` silently falls back to a lower tier while
 ``engine=native`` raises a :class:`~repro.errors.ConfigError` carrying
 the diagnostic verbatim.
 """
@@ -47,9 +47,9 @@ _STATE = {"attempted": False, "lib": None, "diagnostic": None, "path": None}
 #: ctypes argument layout of repro_sim_chunk (see kernels.c).
 _ARGTYPES = (
     [ctypes.c_longlong]          # n
-    + [ctypes.c_void_p] * 4      # addresses, is_write, temporal, gaps
-    + [ctypes.c_longlong] * 8    # geometry / timing scalars
-    + [ctypes.c_void_p] * 9      # state arrays, regs, out, per-ref outs
+    + [ctypes.c_void_p] * 5      # the trace columns
+    + [ctypes.c_void_p] * 11     # params, cache and buffer state, regs
+    + [ctypes.c_void_p] * 4      # per-reference outputs
 )
 
 

@@ -1,19 +1,21 @@
 """ctypes driver for the native engine tier.
 
-:func:`simulate_native` mirrors the fast engine's chunk entry
-(:func:`repro.sim.fast.simulate_fast`) exactly — counters, final model
-state and per-reference telemetry are bit-identical — but runs the
-fused functional+timing loop of ``kernels.c`` instead of the numpy
-batch kernels.  An in-memory trace is simply the single chunk
-``(trace,)``.
+:func:`simulate_native` runs the one loop of ``kernels.c`` — the
+reference per-reference semantics of
+:class:`~repro.core.software_cache.SoftwareAssistedCache`, walked by the
+clock of :func:`repro.sim.driver.simulate` — over a sequence of chunk
+traces.  Counters, final model state and per-reference telemetry are
+bit-identical to the reference loop.  An in-memory trace is simply the
+single chunk ``(trace,)``.
 
 Eligibility is the caller's job (:func:`repro.sim.engine
-.native_refusal`): a cold-start, no-warm-up run of a plain write-back
-LRU cache (StandardCache or an assist-free software-assisted model,
-including the figure-9b ``temporal_priority`` victim rule).  The C
-side keeps all state in caller-owned numpy arrays plus an int64 carry
-register block, so chunk boundaries are invisible: the streamed and
-monolithic paths execute the identical instruction sequence.
+.native_refusal`): a cold-start, no-warm-up run of a write-back
+:class:`~repro.sim.standard.StandardCache` or of any software-assisted
+configuration.  A plain cache is the same loop with no bounce-back
+cache, one-line fetches and no prefetch.  The C side keeps all state in
+caller-owned numpy arrays plus an int64 register block, so chunk
+boundaries are invisible: the streamed and monolithic paths execute the
+identical instruction sequence.
 """
 
 from __future__ import annotations
@@ -27,25 +29,29 @@ from ..result import SimResult
 from ..write_buffer import WriteBuffer
 from . import build
 
-#: Carry register indices (must match kernels.c).
-R_FIRST = 0
-R_CUR = 1
-R_PREV_MISS = 2
-R_WB_LEN = 3
-R_WB_HEAD = 4
-R_WB_PUSHES = 5
-R_WB_STALL = 6
-R_READY = 7
-R_BUS = 8
-R_LAST_HIT = 9
-R_LAST_LA = 10
-N_REGS = 16
+#: The loop's parameters and carried registers, in the order of
+#: PARAMS and REGISTERS in kernels.c.
+PARAMS = (
+    "line_shift", "n_sets", "ways", "vl", "hit", "latency", "transfer",
+    "assist_hit", "swap_lock", "use_bb", "use_temporal",
+    "temporal_priority", "reset_on_bounce", "admit_non_temporal",
+    "prefetch", "max_prefetched", "wb_entries", "wb_drain", "bb_sets",
+    "bb_ways",
+)
+REGISTERS = (
+    "clock", "ready", "bus", "wb_len", "wb_head", "wb_pushes",
+    "wb_stall_cycles", "pf_count", "lf_len", "cycles", "hits_main",
+    "hits_assist", "misses", "lines", "writebacks", "bounce_backs",
+    "bounce_aborts", "invalidations", "pf_issued", "pf_hits", "wb_stalls",
+)
 
-#: Per-call output indices (must match kernels.c).
-O_HITS = 0
-O_CYCLES = 1
-O_STALLS = 2
-O_PUSHES = 3
+#: Line flag bits (must match kernels.c).
+F_DIRTY, F_TEMPORAL, F_PREFETCHED = 1, 2, 4
+
+#: Per-reference outcome codes (must match kernels.c).
+K_ASSIST, K_MISS = 1, 2
+
+PREFETCH_MODES = {"off": 0, "software": 1, "on-miss": 2}
 
 
 def _ptr(array):
@@ -63,79 +69,100 @@ def _require_library():
     return lib
 
 
+def _params(model) -> dict:
+    """The loop's parameters.  Attributes only the software-assisted
+    model has default to a plain cache's values."""
+    geometry = model.geometry
+    timing = model.timing
+    bounce_back = getattr(model, "bounce_back", None)
+    return {
+        "line_shift": geometry.line_shift,
+        "n_sets": geometry.n_sets,
+        "ways": geometry.ways,
+        "vl": getattr(model, "_vl_lines", 1),
+        "hit": timing.hit_time,
+        "latency": timing.latency,
+        "transfer": timing.transfer_cycles(geometry.line_size),
+        "assist_hit": timing.assist_hit_time,
+        "swap_lock": timing.swap_lock,
+        "use_bb": int(getattr(model, "_use_bb", False)),
+        "use_temporal": int(getattr(model, "_use_temporal", False)),
+        "temporal_priority": int(getattr(model, "_temporal_priority", False)),
+        "reset_on_bounce": int(getattr(model, "_reset_on_bounce", False)),
+        "admit_non_temporal": int(getattr(model, "_admit_non_temporal", True)),
+        "prefetch": PREFETCH_MODES[getattr(model, "_prefetch_mode", "off")],
+        "max_prefetched": getattr(model, "_max_prefetched", 1),
+        "wb_entries": model.write_buffer.entries,
+        "wb_drain": model.write_buffer.drain_cycles,
+        "bb_sets": 1 if bounce_back is None else bounce_back.n_sets,
+        "bb_ways": 1 if bounce_back is None else bounce_back.ways,
+    }
+
+
 def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
-    """Run a sequence of chunk traces through the compiled kernels."""
+    """Run a sequence of chunk traces through the compiled loop."""
     lib = _require_library()
     model.reset()
     stats = model.stats
     stats.trace = name
     stats.engine = "native"
 
-    geometry = model.geometry
-    timing = model.timing
-    n_sets = geometry.n_sets
-    ways = geometry.ways
-    line_shift = geometry.line_shift
-    hit_time = timing.hit_time
-    penalty = timing.latency + timing.transfer_cycles(geometry.line_size)
-    words_per_line = geometry.line_size // 8
-    tracks_temporal = model._entry_has_temporal
-    temporal_priority = bool(getattr(model, "_temporal_priority", False))
+    params = _params(model)
+    n_lines = params["n_sets"] * params["ways"]
+    bb_lines = params["bb_sets"] * params["bb_ways"]
+    words_per_line = model.geometry.line_size // 8
 
-    # Cache state: flat columns either way (dm: one line per set).
-    lines = n_sets * ways
-    tags = np.full(lines, -1, dtype=np.int64)
-    dirty = np.zeros(lines, dtype=np.uint8)
-    tbits = np.zeros(lines, dtype=np.uint8)
-    set_count = None if ways == 1 else np.zeros(n_sets, dtype=np.int64)
-
-    wb_entries = model.write_buffer.entries
-    wb_drain = model.write_buffer.drain_cycles
-    wb_ring = np.zeros(max(wb_entries, 1), dtype=np.int64)
-    regs = np.zeros(N_REGS, dtype=np.int64)
-    regs[R_FIRST] = 1
-    out = np.zeros(4, dtype=np.int64)
+    # In the argument order of repro_sim_chunk.
+    state = {
+        "tags": np.zeros(n_lines, dtype=np.int64),
+        "flags": np.zeros(n_lines, dtype=np.int32),
+        "count": np.zeros(params["n_sets"], dtype=np.int64),
+        "b_addr": np.zeros(bb_lines, dtype=np.int64),
+        "b_arrival": np.zeros(bb_lines, dtype=np.int64),
+        "b_flags": np.zeros(bb_lines, dtype=np.int32),
+        "b_count": np.zeros(params["bb_sets"], dtype=np.int64),
+        # The ring's capacity is the power of two kernels.c assumes.
+        "wb_ring": np.zeros(
+            1 << max(params["wb_entries"] - 1, 0).bit_length(),
+            dtype=np.int64,
+        ),
+        "last_fetch": np.zeros(params["vl"] + 1, dtype=np.int64),
+    }
+    param_block = np.array([params[key] for key in PARAMS], dtype=np.int64)
+    regs = np.zeros(len(REGISTERS), dtype=np.int64)
+    cycles_at = REGISTERS.index("cycles")
 
     refs = 0
-    cycles = 0
-    stalls = 0
-    hits_total = 0
-    pushes_total = 0
     for chunk in chunks:
         n = len(chunk)
         if n == 0:
             continue
-        addresses = np.ascontiguousarray(chunk.addresses, dtype=np.int64)
-        is_write = np.ascontiguousarray(chunk.is_write, dtype=np.uint8)
-        temporal = np.ascontiguousarray(chunk.temporal, dtype=np.uint8)
-        gaps = np.ascontiguousarray(chunk.gaps, dtype=np.int64)
-        first = bool(regs[R_FIRST])
-        hits_out = np.zeros(n, dtype=np.uint8) if probes is not None else None
-        stalls_out = (
-            np.zeros(n, dtype=np.int64) if probes is not None else None
+        outs = (
+            (np.zeros(n, dtype=np.uint8),)
+            + tuple(np.zeros(n, dtype=np.int64) for _ in range(3))
+            if probes is not None else (None,) * 4
         )
-        before = out.copy()
+        # Bound to a name so the converted columns outlive the call.
+        columns = [
+            np.ascontiguousarray(column, dtype=dtype)
+            for column, dtype in (
+                (chunk.addresses, np.int64), (chunk.is_write, np.uint8),
+                (chunk.temporal, np.uint8), (chunk.spatial, np.uint8),
+                (chunk.gaps, np.int64),
+            )
+        ]
+        before = int(regs[cycles_at])
         lib.repro_sim_chunk(
-            n, _ptr(addresses), _ptr(is_write), _ptr(temporal), _ptr(gaps),
-            line_shift, n_sets, ways, int(temporal_priority),
-            hit_time, penalty, wb_entries, wb_drain,
-            _ptr(tags), _ptr(dirty), _ptr(tbits), _ptr(set_count),
-            _ptr(wb_ring), _ptr(regs), _ptr(out),
-            _ptr(hits_out), _ptr(stalls_out),
+            n, *(_ptr(column) for column in columns), _ptr(param_block),
+            *(_ptr(array) for array in state.values()), _ptr(regs),
+            *(_ptr(out) for out in outs),
         )
-        chunk_cycles = int(out[O_CYCLES] - before[O_CYCLES])
         if probes is not None:
             from ...telemetry.events import TelemetryBatch
-            from ..fast import _per_ref_cycles
 
-            hits = hits_out.astype(bool)
-            miss = ~hits
-            cycles_col = _per_ref_cycles(
-                chunk.gaps, hits, stalls_out, hit_time, penalty, first=first,
-            )
-            assert int(cycles_col.sum()) == chunk_cycles, (
-                "per-reference cycle reconstruction disagrees with the "
-                "native timing loop"
+            kind, cycles_col, lines_col, stall_col = outs
+            assert int(cycles_col.sum()) == int(regs[cycles_at]) - before, (
+                "per-reference cycles disagree with the native clock"
             )
             probes.on_batch(
                 TelemetryBatch(
@@ -145,79 +172,88 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
                     temporal=chunk.temporal,
                     spatial=chunk.spatial,
                     gaps=chunk.gaps,
-                    miss=miss,
-                    assist_hit=np.zeros(n, dtype=bool),
+                    miss=kind == K_MISS,
+                    assist_hit=kind == K_ASSIST,
                     cycles=cycles_col,
-                    words=miss.astype(np.int64) * words_per_line,
-                    wb_stall=stalls_out,
+                    words=lines_col * words_per_line,
+                    wb_stall=stall_col,
                     ref_ids=chunk.ref_ids,
                 )
             )
         refs += n
-    hits_total = int(out[O_HITS])
-    cycles = int(out[O_CYCLES])
-    stalls = int(out[O_STALLS])
-    pushes_total = int(out[O_PUSHES])
 
+    r = dict(zip(REGISTERS, regs.tolist()))
     stats.refs = refs
-    stats.hits_main = hits_total
-    stats.misses = refs - hits_total
-    stats.lines_fetched = stats.misses
-    stats.words_fetched = stats.misses * words_per_line
-    stats.writebacks = pushes_total
-    stats.write_buffer_stalls = stalls
-    stats.cycles = cycles
+    stats.cycles = r["cycles"]
+    stats.hits_main = r["hits_main"]
+    stats.hits_assist = stats.swaps = r["hits_assist"]
+    stats.misses = r["misses"]
+    stats.lines_fetched = r["lines"]
+    stats.words_fetched = r["lines"] * words_per_line
+    stats.writebacks = r["writebacks"]
+    stats.bounce_backs = r["bounce_backs"]
+    stats.bounce_aborts = r["bounce_aborts"]
+    stats.invalidations = r["invalidations"]
+    stats.prefetches_issued = r["pf_issued"]
+    stats.prefetch_hits = r["pf_hits"]
+    stats.write_buffer_stalls = r["wb_stalls"]
 
-    _materialise(model, tags, dirty, tbits, set_count, wb_ring, regs,
-                 refs, tracks_temporal, wb_entries, wb_drain)
+    _materialise(model, params, state, r)
     stats.check()
     if probes is not None:
         probes.finish(stats)
     return stats
 
 
-def _materialise(model, tags, dirty, tbits, set_count, wb_ring, regs,
-                 refs, tracks_temporal, wb_entries, wb_drain) -> None:
-    """Leave the model exactly as the reference engine would have
-    (mirrors the end of :func:`repro.sim.fast.simulate_fast`)."""
-    write_buffer = WriteBuffer(wb_entries, wb_drain)
-    write_buffer.pushes = int(regs[R_WB_PUSHES])
-    write_buffer.stall_cycles = int(regs[R_WB_STALL])
-    cap = len(wb_ring)
-    head = int(regs[R_WB_HEAD])
-    for k in range(int(regs[R_WB_LEN])):
-        write_buffer._completions.append(int(wb_ring[(head + k) % cap]))
+def _materialise(model, params, state, r) -> None:
+    """Leave the model exactly as the reference engine would have."""
+    write_buffer = WriteBuffer(params["wb_entries"], params["wb_drain"])
+    write_buffer.pushes = r["wb_pushes"]
+    write_buffer.stall_cycles = r["wb_stall_cycles"]
+    ring = state["wb_ring"].tolist()
+    write_buffer._completions.extend(
+        ring[(r["wb_head"] + k) % len(ring)] for k in range(r["wb_len"])
+    )
     model.write_buffer = write_buffer
-    model._ready_at = int(regs[R_READY])
+    model._ready_at = r["ready"]
     if hasattr(model, "_bus_free_at"):
-        model._bus_free_at = int(regs[R_BUS])
-    if refs:
-        model.last_fetch = (
-            [] if regs[R_LAST_HIT] else [int(regs[R_LAST_LA])]
-        )
-    ways = model.geometry.ways
-    if ways == 1:
-        model._tags = tags.tolist()
-        model._dirty = dirty.astype(bool).tolist()
+        model._bus_free_at = r["bus"]
+    model.last_fetch = state["last_fetch"][: r["lf_len"]].tolist()
+
+    tracks_temporal = model._entry_has_temporal
+    if params["ways"] == 1:
+        live = state["count"] > 0
+        flags = state["flags"]
+        model._tags = np.where(live, state["tags"], -1).tolist()
+        model._dirty = (live & ((flags & F_DIRTY) > 0)).tolist()
         if tracks_temporal:
-            model._temporal = tbits.astype(bool).tolist()
+            model._temporal = (live & ((flags & F_TEMPORAL) > 0)).tolist()
     else:
-        tag_list = tags.tolist()
-        dirty_list = dirty.tolist()
-        temporal_list = tbits.tolist()
-        sets = []
-        for index, count in enumerate(set_count.tolist()):
-            base = index * ways
-            sets.append(
-                [
-                    [
-                        tag_list[base + k],
-                        bool(dirty_list[base + k]),
-                        bool(temporal_list[base + k]),
-                    ]
-                    if tracks_temporal
-                    else [tag_list[base + k], bool(dirty_list[base + k])]
-                    for k in range(count)
-                ]
-            )
-        model._sets = sets
+        sets = _mru_sets(state["tags"], state["flags"], state["count"],
+                         params["ways"])
+        model._sets = sets if tracks_temporal else [
+            [entry[:2] for entry in entries] for entries in sets
+        ]
+    if params["use_bb"]:
+        model.bounce_back._sets = _mru_sets(
+            state["b_addr"], state["b_flags"], state["b_count"],
+            params["bb_ways"], state["b_arrival"],
+        )
+
+
+def _mru_sets(addr, flags, count, ways, arrival=None):
+    """Per-set MRU-first entries ``[line, dirty, temporal]``, extended
+    by ``prefetched, arrival`` for the bounce-back buffer."""
+    addr, flags = addr.tolist(), flags.tolist()
+    arrival = None if arrival is None else arrival.tolist()
+    sets = []
+    for index, live in enumerate(count.tolist()):
+        entries = []
+        for k in range(index * ways, index * ways + live):
+            entry = [addr[k], bool(flags[k] & F_DIRTY),
+                     bool(flags[k] & F_TEMPORAL)]
+            if arrival is not None:
+                entry += [bool(flags[k] & F_PREFETCHED), arrival[k]]
+            entries.append(entry)
+        sets.append(entries)
+    return sets

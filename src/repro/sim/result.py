@@ -23,17 +23,18 @@ class SimResult:
 
     cache: str = ""
     trace: str = ""
-    #: Which engine produced this record ("reference" or "fast").  The
-    #: two engines are counter-identical by construction, so the field
-    #: is excluded from equality; it exists for observability and for
-    #: the result-cache fingerprint (fast/reference cells never alias).
+    #: Which engine produced this record ("reference", "fast" or
+    #: "native").  The engines are counter-identical by construction,
+    #: so the field is excluded from equality; it exists for
+    #: observability and for the result-cache fingerprint (cells of
+    #: different engines never alias).
     engine: str = field(default="", compare=False)
-    #: When ``engine=auto`` passed over a higher tier — the reference
-    #: loop ran instead of fast, or the fast tier served because the
-    #: native one refused (``native-assisted`` / ``native-unavailable``)
-    #: — the structured :class:`~repro.sim.engine.EngineRefusal`
-    #: (stable ``.code`` + human message) explaining why; ``None`` when
-    #: the top tier ran or the caller pinned the engine.
+    #: When ``engine=auto`` passed over the native tier — because no
+    #: compiler exists (``native-unavailable``) or it has no kernel for
+    #: the model (``no-batch-kernel``, ``write-policy``, ...) — the
+    #: structured :class:`~repro.sim.engine.EngineRefusal` (stable
+    #: ``.code`` + human message) explaining why; ``None`` when native
+    #: ran or the caller pinned the engine.
     #: Observability only — excluded from equality like ``engine``.
     engine_refusal: Optional["EngineRefusal"] = field(
         default=None, compare=False

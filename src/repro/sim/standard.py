@@ -39,7 +39,7 @@ class StandardCache:
     """LRU set-associative cache; ignores the software tags entirely."""
 
     #: Per-line state carries no temporal bit (cf. the software model);
-    #: read by the fast engine when materialising final cache contents.
+    #: read by the batch tiers when materialising final cache contents.
     _entry_has_temporal = False
 
     def __init__(
@@ -107,8 +107,8 @@ class StandardCache:
             return self._tags[la % self._n_sets] == la
         return any(e[0] == la for e in self._sets[la % self._n_sets])
 
-    def fast_engine_refusal(self):
-        """Why the batch kernels are not equivalent (None = they are)."""
+    def native_engine_refusal(self):
+        """Why the compiled loop does not apply (None = it does)."""
         from .engine import EngineRefusal
 
         if self.write_policy != "write-back":
@@ -116,6 +116,15 @@ class StandardCache:
                 "write-policy",
                 f"write policy {self.write_policy!r} has no batch kernel",
             )
+        return None
+
+    def fast_engine_refusal(self):
+        """Why the batch kernels are not equivalent (None = they are)."""
+        from .engine import EngineRefusal
+
+        refusal = self.native_engine_refusal()
+        if refusal is not None:
+            return refusal
         if self._penalty < self._hit_time:
             return EngineRefusal(
                 "degenerate-timing",

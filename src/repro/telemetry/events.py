@@ -1,13 +1,13 @@
 """Per-reference outcome batches — the telemetry event stream.
 
-Probes never see engine internals.  Both engines (and both trace
-shapes, in-memory and streamed) emit the same *logical* event stream: a
+Probes never see engine internals.  Every engine (and both trace
+shapes, in-memory and streamed) emits the same *logical* event stream: a
 sequence of :class:`TelemetryBatch` column batches covering the trace
 in order, each reference annotated with its simulated outcome (miss,
 assist hit, cycles, words fetched, write-buffer stall).  The reference
 engine fills the outcome columns from per-access counter deltas; the
-fast engine reconstructs them from its batch kernels (exactly — see
-:mod:`repro.sim.fast`).
+native loop writes them per reference; the fast engine reconstructs
+them from its batch kernels (exactly — see :mod:`repro.sim.fast`).
 
 Batch *partitioning* is an engine detail (one batch per chunk, or per
 trace), so probes must accumulate by global reference index — every

@@ -22,9 +22,24 @@ def pytest_configure(config):
     import), so no test reads a cell or native library that another
     build left in the user's cache.
     """
+    config.addinivalue_line(
+        "markers", "needs_toolchain: skip without the native library"
+    )
     root = tempfile.mkdtemp(prefix="repro-tests-")
     os.environ["REPRO_CACHE_DIR"] = root
     config.add_cleanup(lambda: shutil.rmtree(root, ignore_errors=True))
+
+
+#: Skips a test when no C toolchain or prebuilt native library exists.
+#: Probed at test setup, once the session's cache directory is set.
+needs_toolchain = pytest.mark.needs_toolchain
+
+
+def pytest_runtest_setup(item):
+    from repro.sim.native import availability
+
+    if item.get_closest_marker("needs_toolchain") and availability():
+        pytest.skip("no C toolchain / native library in this environment")
 
 
 def make_trace(
@@ -119,7 +134,8 @@ def mv_tiny_trace():
 def bench_payload():
     """A ``repro bench`` payload that passes every ``--check`` floor:
     each floored (tier, config) pair at twice its floor with a completed
-    fast row, plus a clean serve block.  Guard tests break one field."""
+    row for the tier below it, plus a clean serve block.  Guard tests
+    break one field."""
     from repro.harness.bench import (
         SERVE_MAX_HIT_P99_MS,
         SERVE_MIN_HIT_RPS,
@@ -133,13 +149,17 @@ def bench_payload():
             "summary": {"fast_speedup": {}, "native_speedup": {}},
             "refusals": {},
         }
+        # The soft block's configs are assisted: the batch kernels refuse
+        # them, so the tier below native is the reference loop.
+        fast_code = "no-batch-kernel" if name == "soft" else None
+        below = "reference" if fast_code else "fast"
         for (tier, config), floor in floors.items():
             block["rows"].append(
-                {"config": config, "engine": "fast", "variant": "",
+                {"config": config, "engine": below, "variant": "",
                  "refs": 1000, "seconds": 0.001, "refs_per_sec": 1_000_000}
             )
             block["summary"][f"{tier}_speedup"][config] = 2 * floor
-            block["refusals"][config] = {"fast": None, "native": None}
+            block["refusals"][config] = {"fast": fast_code, "native": None}
     payload["serve"] = {
         "requests": 10,
         "warm_cells": 4,

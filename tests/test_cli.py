@@ -222,13 +222,13 @@ class TestBenchCLI:
         from repro.harness import bench
 
         monkeypatch.setitem(
-            bench.SPEEDUP_FLOORS, "soft", {("fast", "victim"): 1e9}
+            bench.SPEEDUP_FLOORS, "engine", {("fast", "standard"): 1e9}
         )
         assert main(
-            ["bench", "--scenario", "soft", "--refs", "2000",
+            ["bench", "--scenario", "engine", "--refs", "2000",
              "--repeat", "1", "--out", "-", "--check"]
         ) == 1
-        assert "victim: fast speedup" in capsys.readouterr().err
+        assert "standard: fast speedup" in capsys.readouterr().err
 
 
 class TestAttribute:
@@ -246,12 +246,12 @@ class TestErrorCodes:
 
     def test_config_error_code_on_engine_refusal(self, capsys):
         assert main(
-            ["simulate", "--benchmark", "MV", "--config", "soft",
+            ["simulate", "--benchmark", "MV", "--config", "bypass",
              "--scale", "tiny", "--engine", "native"]
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [config-error]:")
-        assert "native-assisted" in err
+        assert "[no-batch-kernel]" in err
 
     def test_trace_error_code_on_missing_file(self, capsys):
         assert main(["simulate", "--trace", "/no/such/trace"]) == 1

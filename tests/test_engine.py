@@ -31,6 +31,7 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.engine import PARITY_FIELDS, fast_refusal, native_refusal
+from repro.sim.native import availability
 
 from conftest import make_trace
 
@@ -204,14 +205,6 @@ class TestSelection:
     @pytest.mark.parametrize(
         "build,code",
         [
-            (lambda: SoftwareAssistedCache(SoftCacheConfig(
-                size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
-                virtual_line_size=None, prefetch="on-miss",
-                timing=TIMING)), "prefetch"),
-            (lambda: SoftwareAssistedCache(SoftCacheConfig(
-                size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
-                virtual_line_size=64, prefetch="software",
-                timing=TIMING)), "prefetch"),
             (lambda: standard(write_policy="write-through"), "write-policy"),
             (lambda: TwoLevelCache(
                 standard(), CacheGeometry(8192, 32, 2), 12),
@@ -222,10 +215,12 @@ class TestSelection:
         model = build()
         refusal = fast_refusal(model)
         assert refusal is not None and refusal.code == code
+        assert native_refusal(model).code == code
         chosen, why = select_engine("auto", model)
         assert chosen == "reference" and why == refusal
-        with pytest.raises(ConfigError):
-            select_engine("fast", model)
+        for tier in ("fast", "native"):
+            with pytest.raises(ConfigError, match=code):
+                select_engine(tier, model)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -235,19 +230,28 @@ class TestSelection:
             dict(bounce_back_lines=4, virtual_line_size=64),
             dict(bounce_back_lines=4, bounce_back_ways=2,
                  use_temporal=True),
+            dict(bounce_back_lines=4, prefetch="on-miss"),
+            dict(bounce_back_lines=4, virtual_line_size=64,
+                 prefetch="software"),
         ],
     )
     def test_auto_accepts_assisted_configs(self, overrides):
-        """The whole soft family runs on the batch kernels now —
-        bounce-back, virtual lines and temporal bits no longer refuse
-        (only prefetch still couples timing into behaviour)."""
+        """The whole soft family — bounce-back, virtual lines, temporal
+        bits and prefetch — runs on the compiled loop; the numpy batch
+        kernels refuse it, so without a compiler it runs on the
+        reference loop."""
         config = dict(size_bytes=1024, line_size=32, ways=1,
                       bounce_back_lines=0, virtual_line_size=None,
                       timing=TIMING)
         config.update(overrides)
         model = SoftwareAssistedCache(SoftCacheConfig(**config))
-        assert fast_refusal(model) is None
-        assert select_engine("auto", model)[0] == "fast"
+        assert fast_refusal(model).code == "no-batch-kernel"
+        chosen, why = select_engine("auto", model)
+        if availability() is None:
+            assert (chosen, why) == ("native", None)
+        else:
+            assert chosen == "reference"
+            assert why.code == "native-unavailable"
 
     def test_auto_refuses_warm_continuations(self):
         model = standard()
@@ -343,13 +347,13 @@ class TestCacheKeyEngine:
     @pytest.mark.parametrize("knob", ["fast", "native"])
     def test_explicit_knob_refuses_a_cached_cell(self, tmp_path, knob):
         """A warm entry never answers for a configuration the knob's
-        tier refuses: prefetch is refused by both, for good."""
+        tier refuses: write-through is refused by both, for good."""
         trace = random_trace(0, refs=500)
-        spec = CacheSpec.of("standard_prefetch")
+        spec = CacheSpec.of("standard_cache", write_policy="write-through")
         store = ResultCache(tmp_path)
         [result] = run_cells([(trace, spec)], cache=None, engine="reference")
         store.put(store.key(trace.fingerprint(), spec.fingerprint(), knob), result)
-        with pytest.raises(ConfigError, match="prefetch"):
+        with pytest.raises(ConfigError, match="write-policy"):
             run_cells([(trace, spec)], cache=store, engine=knob)
 
 

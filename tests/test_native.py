@@ -1,11 +1,12 @@
 """Native compiled engine tier: parity, selection, and the build cache.
 
-The native tier's contract is the fast engine's, one rung up: for every
-configuration it accepts, counters, final model state and per-reference
-telemetry must be bit-identical to the reference loop — in memory and
-streamed at any chunk size — while the tier itself stays strictly
-optional (no C compiler anywhere must never break anything, only slow
-it down).  Parity tests skip when no toolchain exists; the
+The native tier's contract: for every configuration it accepts,
+counters, final model state and per-reference telemetry must be
+bit-identical to the reference loop — in memory and streamed at any
+chunk size — while the tier itself stays strictly optional (no C
+compiler anywhere must never break anything, only slow it down).  The
+plain caches' parity lives here, the software-assisted family's in
+``test_soft_fast.py``.  Parity tests skip when no toolchain exists; the
 selection-policy and build-cache tests run everywhere.
 """
 
@@ -26,17 +27,12 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.engine import PARITY_FIELDS
-from repro.sim.native import availability, build
+from repro.sim.native import build
 from repro.stream import TraceStream
 
-from conftest import make_trace
+from conftest import make_trace, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
-
-needs_toolchain = pytest.mark.skipif(
-    availability() is not None,
-    reason="no C toolchain / native library in this environment",
-)
 
 
 def _working_compiler():
@@ -223,15 +219,32 @@ class TestSelection:
         assert result.engine == "native"
         assert result.engine_refusal is None
 
-    def test_assisted_stays_on_fast(self):
-        reason = native_refusal(assisted_soft())
-        assert reason is not None and reason.code == "native-assisted"
-        chosen, why = select_engine("auto", assisted_soft())
-        assert chosen == "fast" and why.code == "native-assisted"
+    @needs_toolchain
+    def test_assisted_runs_native(self):
+        assert native_refusal(assisted_soft()) is None
+        assert select_engine("auto", assisted_soft()) == ("native", None)
+        result = simulate(assisted_soft(), random_trace(14))
+        assert result.engine == "native" and result.engine_refusal is None
 
-    def test_explicit_native_on_assisted_raises(self):
-        with pytest.raises(ConfigError, match="native-assisted"):
-            select_engine("native", assisted_soft())
+    def test_explicit_fast_on_assisted_raises(self):
+        with pytest.raises(ConfigError, match=r"\[no-batch-kernel\]"):
+            select_engine("fast", assisted_soft())
+
+    def test_assisted_without_compiler_runs_reference(
+        self, tmp_path, monkeypatch
+    ):
+        # $CC that cannot report a version: assisted configs fall past
+        # the numpy tier, which has no kernel for them, to the
+        # reference loop, and record why native was passed over.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setattr(build, "_STATE", {
+            "attempted": False, "lib": None,
+            "diagnostic": None, "path": None,
+        })
+        result = simulate(assisted_soft(), random_trace(15))
+        assert result.engine == "reference"
+        assert result.engine_refusal.code == "native-unavailable"
 
     def test_fast_refusal_passes_through(self):
         reason = native_refusal(standard(), reset=False)
@@ -270,15 +283,17 @@ class TestSelection:
         result = simulate(standard(), random_trace(13))
         assert result.engine == "native"
 
-    def test_fast_precedence_unchanged_below_native(self):
-        # The fast-vs-reference half of the ladder is untouched by the
-        # native tier: a prefetching config still refuses to reference.
+    def test_fast_precedence_unchanged_below_native(self, no_toolchain):
+        # Below native the ladder is unchanged: a plain config falls to
+        # the numpy tier, a prefetching one (no batch kernel) to the
+        # reference loop.
         model = SoftwareAssistedCache(SoftCacheConfig(
             size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
             virtual_line_size=None, prefetch="on-miss", timing=TIMING,
         ))
+        assert select_engine("auto", standard())[0] == "fast"
         chosen, why = select_engine("auto", model)
-        assert chosen == "reference" and why.code == "prefetch"
+        assert chosen == "reference" and why.code == "native-unavailable"
 
 
 # ----------------------------------------------------------------------
@@ -393,10 +408,10 @@ class TestNativeBenchGuard:
 
     def test_unexpected_refusal_always_fails(self, bench_payload):
         problems = self.problems(
-            bench_payload, {"standard": "native-assisted"},
+            bench_payload, {"standard": "no-batch-kernel"},
             speedups={"standard_cache": 8.0},
         )
-        assert len(problems) == 1 and "native-assisted" in problems[0]
+        assert len(problems) == 1 and "no-batch-kernel" in problems[0]
 
     def test_missing_measurement_fails(self, bench_payload):
         problems = self.problems(

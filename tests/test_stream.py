@@ -196,8 +196,8 @@ class TestReferenceEngineParity:
         trace = random_trace(11)
         build = lambda: SoftwareAssistedCache(config)
         ref = simulate(build(), trace, engine="reference")
-        # auto now picks the batch kernels for this config; pin the
-        # engine — this class covers the windowed reference loop.
+        # auto picks the compiled loop for this config when it can; pin
+        # the engine — this class covers the windowed reference loop.
         streamed = simulate(
             build(), TraceStream.from_trace(trace, chunk_refs=chunk_refs),
             engine="reference",
@@ -408,18 +408,6 @@ class TestDelivery:
     """An in-memory trace reaches every tier whole, as ``(trace,)`` —
     never windowed — so the caches stored on the trace object are
     shared across runs; a stream is accepted by the same entry."""
-
-    def test_soft_kernel_cache_reused(self):
-        trace = random_trace(50)
-        build = lambda: SoftwareAssistedCache(SoftCacheConfig(
-            size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
-            virtual_line_size=128, timing=TIMING,
-        ))
-        assert simulate(build(), trace, engine="fast").engine == "fast"
-        cached = trace._soft_kernel_cache
-        assert cached is not None
-        simulate(build(), trace, engine="fast")
-        assert trace._soft_kernel_cache is cached
 
     def test_reference_columns_materialised_once(self, monkeypatch):
         trace = random_trace(51)

@@ -336,11 +336,11 @@ class TestProbeBench:
 
         block = run_scenario("probes", Sizes(refs=20_000, repeat=2))
         assert block["budget"] == pytest.approx(0.02)
+        # The numpy batch kernels have no soft row: they refuse it.
         pairs = {
             ("standard", "reference"),
             ("standard", "fast"),
             ("soft", "reference"),
-            ("soft", "fast"),
         }
         assert {(r["config"], r["engine"], r["variant"])
                 for r in block["rows"]} == {
