@@ -905,6 +905,22 @@ def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
     return 0
 
 
+#: The parity battery's related-work configurations: the write policies
+#: of ablation-writepolicy, the hierarchy study's L2s and the stream
+#: buffers of the related-work studies.
+RELATED_WORK_CELLS: Dict[str, CacheSpec] = {
+    "write-through": CacheSpec.of(
+        "standard_cache", write_policy="write-through"
+    ),
+    "write-through-na": CacheSpec.of(
+        "standard_cache", write_policy="write-through", write_allocate=False
+    ),
+    "standard+L2": CacheSpec.of("with_l2", inner="standard"),
+    "soft+L2": CacheSpec.of("with_l2", inner="soft"),
+    "stream-buffers": CacheSpec.of("stream_buffer"),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.oracle:
         from .metrics.analytic import (
@@ -939,18 +955,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if all(row["ok"] for row in rows) else 1
 
     # Parity battery: cross-validate every applicable engine pair on a
-    # deterministic workload, per preset.
+    # deterministic workload, per preset and (by default) per
+    # related-work configuration the studies run beyond the presets.
     from .metrics.analytic import SequentialScanDistribution
     from .presets import config_names, spec
     from .sim.engine import EngineMismatchError, cross_validate, select_engine
 
-    names = args.config or list(config_names())
+    cells = [(name, spec(name)) for name in args.config or config_names()]
+    if not args.config:
+        cells += RELATED_WORK_CELLS.items()
     trace = SequentialScanDistribution(
         array_bytes=32 * 1024, passes=3
     ).trace()
     failures = 0
-    for name in names:
-        cell = spec(name)
+    for name, cell in cells:
         chosen, refusal = select_engine("auto", cell.build())
         if chosen == "reference":
             print(f"  {name:>16} skipped: [{refusal.code}] {refusal}")

@@ -321,15 +321,17 @@ class SoftwareAssistedCache:
             return  # already cached: the software info makes this rare
         if la in self.bounce_back:
             return
+        if self.bounce_back.prefetched_count() >= self._max_prefetched:
+            # Prefetched lines preferably replace other prefetched lines.
+            # The count is global but a set-associative buffer searches
+            # only the hinted set: with no prefetched line there, the
+            # prefetch is dropped before it takes the bus.
+            if self.bounce_back.evict_lru_prefetched(la) is None:
+                return
         begin = max(issued_at + self._latency, self._bus_free_at)
         arrival = begin + self._line_transfer
         self._bus_free_at = arrival
         entry = make_entry(la, False, False, True, arrival)
-        if self.bounce_back.prefetched_count() >= self._max_prefetched:
-            # Prefetched lines preferably replace other prefetched lines.
-            dropped = self.bounce_back.evict_lru_prefetched(la)
-            if dropped is None:  # pragma: no cover - count>0 implies found
-                return
         evicted = self.bounce_back.insert(entry)
         if evicted is not None:
             # Prefetch insertion must not trigger a bounce-back storm:

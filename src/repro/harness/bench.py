@@ -655,7 +655,7 @@ SCENARIOS: Dict[str, Scenario] = {
                 "miss-bound stress case, not the paper workload (that is "
                 "the soft block)"
             ),
-            configs=("standard", "standard_cache", "soft"),
+            configs=("standard", "standard_cache", "soft", "bypass-buffer"),
             trace=bench_trace,
             measure=measure_throughput,
         ),
@@ -730,6 +730,7 @@ SPEEDUP_FLOORS: Dict[str, Dict[Tuple[str, str], float]] = {
     "engine": {
         ("native", "standard"): 5.0,
         ("native", "standard_cache"): 5.0,
+        ("native", "bypass-buffer"): 5.0,
     },
 }
 

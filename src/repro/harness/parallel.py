@@ -55,7 +55,7 @@ from ..sim.result import SimResult
 
 #: Bump on any change that alters simulation results; invalidates the
 #: whole result cache.
-SIM_VERSION = "1"
+SIM_VERSION = "2"
 
 
 # ----------------------------------------------------------------------

@@ -7,13 +7,15 @@ Every simulation names an *engine*:
     ``model.access``).  Always available, defines the semantics.
 ``native``
     The compiled C loop of :mod:`repro.sim.native`: a transcription of
-    the reference semantics for every write-back cache — a plain
-    :class:`~repro.sim.standard.StandardCache` and the paper's whole
-    software-assisted family (bounce-back cache, virtual lines,
-    temporal bits, prefetch) — built on demand with the system C
+    the reference semantics of the paper's whole software-assisted
+    family (bounce-back cache, virtual lines, temporal bits, prefetch),
+    of :class:`~repro.sim.standard.StandardCache` under either write
+    policy, and of the related-work bypass, stream-buffer and
+    two-level-hierarchy models — built on demand with the system C
     compiler and loaded via ctypes.  Conditional on a toolchain or a
     prebuilt library being present (the stable ``native-unavailable``
-    refusal when not).
+    refusal when not).  The column-associative, sub-block and HP-7200
+    assist models have no kernel.
 ``fast``
     The numpy batch kernels of :mod:`repro.sim.fast`, exact for the
     plain write-back LRU configurations only (no bounce-back cache, no
@@ -81,8 +83,8 @@ class EngineRefusal(str):
         "warmup-window",      # warm-up prefix discards counters
         "no-batch-kernel",    # the tier has no kernel for this model
         "degenerate-timing",  # fast only: miss penalty below the hit
-        "write-policy",       # non-write-back standard cache
-        "two-level-hierarchy",  # L2 replays L1 fetches per reference
+        "write-policy",       # fast only: non-write-back standard cache
+        "two-level-hierarchy",  # fast only: L2 replays L1 fetches
         "native-unavailable",  # no C compiler and no prebuilt library
     )
 

@@ -11,9 +11,13 @@ latencies, and an L2 hit *is* a short-latency miss.
 ``StandardCache`` and ``SoftwareAssistedCache`` both do):
 
 * configure the **L1 with the L2-hit latency** (its "memory" is the L2);
-* the wrapper replays each fetched line against a functional LRU L2;
-  any L2 miss adds the L1->memory latency difference once per access
-  (requests to memory are pipelined) and counts memory traffic.
+* the wrapper replays the L2 lines of the fetched lines, each once in
+  first-seen order, against a functional LRU L2; any L2 miss adds the
+  L1->memory latency difference once per access (requests to memory
+  are pipelined) and counts memory traffic.
+
+The native tier (:mod:`repro.sim.native`) runs the same replay fused
+after its L1 step; the numpy ``fast`` tier has no hierarchy.
 
 Modelling notes (documented simplifications): the L2 is mostly
 inclusive — L1 write-backs are assumed to hit it, so dirty traffic
@@ -73,13 +77,11 @@ class TwoLevelCache:
         return self.l1.stats
 
     def fast_engine_refusal(self):
-        """The hierarchy always runs on the reference engine.
+        """The numpy batch kernels have no hierarchy.
 
         L2 hits depend on the exact interleaving of L1 fetches, which
         the batch kernels do not replay — so equivalence cannot be
-        proved and ``auto`` must fall back (streaming still works:
-        :func:`~repro.sim.driver.simulate` carries the clock through
-        the reference loop chunk by chunk).
+        proved and ``auto`` falls to the next tier.
         """
         from .engine import EngineRefusal
 
@@ -88,7 +90,10 @@ class TwoLevelCache:
             "two-level hierarchy replays L1 fetches per reference",
         )
 
-    native_engine_refusal = fast_engine_refusal
+    def native_engine_refusal(self):
+        """The compiled loop replays the L2 after each access of any L1
+        it runs (the L1's own refusal, None for both L1 caches)."""
+        return self.l1.native_engine_refusal()
 
     def reset(self) -> None:
         self.l1.reset()
@@ -135,7 +140,9 @@ class TwoLevelCache:
         fetched = self.l1.last_fetch
         if not fetched:
             return cycles
-        l2_lines = {line >> self._ratio_shift for line in fetched}
+        # One lookup per distinct L2 line, in first-seen order: two of
+        # them may share an L2 set, where the order decides the LRU.
+        l2_lines = dict.fromkeys(line >> self._ratio_shift for line in fetched)
         missed = sum(
             0 if self._l2_lookup_install(line) else 1 for line in l2_lines
         )

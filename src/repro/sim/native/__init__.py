@@ -1,8 +1,8 @@
 """Native compiled engine tier (``engine=native``).
 
-One C loop for every write-back cache (the reference semantics of the
-software-assisted cache, a plain cache being the case with no assists),
-compiled on demand with the system C compiler, cached under the
+One C loop for the software-assisted cache (a plain cache being the
+case with no assists), the write-through cache and the related-work
+bypass, stream-buffer and two-level-hierarchy models, compiled on demand with the system C compiler, cached under the
 result-cache directory keyed by a source+compiler hash, and loaded via
 :mod:`ctypes`.  The top of the engine ladder (:mod:`repro.sim.engine`):
 ``engine=auto`` picks it when :func:`~repro.sim.engine.native_refusal`

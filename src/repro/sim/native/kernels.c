@@ -1,13 +1,25 @@
 /* Native simulation kernel (the "native" engine tier).
  *
- * One loop for every write-back cache the simulator models: a line-for-
- * line transcription of the reference per-reference semantics of
- * SoftwareAssistedCache (repro/core/software_cache.py, _access_assoc)
- * walked by the clock of repro/sim/driver.py.  A plain write-back
- * StandardCache is the same loop with no bounce-back cache, one-line
- * fetches and no prefetch.  The caller (repro.sim.native.runner) owns
- * every array; this file holds no global state, so one loaded library
- * serves any number of concurrent simulations with distinct state.
+ * One loop for the cache models of the simulator's main line and of the
+ * related work, each a line-for-line transcription of its reference
+ * access() walked by the clock of repro/sim/driver.py:
+ *
+ *   M_ASSISTED       SoftwareAssistedCache (repro/core/software_cache.py,
+ *                    _access_assoc): bounce-back cache, virtual lines,
+ *                    temporal bits, prefetch
+ *   M_PLAIN          the same with no bounce-back cache, one-line fetches
+ *                    and no prefetch; a write-back StandardCache
+ *   M_WRITE_THROUGH  a write-through StandardCache (repro/sim/standard.py),
+ *                    with or without write-allocate
+ *   M_BYPASS         BypassCache (repro/sim/bypass.py), with or without
+ *                    its bypass buffer
+ *   M_STREAM         StreamBufferCache (repro/sim/stream_buffer.py)
+ *
+ * and, fused after any of the first three, the functional L2 of
+ * TwoLevelCache (repro/sim/hierarchy.py).  The caller
+ * (repro.sim.native.runner) owns every array; this file holds no global
+ * state, so one loaded library serves any number of concurrent
+ * simulations with distinct state.
  *
  * Bit-exactness contract
  * ----------------------
@@ -17,19 +29,25 @@
  *
  *   now     += gap
  *   cycles   = access(now)              (wait + stall + service)
+ *   cycles  += memory_extra_latency     (L2: when a replayed line missed)
  *   now     += max(0, cycles - hit_time)
  *
- * so counters, the final model state (main cache, bounce-back buffer
- * order, write-buffer ring, ready_at, bus_free_at, last_fetch) and the
- * per-reference outputs match the reference loop by construction.  The
- * write buffer, including the side effect of its is_full() probe
- * retiring drained entries, replicates repro/sim/write_buffer.py.
+ * so counters, the final model state (main cache, side buffers in
+ * their order, write-buffer ring, ready_at, bus_free_at, last_fetch,
+ * the L2) and the per-reference outputs match the reference loop by
+ * construction.  The write buffer, including the side effect of its
+ * is_full() probe retiring drained entries, replicates
+ * repro/sim/write_buffer.py.
  *
  * State layout (all MRU-first per set, `count` live entries each):
  *   main cache   tags/flags[n_sets * ways], count[n_sets]
- *   bounce-back  b_addr/b_arrival/b_flags[bb_sets * bb_ways],
- *                b_count[bb_sets]
+ *   side buffer  b_addr/b_arrival/b_flags[bb_sets * bb_ways],
+ *                b_count[bb_sets]: the bounce-back cache; the bypass
+ *                buffer (one fully-associative set); or one FIFO per
+ *                stream buffer, head first, with st_next/st_last
+ *                holding each stream's next line and last use
  *   last_fetch   lines fetched by the latest access (capacity vl + 1)
+ *   L2           l2_tags[l2_sets * l2_ways], l2_count[l2_sets]
  * Line flags are F_DIRTY | F_TEMPORAL (| F_PREFETCHED in the buffer).
  *
  * `params` and `regs` (carried across chunk calls; the counters
@@ -37,7 +55,8 @@
  * REGISTERS below, which repro/sim/native/runner.py mirrors by name.
  * The loop works on a by-value copy of both, so the compiler keeps
  * them in registers rather than behind pointers the array stores may
- * alias.
+ * alias.  run() is compiled once per model and L2 flag, each with them
+ * known, so a model pays only for its own paths.
  */
 
 #include <stdint.h>
@@ -45,18 +64,26 @@
 #define INLINE static inline __attribute__((always_inline))
 
 #define PARAMS(X)                                                       \
-    X(line_shift) X(n_sets) X(ways) X(vl) X(hit) X(latency) X(transfer) \
+    X(model) X(line_shift) X(n_sets) X(ways) X(vl) X(hit) X(latency)    \
+    X(transfer) X(words_per_line) X(word_penalty) X(write_allocate)     \
     X(assist_hit) X(swap_lock) X(use_bb) X(use_temporal)                \
     X(temporal_priority) X(reset_on_bounce) X(admit_non_temporal)       \
     X(prefetch) X(max_prefetched) X(wb_entries) X(wb_drain) X(bb_sets)  \
-    X(bb_ways)
+    X(bb_ways) X(l2_sets) X(l2_ways) X(l2_shift) X(l2_extra)
 
 #define REGISTERS(X)                                                    \
     X(clock) X(ready) X(bus) X(wb_len) X(wb_head) X(wb_pushes)          \
     X(wb_stall_cycles) X(pf_count) X(lf_len) X(cycles) X(hits_main)     \
-    X(hits_assist) X(misses) X(lines) X(writebacks) X(bounce_backs)     \
-    X(bounce_aborts) X(invalidations) X(pf_issued) X(pf_hits)           \
-    X(wb_stalls)
+    X(hits_assist) X(misses) X(lines) X(words) X(writebacks)            \
+    X(bounce_backs) X(bounce_aborts) X(invalidations) X(pf_issued)      \
+    X(pf_hits) X(wb_stalls) X(l2_refs) X(l2_misses)
+
+/* Models (params.model). */
+#define M_ASSISTED 0
+#define M_PLAIN 1
+#define M_WRITE_THROUGH 2
+#define M_BYPASS 3
+#define M_STREAM 4
 
 #define F_DIRTY 1
 #define F_TEMPORAL 2
@@ -83,6 +110,7 @@ typedef struct {
     REGISTERS(FIELD)
 #undef FIELD
     int64_t set_mask; /* n_sets - 1 when n_sets is a power of two, else -1 */
+    int64_t l2_mask;  /* the same for l2_sets */
     int64_t wb_mask; /* ring capacity - 1: a power of two >= wb_entries */
     int64_t *tags;
     int32_t *flags;
@@ -91,8 +119,12 @@ typedef struct {
     int64_t *b_arrival;
     int32_t *b_flags;
     int64_t *b_count;
+    int64_t *st_next;
+    int64_t *st_last;
     int64_t *wb_ring;
     int64_t *lf;
+    int64_t *l2_tags;
+    int64_t *l2_count;
 } Sim;
 
 INLINE int64_t set_of(const Sim *s, int64_t la) {
@@ -334,12 +366,14 @@ INLINE void issue_prefetch(Sim *s, int64_t la, int64_t issued_at) {
     Entry e, evicted;
     if (main_find(s, set_of(s, la), la) >= 0 || bb_find(s, la) >= 0)
         return;
+    /* At the cap, a prefetched line of the hinted set makes room; with
+     * none there the prefetch is dropped before it takes the bus. */
+    if (s->pf_count >= s->max_prefetched && !bb_drop_prefetched(s, la))
+        return;
     begin = issued_at + s->latency;
     if (s->bus > begin)
         begin = s->bus;
     s->bus = begin + s->transfer;
-    if (s->pf_count >= s->max_prefetched && !bb_drop_prefetched(s, la))
-        return;
     e.addr = la;
     e.arrival = s->bus;
     e.flags = F_PREFETCHED;
@@ -347,16 +381,23 @@ INLINE void issue_prefetch(Sim *s, int64_t la, int64_t issued_at) {
         bb_evicted(s, evicted, e.arrival, 0, 0);
     s->pf_issued++;
     s->lines++;
+    s->words += s->words_per_line;
     s->lf[s->lf_len++] = la;
 }
 
 /* ---- one access (SoftwareAssistedCache._access_assoc) -------------- */
 
-INLINE int64_t access(Sim *s, int64_t la, int32_t w, int32_t t,
-                      int spatial, int64_t now, int *kind) {
+/* A plain model (M_PLAIN, M_WRITE_THROUGH) reaches here with use_bb,
+ * vl and prefetch pinned to 0, 1 and 0, so the assist paths drop out.
+ * Under write-through a store is pushed to the write buffer and the
+ * line stays clean (StandardCache._access_assoc). */
+INLINE int64_t access(Sim *s, const int model, int64_t la, int32_t w,
+                      int32_t t, int spatial, int64_t now, int *kind) {
+    const int write_through = model == M_WRITE_THROUGH;
     int64_t wait = s->ready - now, start, set, pos, stall = 0;
     int64_t first_line = la, n_candidates = 1, n_fetch = 0, penalty, c;
-    int32_t touched = (w ? F_DIRTY : 0) | (t ? F_TEMPORAL : 0);
+    int32_t touched = (w && !write_through ? F_DIRTY : 0)
+                      | (t ? F_TEMPORAL : 0);
 
     if (wait < 0)
         wait = 0;
@@ -370,10 +411,12 @@ INLINE int64_t access(Sim *s, int64_t la, int32_t w, int32_t t,
         int32_t f = s->flags[set * s->ways + pos] | touched;
         main_remove(s, set, pos);
         main_push_front(s, set, la, f);
+        if (write_through && w)
+            stall = discard(s, F_DIRTY, start);
         s->hits_main++;
-        s->ready = start + s->hit;
+        s->ready = start + stall + s->hit;
         *kind = K_HIT;
-        return wait + s->hit;
+        return wait + stall + s->hit;
     }
 
     /* bounce-back-cache hit: swap */
@@ -406,6 +449,13 @@ INLINE int64_t access(Sim *s, int64_t la, int32_t w, int32_t t,
     /* miss: fetch the line, or the uncached lines of its virtual line */
     s->misses++;
     *kind = K_MISS;
+    if (write_through && w && !s->write_allocate) {
+        /* No allocation: the store goes straight to the write buffer
+         * and the cache is untouched. */
+        stall = discard(s, F_DIRTY, start);
+        s->ready = start + stall + s->hit;
+        return wait + stall + s->hit;
+    }
     if (spatial && s->vl > 1) {
         first_line = la - la % s->vl;
         n_candidates = s->vl;
@@ -421,6 +471,7 @@ INLINE int64_t access(Sim *s, int64_t la, int32_t w, int32_t t,
     penalty += s->latency + n_fetch * s->transfer;
     s->bus = start + penalty;
     s->lines += n_fetch;
+    s->words += n_fetch * s->words_per_line;
     s->lf_len = n_fetch;
 
     for (c = 0; c < n_fetch; c++) {
@@ -444,6 +495,10 @@ INLINE int64_t access(Sim *s, int64_t la, int32_t w, int32_t t,
         if (has_victim)
             stall += victim_to_bb(s, victim, start, s->lf, n_fetch);
     }
+    if (write_through && w)
+        /* Allocated clean; the store itself drains through the write
+         * buffer. */
+        stall += discard(s, F_DIRTY, start);
 
     if (s->prefetch == PF_SOFTWARE && spatial)
         issue_prefetch(s, first_line + n_candidates, start);
@@ -454,19 +509,217 @@ INLINE int64_t access(Sim *s, int64_t la, int32_t w, int32_t t,
     return wait + stall + penalty;
 }
 
+/* ---- the related-work models ---------------------------------------- */
+
+/* A main-cache hit of the models whose lines carry only a dirty bit. */
+INLINE int64_t hit_plain(Sim *s, int64_t set, int64_t pos, int64_t la,
+                         int32_t w, int64_t wait, int64_t start, int *kind) {
+    int32_t f = s->flags[set * s->ways + pos] | (w ? F_DIRTY : 0);
+    main_remove(s, set, pos);
+    main_push_front(s, set, la, f);
+    s->hits_main++;
+    s->ready = start + s->hit;
+    *kind = K_HIT;
+    return wait + s->hit;
+}
+
+/* Install a line at MRU; the LRU way of a full set leaves through the
+ * write buffer.  Returns the write-buffer stall. */
+INLINE int64_t install(Sim *s, int64_t set, int64_t la, int32_t f,
+                       int64_t start) {
+    int64_t stall = 0;
+    if (s->count[set] >= s->ways)
+        stall = discard(s, main_take_victim(s, set).flags, start);
+    main_push_front(s, set, la, f);
+    return stall;
+}
+
+/* BypassCache.access: temporal-tagged misses allocate; the rest fetch
+ * one line into the bypass buffer (use_bb) or one word. */
+INLINE int64_t access_bypass(Sim *s, int64_t la, int32_t w, int32_t t,
+                             int64_t now, int *kind) {
+    int64_t wait = s->ready - now, start, set, pos, stall = 0;
+    int32_t f = w ? F_DIRTY : 0;
+
+    if (wait < 0)
+        wait = 0;
+    start = now + wait;
+    set = set_of(s, la);
+    pos = main_find(s, set, la);
+    if (pos >= 0)
+        return hit_plain(s, set, pos, la, w, wait, start, kind);
+
+    /* The bypass buffer answers as fast as the cache. */
+    if (s->use_bb && (pos = bb_find(s, la)) >= 0) {
+        Entry e = bb_take(s, 0, pos), evicted;
+        e.flags |= f;
+        bb_insert(s, e, &evicted);
+        s->hits_assist++;
+        s->ready = start + s->hit;
+        *kind = K_ASSIST;
+        return wait + s->hit;
+    }
+
+    s->misses++;
+    *kind = K_MISS;
+    if (t || s->use_bb) {
+        /* A line fetch: into the cache for reusable data, into the
+         * bypass buffer for the rest. */
+        if (t) {
+            stall = install(s, set, la, f, start);
+        } else {
+            Entry e, evicted;
+            e.addr = la;
+            e.arrival = 0;
+            e.flags = f;
+            if (bb_insert(s, e, &evicted))
+                stall = discard(s, evicted.flags, start);
+        }
+        s->lines++;
+        s->words += s->words_per_line;
+        s->ready = start + stall + s->latency + s->transfer;
+        return wait + stall + s->latency + s->transfer;
+    }
+
+    /* Pure bypassing: fetch just the referenced word, cache nothing. */
+    s->words++;
+    if (w) {
+        stall = discard(s, F_DIRTY, start);
+        s->ready = start + stall + s->hit;
+        return wait + stall + s->hit;
+    }
+    s->ready = start + s->word_penalty;
+    return wait + s->word_penalty;
+}
+
+/* StreamBufferCache._refill: top stream k up to its depth over the
+ * shared bus. */
+INLINE void refill(Sim *s, int64_t k, int64_t now) {
+    int64_t base = k * s->bb_ways, slot, begin;
+    while (s->b_count[k] < s->bb_ways) {
+        begin = now + s->latency;
+        if (s->bus > begin)
+            begin = s->bus;
+        s->bus = begin + s->transfer;
+        slot = base + s->b_count[k]++;
+        s->b_addr[slot] = s->st_next[k]++;
+        s->b_arrival[slot] = s->bus;
+        s->b_flags[slot] = 0;
+        s->pf_issued++;
+        s->lines++;
+        s->words += s->words_per_line;
+    }
+}
+
+/* StreamBufferCache.access: head-only comparators, one FIFO per
+ * stream (bb_sets streams of depth bb_ways). */
+INLINE int64_t access_stream(Sim *s, int64_t la, int32_t w, int64_t now,
+                             int *kind) {
+    int64_t wait = s->ready - now, start, set, pos, stall, penalty, k;
+    int64_t victim = 0;
+    int32_t f = w ? F_DIRTY : 0;
+
+    if (wait < 0)
+        wait = 0;
+    start = now + wait;
+    set = set_of(s, la);
+    pos = main_find(s, set, la);
+    if (pos >= 0)
+        return hit_plain(s, set, pos, la, w, wait, start, kind);
+
+    for (k = 0; k < s->bb_sets; k++) {
+        if (s->b_count[k] > 0 && s->b_addr[k * s->bb_ways] == la) {
+            Entry head = bb_take(s, k, 0);
+            int64_t extra = head.arrival > start ? head.arrival - start : 0;
+            s->st_last[k] = start;
+            s->hits_assist++;
+            s->pf_hits++;
+            stall = install(s, set, la, f, start);
+            refill(s, k, start + extra);
+            s->ready = start + extra + stall + s->hit;
+            *kind = K_ASSIST;
+            return wait + extra + stall + s->hit;
+        }
+    }
+
+    /* Miss: fetch the line and reallocate the least recently used
+     * stream (the first on ties, as min() picks) to its successors. */
+    s->misses++;
+    *kind = K_MISS;
+    penalty = s->bus - (start + s->latency);
+    if (penalty < 0)
+        penalty = 0;
+    penalty += s->latency + s->transfer;
+    s->bus = start + penalty;
+    s->lines++;
+    s->words += s->words_per_line;
+    stall = install(s, set, la, f, start);
+    for (k = 1; k < s->bb_sets; k++)
+        if (s->st_last[k] < s->st_last[victim])
+            victim = k;
+    s->b_count[victim] = 0;
+    s->st_next[victim] = la + 1;
+    s->st_last[victim] = start;
+    refill(s, victim, start);
+    s->ready = start + stall + penalty;
+    return wait + stall + penalty;
+}
+
+/* TwoLevelCache.access: replay the L1's fetches, one lookup per distinct
+ * L2 line in first-seen order, against the functional LRU L2.  Returns
+ * memory_extra_latency when any of them missed (pipelined requests pay
+ * it once). */
+INLINE int64_t l2_replay(Sim *s) {
+    int64_t i, j, k, line, set, base, cnt, missed = 0;
+    for (i = 0; i < s->lf_len; i++) {
+        line = s->lf[i] >> s->l2_shift;
+        for (j = 0; j < i && s->lf[j] >> s->l2_shift != line; j++)
+            ;
+        if (j < i)
+            continue; /* this L2 line was replayed already */
+        set = s->l2_mask >= 0 ? (line & s->l2_mask) : (line % s->l2_sets);
+        base = set * s->l2_ways;
+        cnt = s->l2_count[set];
+        s->l2_refs++;
+        for (k = 0; k < cnt && s->l2_tags[base + k] != line; k++)
+            ;
+        if (k == cnt) {
+            missed = 1;
+            s->l2_misses++;
+            if (cnt < s->l2_ways)
+                s->l2_count[set] = cnt + 1;
+            else
+                k = cnt - 1; /* the LRU line leaves */
+        }
+        for (; k > 0; k--)
+            s->l2_tags[base + k] = s->l2_tags[base + k - 1];
+        s->l2_tags[base] = line;
+    }
+    return missed ? s->l2_extra : 0;
+}
+
 /* The driver loop over one chunk (see repro_sim_chunk). */
-INLINE void run(Sim *s, int64_t n, const int64_t *addresses,
-                const uint8_t *is_write, const uint8_t *temporal,
-                const uint8_t *spatial, const int64_t *gaps,
-                uint8_t *kind_out, int64_t *cycles_out, int64_t *lines_out,
-                int64_t *stalls_out) {
+INLINE void run(Sim *s, const int model, const int l2, int64_t n,
+                const int64_t *addresses, const uint8_t *is_write,
+                const uint8_t *temporal, const uint8_t *spatial,
+                const int64_t *gaps, uint8_t *kind_out, int64_t *cycles_out,
+                int64_t *words_out, int64_t *stalls_out) {
     int64_t i;
     for (i = 0; i < n; i++) {
-        int64_t lines = s->lines, stalls = s->wb_stalls, cycles;
+        int64_t words = s->words, stalls = s->wb_stalls, cycles;
+        int64_t la = addresses[i] >> s->line_shift;
         int kind;
         s->clock += gaps[i];
-        cycles = access(s, addresses[i] >> s->line_shift, is_write[i],
-                        temporal[i], spatial[i], s->clock, &kind);
+        if (model == M_BYPASS)
+            cycles = access_bypass(s, la, is_write[i], temporal[i],
+                                   s->clock, &kind);
+        else if (model == M_STREAM)
+            cycles = access_stream(s, la, is_write[i], s->clock, &kind);
+        else
+            cycles = access(s, model, la, is_write[i], temporal[i],
+                            spatial[i], s->clock, &kind);
+        if (l2 && s->lf_len > 0)
+            cycles += l2_replay(s);
         s->cycles += cycles;
         /* Anything beyond the pipelined hit stalls the issue clock. */
         if (cycles > s->hit)
@@ -474,14 +727,14 @@ INLINE void run(Sim *s, int64_t n, const int64_t *addresses,
         if (kind_out) {
             kind_out[i] = (uint8_t)kind;
             cycles_out[i] = cycles;
-            lines_out[i] = s->lines - lines;
+            words_out[i] = s->words - words;
             stalls_out[i] = s->wb_stalls - stalls;
         }
     }
 }
 
 /* One chunk of the driver loop.  The per-reference outputs (kind_out:
- * K_HIT/K_ASSIST/K_MISS; cycles_out; lines_out: lines fetched,
+ * K_HIT/K_ASSIST/K_MISS; cycles_out; words_out: words fetched,
  * prefetches included; stalls_out: write-buffer stall cycles, those of
  * prefetch-triggered discards included) are filled when non-NULL, for
  * telemetry.  Returns 0. */
@@ -500,12 +753,16 @@ int64_t repro_sim_chunk(
     int64_t *b_arrival,
     int32_t *b_flags,
     int64_t *b_count,
+    int64_t *st_next,
+    int64_t *st_last,
     int64_t *wb_ring,
     int64_t *last_fetch,
+    int64_t *l2_tags,
+    int64_t *l2_count,
     int64_t *regs,
     uint8_t *kind_out,
     int64_t *cycles_out,
-    int64_t *lines_out,
+    int64_t *words_out,
     int64_t *stalls_out) {
     Sim s;
     int64_t k = 0;
@@ -518,6 +775,7 @@ int64_t repro_sim_chunk(
     REGISTERS(LOAD_REGISTER)
 #undef LOAD_REGISTER
     s.set_mask = (s.n_sets & (s.n_sets - 1)) == 0 ? s.n_sets - 1 : -1;
+    s.l2_mask = (s.l2_sets & (s.l2_sets - 1)) == 0 ? s.l2_sets - 1 : -1;
     for (s.wb_mask = 1; s.wb_mask < s.wb_entries; s.wb_mask <<= 1)
         ;
     s.wb_mask--;
@@ -528,21 +786,51 @@ int64_t repro_sim_chunk(
     s.b_arrival = b_arrival;
     s.b_flags = b_flags;
     s.b_count = b_count;
+    s.st_next = st_next;
+    s.st_last = st_last;
     s.wb_ring = wb_ring;
     s.lf = last_fetch;
+    s.l2_tags = l2_tags;
+    s.l2_count = l2_count;
 
-    if (!s.use_bb && s.vl == 1 && !s.prefetch) {
-        /* A plain cache: the same loop, compiled a second time with the
-         * assist parameters known, so the dead paths drop out. */
+    /* One compiled copy of the loop per model and L2 flag.  The plain
+     * models run the assisted access() with the assist parameters
+     * known, so the dead paths drop out. */
+#define RUN(model, l2)                                                  \
+    run(&s, model, l2, n, addresses, is_write, temporal, spatial, gaps, \
+        kind_out, cycles_out, words_out, stalls_out)
+    switch (s.model) {
+    case M_PLAIN:
         s.use_bb = 0;
         s.vl = 1;
         s.prefetch = 0;
-        run(&s, n, addresses, is_write, temporal, spatial, gaps,
-            kind_out, cycles_out, lines_out, stalls_out);
-    } else {
-        run(&s, n, addresses, is_write, temporal, spatial, gaps,
-            kind_out, cycles_out, lines_out, stalls_out);
+        if (s.l2_sets)
+            RUN(M_PLAIN, 1);
+        else
+            RUN(M_PLAIN, 0);
+        break;
+    case M_WRITE_THROUGH:
+        s.use_bb = 0;
+        s.vl = 1;
+        s.prefetch = 0;
+        if (s.l2_sets)
+            RUN(M_WRITE_THROUGH, 1);
+        else
+            RUN(M_WRITE_THROUGH, 0);
+        break;
+    case M_BYPASS:
+        RUN(M_BYPASS, 0);
+        break;
+    case M_STREAM:
+        RUN(M_STREAM, 0);
+        break;
+    default:
+        if (s.l2_sets)
+            RUN(M_ASSISTED, 1);
+        else
+            RUN(M_ASSISTED, 0);
     }
+#undef RUN
 
     k = 0;
 #define STORE_REGISTER(name) regs[k++] = s.name;

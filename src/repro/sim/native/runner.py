@@ -1,49 +1,65 @@
 """ctypes driver for the native engine tier.
 
-:func:`simulate_native` runs the one loop of ``kernels.c`` — the
-reference per-reference semantics of
-:class:`~repro.core.software_cache.SoftwareAssistedCache`, walked by the
-clock of :func:`repro.sim.driver.simulate` — over a sequence of chunk
-traces.  Counters, final model state and per-reference telemetry are
+:func:`simulate_native` runs the one loop of ``kernels.c`` over a
+sequence of chunk traces.  The loop transcribes the reference
+per-reference semantics of each model it accepts, walked by the clock
+of :func:`repro.sim.driver.simulate`:
+
+* :class:`~repro.core.software_cache.SoftwareAssistedCache` in every
+  configuration, and a plain
+  :class:`~repro.sim.standard.StandardCache`, the case with no
+  bounce-back cache, one-line fetches and no prefetch;
+* a write-through :class:`~repro.sim.standard.StandardCache`;
+* :class:`~repro.sim.bypass.BypassCache`, with or without its buffer;
+* :class:`~repro.sim.stream_buffer.StreamBufferCache`;
+* :class:`~repro.sim.hierarchy.TwoLevelCache` over either L1 cache, its
+  functional L2 replayed after each access.
+
+Counters, final model state and per-reference telemetry are
 bit-identical to the reference loop.  An in-memory trace is simply the
 single chunk ``(trace,)``.
 
 Eligibility is the caller's job (:func:`repro.sim.engine
-.native_refusal`): a cold-start, no-warm-up run of a write-back
-:class:`~repro.sim.standard.StandardCache` or of any software-assisted
-configuration.  A plain cache is the same loop with no bounce-back
-cache, one-line fetches and no prefetch.  The C side keeps all state in
-caller-owned numpy arrays plus an int64 register block, so chunk
-boundaries are invisible: the streamed and monolithic paths execute the
-identical instruction sequence.
+.native_refusal`): a cold-start, no-warm-up run of a model whose
+``native_engine_refusal`` hook returns None.  The C side keeps all
+state in caller-owned numpy arrays plus an int64 register block, so
+chunk boundaries are invisible: the streamed and monolithic paths
+execute the identical instruction sequence.
 """
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from ...errors import ConfigError
+from ..bypass import BypassCache
+from ..engine import is_assisted
+from ..hierarchy import TwoLevelCache
 from ..result import SimResult
+from ..stream_buffer import StreamBufferCache, _Stream
 from ..write_buffer import WriteBuffer
 from . import build
 
 #: The loop's parameters and carried registers, in the order of
 #: PARAMS and REGISTERS in kernels.c.
 PARAMS = (
-    "line_shift", "n_sets", "ways", "vl", "hit", "latency", "transfer",
+    "model", "line_shift", "n_sets", "ways", "vl", "hit", "latency",
+    "transfer", "words_per_line", "word_penalty", "write_allocate",
     "assist_hit", "swap_lock", "use_bb", "use_temporal",
     "temporal_priority", "reset_on_bounce", "admit_non_temporal",
     "prefetch", "max_prefetched", "wb_entries", "wb_drain", "bb_sets",
-    "bb_ways",
+    "bb_ways", "l2_sets", "l2_ways", "l2_shift", "l2_extra",
 )
 REGISTERS = (
     "clock", "ready", "bus", "wb_len", "wb_head", "wb_pushes",
     "wb_stall_cycles", "pf_count", "lf_len", "cycles", "hits_main",
-    "hits_assist", "misses", "lines", "writebacks", "bounce_backs",
-    "bounce_aborts", "invalidations", "pf_issued", "pf_hits", "wb_stalls",
+    "hits_assist", "misses", "lines", "words", "writebacks",
+    "bounce_backs", "bounce_aborts", "invalidations", "pf_issued",
+    "pf_hits", "wb_stalls", "l2_refs", "l2_misses",
 )
+
+#: Models (must match kernels.c).
+M_ASSISTED, M_PLAIN, M_WRITE_THROUGH, M_BYPASS, M_STREAM = range(5)
 
 #: Line flag bits (must match kernels.c).
 F_DIRTY, F_TEMPORAL, F_PREFETCHED = 1, 2, 4
@@ -55,9 +71,7 @@ PREFETCH_MODES = {"off": 0, "software": 1, "on-miss": 2}
 
 
 def _ptr(array):
-    if array is None:
-        return None
-    return ctypes.c_void_p(array.ctypes.data)
+    return None if array is None else array.ctypes.data
 
 
 def _require_library():
@@ -69,33 +83,65 @@ def _require_library():
     return lib
 
 
+def _levels(model):
+    """``(l1, l2)``: the cache the loop walks and the hierarchy wrapper
+    replaying its fetches (None without one)."""
+    if isinstance(model, TwoLevelCache):
+        return model.l1, model
+    return model, None
+
+
 def _params(model) -> dict:
     """The loop's parameters.  Attributes only the software-assisted
-    model has default to a plain cache's values."""
-    geometry = model.geometry
-    timing = model.timing
-    bounce_back = getattr(model, "bounce_back", None)
+    model has default to a plain cache's values; the side buffer is the
+    bounce-back cache, the bypass buffer or the stream FIFOs."""
+    l1, l2 = _levels(model)
+    geometry = l1.geometry
+    timing = l1.timing
+    bb_sets, bb_ways = 1, 1
+    use_bb = getattr(l1, "_use_bb", False)
+    if isinstance(l1, BypassCache):
+        code = M_BYPASS
+        bb_ways, use_bb = l1.buffer_lines, l1.buffer_lines > 0
+    elif isinstance(l1, StreamBufferCache):
+        code = M_STREAM
+        bb_sets, bb_ways = l1.n_buffers, l1.depth
+    elif getattr(l1, "write_policy", "write-back") == "write-through":
+        code = M_WRITE_THROUGH
+    elif is_assisted(l1):
+        code = M_ASSISTED
+        bb_sets, bb_ways = l1.bounce_back.n_sets, l1.bounce_back.ways
+    else:
+        code = M_PLAIN
     return {
+        "model": code,
         "line_shift": geometry.line_shift,
         "n_sets": geometry.n_sets,
         "ways": geometry.ways,
-        "vl": getattr(model, "_vl_lines", 1),
+        "vl": getattr(l1, "_vl_lines", 1),
         "hit": timing.hit_time,
         "latency": timing.latency,
         "transfer": timing.transfer_cycles(geometry.line_size),
+        "words_per_line": geometry.line_size // 8,
+        "word_penalty": timing.word_fetch_penalty(),
+        "write_allocate": int(getattr(l1, "write_allocate", True)),
         "assist_hit": timing.assist_hit_time,
         "swap_lock": timing.swap_lock,
-        "use_bb": int(getattr(model, "_use_bb", False)),
-        "use_temporal": int(getattr(model, "_use_temporal", False)),
-        "temporal_priority": int(getattr(model, "_temporal_priority", False)),
-        "reset_on_bounce": int(getattr(model, "_reset_on_bounce", False)),
-        "admit_non_temporal": int(getattr(model, "_admit_non_temporal", True)),
-        "prefetch": PREFETCH_MODES[getattr(model, "_prefetch_mode", "off")],
-        "max_prefetched": getattr(model, "_max_prefetched", 1),
-        "wb_entries": model.write_buffer.entries,
-        "wb_drain": model.write_buffer.drain_cycles,
-        "bb_sets": 1 if bounce_back is None else bounce_back.n_sets,
-        "bb_ways": 1 if bounce_back is None else bounce_back.ways,
+        "use_bb": int(use_bb),
+        "use_temporal": int(getattr(l1, "_use_temporal", False)),
+        "temporal_priority": int(getattr(l1, "_temporal_priority", False)),
+        "reset_on_bounce": int(getattr(l1, "_reset_on_bounce", False)),
+        "admit_non_temporal": int(getattr(l1, "_admit_non_temporal", True)),
+        "prefetch": PREFETCH_MODES[getattr(l1, "_prefetch_mode", "off")],
+        "max_prefetched": getattr(l1, "_max_prefetched", 1),
+        "wb_entries": l1.write_buffer.entries,
+        "wb_drain": l1.write_buffer.drain_cycles,
+        "bb_sets": bb_sets,
+        "bb_ways": bb_ways,
+        "l2_sets": 0 if l2 is None else l2.l2_geometry.n_sets,
+        "l2_ways": 0 if l2 is None else l2.l2_geometry.ways,
+        "l2_shift": 0 if l2 is None else l2._ratio_shift,
+        "l2_extra": 0 if l2 is None else l2.memory_extra_latency,
     }
 
 
@@ -108,29 +154,42 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
     stats.engine = "native"
 
     params = _params(model)
-    n_lines = params["n_sets"] * params["ways"]
     bb_lines = params["bb_sets"] * params["bb_ways"]
-    words_per_line = model.geometry.line_size // 8
+    streams = params["model"] == M_STREAM
 
-    # In the argument order of repro_sim_chunk.
+    # In the argument order of repro_sim_chunk; a model's loop never
+    # touches another model's arrays, so those stay NULL.
     state = {
-        "tags": np.zeros(n_lines, dtype=np.int64),
-        "flags": np.zeros(n_lines, dtype=np.int32),
+        "tags": np.zeros(params["n_sets"] * params["ways"], dtype=np.int64),
+        "flags": np.zeros(params["n_sets"] * params["ways"], dtype=np.int32),
         "count": np.zeros(params["n_sets"], dtype=np.int64),
         "b_addr": np.zeros(bb_lines, dtype=np.int64),
         "b_arrival": np.zeros(bb_lines, dtype=np.int64),
         "b_flags": np.zeros(bb_lines, dtype=np.int32),
         "b_count": np.zeros(params["bb_sets"], dtype=np.int64),
+        # A stream's next line and last use start at -1 (_Stream).
+        "st_next": np.full(params["bb_sets"], -1, dtype=np.int64)
+        if streams else None,
+        "st_last": np.full(params["bb_sets"], -1, dtype=np.int64)
+        if streams else None,
         # The ring's capacity is the power of two kernels.c assumes.
         "wb_ring": np.zeros(
             1 << max(params["wb_entries"] - 1, 0).bit_length(),
             dtype=np.int64,
         ),
         "last_fetch": np.zeros(params["vl"] + 1, dtype=np.int64),
+        "l2_tags": np.zeros(
+            params["l2_sets"] * params["l2_ways"], dtype=np.int64
+        ) if params["l2_sets"] else None,
+        "l2_count": np.zeros(params["l2_sets"], dtype=np.int64)
+        if params["l2_sets"] else None,
     }
     param_block = np.array([params[key] for key in PARAMS], dtype=np.int64)
     regs = np.zeros(len(REGISTERS), dtype=np.int64)
     cycles_at = REGISTERS.index("cycles")
+    pointers = [
+        _ptr(array) for array in (param_block, *state.values(), regs)
+    ]
 
     refs = 0
     for chunk in chunks:
@@ -153,14 +212,13 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
         ]
         before = int(regs[cycles_at])
         lib.repro_sim_chunk(
-            n, *(_ptr(column) for column in columns), _ptr(param_block),
-            *(_ptr(array) for array in state.values()), _ptr(regs),
+            n, *(_ptr(column) for column in columns), *pointers,
             *(_ptr(out) for out in outs),
         )
         if probes is not None:
             from ...telemetry.events import TelemetryBatch
 
-            kind, cycles_col, lines_col, stall_col = outs
+            kind, cycles_col, words_col, stall_col = outs
             assert int(cycles_col.sum()) == int(regs[cycles_at]) - before, (
                 "per-reference cycles disagree with the native clock"
             )
@@ -175,7 +233,7 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
                     miss=kind == K_MISS,
                     assist_hit=kind == K_ASSIST,
                     cycles=cycles_col,
-                    words=lines_col * words_per_line,
+                    words=words_col,
                     wb_stall=stall_col,
                     ref_ids=chunk.ref_ids,
                 )
@@ -186,10 +244,13 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
     stats.refs = refs
     stats.cycles = r["cycles"]
     stats.hits_main = r["hits_main"]
-    stats.hits_assist = stats.swaps = r["hits_assist"]
+    stats.hits_assist = r["hits_assist"]
+    if params["model"] in (M_ASSISTED, M_PLAIN):
+        # Every hit in the bounce-back cache is a swap.
+        stats.swaps = r["hits_assist"]
     stats.misses = r["misses"]
     stats.lines_fetched = r["lines"]
-    stats.words_fetched = r["lines"] * words_per_line
+    stats.words_fetched = r["words"]
     stats.writebacks = r["writebacks"]
     stats.bounce_backs = r["bounce_backs"]
     stats.bounce_aborts = r["bounce_aborts"]
@@ -207,6 +268,7 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
 
 def _materialise(model, params, state, r) -> None:
     """Leave the model exactly as the reference engine would have."""
+    l1, l2 = _levels(model)
     write_buffer = WriteBuffer(params["wb_entries"], params["wb_drain"])
     write_buffer.pushes = r["wb_pushes"]
     write_buffer.stall_cycles = r["wb_stall_cycles"]
@@ -214,46 +276,74 @@ def _materialise(model, params, state, r) -> None:
     write_buffer._completions.extend(
         ring[(r["wb_head"] + k) % len(ring)] for k in range(r["wb_len"])
     )
-    model.write_buffer = write_buffer
-    model._ready_at = r["ready"]
-    if hasattr(model, "_bus_free_at"):
-        model._bus_free_at = r["bus"]
-    model.last_fetch = state["last_fetch"][: r["lf_len"]].tolist()
+    l1.write_buffer = write_buffer
+    l1._ready_at = r["ready"]
+    if hasattr(l1, "_bus_free_at"):
+        l1._bus_free_at = r["bus"]
+    if hasattr(l1, "last_fetch"):
+        l1.last_fetch = state["last_fetch"][: r["lf_len"]].tolist()
 
-    tracks_temporal = model._entry_has_temporal
-    if params["ways"] == 1:
-        live = state["count"] > 0
-        flags = state["flags"]
-        model._tags = np.where(live, state["tags"], -1).tolist()
-        model._dirty = (live & ((flags & F_DIRTY) > 0)).tolist()
-        if tracks_temporal:
-            model._temporal = (live & ((flags & F_TEMPORAL) > 0)).tolist()
-    else:
-        sets = _mru_sets(state["tags"], state["flags"], state["count"],
-                         params["ways"])
-        model._sets = sets if tracks_temporal else [
-            [entry[:2] for entry in entries] for entries in sets
-        ]
-    if params["use_bb"]:
-        model.bounce_back._sets = _mru_sets(
-            state["b_addr"], state["b_flags"], state["b_count"],
-            params["bb_ways"], state["b_arrival"],
+    flags, b_flags = state["flags"], state["b_flags"]
+    dirty = (flags & F_DIRTY) > 0
+    main = (state["count"], params["ways"], state["tags"], dirty)
+    code = params["model"]
+    if code == M_BYPASS:
+        l1._sets = _mru_sets(*main)
+        l1._buffer = _mru_sets(
+            state["b_count"], params["bb_ways"], state["b_addr"],
+            (b_flags & F_DIRTY) > 0,
+        )[0]
+    elif code == M_STREAM:
+        l1._sets = _mru_sets(*main)
+        fifos = _mru_sets(
+            state["b_count"], params["bb_ways"], state["b_addr"],
+            state["b_arrival"],
         )
+        l1._streams = []
+        for entries, next_line, last_used in zip(
+            fifos, state["st_next"].tolist(), state["st_last"].tolist()
+        ):
+            stream = _Stream()
+            stream.entries = entries
+            stream.next_line, stream.last_used = next_line, last_used
+            l1._streams.append(stream)
+    else:
+        temporal = (flags & F_TEMPORAL) > 0
+        tracks_temporal = l1._entry_has_temporal
+        if params["ways"] == 1:
+            live = state["count"] > 0
+            l1._tags = np.where(live, state["tags"], -1).tolist()
+            l1._dirty = (live & dirty).tolist()
+            if tracks_temporal:
+                l1._temporal = (live & temporal).tolist()
+        else:
+            l1._sets = _mru_sets(*main, *((temporal,) if tracks_temporal
+                                          else ()))
+        if params["use_bb"]:
+            l1.bounce_back._sets = _mru_sets(
+                state["b_count"], params["bb_ways"], state["b_addr"],
+                (b_flags & F_DIRTY) > 0, (b_flags & F_TEMPORAL) > 0,
+                (b_flags & F_PREFETCHED) > 0, state["b_arrival"],
+            )
+    if l2 is not None:
+        l2._l2_sets = [
+            [entry[0] for entry in entries]
+            for entries in _mru_sets(
+                state["l2_count"], params["l2_ways"], state["l2_tags"]
+            )
+        ]
+        l2_stats = l2.l2_stats
+        l2_stats.refs = r["l2_refs"]
+        l2_stats.misses = l2_stats.lines_fetched = r["l2_misses"]
+        l2_stats.hits_main = r["l2_refs"] - r["l2_misses"]
+        l2_stats.words_fetched = r["l2_misses"] * l2._l2_words
 
 
-def _mru_sets(addr, flags, count, ways, arrival=None):
-    """Per-set MRU-first entries ``[line, dirty, temporal]``, extended
-    by ``prefetched, arrival`` for the bounce-back buffer."""
-    addr, flags = addr.tolist(), flags.tolist()
-    arrival = None if arrival is None else arrival.tolist()
-    sets = []
-    for index, live in enumerate(count.tolist()):
-        entries = []
-        for k in range(index * ways, index * ways + live):
-            entry = [addr[k], bool(flags[k] & F_DIRTY),
-                     bool(flags[k] & F_TEMPORAL)]
-            if arrival is not None:
-                entry += [bool(flags[k] & F_PREFETCHED), arrival[k]]
-            entries.append(entry)
-        sets.append(entries)
-    return sets
+def _mru_sets(count, ways, *columns):
+    """Per-set MRU-first entries, one value per column in order."""
+    columns = [column.tolist() for column in columns]
+    return [
+        [[column[k] for column in columns]
+         for k in range(index * ways, index * ways + live)]
+        for index, live in enumerate(count.tolist())
+    ]

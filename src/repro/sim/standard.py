@@ -18,8 +18,9 @@ Direct-mapped geometries — the paper's default — run on a flat
 array-backed hot path (preallocated ``tags``/``dirty`` columns indexed
 by set) instead of per-set Python lists: one line per set makes the
 MRU list pure overhead.  Set-associative geometries keep the list
-implementation.  Both are the *reference* engine; the batch ``fast``
-engine lives in :mod:`repro.sim.fast`.
+implementation.  Both are the *reference* engine; the compiled
+``native`` loop (:mod:`repro.sim.native`) runs both write policies, the
+batch ``fast`` engine (:mod:`repro.sim.fast`) write-back only.
 """
 
 from __future__ import annotations
@@ -108,7 +109,12 @@ class StandardCache:
         return any(e[0] == la for e in self._sets[la % self._n_sets])
 
     def native_engine_refusal(self):
-        """Why the compiled loop does not apply (None = it does)."""
+        """The compiled loop transcribes both write policies (None: it
+        always applies)."""
+        return None
+
+    def fast_engine_refusal(self):
+        """Why the batch kernels are not equivalent (None = they are)."""
         from .engine import EngineRefusal
 
         if self.write_policy != "write-back":
@@ -116,15 +122,6 @@ class StandardCache:
                 "write-policy",
                 f"write policy {self.write_policy!r} has no batch kernel",
             )
-        return None
-
-    def fast_engine_refusal(self):
-        """Why the batch kernels are not equivalent (None = they are)."""
-        from .engine import EngineRefusal
-
-        refusal = self.native_engine_refusal()
-        if refusal is not None:
-            return refusal
         if self._penalty < self._hit_time:
             return EngineRefusal(
                 "degenerate-timing",
@@ -209,7 +206,9 @@ class StandardCache:
             tags[index] = la
             self._dirty[index] = False
             stats.writebacks += 1
-            stall += self.write_buffer.push(start)
+            store_stall = self.write_buffer.push(start)
+            stats.write_buffer_stalls += store_stall
+            stall += store_stall
         else:
             tags[index] = la
             self._dirty[index] = is_write
@@ -287,7 +286,9 @@ class StandardCache:
             # write buffer.
             entries.insert(0, [la, False])
             stats.writebacks += 1
-            stall += self.write_buffer.push(start)
+            store_stall = self.write_buffer.push(start)
+            stats.write_buffer_stalls += store_stall
+            stall += store_stall
         else:
             entries.insert(0, [la, is_write])
         stats.lines_fetched += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..errors import ConfigError
 from .geometry import CacheGeometry
 from .result import SimResult
 from .timing import MemoryTiming
@@ -56,6 +57,10 @@ class StreamBufferCache:
         depth: int = 4,
         name: str = "",
     ) -> None:
+        if n_buffers < 1:
+            raise ConfigError(f"need at least one stream buffer: {n_buffers}")
+        if depth < 0:
+            raise ConfigError(f"stream buffer depth must be >= 0: {depth}")
         self.geometry = geometry
         self.timing = timing
         self.n_buffers = n_buffers
@@ -85,6 +90,11 @@ class StreamBufferCache:
         self.stats = SimResult(cache=self.name)
         self._ready_at = 0
         self._bus_free_at = 0
+
+    def native_engine_refusal(self):
+        """The compiled loop transcribes this model (None: it always
+        applies)."""
+        return None
 
     # ------------------------------------------------------------------
     # Internals

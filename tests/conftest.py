@@ -149,11 +149,15 @@ def bench_payload():
             "summary": {"fast_speedup": {}, "native_speedup": {}},
             "refusals": {},
         }
-        # The soft block's configs are assisted: the batch kernels refuse
-        # them, so the tier below native is the reference loop.
-        fast_code = "no-batch-kernel" if name == "soft" else None
-        below = "reference" if fast_code else "fast"
         for (tier, config), floor in floors.items():
+            # The batch kernels refuse the soft block's assisted configs
+            # and the bypass buffer, so the tier below native is the
+            # reference loop.
+            fast_code = (
+                "no-batch-kernel"
+                if name == "soft" or config == "bypass-buffer" else None
+            )
+            below = "reference" if fast_code else "fast"
             block["rows"].append(
                 {"config": config, "engine": below, "variant": "",
                  "refs": 1000, "seconds": 0.001, "refs_per_sec": 1_000_000}

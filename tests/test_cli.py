@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import CONFIGS, main
+from repro.cli import CONFIGS, RELATED_WORK_CELLS, main
 from repro.core.spec import CacheSpec
+
+from conftest import needs_toolchain
 
 
 class TestFigures:
@@ -247,7 +249,7 @@ class TestErrorCodes:
     def test_config_error_code_on_engine_refusal(self, capsys):
         assert main(
             ["simulate", "--benchmark", "MV", "--config", "bypass",
-             "--scale", "tiny", "--engine", "native"]
+             "--scale", "tiny", "--engine", "fast"]
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [config-error]:")
@@ -314,6 +316,16 @@ class TestExplainEngine:
         assert errors == refused
         assert status == (1 if refused else 0)
         assert all(tiers[name] == knob for name in set(CONFIGS) - refused)
+
+
+class TestVerify:
+    @needs_toolchain
+    def test_parity_battery_covers_the_related_work(self, capsys):
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        for name in [*CONFIGS, *RELATED_WORK_CELLS]:
+            assert f" {name} ok:" in out, name
 
 
 class TestServeCLI:

@@ -3,7 +3,7 @@
 The fast engine's contract is *exactness*: for every configuration it
 accepts, every counter (and the final model state) must be identical to
 the reference per-reference loop.  These tests check the contract on
-randomized traces, and that ``auto`` refuses every configuration whose
+randomized traces, and that each tier refuses every configuration whose
 equivalence the models cannot prove.
 """
 
@@ -209,18 +209,25 @@ class TestSelection:
             (lambda: TwoLevelCache(
                 standard(), CacheGeometry(8192, 32, 2), 12),
              "two-level-hierarchy"),
+            (CacheSpec.of("bypass_buffered").build, "no-batch-kernel"),
+            (CacheSpec.of("stream_buffer").build, "no-batch-kernel"),
         ],
     )
-    def test_auto_refuses_unsupported_configs(self, build, code):
+    def test_native_runs_what_fast_refuses(self, build, code):
+        """The related-work models: the numpy tier refuses them with
+        its stable code, the compiled loop vouches for them."""
         model = build()
         refusal = fast_refusal(model)
         assert refusal is not None and refusal.code == code
-        assert native_refusal(model).code == code
+        with pytest.raises(ConfigError, match=code):
+            select_engine("fast", model)
+        assert model.native_engine_refusal() is None
         chosen, why = select_engine("auto", model)
-        assert chosen == "reference" and why == refusal
-        for tier in ("fast", "native"):
-            with pytest.raises(ConfigError, match=code):
-                select_engine(tier, model)
+        if availability() is None:
+            assert (chosen, why) == ("native", None)
+        else:
+            assert chosen == "reference"
+            assert why.code == "native-unavailable"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -281,9 +288,9 @@ class TestCrossValidate:
         assert fast.engine == "fast"
 
     def test_rejects_config_without_fast_path(self):
-        build = lambda: standard(write_policy="write-through")  # noqa: E731
+        # Column-associative caches run only on the reference loop.
         with pytest.raises(ConfigError):
-            cross_validate(build, random_trace(1))
+            cross_validate(CacheSpec.of("column_assoc").build, random_trace(1))
 
     def test_detects_mismatch(self, monkeypatch):
         import repro.sim.fast as fast_module
@@ -344,16 +351,30 @@ class TestCacheKeyEngine:
         assert (probe.hits, probe.misses) == (0, 1)
         assert result.refs == 500
 
-    @pytest.mark.parametrize("knob", ["fast", "native"])
-    def test_explicit_knob_refuses_a_cached_cell(self, tmp_path, knob):
+    @pytest.mark.parametrize(
+        "knob,spec,code",
+        [
+            pytest.param(
+                "fast",
+                CacheSpec.of("standard_cache", write_policy="write-through"),
+                "write-policy", id="fast",
+            ),
+            pytest.param(
+                "native", CacheSpec.of("column_assoc"), "no-batch-kernel",
+                id="native",
+            ),
+        ],
+    )
+    def test_explicit_knob_refuses_a_cached_cell(
+        self, tmp_path, knob, spec, code
+    ):
         """A warm entry never answers for a configuration the knob's
-        tier refuses: write-through is refused by both, for good."""
+        tier refuses, for good."""
         trace = random_trace(0, refs=500)
-        spec = CacheSpec.of("standard_cache", write_policy="write-through")
         store = ResultCache(tmp_path)
         [result] = run_cells([(trace, spec)], cache=None, engine="reference")
         store.put(store.key(trace.fingerprint(), spec.fingerprint(), knob), result)
-        with pytest.raises(ConfigError, match="write-policy"):
+        with pytest.raises(ConfigError, match=code):
             run_cells([(trace, spec)], cache=store, engine=knob)
 
 

@@ -376,8 +376,12 @@ class TestNativeBenchGuard:
         block = payload["engine"]
         for config, code in (native or {}).items():
             block["refusals"][config]["native"] = code
-        if speedups is not None:
-            block["summary"]["native_speedup"] = speedups
+        for config, speedup in (speedups or {}).items():
+            # None drops the measurement.
+            if speedup is None:
+                del block["summary"]["native_speedup"][config]
+            else:
+                block["summary"]["native_speedup"][config] = speedup
         if fast_rps is not None:
             for row in block["rows"]:
                 row["refs_per_sec"] = fast_rps
@@ -414,9 +418,7 @@ class TestNativeBenchGuard:
         assert len(problems) == 1 and "no-batch-kernel" in problems[0]
 
     def test_missing_measurement_fails(self, bench_payload):
-        problems = self.problems(
-            bench_payload, speedups={"standard_cache": 8.0}
-        )
+        problems = self.problems(bench_payload, speedups={"standard": None})
         assert problems == [
             "engine: standard: no native-engine measurement"
         ]

@@ -102,6 +102,8 @@ VARIANTS = {
     "bb-4way": dict(bounce_back_lines=16, bounce_back_ways=4),
     "pf-software": dict(prefetch="software", max_prefetched=2),
     "pf-on-miss": dict(prefetch="on-miss", max_prefetched=2),
+    "pf-set-assoc": dict(prefetch="on-miss", bounce_back_ways=2,
+                         max_prefetched=2),
     "degenerate-timing": dict(timing=MemoryTiming(
         latency=0, bus_bytes_per_cycle=64, hit_time=2, assist_hit_time=3)),
 }
@@ -184,6 +186,42 @@ class TestCounterParity:
         assert result.write_buffer_stalls > 0
 
 
+class TestPrefetchCapDrop:
+    """At the cap, a set-associative buffer whose hinted set holds no
+    prefetched line drops the prefetch before it takes the bus."""
+
+    def test_dropped_prefetch_leaves_the_bus(self, monkeypatch):
+        drops = []
+        original = SoftwareAssistedCache._issue_prefetch
+
+        def observed(self, line_address, issued_at):
+            bus, issued = self._bus_free_at, self.stats.prefetches_issued
+            at_cap = (
+                self.bounce_back.prefetched_count() >= self._max_prefetched
+            )
+            original(self, line_address, issued_at)
+            dropped = (
+                self.stats.prefetches_issued == issued
+                and not self.contains(line_address << self._line_shift)
+            )
+            if at_cap and dropped:
+                drops.append(self._bus_free_at == bus)
+
+        monkeypatch.setattr(SoftwareAssistedCache, "_issue_prefetch",
+                            observed)
+        simulate(build_variant("pf-set-assoc"), soft_trace(0),
+                 engine="reference")
+        assert drops and all(drops)
+
+    @needs_toolchain
+    def test_native_matches(self):
+        reference, native = (build_variant("pf-set-assoc"),
+                             build_variant("pf-set-assoc"))
+        simulate(reference, soft_trace(0), engine="reference")
+        simulate(native, soft_trace(0), engine="native")
+        assert model_state(reference) == model_state(native)
+
+
 @needs_toolchain
 class TestStreamedParity:
     @pytest.mark.parametrize("chunk_refs", [97, 512, 4096])
@@ -229,7 +267,7 @@ def model_state(model):
 class TestStateParity:
     def test_final_model_state(self):
         for name in ("full", "two-way", "bb-4way", "pf-software",
-                     "pf-on-miss", "tiny-wb"):
+                     "pf-on-miss", "pf-set-assoc", "tiny-wb"):
             for seed in (5, 6):
                 trace = soft_trace(seed)
                 reference, native = build_variant(name), build_variant(name)

@@ -212,7 +212,8 @@ class TestReferenceEngineParity:
         )
         ref = simulate(build(), trace, engine="reference")
         streamed = simulate(
-            build(), TraceStream.from_trace(trace, chunk_refs=97)
+            build(), TraceStream.from_trace(trace, chunk_refs=97),
+            engine="reference",
         )
         assert_parity(ref, streamed)
 
@@ -225,7 +226,8 @@ class TestReferenceEngineParity:
         )
         ref = simulate(build(), trace, engine="reference")
         streamed = simulate(
-            build(), TraceStream.from_trace(trace, chunk_refs=173)
+            build(), TraceStream.from_trace(trace, chunk_refs=173),
+            engine="reference",
         )
         assert streamed.engine == "reference"
         assert_parity(ref, streamed)

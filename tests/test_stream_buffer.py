@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.sim import CacheGeometry, MemoryTiming, StreamBufferCache, simulate
 
 from conftest import make_trace
@@ -18,6 +19,14 @@ def make_cache(n_buffers=2, depth=4):
 
 def access(cache, address, now):
     return cache.access(address, False, temporal=False, spatial=False, now=now)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("n_buffers,depth", [(0, 4), (2, -1)])
+    def test_rejects_bad_shape(self, n_buffers, depth):
+        # A miss reallocates one of the buffers, so there must be one.
+        with pytest.raises(ConfigError):
+            make_cache(n_buffers=n_buffers, depth=depth)
 
 
 class TestStreamFollowing:

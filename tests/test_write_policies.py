@@ -61,6 +61,23 @@ class TestWriteThrough:
         assert c.stats.lines_fetched == 0
         assert cycles == 1  # absorbed by the write buffer
 
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_write_miss_stall_counted(self, ways):
+        # No write buffer: every store stalls the full drain, and the
+        # allocating write miss counts it as the write hit does.
+        c = StandardCache(
+            CacheGeometry(128, 32, ways),
+            MemoryTiming(latency=10, bus_bytes_per_cycle=16,
+                         write_buffer_entries=0),
+            write_policy="write-through",
+        )
+        cycles = c.access(0, True, temporal=False, spatial=False, now=0)
+        drain = c.write_buffer.drain_cycles
+        assert cycles == PENALTY + drain
+        assert c.stats.write_buffer_stalls == drain
+        c.access(0, True, temporal=False, spatial=False, now=100)
+        assert c.stats.write_buffer_stalls == 2 * drain
+
     def test_read_path_unchanged(self):
         c = make_cache(policy="write-through")
         assert c.access(0, False, temporal=False, spatial=False, now=0) == PENALTY
