@@ -920,6 +920,43 @@ RELATED_WORK_CELLS: Dict[str, CacheSpec] = {
     "stream-buffers": CacheSpec.of("stream_buffer"),
 }
 
+#: The parity battery's Belady OPT lines, as (size, line size, ways):
+#: headroom's fully associative 8 KB floor and its direct-mapped twin.
+BELADY_CELLS: Dict[str, tuple] = {
+    "OPT-FA": (8 * 1024, 32, 256),
+    "OPT-DM": (8 * 1024, 32, 1),
+}
+
+
+def _verify_belady(trace) -> int:
+    """The parity battery's OPT lines: the native Belady loop against
+    the reference loop.  Returns the number of lines that disagree."""
+    from .sim.belady import simulate_belady
+    from .sim.engine import PARITY_FIELDS
+    from .sim.geometry import CacheGeometry
+
+    failures = 0
+    for name, shape in BELADY_CELLS.items():
+        geometry = CacheGeometry(*shape)
+        native = simulate_belady(trace, geometry, engine="auto")
+        if native.engine == "reference":
+            refusal = native.engine_refusal
+            print(f"  {name:>16} skipped: [{refusal.code}] {refusal}")
+            continue
+        reference = simulate_belady(trace, geometry, engine="reference")
+        mismatches = [
+            f"{field}: reference={getattr(reference, field)} "
+            f"native={getattr(native, field)}"
+            for field in PARITY_FIELDS
+            if getattr(reference, field) != getattr(native, field)
+        ]
+        if mismatches:
+            failures += 1
+            print(f"  {name:>16} FAIL: " + "; ".join(mismatches))
+        else:
+            print(f"  {name:>16} ok: engines agree on {trace.name}")
+    return failures
+
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.oracle:
@@ -980,6 +1017,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {name:>16} FAIL: {error}")
         else:
             print(f"  {name:>16} ok: engines agree on {trace.name}")
+    if not args.config:
+        failures += _verify_belady(trace)
     print(
         "parity: all validated configurations agree"
         if failures == 0

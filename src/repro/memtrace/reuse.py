@@ -11,7 +11,7 @@ once").  Figure 1a buckets these distances as: no reuse, 1-10^2,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -27,25 +27,39 @@ REUSE_BUCKETS: Tuple[Tuple[str, float], ...] = (
 )
 
 
+def next_use(keys) -> Tuple[np.ndarray, np.ndarray]:
+    """Next occurrence of each key, and a dense id per distinct key.
+
+    Returns ``(next_index, dense_id)``, two int64 arrays aligned with
+    ``keys``: ``next_index[i]`` is the position of the next occurrence
+    of ``keys[i]`` (``-1`` when there is none), and ``dense_id[i]``
+    numbers the distinct keys ``0..k-1`` in ascending key order, so
+    comparing dense ids compares the keys.  One stable argsort serves
+    both: within a run of equal keys the sort keeps trace order, so
+    each position's successor in the sort is its next occurrence.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    same = ordered[1:] == ordered[:-1]
+    next_index = np.full(n, -1, dtype=np.int64)
+    next_index[order[:-1][same]] = order[1:][same]
+    dense_id = np.empty(n, dtype=np.int64)
+    dense_id[order] = np.concatenate(([0], np.cumsum(~same)))[:n]
+    return next_index, dense_id
+
+
 def forward_reuse_distances(trace: Trace, granularity: int = WORD_SIZE) -> np.ndarray:
     """Per-reference forward reuse distance at ``granularity`` bytes.
 
     Returns an int64 array aligned with the trace; ``-1`` marks references
     whose datum is never referenced again.
     """
-    words = (trace.addresses // granularity).tolist()
-    n = len(words)
-    distances = np.full(n, -1, dtype=np.int64)
-    next_use: Dict[int, int] = {}
-    # Walk backwards: the next use of a word seen at position i is the last
-    # recorded position for that word.
-    for i in range(n - 1, -1, -1):
-        w = words[i]
-        j = next_use.get(w)
-        if j is not None:
-            distances[i] = j - i
-        next_use[w] = i
-    return distances
+    following, _ = next_use(trace.addresses // granularity)
+    return np.where(
+        following >= 0, following - np.arange(len(following)), -1
+    )
 
 
 @dataclass(frozen=True)
@@ -75,14 +89,21 @@ def reuse_profile(trace: Trace, granularity: int = WORD_SIZE) -> ReuseProfile:
     """Compute the figure 1a reuse-distance distribution of a trace."""
     distances = forward_reuse_distances(trace, granularity)
     n = max(1, len(distances))
-    counts = {label: 0 for label, _ in REUSE_BUCKETS}
-    for d in distances.tolist():
-        counts[bucket_of(d)] += 1
+    # Bucket 0 is "no reuse" (-1); the others by inclusive upper bound,
+    # as bucket_of assigns them.
+    uppers = [upper for _, upper in REUSE_BUCKETS[1:-1]]
     reused = distances[distances >= 0]
+    buckets = np.bincount(
+        np.searchsorted(uppers, reused, side="left"),
+        minlength=len(REUSE_BUCKETS) - 1,
+    )
+    counts = [len(distances) - len(reused)] + buckets.tolist()
     mean = float(reused.mean()) if len(reused) else 0.0
     return ReuseProfile(
         name=trace.name,
-        fractions={label: c / n for label, c in counts.items()},
+        fractions={
+            label: c / n for (label, _), c in zip(REUSE_BUCKETS, counts)
+        },
         mean_distance=mean,
         total_refs=len(distances),
     )

@@ -75,4 +75,4 @@ def gap_histogram(
     generated from :data:`FIG4B_DISTRIBUTION` should reproduce its
     probabilities up to sampling noise.
     """
-    return distribution.histogram(trace.gaps.tolist())
+    return distribution.histogram(trace.gaps)

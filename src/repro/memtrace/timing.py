@@ -75,17 +75,16 @@ class GapDistribution:
         nearest larger value (or the largest value), mirroring the binning
         of figure 4b where the last bucket is "> 20 cycles".
         """
-        counts = {v: 0 for v in self.values}
-        ordered = sorted(self.values)
-        for g in gaps:
-            for v in ordered:
-                if g <= v:
-                    counts[v] += 1
-                    break
-            else:
-                counts[ordered[-1]] += 1
+        ordered = np.unique(self.values)
+        index = np.searchsorted(ordered, np.asarray(gaps), side="left")
+        counts = dict(zip(
+            ordered.tolist(),
+            np.bincount(
+                np.minimum(index, len(ordered) - 1), minlength=len(ordered)
+            ).tolist(),
+        ))
         total = max(1, len(gaps))
-        return {v: c / total for v, c in counts.items()}
+        return {v: counts[v] / total for v in self.values}
 
 
 #: Approximation of the figure 4b histogram: the bulk of consecutive

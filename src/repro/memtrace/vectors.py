@@ -38,6 +38,34 @@ VECTOR_BUCKETS: Tuple[Tuple[str, float], ...] = (
 )
 
 
+def _segments(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
+    """``(length_bytes, n_refs)`` arrays, one entry per vector sequence.
+
+    A stable argsort by instruction lines each instruction's references
+    up in trace order; a sequence breaks where the instruction changes
+    or where one of the termination rules fires between two consecutive
+    references of the same instruction.
+    """
+    if trace.ref_ids is None:
+        raise TraceError(
+            "vector-length analysis requires a trace with ref_ids "
+            "(per-instruction identifiers)"
+        )
+    order = np.argsort(trace.ref_ids, kind="stable")
+    ref_ids = trace.ref_ids[order]
+    addresses = trace.addresses[order]
+    breaks = np.ones(len(order), dtype=bool)
+    breaks[1:] = (
+        (ref_ids[1:] != ref_ids[:-1])
+        | (np.diff(order) > MAX_IDLE_REFS)
+        | (np.abs(np.diff(addresses)) > MAX_STRIDE_BYTES)
+    )
+    starts = np.flatnonzero(breaks)
+    ends = np.append(starts[1:], len(order))[: len(starts)] - 1
+    lengths = np.abs(addresses[ends] - addresses[starts]) + 1
+    return lengths, ends - starts + 1
+
+
 def vector_lengths(trace: Trace) -> List[Tuple[int, int]]:
     """Decompose a trace into per-instruction vector sequences.
 
@@ -45,37 +73,8 @@ def vector_lengths(trace: Trace) -> List[Tuple[int, int]]:
     sequence, where ``length_bytes`` is the span covered by the sequence
     and ``n_refs`` the number of dynamic references it contains.
     """
-    if trace.ref_ids is None:
-        raise TraceError(
-            "vector-length analysis requires a trace with ref_ids "
-            "(per-instruction identifiers)"
-        )
-    addresses = trace.addresses.tolist()
-    ref_ids = trace.ref_ids.tolist()
-    # Per-instruction open sequence: (last_pos, last_addr, start_addr, count).
-    open_seqs: Dict[int, Tuple[int, int, int, int]] = {}
-    finished: List[Tuple[int, int]] = []
-
-    def close(seq: Tuple[int, int, int, int]) -> None:
-        _, last_addr, start_addr, count = seq
-        finished.append((abs(last_addr - start_addr) + 1, count))
-
-    for pos, (addr, rid) in enumerate(zip(addresses, ref_ids)):
-        seq = open_seqs.get(rid)
-        if seq is not None:
-            last_pos, last_addr, start_addr, count = seq
-            idle = pos - last_pos
-            stride = abs(addr - last_addr)
-            if idle > MAX_IDLE_REFS or stride > MAX_STRIDE_BYTES:
-                close(seq)
-                open_seqs[rid] = (pos, addr, addr, 1)
-            else:
-                open_seqs[rid] = (pos, addr, start_addr, count + 1)
-        else:
-            open_seqs[rid] = (pos, addr, addr, 1)
-    for seq in open_seqs.values():
-        close(seq)
-    return finished
+    lengths, n_refs = _segments(trace)
+    return list(zip(lengths.tolist(), n_refs.tolist()))
 
 
 def bucket_of(length_bytes: int) -> str:
@@ -114,18 +113,21 @@ def vector_profile(trace: Trace) -> VectorProfile:
     sequence it belongs to (the figure weights buckets by references, not
     by sequences).
     """
-    sequences = vector_lengths(trace)
-    counts = {label: 0 for label, _ in VECTOR_BUCKETS}
-    total_refs = 0
-    weighted_length = 0.0
-    for length_bytes, n_refs in sequences:
-        counts[bucket_of(length_bytes)] += n_refs
-        total_refs += n_refs
-        weighted_length += length_bytes * n_refs
+    lengths, n_refs = _segments(trace)
+    uppers = [upper for _, upper in VECTOR_BUCKETS[:-1]]
+    counts = np.bincount(
+        np.searchsorted(uppers, lengths, side="left"),
+        weights=n_refs,
+        minlength=len(VECTOR_BUCKETS),
+    ).astype(np.int64).tolist()
+    total_refs = int(n_refs.sum())
     denominator = max(1, total_refs)
     return VectorProfile(
         name=trace.name,
-        fractions={label: c / denominator for label, c in counts.items()},
-        mean_length=weighted_length / denominator,
+        fractions={
+            label: c / denominator
+            for (label, _), c in zip(VECTOR_BUCKETS, counts)
+        },
+        mean_length=int((lengths * n_refs).sum()) / denominator,
         total_refs=total_refs,
     )

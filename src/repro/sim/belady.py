@@ -10,15 +10,29 @@ future, the model is built from the whole trace up front
 Timing uses the same rules as :class:`~repro.sim.standard.StandardCache`
 (1-cycle hits, ``t_lat + LS/w_b`` misses, write-back through the write
 buffer), so AMAT values are directly comparable.
+
+Lines never used again all tie at the farthest next use; among them
+the victim is the one with the smallest line address.  The tie-break
+matters: which dirty line leaves, and when, moves ``writebacks`` and
+``cycles``.
+
+Two tiers run the same loop, chosen by the engine knob
+(:func:`~repro.sim.engine.resolve_engine`): ``repro_belady`` in the
+native library (``sim/native/kernels.c``), and the Python loop below,
+which defines the semantics and serves when no compiler is present.
+``auto`` takes the native loop when the library loads; ``reference``
+forces the Python loop; the numpy tier has no Belady kernel.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
+from ..memtrace.reuse import next_use
 from ..memtrace.trace import Trace
+from .engine import EngineRefusal, resolve_engine
 from .geometry import CacheGeometry
 from .result import SimResult
 from .timing import MemoryTiming
@@ -28,45 +42,100 @@ from .write_buffer import WriteBuffer
 INFINITE = 1 << 60
 
 
-def _next_use_chains(line_addresses: List[int]) -> List[int]:
-    """For each position, the index of the next access to the same line
-    (or INFINITE)."""
-    n = len(line_addresses)
-    next_use = [INFINITE] * n
-    last_seen: Dict[int, int] = {}
-    for position in range(n - 1, -1, -1):
-        la = line_addresses[position]
-        next_use[position] = last_seen.get(la, INFINITE)
-        last_seen[la] = position
-    return next_use
+def _select(engine: Optional[str]) -> Tuple[str, Optional[EngineRefusal]]:
+    """``(tier, refusal)`` for the engine knob, as
+    :func:`~repro.sim.engine.select_engine` answers for a cache model;
+    an explicit tier that cannot run raises
+    :class:`~repro.errors.ConfigError`."""
+    engine = resolve_engine(engine)
+    if engine == "reference":
+        return "reference", None
+    if engine == "fast":
+        reason = EngineRefusal(
+            "no-batch-kernel", "the numpy tier has no Belady kernel"
+        )
+    else:
+        from .native import availability
+
+        diagnostic = availability()
+        if diagnostic is None:
+            return "native", None
+        reason = EngineRefusal(
+            "native-unavailable", f"no compiled kernel: {diagnostic}"
+        )
+        if engine == "auto":
+            return "reference", reason
+    raise ConfigError(
+        f"engine={engine!r} cannot run 'belady' [{reason.code}]: {reason}"
+    )
 
 
 def simulate_belady(
     trace: Trace,
     geometry: CacheGeometry,
     timing: MemoryTiming = MemoryTiming(),
+    engine: Optional[str] = None,
 ) -> SimResult:
     """Run a trace under per-set Belady-optimal replacement.
 
     Returns a :class:`SimResult` comparable to the LRU baselines.  Note
     OPT is defined on *replacement* only: fetch policy, line size and
-    associativity stay as configured.
+    associativity stay as configured.  ``engine`` is the knob of
+    :func:`~repro.sim.driver.simulate` (``None``: ``REPRO_ENGINE``, else
+    ``auto``).
     """
-    stats = SimResult(cache=f"belady {geometry}", trace=trace.name)
-    addresses, is_write, _, _, gaps = trace.columns()
-    shift = geometry.line_shift
+    tier, refusal = _select(engine)
+    stats = SimResult(
+        cache=f"belady {geometry}", trace=trace.name, engine=tier,
+        engine_refusal=refusal,
+    )
+    lines = trace.addresses >> geometry.line_shift
+    following, line_ids = next_use(lines)
+    following[following < 0] = INFINITE
+    penalty = timing.miss_penalty(1, geometry.line_size)
+    drain = timing.transfer_cycles(geometry.line_size)
+    if tier == "native":
+        from .native.runner import belady_native
+
+        counters = belady_native(
+            line_ids, lines % geometry.n_sets, trace.is_write, trace.gaps,
+            following, geometry.n_sets, geometry.ways, timing.hit_time,
+            penalty, timing.write_buffer_entries, drain,
+        )
+        stats.hits_main = counters["hits"]
+        stats.misses = counters["misses"]
+        stats.writebacks = counters["writebacks"]
+        stats.write_buffer_stalls = counters["wb_stalls"]
+        stats.cycles = counters["cycles"]
+    else:
+        _reference(
+            stats, lines.tolist(), following.tolist(),
+            trace.is_write.tolist(), trace.gaps.tolist(), geometry,
+            timing.hit_time, penalty,
+            WriteBuffer(timing.write_buffer_entries, drain),
+        )
+    stats.lines_fetched = stats.misses
+    stats.words_fetched = stats.misses * (geometry.line_size // 8)
+    stats.refs = len(trace)
+    stats.check()
+    return stats
+
+
+def _reference(
+    stats: SimResult,
+    line_addresses: List[int],
+    next_use_at: List[int],
+    is_write: List[bool],
+    gaps: List[int],
+    geometry: CacheGeometry,
+    hit_time: int,
+    penalty: int,
+    write_buffer: WriteBuffer,
+) -> None:
+    """The reference loop: fills ``stats``' hit, miss, write-back,
+    stall and cycle counters."""
     n_sets = geometry.n_sets
     ways = geometry.ways
-    penalty = timing.miss_penalty(1, geometry.line_size)
-    words_per_line = geometry.line_size // 8
-    hit_time = timing.hit_time
-    write_buffer = WriteBuffer(
-        timing.write_buffer_entries,
-        timing.transfer_cycles(geometry.line_size),
-    )
-
-    line_addresses = [a >> shift for a in addresses]
-    next_use = _next_use_chains(line_addresses)
 
     # Per-set state: resident lines with their dirtiness, plus a lazy
     # max-heap of (-next_use_position, line) for victim selection.
@@ -77,9 +146,7 @@ def simulate_belady(
     clock = 0
     total = 0
     ready_at = 0
-    for position, (la, w, g) in enumerate(
-        zip(line_addresses, is_write, gaps)
-    ):
+    for la, w, g, upcoming in zip(line_addresses, is_write, gaps, next_use_at):
         clock += g
         wait = ready_at - clock
         if wait < 0:
@@ -87,7 +154,6 @@ def simulate_belady(
         start = clock + wait
         set_index = la % n_sets
         lines = resident[set_index]
-        upcoming = next_use[position]
 
         if la in lines:
             stats.hits_main += 1
@@ -117,8 +183,6 @@ def simulate_belady(
             lines[la] = bool(w)
             future[set_index][la] = upcoming
             heapq.heappush(heaps[set_index], (-upcoming, la))
-            stats.lines_fetched += 1
-            stats.words_fetched += words_per_line
             cycles = wait + stall + penalty
             ready_at = start + stall + penalty
 
@@ -127,7 +191,4 @@ def simulate_belady(
         if extra > 0:
             clock += extra
 
-    stats.refs = len(addresses)
     stats.cycles = total
-    stats.check()
-    return stats

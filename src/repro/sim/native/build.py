@@ -52,6 +52,13 @@ _ARGTYPES = (
     + [ctypes.c_void_p] * 4      # per-reference outputs
 )
 
+#: ctypes argument layout of repro_belady.
+_BELADY_ARGTYPES = (
+    [ctypes.c_longlong]          # n
+    + [ctypes.c_void_p] * 5      # line, set, is_write, gaps, next
+    + [ctypes.c_void_p] * 8      # params, residency, write buffer, regs
+)
+
 
 def _source_bytes() -> bytes:
     """The C source to hash and compile (monkeypatch seam for the
@@ -167,6 +174,8 @@ def ensure_library(
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_sim_chunk.restype = ctypes.c_longlong
     lib.repro_sim_chunk.argtypes = _ARGTYPES
+    lib.repro_belady.restype = ctypes.c_longlong
+    lib.repro_belady.argtypes = _BELADY_ARGTYPES
     return lib
 
 

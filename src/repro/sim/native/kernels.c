@@ -21,6 +21,11 @@
  * state, so one loaded library serves any number of concurrent
  * simulations with distinct state.
  *
+ * A second entry, repro_belady (at the end of the file), is the offline
+ * Belady OPT loop of repro/sim/belady.py.  It shares only the write
+ * buffer helpers with run() and is compiled once, outside run()'s
+ * per-model copies.
+ *
  * Bit-exactness contract
  * ----------------------
  * Each reference is charged exactly what the reference model's
@@ -836,5 +841,96 @@ int64_t repro_sim_chunk(
 #define STORE_REGISTER(name) regs[k++] = s.name;
     REGISTERS(STORE_REGISTER)
 #undef STORE_REGISTER
+    return 0;
+}
+
+/* ---- Belady OPT (repro/sim/belady.py) ------------------------------ */
+
+/* simulate_belady's loop over a whole trace, kept out of run() so it is
+ * compiled once.  The caller precomputes, per reference, the line as a
+ * dense id ordered like the line address (line), its set (set) and the
+ * position of the line's next use (next; never-used-again lines carry a
+ * sentinel larger than any position).  A set holds `count` lines in
+ * way_line/way_next/way_dirty, in no particular order, and slot_of maps
+ * a dense id to its way (-1 when not resident).
+ *
+ * A full set evicts the line used farthest in the future; among lines
+ * never used again, the smallest line address -- the order of the
+ * reference loop's heap of (-next_use, line).  The clock is the
+ * driver's: 1-cycle hits, t_lat + LS/w_b misses, dirty victims through
+ * the write buffer.  params: ways, hit, penalty, wb_entries, wb_drain;
+ * regs (out): cycles, hits, misses, writebacks, write-buffer stalls.
+ * Returns 0. */
+int64_t repro_belady(
+    int64_t n,
+    const int64_t *line,
+    const int64_t *set,
+    const uint8_t *is_write,
+    const int64_t *gaps,
+    const int64_t *next,
+    const int64_t *params,
+    int64_t *slot_of,
+    int64_t *way_line,
+    int64_t *way_next,
+    uint8_t *way_dirty,
+    int64_t *count,
+    int64_t *wb_ring,
+    int64_t *regs) {
+    Sim s = {0};
+    const int64_t ways = params[0], hit = params[1], penalty = params[2];
+    int64_t i, j, clock = 0, hits = 0;
+
+    s.wb_entries = params[3];
+    s.wb_drain = params[4];
+    for (s.wb_mask = 1; s.wb_mask < s.wb_entries; s.wb_mask <<= 1)
+        ;
+    s.wb_mask--;
+    s.wb_ring = wb_ring;
+
+    for (i = 0; i < n; i++) {
+        int64_t base = set[i] * ways, k = slot_of[line[i]];
+        int64_t wait, start, cycles, stall = 0;
+        clock += gaps[i];
+        wait = s.ready - clock;
+        if (wait < 0)
+            wait = 0;
+        start = clock + wait;
+        if (k >= 0) {
+            hits++;
+            way_dirty[base + k] |= is_write[i];
+            way_next[base + k] = next[i];
+            cycles = wait + hit;
+            s.ready = start + hit;
+        } else {
+            s.misses++;
+            if (count[set[i]] < ways) {
+                k = count[set[i]]++;
+            } else {
+                k = 0;
+                for (j = 1; j < ways; j++)
+                    if (way_next[base + j] > way_next[base + k]
+                        || (way_next[base + j] == way_next[base + k]
+                            && way_line[base + j] < way_line[base + k]))
+                        k = j;
+                slot_of[way_line[base + k]] = -1;
+                if (way_dirty[base + k])
+                    stall = discard(&s, F_DIRTY, start);
+            }
+            way_line[base + k] = line[i];
+            way_next[base + k] = next[i];
+            way_dirty[base + k] = is_write[i];
+            slot_of[line[i]] = k;
+            cycles = wait + stall + penalty;
+            s.ready = start + stall + penalty;
+        }
+        s.cycles += cycles;
+        if (cycles > hit)
+            clock += cycles - hit;
+    }
+    regs[0] = s.cycles;
+    regs[1] = hits;
+    regs[2] = s.misses;
+    regs[3] = s.writebacks;
+    regs[4] = s.wb_stalls;
     return 0;
 }

@@ -347,3 +347,37 @@ def _mru_sets(count, ways, *columns):
          for k in range(index * ways, index * ways + live)]
         for index, live in enumerate(count.tolist())
     ]
+
+
+def belady_native(line, sets, is_write, gaps, following, n_sets, ways,
+                  hit, penalty, wb_entries, wb_drain) -> dict:
+    """Run ``repro_belady`` over a whole trace (the columns are those of
+    :func:`repro.sim.belady.simulate_belady`); returns its counters by
+    name."""
+    lib = _require_library()
+    columns = [
+        np.ascontiguousarray(column, dtype=dtype)
+        for column, dtype in (
+            (line, np.int64), (sets, np.int64), (is_write, np.uint8),
+            (gaps, np.int64), (following, np.int64),
+        )
+    ]
+    params = np.array([ways, hit, penalty, wb_entries, wb_drain],
+                      dtype=np.int64)
+    state = (
+        # slot_of, one entry per distinct line
+        np.full(int(line.max()) + 1 if len(line) else 0, -1, dtype=np.int64),
+        np.zeros(n_sets * ways, dtype=np.int64),   # way_line
+        np.zeros(n_sets * ways, dtype=np.int64),   # way_next
+        np.zeros(n_sets * ways, dtype=np.uint8),   # way_dirty
+        np.zeros(n_sets, dtype=np.int64),          # count
+        # The ring's capacity is the power of two kernels.c assumes.
+        np.zeros(1 << max(wb_entries - 1, 0).bit_length(), dtype=np.int64),
+    )
+    regs = np.zeros(5, dtype=np.int64)
+    lib.repro_belady(
+        len(line), *(_ptr(array) for array in (*columns, params, *state, regs))
+    )
+    return dict(zip(
+        ("cycles", "hits", "misses", "writebacks", "wb_stalls"), regs.tolist()
+    ))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import CONFIGS, RELATED_WORK_CELLS, main
+from repro.cli import BELADY_CELLS, CONFIGS, RELATED_WORK_CELLS, main
 from repro.core.spec import CacheSpec
 
 from conftest import needs_toolchain
@@ -324,8 +324,24 @@ class TestVerify:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "skipped" not in out
-        for name in [*CONFIGS, *RELATED_WORK_CELLS]:
+        for name in [*CONFIGS, *RELATED_WORK_CELLS, *BELADY_CELLS]:
             assert f" {name} ok:" in out, name
+
+    def test_opt_lines_skip_without_compiler(self, capsys, tmp_path,
+                                             monkeypatch):
+        from repro.sim.native import build
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setattr(build, "_STATE", {
+            "attempted": False, "lib": None,
+            "diagnostic": None, "path": None,
+        })
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        for name in BELADY_CELLS:
+            assert f" {name} skipped: [native-unavailable]" in out, name
 
 
 class TestServeCLI:

@@ -10,6 +10,7 @@ from repro.memtrace.reuse import (
     bucket_of,
     forward_reuse_distances,
     fraction_beyond,
+    next_use,
     reuse_profile,
 )
 
@@ -89,3 +90,76 @@ class TestFractionBeyond:
 
     def test_empty_trace(self):
         assert fraction_beyond(make_trace([]), 10) == 0.0
+
+
+def brute_force_distances(addresses, granularity=8):
+    """The definition, one reference at a time: the distance to the
+    next reference of the same datum, -1 when there is none."""
+    keys = [a // granularity for a in addresses]
+    distances = []
+    for i, key in enumerate(keys):
+        later = keys[i + 1:]
+        distances.append(later.index(key) + 1 if key in later else -1)
+    return distances
+
+
+addresses_st = st.lists(
+    st.integers(min_value=0, max_value=40).map(lambda k: 4 * k), max_size=80
+)
+
+
+class TestOracle:
+    @given(addresses_st, st.sampled_from([1, 8, 32]))
+    def test_distances_match_brute_force(self, addresses, granularity):
+        t = make_trace(addresses)
+        assert forward_reuse_distances(t, granularity).tolist() == (
+            brute_force_distances(addresses, granularity)
+        )
+
+    @given(addresses_st)
+    def test_profile_matches_bucket_of(self, addresses):
+        distances = brute_force_distances(addresses)
+        n = max(1, len(distances))
+        p = reuse_profile(make_trace(addresses))
+        for label, _ in REUSE_BUCKETS:
+            assert p.fraction(label) == (
+                sum(bucket_of(d) == label for d in distances) / n
+            )
+        assert p.total_refs == len(addresses)
+
+    def test_bucket_bounds_are_inclusive(self):
+        # Address 0 is reused exactly 100 references later, the first
+        # bucket's inclusive bound; address 800 well beyond it.
+        addresses = [0] + list(range(8, 8 * 100, 8)) + [0, 8 * 100, 8 * 200]
+        addresses += list(range(8 * 300, 8 * 400, 8)) + [8 * 100]
+        d = forward_reuse_distances(make_trace(addresses)).tolist()
+        assert d[0] == 100
+        p = reuse_profile(make_trace(addresses))
+        expected = [bucket_of(x) for x in d]
+        assert p.fraction("1 - 10^2") == expected.count("1 - 10^2") / len(d)
+        assert p.fraction("10^2 - 10^3") == (
+            expected.count("10^2 - 10^3") / len(d)
+        )
+
+    def test_empty_and_single_reference(self):
+        assert reuse_profile(make_trace([])).total_refs == 0
+        p = reuse_profile(make_trace([8]))
+        assert p.fraction("no reuse") == 1.0 and p.mean_distance == 0.0
+
+
+class TestNextUse:
+    @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=60))
+    def test_matches_definition(self, keys):
+        following, dense = next_use(np.asarray(keys, dtype=np.int64))
+        for i, key in enumerate(keys):
+            later = keys[i + 1:]
+            assert following[i] == (
+                i + 1 + later.index(key) if key in later else -1
+            )
+        # Dense ids number the distinct keys in ascending order.
+        ranks = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        assert dense.tolist() == [ranks[key] for key in keys]
+
+    def test_empty(self):
+        following, dense = next_use(np.zeros(0, dtype=np.int64))
+        assert len(following) == len(dense) == 0

@@ -89,6 +89,54 @@ class TestHistogram:
             assert abs(sum(h.values()) - 1.0) < 1e-9
 
 
+def brute_force_histogram(distribution, gaps):
+    """Each gap to the smallest distribution value at or above it, the
+    largest value when none is."""
+    counts = {v: 0 for v in distribution.values}
+    ordered = sorted(distribution.values)
+    for g in gaps:
+        counts[next((v for v in ordered if g <= v), ordered[-1])] += 1
+    return {v: c / max(1, len(gaps)) for v, c in counts.items()}
+
+
+distributions = st.lists(
+    st.integers(min_value=0, max_value=30), min_size=1, max_size=6
+).map(lambda values: GapDistribution(tuple(values), (1.0,) * len(values)))
+
+
+class TestHistogramOracle:
+    @given(distributions,
+           st.lists(st.integers(min_value=-2, max_value=40), max_size=60))
+    def test_matches_brute_force(self, distribution, gaps):
+        expected = brute_force_histogram(distribution, gaps)
+        h = distribution.histogram(gaps)
+        assert list(h) == list(expected)
+        assert h == expected
+        assert distribution.histogram(np.asarray(gaps, dtype=np.int64)) == (
+            expected
+        )
+
+    def test_gaps_above_the_largest_value(self):
+        h = FIG4B_DISTRIBUTION.histogram([26, 1000, 25, 1])
+        assert h[25] == 0.75 and h[1] == 0.25
+
+    def test_unsorted_values_keep_their_order(self):
+        d = GapDistribution((5, 1, 3), (1, 1, 1))
+        h = d.histogram([2, 4, 9])
+        assert list(h) == [5, 1, 3]
+        assert h == {5: 2 / 3, 1: 0.0, 3: 1 / 3}
+
+    def test_trace_gaps(self):
+        from repro.memtrace.stats import gap_histogram
+
+        from conftest import make_trace
+
+        t = make_trace([0] * 4, gaps=[1, 3, 30, 2])
+        assert gap_histogram(t) == brute_force_histogram(
+            FIG4B_DISTRIBUTION, [1, 3, 30, 2]
+        )
+
+
 class TestRoundTrip:
     def test_sampled_histogram_matches_model(self):
         rng = np.random.default_rng(11)
