@@ -64,9 +64,9 @@ def simulate(
     ``.result`` carries the same counters.
 
     ``engine`` picks the simulation engine (``auto``/``reference``/
-    ``fast``/``native`` — native is the compiled-C tier, built on
-    demand when a system C compiler exists); when ``auto`` passes over
-    a higher tier, the structured refusal is recorded on
+    ``native`` — native is the compiled-C tier, built on demand when a
+    system C compiler exists); when ``auto`` passes over the native
+    tier, the structured refusal is recorded on
     ``result.engine_refusal``.  ``reset=False`` and
     ``warmup_refs`` behave as in the specialised entry points (and are
     incompatible with probed runs, which need the full cold trace).

@@ -101,10 +101,9 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         choices=ENGINES,
         default=None,
         help="simulation engine (default: $REPRO_ENGINE or auto; "
-        "'auto' walks the ladder top-down — the native compiled "
-        "loop when provably equivalent and a C toolchain or "
-        "prebuilt library exists, else the fast batch kernels when "
-        "provably equivalent (plain caches), else the reference loop)",
+        "'auto' runs the native compiled loop when provably "
+        "equivalent and a C toolchain or prebuilt library exists, "
+        "else the reference loop)",
     )
 
 
@@ -194,12 +193,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--check", action="store_true",
-        help="exit 1 if a block that ran misses its floor: soft fast "
-        "over reference >= 5x (3x on temporal-priority), engine native "
-        "over fast >= 5x on standard and standard_cache (only the fast "
-        "rows must complete when no C toolchain exists), serve hit "
-        "throughput >= 200 rps and hit p99 <= 50 ms (skipped on <2 "
-        "CPUs; serve's integrity checks always apply)",
+        help="exit 1 if a block that ran misses its floor: native "
+        "over the reference loop >= 5x on every soft config and on "
+        "engine's standard, standard_cache and bypass-buffer (only "
+        "the reference rows must complete when no C toolchain "
+        "exists), serve hit throughput >= 200 rps and hit p99 <= 50 "
+        "ms (skipped on <2 CPUs; serve's integrity checks always "
+        "apply)",
     )
 
     tags = sub.add_parser("tags", help="show compiler locality tags")
@@ -489,6 +489,7 @@ def _cmd_run(
     jobs: Optional[int] = None, engine: Optional[str] = None,
 ) -> int:
     from .experiments import ALL_FIGURES, CLAIMS, EXTENSION_STUDIES
+    from .sim.engine import resolve_engine
 
     if jobs is not None:
         # Figure drivers have heterogeneous signatures; the environment
@@ -498,6 +499,9 @@ def _cmd_run(
         # Same channel as --jobs: every simulate/run_sweep call the
         # figure drivers make honours $REPRO_ENGINE.
         os.environ["REPRO_ENGINE"] = engine
+    # Validate $REPRO_ENGINE before any study runs: the trace-analysis
+    # studies never read it, so a misspelt engine would pass silently.
+    resolve_engine()
     battery = {**ALL_FIGURES, **EXTENSION_STUDIES}
     wanted = list(battery) if names == ["all"] else names
     unknown = [n for n in wanted if n not in battery]
@@ -557,7 +561,7 @@ def _cmd_simulate(
                 validated += 1
         print(
             f"cross-validated {validated}/{len(chosen)} configs: "
-            "every engine tier agrees with the reference on every counter"
+            "the native tier agrees with the reference on every counter"
         )
     sweep = run_sweep({label_trace: trace}, chosen, jobs=jobs, engine=engine)
     rows = {}
@@ -576,7 +580,6 @@ def _cmd_simulate(
 #: The --explain-engine description of each tier select_engine can choose.
 _TIER_DETAIL = {
     "native": "compiled loop proven equivalent and loadable",
-    "fast": "batch kernels proven equivalent",
     "reference": "per-reference loop",
 }
 
@@ -587,8 +590,8 @@ def _explain_engine(config: str, engine: Optional[str]) -> int:
     Prints the ``(chosen, refusal)`` that
     :func:`~repro.sim.engine.select_engine` returns for each
     configuration — the same call ``simulate`` makes.  Under an explicit
-    ``fast`` or ``native`` knob a configuration the tier refuses prints
-    as an ``error`` row and the command fails, as ``simulate`` would.
+    ``native`` knob a configuration the tier refuses prints as an
+    ``error`` row and the command fails, as ``simulate`` would.
     """
     from .sim.engine import resolve_engine, select_engine
 

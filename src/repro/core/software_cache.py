@@ -55,7 +55,7 @@ from .config import SoftCacheConfig
 class SoftwareAssistedCache:
     """Main cache + bounce-back cache + virtual lines + temporal bits."""
 
-    #: Per-line state carries a temporal bit; read by the batch tiers
+    #: Per-line state carries a temporal bit; read by the native tier
     #: when materialising final cache contents.
     _entry_has_temporal = True
 
@@ -140,30 +140,6 @@ class SoftwareAssistedCache:
     def native_engine_refusal(self):
         """The compiled loop transcribes this model's semantics for
         every configuration (None: it always applies)."""
-        return None
-
-    def fast_engine_refusal(self):
-        """Why the numpy batch kernels are not equivalent (None = they
-        are).
-
-        They cover only the plain configurations — no bounce-back
-        cache, hence no prefetch, and no virtual lines; the assisted
-        ones run on the native or the reference tier.  A miss penalty
-        below the pipelined hit time breaks the kernels' closed-form
-        wait reconstruction and is refused too.
-        """
-        from ..sim.engine import EngineRefusal, is_assisted
-
-        if is_assisted(self):
-            return EngineRefusal(
-                "no-batch-kernel",
-                "assisted configurations have no numpy batch kernel",
-            )
-        if self._latency + self._line_transfer < self._hit_time:
-            return EngineRefusal(
-                "degenerate-timing",
-                "miss penalty below the pipelined hit time",
-            )
         return None
 
     def in_main(self, address: int) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.spec import CacheSpec
 from ..memtrace.trace import Trace
 from ..sim.driver import simulate
-from ..sim.engine import fast_refusal, native_refusal
+from ..sim.engine import native_refusal
 
 #: Default trace length; long enough that per-call overhead vanishes.
 DEFAULT_REFS = 400_000
@@ -156,7 +156,7 @@ def _timed(fn) -> float:
 def _best_of(sample, repeat: int) -> float:
     """Adaptive min-of-N over ``sample()`` timings.
 
-    Short runs (the fast engine finishes 400k refs in tens of
+    Short runs (the native tier finishes 400k refs in tens of
     milliseconds) need many more samples than long ones for min() to be
     a stable noise floor — keep sampling cheap rows until ~1s of
     measurement or 15 samples, whichever comes first.  Long rows stay
@@ -169,8 +169,9 @@ def _best_of(sample, repeat: int) -> float:
     return min(samples)
 
 
-def _traced_peak(fn) -> int:
-    """Peak traced allocation (bytes) while running ``fn``.
+def _traced_peak(fn):
+    """``(peak traced allocation in bytes, fn's result)`` of one run of
+    ``fn``.
 
     ``tracemalloc`` slows the traced run severalfold, so callers time
     throughput in a separate untraced pass.
@@ -179,11 +180,11 @@ def _traced_peak(fn) -> int:
 
     tracemalloc.start()
     try:
-        fn()
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
+    return peak, result
 
 
 def _row(config, engine, variant, refs, seconds, **extra) -> Dict:
@@ -233,11 +234,6 @@ def machine_record() -> Dict:
 # ----------------------------------------------------------------------
 # Throughput per engine tier: the engine and soft scenarios
 # ----------------------------------------------------------------------
-#: Engine tiers bottom-up; a tier's speedup is over the next tier down
-#: that ran.
-TIERS = ("reference", "fast", "native")
-
-
 def _time_tier(spec: CacheSpec, trace: Trace, engine: str, repeat: int):
     """Best-of seconds for one (config, tier); the model build is not
     timed."""
@@ -252,35 +248,29 @@ def _time_tier(spec: CacheSpec, trace: Trace, engine: str, repeat: int):
 def measure_throughput(scenario: Scenario, sizes: Sizes) -> Dict:
     """Time every tier each config accepts on the scenario's trace.
 
-    ``reference`` always runs; ``fast`` and ``native`` run unless their
-    refusal (recorded per config, by code) says they cannot.  The
-    summary holds each upper tier's speedup over the tier below it and
-    every config's miss ratio.
+    ``reference`` always runs; ``native`` runs unless its refusal
+    (recorded per config, by code) says it cannot.  The summary holds
+    native's speedup over the reference loop and every config's miss
+    ratio.
     """
     trace = scenario.trace(sizes.refs)
     rows: List[Dict] = []
     refusals: Dict[str, Dict[str, Optional[str]]] = {}
-    summary: Dict[str, Dict] = {
-        "fast_speedup": {}, "native_speedup": {}, "miss_ratio": {},
-    }
+    summary: Dict[str, Dict] = {"native_speedup": {}, "miss_ratio": {}}
     for name, spec in _bench_specs(scenario.configs).items():
-        model = spec.build()
-        refusals[name] = codes = {
-            tier: None if refusal is None else refusal.code
-            for tier, refusal in (
-                ("fast", fast_refusal(model)),
-                ("native", native_refusal(model)),
-            )
+        refusal = native_refusal(spec.build())
+        refusals[name] = {"native": None if refusal is None else refusal.code}
+        seconds = {
+            "reference": _time_tier(spec, trace, "reference", sizes.repeat)
         }
-        below = None
-        for tier in TIERS:
-            if codes.get(tier) is not None:
-                continue
-            seconds = _time_tier(spec, trace, tier, sizes.repeat)
-            rows.append(_row(name, tier, "", sizes.refs, seconds))
-            if below is not None:
-                summary[f"{tier}_speedup"][name] = round(below / seconds, 2)
-            below = seconds
+        if refusal is None:
+            seconds["native"] = _time_tier(spec, trace, "native", sizes.repeat)
+            summary["native_speedup"][name] = round(
+                seconds["reference"] / seconds["native"], 2
+            )
+        rows.extend(
+            _row(name, tier, "", sizes.refs, s) for tier, s in seconds.items()
+        )
         result = simulate(spec.build(), trace, engine="auto")
         summary["miss_ratio"][name] = round(result.miss_ratio, 4)
     return {
@@ -296,12 +286,13 @@ def measure_throughput(scenario: Scenario, sizes: Sizes) -> Dict:
 # ----------------------------------------------------------------------
 # Streamed vs in-memory
 # ----------------------------------------------------------------------
-#: Tier each stream config is pinned to, so the scenario keeps covering
-#: both streaming code paths (the per-reference loop and the per-chunk
-#: batch kernels).  ``soft`` stays on the reference tier: this scenario
-#: proves memory boundedness, not kernel speed, and the reference loop
-#: is the one tier every machine runs the assisted family on.
-STREAM_ENGINE_TIERS = {"standard": "fast", "soft": "reference"}
+#: Engine knob each stream config runs under.  ``standard`` takes
+#: ``auto`` (the compiled loop's per-chunk entry when a compiler exists,
+#: else the reference loop); ``soft`` stays on the reference tier: this
+#: scenario proves memory boundedness, not kernel speed, and the
+#: reference loop is the one tier every machine runs.  Each row records
+#: the engine its run actually used.
+STREAM_ENGINE_TIERS = {"standard": "auto", "soft": "reference"}
 
 
 def _stream_runs(spec: CacheSpec, stream, engine: str) -> Dict[str, Callable]:
@@ -339,16 +330,16 @@ def measure_stream(
         store = scenario.trace(refs, sizes.chunk_refs, f"{root}/trace.store")
         stream = TraceStream.from_store(store)
         for name, spec in _bench_specs(scenario.configs).items():
-            engine = STREAM_ENGINE_TIERS[name]
-            runs = _stream_runs(spec, stream, engine)
+            runs = _stream_runs(spec, stream, STREAM_ENGINE_TIERS[name])
             seconds = {
                 variant: min(_timed(run) for _ in range(sizes.repeat))
                 for variant, run in runs.items()
             }
-            peaks = {variant: _traced_peak(run) for variant, run in runs.items()}
-            for variant in runs:
-                rows.append(_row(name, engine, variant, refs, seconds[variant],
-                                 peak_bytes=peaks[variant]))
+            traced = {variant: _traced_peak(run) for variant, run in runs.items()}
+            peaks = {variant: peak for variant, (peak, _) in traced.items()}
+            for variant, (peak, result) in traced.items():
+                rows.append(_row(name, result.engine, variant, refs,
+                                 seconds[variant], peak_bytes=peak))
             summary["throughput_ratio"][name] = round(
                 seconds["in-memory"] / seconds["streamed"], 3
             )
@@ -410,8 +401,9 @@ def _bare_reference(model, trace: Trace) -> None:
     stats.check()
 
 
-def _probe_timings(spec, trace, engine, telemetry, repeat):
-    """``({variant: seconds}, overhead)`` for one (config, engine).
+def _probe_timings(spec, trace, telemetry, repeat):
+    """``({variant: seconds}, overhead)`` for one config on the
+    reference loop.
 
     The overhead compares two timings of near-identical cost; on shared
     hardware whose speed drifts over seconds, independent min-of-N on
@@ -420,24 +412,18 @@ def _probe_timings(spec, trace, engine, telemetry, repeat):
     small, so the per-round ratio cancels it) and the overhead is the
     median ratio over at least five rounds.
     """
-    if engine == "fast":
-        from ..sim.fast import simulate_fast
 
-        def bare() -> None:
-            simulate_fast(spec.build(), (trace,), trace.name)
-
-    else:
-
-        def bare() -> None:
-            _bare_reference(spec.build(), trace)
+    def bare() -> None:
+        _bare_reference(spec.build(), trace)
 
     def probes_off() -> None:
-        simulate(spec.build(), trace, engine=engine)
+        simulate(spec.build(), trace, engine="reference")
 
     def probed() -> None:
         model = spec.build()
         simulate(
-            model, trace, engine=engine, probes=telemetry.build_probes(model)
+            model, trace, engine="reference",
+            probes=telemetry.build_probes(model),
         )
 
     bare_samples = [_timed(bare)]
@@ -460,11 +446,11 @@ def _probe_timings(spec, trace, engine, telemetry, repeat):
 
 
 def measure_probes(scenario: Scenario, sizes: Sizes) -> Dict:
-    """Telemetry cost per (config, engine): the bare pre-telemetry hot
-    path (reference: :func:`_bare_reference`; fast: the batch kernels
-    called directly), probes-off ``simulate()`` and a fully probed run
-    (windows, shadow classification, tag audit).  ``probes_off_overhead``
-    is what the budget watches; ``probed_cost`` is informational."""
+    """Telemetry cost per config on the reference loop: the bare
+    pre-telemetry hot loop (:func:`_bare_reference`), probes-off
+    ``simulate()`` and a fully probed run (windows, shadow
+    classification, tag audit).  ``probes_off_overhead`` is what the
+    budget watches; ``probed_cost`` is informational."""
     from ..telemetry import TelemetrySpec
 
     trace = scenario.trace(sizes.refs)
@@ -474,24 +460,18 @@ def measure_probes(scenario: Scenario, sizes: Sizes) -> Dict:
         "probes_off_overhead": {}, "within_budget": {}, "probed_cost": {},
     }
     for name, spec in _bench_specs(scenario.configs).items():
-        engines = ["reference"]
-        if fast_refusal(spec.build()) is None:
-            engines.append("fast")
-        for engine in engines:
-            seconds, overhead = _probe_timings(
-                spec, trace, engine, telemetry, sizes.repeat
-            )
-            rows.extend(
-                _row(name, engine, variant, sizes.refs, s)
-                for variant, s in seconds.items()
-            )
-            for key, value in (
-                ("probes_off_overhead", round(overhead, 4)),
-                ("within_budget", overhead < PROBE_OVERHEAD_BUDGET),
-                ("probed_cost",
-                 round(seconds["probed"] / seconds["probes-off"], 2)),
-            ):
-                summary[key].setdefault(name, {})[engine] = value
+        seconds, overhead = _probe_timings(spec, trace, telemetry, sizes.repeat)
+        rows.extend(
+            _row(name, "reference", variant, sizes.refs, s)
+            for variant, s in seconds.items()
+        )
+        for key, value in (
+            ("probes_off_overhead", round(overhead, 4)),
+            ("within_budget", overhead < PROBE_OVERHEAD_BUDGET),
+            ("probed_cost",
+             round(seconds["probed"] / seconds["probes-off"], 2)),
+        ):
+            summary[key][name] = {"reference": value}
     return {
         "refs": sizes.refs,
         "repeat": sizes.repeat,
@@ -650,7 +630,7 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario(
             "engine",
             why=(
-                "every tier on a uniform trace over 4x the cache (~75% "
+                "both tiers on a uniform trace over 4x the cache (~75% "
                 "miss), the plain configs' worst case; soft here is a "
                 "miss-bound stress case, not the paper workload (that is "
                 "the soft block)"
@@ -720,7 +700,7 @@ def run_scenario(name: str, sizes: Optional[Sizes] = None, **options) -> Dict:
 # The guard: ``repro bench --check``
 # ----------------------------------------------------------------------
 #: block -> (tier, config) -> minimum speedup of that tier over the
-#: next tier down.
+#: reference loop.
 SPEEDUP_FLOORS: Dict[str, Dict[Tuple[str, str], float]] = {
     "soft": {
         ("native", config): 5.0
@@ -742,22 +722,17 @@ SERVE_MAX_HIT_P99_MS = 50.0
 def _speedup_problem(
     block: Dict, tier: str, config: str, floor: float
 ) -> Optional[str]:
-    codes = block["refusals"].get(config, {})
-    code = codes.get(tier)
+    code = block["refusals"].get(config, {}).get(tier)
     if code == "native-unavailable":
         # No toolchain: a compiler is an optimisation, never a
-        # requirement, so demand only that the next tier down that ran
-        # served it (the reference loop always runs).
-        below = next(
-            lower for lower in reversed(TIERS[:TIERS.index(tier)])
-            if codes.get(lower) is None
-        )
+        # requirement, so demand only that the reference loop, which
+        # always runs, served it.
         if not any(
-            row["config"] == config and row["engine"] == below
+            row["config"] == config and row["engine"] == "reference"
             and row["refs_per_sec"] > 0
             for row in block["rows"]
         ):
-            return f"{config}: {below} fallback recorded no throughput"
+            return f"{config}: reference fallback recorded no throughput"
         return None
     if code is not None:
         return f"{config}: {tier} tier refuses (code={code})"
@@ -810,7 +785,7 @@ def bench_guard(payload: Dict) -> List[str]:
     (empty = pass).
 
     A floored tier that refuses fails, except for ``native-unavailable``,
-    which degrades the check to "the next tier down completed"; a
+    which degrades the check to "the reference loop completed"; a
     floored pair with no measurement fails.  Serve's integrity checks (every request
     completed, no errors, the dedup invariant) always apply.
     """

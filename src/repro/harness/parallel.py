@@ -14,8 +14,8 @@ speed levers:
   trace fingerprint, spec fingerprint, engine)``, so re-running an
   unchanged cell costs one small JSON read instead of a simulation.
   The engine knob is part of the key so results from different
-  engines can never alias, even though the fast engine is validated to
-  be counter-identical.
+  engines can never alias, even though the native tier is validated to
+  be counter-identical to the reference loop.
 
 Knobs (all also honoured by ``python -m repro run/simulate --jobs``):
 
@@ -141,9 +141,10 @@ class ResultCache:
     * entries shard into two levels of fan-out directories
       (``key[:2]/key[2:4]/``), bounding any directory to ~256 entries
       even at millions of cached cells, so directory scans and renames
-      stay O(1)-ish.  Entries written by older versions at the
-      single-level ``key[:2]/`` path are still found (and promoted to
-      the sharded path on first hit).
+      stay O(1)-ish.  Entries older versions wrote at the single-level
+      ``key[:2]/`` path are never read (their keys hash an older
+      ``SIM_VERSION``), but :meth:`clear`, :meth:`prune` and ``len``
+      still count and reclaim them.
     """
 
     def __init__(self, root: Union[str, os.PathLike, None] = None) -> None:
@@ -166,34 +167,16 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / key[2:4] / f"{key}.json"
 
-    def _legacy_path(self, key: str) -> Path:
-        # Pre-sharding layout (single fan-out level); read-only compat.
-        return self.root / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> Optional[SimResult]:
         path = self._path(key)
         try:
             payload = json.loads(path.read_text())
             result = payload_to_result(payload)
         except (OSError, ValueError, KeyError, TypeError):
-            # Not at the sharded path: try the legacy single-level one,
-            # promoting a hit so the next read takes the fast path.  A
-            # concurrently pruned entry lands here too and is a miss —
+            # A concurrently pruned entry lands here too and is a miss —
             # callers re-simulate; deletion mid-read is never an error.
-            legacy = self._legacy_path(key)
-            try:
-                payload = json.loads(legacy.read_text())
-                result = payload_to_result(payload)
-            except (OSError, ValueError, KeyError, TypeError):
-                self.misses += 1
-                return None
-            self.put(key, result)
-            try:  # drop the legacy copy so the key is not counted twice
-                legacy.unlink()
-            except OSError:
-                pass
-            self.hits += 1
-            return result
+            self.misses += 1
+            return None
         self.hits += 1
         try:
             # Refresh the mtime so prune()'s LRU order tracks *use*,
@@ -354,9 +337,8 @@ def run_cells(
     as it arrives, so an interrupted sweep keeps every cell it finished.
     The returned list is aligned with ``cells`` regardless of completion
     order.  ``engine`` is the simulation-engine knob (resolved once;
-    part of the cache key).  An explicit ``fast`` or ``native`` knob
-    refuses a configuration it cannot prove whether or not the cell is
-    cached.  A pool worker that dies raises :class:`WorkerDiedError`.
+    part of the cache key).  An explicit ``native`` knob refuses a
+    configuration it cannot prove whether or not the cell is cached.  A pool worker that dies raises :class:`WorkerDiedError`.
 
     The trace slot accepts either an in-memory ``Trace`` or a
     :class:`~repro.stream.TraceStream`; both expose the same
@@ -366,7 +348,7 @@ def run_cells(
     jobs = resolve_jobs(jobs)
     engine = resolve_engine(engine)
     store = _open_cache(cache)
-    if engine in ("fast", "native"):
+    if engine == "native":
         for _, spec in cells:
             select_engine(engine, spec.build())
     results: List[Optional[SimResult]] = [None] * len(cells)

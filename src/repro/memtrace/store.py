@@ -46,7 +46,7 @@ STORE_VERSION = 2
 
 #: Default rows per chunk: ~6.8 MB of column data — small enough that a
 #: handful of resident chunks stay cache-friendly, large enough that the
-#: batch kernels amortise their per-chunk setup.
+#: compiled loop amortises its per-chunk setup.
 DEFAULT_CHUNK_REFS = 1 << 18
 
 #: Manifest file name inside a store directory.

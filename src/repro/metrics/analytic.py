@@ -1,9 +1,9 @@
-"""Closed-form cache-behaviour oracles: a third correctness leg.
+"""Closed-form cache-behaviour oracles: a second correctness leg.
 
-The reference, fast and native engines cross-validate each other
-bit-for-bit, but they share one failure mode: all three *simulate*, so
+The reference and native engines cross-validate each other
+bit-for-bit, but they share one failure mode: both *simulate*, so
 a systematic modelling bug (a miscounted hit, a mispriced miss) could
-pass parity in every tier at once.  This module predicts the counters
+pass parity in both tiers at once.  This module predicts the counters
 of distribution-generated traces *without simulating*, in the spirit of
 the classic analytical cache studies ("Analytical Studies of Strategies
 for Utilization of Cache Memory"): exact expressions where the access
@@ -61,7 +61,7 @@ Entry points: :func:`predict` (a :class:`Prediction` of per-metric
 :class:`Interval` s), :func:`oracle_check` (assert one
 :class:`~repro.sim.result.SimResult` against a distribution, raising
 :class:`OracleMismatch`), and :func:`verify_oracle` (the ``repro
-verify --oracle`` battery driving every engine tier — reference, fast,
+verify --oracle`` battery driving every engine tier — reference,
 native, streamed — over every distribution).
 """
 
@@ -758,10 +758,10 @@ def oracle_check(
 # ----------------------------------------------------------------------
 # The engine-tier battery (repro verify --oracle)
 # ----------------------------------------------------------------------
-#: Every engine tier the battery drives.  ``fast`` covers the plain
-#: configurations, ``native`` every write-back one; ``streamed`` is a
-#: delivery tier over the same engines.
-ORACLE_TIERS = ("reference", "fast", "native", "streamed")
+#: Every engine tier the battery drives.  ``native`` covers every
+#: write-back configuration; ``streamed`` is a delivery tier over the
+#: same engines.
+ORACLE_TIERS = ("reference", "native", "streamed")
 
 #: Default configurations: one plain and one assisted family member.
 ORACLE_CONFIGS = ("standard", "soft")
@@ -770,16 +770,15 @@ ORACLE_CONFIGS = ("standard", "soft")
 def _tier_result(tier: str, spec, dist: AccessDistribution):
     """Run one tier; ``(result, skip_reason)`` — exactly one is None."""
     from ..sim.driver import simulate
-    from ..sim.engine import fast_refusal, native_refusal
+    from ..sim.engine import native_refusal
     from ..stream import TraceStream
 
     trace = dist.trace()
     model = spec.build()
     if tier == "reference":
         return simulate(model, trace, engine="reference"), None
-    if tier in ("fast", "native"):
-        refuse = fast_refusal if tier == "fast" else native_refusal
-        refusal = refuse(model)
+    if tier == "native":
+        refusal = native_refusal(model)
         if refusal is not None:
             return None, f"[{refusal.code}] {refusal}"
         return simulate(model, trace, engine=tier), None

@@ -10,7 +10,6 @@ from .engine import (
     EngineMismatchError,
     cross_validate,
     cross_validate_stream,
-    fast_refusal,
     native_refusal,
     resolve_engine,
     select_engine,
@@ -41,7 +40,6 @@ __all__ = [
     "EngineMismatchError",
     "cross_validate",
     "cross_validate_stream",
-    "fast_refusal",
     "native_refusal",
     "resolve_engine",
     "select_engine",

@@ -21,7 +21,7 @@ Two tiers run the same loop, chosen by the engine knob
 native library (``sim/native/kernels.c``), and the Python loop below,
 which defines the semantics and serves when no compiler is present.
 ``auto`` takes the native loop when the library loads; ``reference``
-forces the Python loop; the numpy tier has no Belady kernel.
+forces the Python loop.
 """
 
 from __future__ import annotations
@@ -50,21 +50,16 @@ def _select(engine: Optional[str]) -> Tuple[str, Optional[EngineRefusal]]:
     engine = resolve_engine(engine)
     if engine == "reference":
         return "reference", None
-    if engine == "fast":
-        reason = EngineRefusal(
-            "no-batch-kernel", "the numpy tier has no Belady kernel"
-        )
-    else:
-        from .native import availability
+    from .native import availability
 
-        diagnostic = availability()
-        if diagnostic is None:
-            return "native", None
-        reason = EngineRefusal(
-            "native-unavailable", f"no compiled kernel: {diagnostic}"
-        )
-        if engine == "auto":
-            return "reference", reason
+    diagnostic = availability()
+    if diagnostic is None:
+        return "native", None
+    reason = EngineRefusal(
+        "native-unavailable", f"no compiled kernel: {diagnostic}"
+    )
+    if engine == "auto":
+        return "reference", reason
     raise ConfigError(
         f"engine={engine!r} cannot run 'belady' [{reason.code}]: {reason}"
     )

@@ -5,19 +5,17 @@ advances by the recorded inter-reference gap (issue rate, figure 4b) plus
 the stall of the previous access beyond its pipelined hit slot — so
 write-buffer drain and prefetch arrival see realistic wall-clock times.
 
-The ``engine`` knob selects between the three simulation tiers (see
-:mod:`repro.sim.engine`): the per-reference ``reference`` loop below,
-its compiled C transcription in :mod:`repro.sim.native`, and the
-exact numpy batch kernels of :mod:`repro.sim.fast` for plain caches.
-The default (``auto``) walks the ladder top-down, using the highest
-tier that proves equivalence (for native, also that a toolchain or
-prebuilt library exists).
+The ``engine`` knob selects between the two simulation tiers (see
+:mod:`repro.sim.engine`): the per-reference ``reference`` loop below and
+its compiled C transcription in :mod:`repro.sim.native`.  The default
+(``auto``) runs the compiled loop when the model proves equivalence and
+a toolchain or prebuilt library exists, else the reference loop.
 
 There is one entry point, :func:`simulate`, for every trace delivery:
 each tier consumes an iterable of chunk traces, an in-memory trace being
 the one chunk ``(trace,)`` and a :class:`~repro.stream.TraceStream` its
 chunk windows.  So there is one reference loop, below, and one chunk
-entry per batch tier.
+entry into the compiled loop.
 
 The ``probes`` knob attaches a telemetry
 :class:`~repro.telemetry.probes.ProbeSet`.  Probes-off runs keep the
@@ -25,7 +23,7 @@ hot loop below byte-identical to the un-probed code (the only cost is
 one ``is None`` test per call); probed runs route through
 :func:`_simulate_reference_probed`, a single instrumented loop (also
 reached by :func:`repro.metrics.attribution.attribute`), or through
-the batch tiers' exact per-reference outputs.
+the compiled loop's exact per-reference outputs.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .result import SimResult
 def _check_probed_run(probes, reset: bool, warmup_refs: int) -> None:
     """Probed runs must cover the whole trace from a cold cache —
     telemetry of a partial or warm-start run would not match its
-    counters (and the fast engine refuses those runs anyway)."""
+    counters (and the native tier refuses those runs anyway)."""
     if probes is not None and (not reset or warmup_refs):
         raise ConfigError(
             "telemetry probes require reset=True and warmup_refs=0"
@@ -76,7 +74,7 @@ def simulate(
     counters, so the result reflects steady-state behaviour only (the
     paper measures whole cold-start traces; warm-up is offered for
     methodological comparisons).  ``engine`` is ``auto`` / ``reference``
-    / ``fast`` / ``native`` (default: ``$REPRO_ENGINE`` or ``auto``);
+    / ``native`` (default: ``$REPRO_ENGINE`` or ``auto``);
     the selection actually used is recorded in ``SimResult.engine``.
     ``probes`` is an optional telemetry
     :class:`~repro.telemetry.probes.ProbeSet`; the counters of a probed
@@ -94,12 +92,6 @@ def simulate(
         from .native import simulate_native
 
         return simulate_native(model, chunks, name, probes=probes)
-    if chosen == "fast":
-        from .fast import simulate_fast
-
-        result = simulate_fast(model, chunks, name, probes=probes)
-        result.engine_refusal = refusal
-        return result
     if probes is not None:
         stats = _simulate_reference_probed(model, chunks, name, probes)
         stats.engine_refusal = refusal

@@ -1,4 +1,4 @@
-"""Engine selection: the three-tier simulation engine's front door.
+"""Engine selection: the two-tier simulation engine's front door.
 
 Every simulation names an *engine*:
 
@@ -16,26 +16,22 @@ Every simulation names an *engine*:
     prebuilt library being present (the stable ``native-unavailable``
     refusal when not).  The column-associative, sub-block and HP-7200
     assist models have no kernel.
-``fast``
-    The numpy batch kernels of :mod:`repro.sim.fast`, exact for the
-    plain write-back LRU configurations only (no bounce-back cache, no
-    virtual lines).  It serves those when no compiler is present.
 ``auto`` (the default)
-    Walks the ladder top-down: ``native`` when :func:`native_refusal`
-    accepts the run, else ``fast`` when :func:`fast_refusal` does, else
+    ``native`` when :func:`native_refusal` accepts the run, else
     ``reference``.  The selection is recorded in ``SimResult.engine``,
     and the native tier's refusal in ``SimResult.engine_refusal``.
 
-Models opt in per tier by implementing ``native_engine_refusal()`` and
-``fast_engine_refusal()``, each returning ``None`` when that tier's
-kernel applies, or an :class:`EngineRefusal` carrying a stable
-machine-readable ``code`` plus a human-readable message.  The check is
-*conservative by construction*: a model without the hook, and any
-configuration the hook cannot vouch for, runs on a lower tier.
+Models opt in by implementing ``native_engine_refusal()``, returning
+``None`` when the compiled kernel applies, or an :class:`EngineRefusal`
+carrying a stable machine-readable ``code`` plus a human-readable
+message.  The check is *conservative by construction*: a model without
+the hook, and any configuration the hook cannot vouch for, runs on the
+reference loop.
 
 ``REPRO_ENGINE`` sets the default engine when the caller passes none
-(mirrors ``REPRO_JOBS``); :func:`cross_validate` runs every applicable
-engine on fresh models and asserts every counter matches.
+(mirrors ``REPRO_JOBS``); :func:`cross_validate` runs the native tier
+and the reference loop on fresh models and asserts every counter
+matches.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from ..errors import ConfigError, ReproError
 from .result import SimResult
 
 #: Valid values of the engine knob.
-ENGINES = ("auto", "reference", "fast", "native")
+ENGINES = ("auto", "reference", "native")
 
 #: SimResult counter fields compared by cross-validation (everything
 #: except the engine tag and the trace/cache labels).
@@ -60,7 +56,7 @@ PARITY_FIELDS = (
 
 
 class EngineMismatchError(ReproError):
-    """Cross-validation found fast/reference counters disagreeing."""
+    """Cross-validation found native/reference counters disagreeing."""
 
     code = "engine-mismatch"
 
@@ -81,10 +77,7 @@ class EngineRefusal(str):
     CODES = (
         "warm-start",         # continuation from warm cache state
         "warmup-window",      # warm-up prefix discards counters
-        "no-batch-kernel",    # the tier has no kernel for this model
-        "degenerate-timing",  # fast only: miss penalty below the hit
-        "write-policy",       # fast only: non-write-back standard cache
-        "two-level-hierarchy",  # fast only: L2 replays L1 fetches
+        "no-batch-kernel",    # no compiled kernel for this model
         "native-unavailable",  # no C compiler and no prebuilt library
     )
 
@@ -121,16 +114,22 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 def is_assisted(model) -> bool:
     """True when ``model`` uses the software-assisted machinery
-    (a bounce-back cache, which prefetch requires, or virtual lines):
-    the configurations only the native and reference tiers run."""
+    (a bounce-back cache, which prefetch requires, or virtual lines)."""
     return bool(getattr(model, "_use_bb", False)) or (
         getattr(model, "_vl_lines", 1) > 1
     )
 
 
-def _refusal(model, hook: str, reset: bool, warmup_refs: int, tier: str):
-    """Run-shape conditions (cold start, no warm-up), then the model's
-    own ``hook`` vouching for its configuration."""
+def native_refusal(
+    model, reset: bool = True, warmup_refs: int = 0
+) -> Optional[EngineRefusal]:
+    """Why the native tier cannot run this simulation (None = it can).
+
+    The run must start cold and keep every counter; the model vouches
+    for its configuration through its ``native_engine_refusal`` hook;
+    on top of it a C toolchain or a prebuilt library must actually be
+    present (``native-unavailable`` carries the compiler diagnostic).
+    """
     if not reset:
         return EngineRefusal(
             "warm-start", "continuation from warm cache state"
@@ -139,35 +138,12 @@ def _refusal(model, hook: str, reset: bool, warmup_refs: int, tier: str):
         return EngineRefusal(
             "warmup-window", "warm-up window discards a counter prefix"
         )
-    check = getattr(model, hook, None)
+    check = getattr(model, "native_engine_refusal", None)
     if check is None:
         return EngineRefusal(
-            "no-batch-kernel", f"{type(model).__name__} has no {tier} kernel"
+            "no-batch-kernel", f"{type(model).__name__} has no compiled kernel"
         )
-    return check()
-
-
-def fast_refusal(
-    model, reset: bool = True, warmup_refs: int = 0
-) -> Optional[EngineRefusal]:
-    """Why the numpy batch kernels cannot run this simulation (None =
-    they can)."""
-    return _refusal(model, "fast_engine_refusal", reset, warmup_refs, "batch")
-
-
-def native_refusal(
-    model, reset: bool = True, warmup_refs: int = 0
-) -> Optional[EngineRefusal]:
-    """Why the native tier cannot run this simulation (None = it can).
-
-    The model vouches for its configuration through its
-    ``native_engine_refusal`` hook; on top of it a C toolchain or a
-    prebuilt library must actually be present (``native-unavailable``
-    carries the compiler diagnostic).
-    """
-    reason = _refusal(
-        model, "native_engine_refusal", reset, warmup_refs, "compiled"
-    )
+    reason = check()
     if reason is not None:
         return reason
     from .native import availability
@@ -188,31 +164,25 @@ def select_engine(
 ) -> Tuple[str, Optional[EngineRefusal]]:
     """Resolve the knob against a concrete simulation.
 
-    Returns ``(chosen, refusal)`` where ``chosen`` is ``"native"``,
-    ``"fast"`` or ``"reference"``; ``refusal`` is the native tier's,
-    explaining why it was passed over (None when it runs).
-    ``engine="fast"`` / ``engine="native"`` raise
+    Returns ``(chosen, refusal)`` where ``chosen`` is ``"native"`` or
+    ``"reference"``; ``refusal`` is the native tier's, explaining why it
+    was passed over (None when it runs).  ``engine="native"`` raises
     :class:`~repro.errors.ConfigError` when the tier cannot run the
-    simulation (for native, the message carries the compiler
-    diagnostic), rather than silently running a different simulation.
+    simulation (the message carries the refusal code and, when no
+    compiler exists, its diagnostic), rather than silently running a
+    different simulation.
     """
     engine = resolve_engine(engine)
     if engine == "reference":
         return "reference", None
-    if engine in ("native", "fast"):
-        refuse = native_refusal if engine == "native" else fast_refusal
-        reason = refuse(model, reset=reset, warmup_refs=warmup_refs)
-        if reason is not None:
-            raise ConfigError(
-                f"engine={engine!r} cannot run {model.name!r} "
-                f"[{reason.code}]: {reason}"
-            )
-        return engine, None
     reason = native_refusal(model, reset=reset, warmup_refs=warmup_refs)
     if reason is None:
         return "native", None
-    if fast_refusal(model, reset=reset, warmup_refs=warmup_refs) is None:
-        return "fast", reason
+    if engine == "native":
+        raise ConfigError(
+            f"engine={engine!r} cannot run {model.name!r} "
+            f"[{reason.code}]: {reason}"
+        )
     return "reference", reason
 
 
@@ -223,17 +193,15 @@ def cross_validate(
     oracle=None,
     tol: float = 1.0,
 ) -> SimResult:
-    """Run every applicable engine on fresh models and assert identical
-    counters.
+    """Run the native tier and the reference loop on fresh models and
+    assert identical counters.
 
     ``build`` constructs a fresh model (a ``CacheSpec.build`` bound
-    method, a preset factory...).  Runs the reference loop and every
-    tier above it that accepts the configuration (``fast``, ``native``),
-    so one call checks the whole ladder.  Returns the result of
-    ``engine_result``.  Raises :class:`EngineMismatchError` listing
-    every differing counter per engine, or
-    :class:`~repro.errors.ConfigError` when no tier above reference
-    accepts the configuration.
+    method, a preset factory...).  Returns the result of
+    ``engine_result`` (``"reference"`` or ``"native"``).  Raises
+    :class:`EngineMismatchError` listing every differing counter, or
+    :class:`~repro.errors.ConfigError` when the native tier refuses the
+    configuration (no kernel, or no compiler).
 
     ``oracle`` adds the analytic leg: pass a
     :class:`~repro.metrics.analytic.AccessDistribution` and the
@@ -245,30 +213,25 @@ def cross_validate(
     """
     from .driver import simulate
 
-    chosen, refusal = select_engine("auto", build())
-    if chosen == "reference":
-        raise ConfigError(
-            f"no engine above reference runs {build().name!r} "
-            f"[{refusal.code}]: {refusal}"
-        )
     if trace is None:
         if oracle is None:
             raise ConfigError(
                 "cross_validate needs a trace or an oracle distribution"
             )
         trace = oracle.trace()
+    refusal = native_refusal(build())
+    if refusal is not None:
+        raise ConfigError(
+            f"no engine above reference runs {build().name!r} "
+            f"[{refusal.code}]: {refusal}"
+        )
     reference = simulate(build(), trace, engine="reference")
-    others = {
-        tier: simulate(build(), trace, engine=tier)
-        for tier, refuse in (("fast", fast_refusal), ("native", native_refusal))
-        if refuse(build()) is None
-    }
+    native = simulate(build(), trace, engine="native")
     mismatches = [
         f"{name}: reference={getattr(reference, name)} "
-        f"{engine}={getattr(result, name)}"
-        for engine, result in others.items()
+        f"native={getattr(native, name)}"
         for name in PARITY_FIELDS
-        if getattr(reference, name) != getattr(result, name)
+        if getattr(reference, name) != getattr(native, name)
     ]
     if mismatches:
         raise EngineMismatchError(
@@ -279,7 +242,7 @@ def cross_validate(
         from ..metrics.analytic import oracle_check
 
         oracle_check(build(), oracle, reference, tol=tol)
-    return others.get(engine_result, reference)
+    return native if engine_result == "native" else reference
 
 
 def cross_validate_stream(

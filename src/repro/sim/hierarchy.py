@@ -17,7 +17,7 @@ latencies, and an L2 hit *is* a short-latency miss.
   are pipelined) and counts memory traffic.
 
 The native tier (:mod:`repro.sim.native`) runs the same replay fused
-after its L1 step; the numpy ``fast`` tier has no hierarchy.
+after its L1 step.
 
 Modelling notes (documented simplifications): the L2 is mostly
 inclusive — L1 write-backs are assumed to hit it, so dirty traffic
@@ -75,20 +75,6 @@ class TwoLevelCache:
     def stats(self) -> SimResult:
         """The L1's record (the driver reads and finalises this)."""
         return self.l1.stats
-
-    def fast_engine_refusal(self):
-        """The numpy batch kernels have no hierarchy.
-
-        L2 hits depend on the exact interleaving of L1 fetches, which
-        the batch kernels do not replay — so equivalence cannot be
-        proved and ``auto`` falls to the next tier.
-        """
-        from .engine import EngineRefusal
-
-        return EngineRefusal(
-            "two-level-hierarchy",
-            "two-level hierarchy replays L1 fetches per reference",
-        )
 
     def native_engine_refusal(self):
         """The compiled loop replays the L2 after each access of any L1

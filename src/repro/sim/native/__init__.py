@@ -9,8 +9,8 @@ directory keyed by a source+compiler hash, and loaded via
 :mod:`ctypes`.  The top of the engine ladder (:mod:`repro.sim.engine`):
 ``engine=auto`` picks it when :func:`~repro.sim.engine.native_refusal`
 proves equivalence *and* a toolchain or prebuilt library exists;
-otherwise a lower tier serves silently and the refusal records
-``native-unavailable``.
+otherwise the reference loop serves silently and the refusal records
+why (``native-unavailable`` when no compiler exists).
 
 ``python -m repro.sim.native`` (``make native``) force-builds the
 library and prints its cache path.

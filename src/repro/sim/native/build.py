@@ -17,7 +17,7 @@ error, unloadable library) is captured as a one-line *diagnostic*
 string.  :func:`availability` returns ``None`` when the library is
 ready and the diagnostic otherwise; the engine ladder turns a
 diagnostic into the stable ``native-unavailable`` refusal, so
-``engine=auto`` silently falls back to a lower tier while
+``engine=auto`` silently falls back to the reference loop while
 ``engine=native`` raises a :class:`~repro.errors.ConfigError` carrying
 the diagnostic verbatim.
 """

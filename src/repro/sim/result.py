@@ -23,8 +23,8 @@ class SimResult:
 
     cache: str = ""
     trace: str = ""
-    #: Which engine produced this record ("reference", "fast" or
-    #: "native").  The engines are counter-identical by construction,
+    #: Which engine produced this record ("reference" or "native").
+    #: The engines are counter-identical by construction,
     #: so the field is excluded from equality; it exists for
     #: observability and for the result-cache fingerprint (cells of
     #: different engines never alias).

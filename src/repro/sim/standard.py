@@ -19,8 +19,7 @@ array-backed hot path (preallocated ``tags``/``dirty`` columns indexed
 by set) instead of per-set Python lists: one line per set makes the
 MRU list pure overhead.  Set-associative geometries keep the list
 implementation.  Both are the *reference* engine; the compiled
-``native`` loop (:mod:`repro.sim.native`) runs both write policies, the
-batch ``fast`` engine (:mod:`repro.sim.fast`) write-back only.
+``native`` loop (:mod:`repro.sim.native`) runs both write policies.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class StandardCache:
     """LRU set-associative cache; ignores the software tags entirely."""
 
     #: Per-line state carries no temporal bit (cf. the software model);
-    #: read by the batch tiers when materialising final cache contents.
+    #: read by the native tier when materialising final cache contents.
     _entry_has_temporal = False
 
     def __init__(
@@ -111,22 +110,6 @@ class StandardCache:
     def native_engine_refusal(self):
         """The compiled loop transcribes both write policies (None: it
         always applies)."""
-        return None
-
-    def fast_engine_refusal(self):
-        """Why the batch kernels are not equivalent (None = they are)."""
-        from .engine import EngineRefusal
-
-        if self.write_policy != "write-back":
-            return EngineRefusal(
-                "write-policy",
-                f"write policy {self.write_policy!r} has no batch kernel",
-            )
-        if self._penalty < self._hit_time:
-            return EngineRefusal(
-                "degenerate-timing",
-                "miss penalty below the pipelined hit time",
-            )
         return None
 
     def access(

@@ -5,10 +5,9 @@ package turns a run into an *explained* run.  A
 :class:`~repro.telemetry.probes.ProbeSet` attaches to ``simulate`` and
 consumes a canonical per-reference event stream
 (:mod:`repro.telemetry.events`) that both engines emit
-identically — the reference loop from counter deltas, the fast kernels
-from exact per-reference reconstruction — so every report below is
-bit-identical across ``engine=reference``/``fast`` and
-streamed/in-memory runs:
+identically — the reference loop from counter deltas, the compiled
+loop per reference — so every report below is bit-identical across
+``engine=reference``/``native`` and streamed/in-memory runs:
 
 * windowed time series (miss rate, AMAT, traffic, write-buffer stalls
   per N-reference window) in O(chunk) memory over any trace stream;

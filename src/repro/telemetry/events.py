@@ -6,13 +6,12 @@ sequence of :class:`TelemetryBatch` column batches covering the trace
 in order, each reference annotated with its simulated outcome (miss,
 assist hit, cycles, words fetched, write-buffer stall).  The reference
 engine fills the outcome columns from per-access counter deltas; the
-native loop writes them per reference; the fast engine reconstructs
-them from its batch kernels (exactly — see :mod:`repro.sim.fast`).
+native loop writes them per reference.
 
 Batch *partitioning* is an engine detail (one batch per chunk, or per
 trace), so probes must accumulate by global reference index — every
 probe in this package is insensitive to how the stream is cut, which is
-what makes reference/fast and streamed/in-memory reports identical.
+what makes reference/native and streamed/in-memory reports identical.
 """
 
 from __future__ import annotations

@@ -134,8 +134,8 @@ def mv_tiny_trace():
 def bench_payload():
     """A ``repro bench`` payload that passes every ``--check`` floor:
     each floored (tier, config) pair at twice its floor with a completed
-    row for the tier below it, plus a clean serve block.  Guard tests
-    break one field."""
+    reference row, plus a clean serve block.  Guard tests break one
+    field."""
     from repro.harness.bench import (
         SERVE_MAX_HIT_P99_MS,
         SERVE_MIN_HIT_RPS,
@@ -146,24 +146,16 @@ def bench_payload():
     for name, floors in SPEEDUP_FLOORS.items():
         block = payload[name] = {
             "rows": [],
-            "summary": {"fast_speedup": {}, "native_speedup": {}},
+            "summary": {"native_speedup": {}},
             "refusals": {},
         }
         for (tier, config), floor in floors.items():
-            # The batch kernels refuse the soft block's assisted configs
-            # and the bypass buffer, so the tier below native is the
-            # reference loop.
-            fast_code = (
-                "no-batch-kernel"
-                if name == "soft" or config == "bypass-buffer" else None
-            )
-            below = "reference" if fast_code else "fast"
             block["rows"].append(
-                {"config": config, "engine": below, "variant": "",
+                {"config": config, "engine": "reference", "variant": "",
                  "refs": 1000, "seconds": 0.001, "refs_per_sec": 1_000_000}
             )
             block["summary"][f"{tier}_speedup"][config] = 2 * floor
-            block["refusals"][config] = {"fast": fast_code, "native": None}
+            block["refusals"][config] = {"native": None}
     payload["serve"] = {
         "requests": 10,
         "warm_cells": 4,

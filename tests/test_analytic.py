@@ -103,7 +103,7 @@ class TestPredictions:
 
     def test_line_utilization_and_amat_are_checked(self):
         dist = small_battery()["scan"]
-        result = simulate(spec("standard").build(), dist.trace(), engine="fast")
+        result = simulate(spec("standard").build(), dist.trace())
         checked = oracle_check("standard", dist, result)
         for metric in ("line_utilization", "amat", "miss_ratio", "traffic"):
             observed, interval = checked[metric]
@@ -156,7 +156,7 @@ class TestPerturbationDetection:
     """An intentionally corrupted counter must not survive the oracle."""
 
     def _result(self, dist, preset="standard"):
-        return simulate(spec(preset).build(), dist.trace(), engine="fast")
+        return simulate(spec(preset).build(), dist.trace())
 
     def test_identity_violation_caught(self):
         dist = small_battery()["scan"]
@@ -207,6 +207,7 @@ class TestPerturbationDetection:
 
 
 class TestCrossValidateOracleLeg:
+    @needs_toolchain
     def test_oracle_joins_cross_validation(self):
         dist = small_battery()["blocked"]
         result = cross_validate(spec("standard").build, oracle=dist)
@@ -239,8 +240,8 @@ class TestVerifyOracleBattery:
         # Every tier appears; every tier has at least one non-skipped run
         # except native, which may lack a toolchain entirely.  With one,
         # native checks the assisted config against the closed forms.
-        assert set(by_tier) == {"reference", "fast", "native", "streamed"}
-        for tier in ("reference", "fast", "streamed"):
+        assert set(by_tier) == {"reference", "native", "streamed"}
+        for tier in ("reference", "streamed"):
             assert any(r["skipped"] is None for r in by_tier[tier]), tier
         if availability() is None:
             assert all(r["skipped"] is None for r in by_tier["native"])

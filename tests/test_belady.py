@@ -201,7 +201,8 @@ class TestEngineKnob:
         assert result.engine_refusal is None
 
     def test_fast_tier_has_no_belady_kernel(self):
-        with pytest.raises(ConfigError, match=r"\[no-batch-kernel\]"):
+        # The numpy tier is retired: its knob is an unknown engine.
+        with pytest.raises(ConfigError, match="'fast'"):
             simulate_belady(make_trace([0]), FA, TIMING, engine="fast")
 
     def test_unknown_engine_rejected(self):

@@ -91,22 +91,22 @@ class TestShardedLayout:
         assert cache.get(key) == _result_for(0)
         assert len(cache) == 1
 
-    def test_legacy_entry_found_and_promoted(self, tmp_path):
+    def test_legacy_entry_reads_as_miss(self, tmp_path):
+        """No key hashed with the current ``SIM_VERSION`` ever lived at
+        the single-level path, so a file there is never read — but it is
+        still counted and cleared."""
         cache = ResultCache(tmp_path)
         key = _key_for(1)
-        result = _result_for(1)
         legacy = tmp_path / key[:2] / f"{key}.json"
         legacy.parent.mkdir(parents=True)
-        legacy.write_text(json.dumps(result_to_payload(result)))
+        legacy.write_text(json.dumps(result_to_payload(_result_for(1))))
 
-        assert cache.get(key) == result  # found via the legacy fallback
-        sharded = tmp_path / key[:2] / key[2:4] / f"{key}.json"
-        assert sharded.is_file()  # promoted
-        assert not legacy.exists()  # not double-counted
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert legacy.is_file()
         assert len(cache) == 1
-        # Second read takes the fast sharded path.
-        assert cache.get(key) == result
-        assert cache.hits == 2
+        assert cache.clear() == 1
+        assert not legacy.exists()
 
     def test_enumeration_covers_both_layouts(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -220,17 +220,18 @@ class TestBenchCLI:
             else:
                 assert code == "native-unavailable" and not native_rows
 
+    @needs_toolchain
     def test_check_exits_1_below_a_floor(self, monkeypatch, capsys):
         from repro.harness import bench
 
         monkeypatch.setitem(
-            bench.SPEEDUP_FLOORS, "engine", {("fast", "standard"): 1e9}
+            bench.SPEEDUP_FLOORS, "engine", {("native", "standard"): 1e9}
         )
         assert main(
             ["bench", "--scenario", "engine", "--refs", "2000",
              "--repeat", "1", "--out", "-", "--check"]
         ) == 1
-        assert "standard: fast speedup" in capsys.readouterr().err
+        assert "standard: native speedup" in capsys.readouterr().err
 
 
 class TestAttribute:
@@ -243,17 +244,91 @@ class TestAttribute:
         assert "ref_id=" in out and "cover 90%" in out
 
 
+def _retired_by_resolve_engine(capsys, tmp_path, monkeypatch):
+    from repro.errors import ConfigError
+    from repro.sim.engine import resolve_engine
+
+    with pytest.raises(ConfigError) as excinfo:
+        resolve_engine("fast")
+    return str(excinfo.value)
+
+
+def _retired_by_env_knob(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    assert main(["run", "fig4b", "--scale", "tiny"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config-error]:")
+    return err
+
+
+def _retired_by_engine_flag(capsys, tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--benchmark", "MV", "--scale", "tiny",
+              "--engine", "fast"])
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
+def _retired_by_run_cells(capsys, tmp_path, monkeypatch):
+    from repro.errors import ConfigError
+    from repro.harness.parallel import run_cells
+    from repro.workloads.registry import get_trace
+
+    cells = [(get_trace("MV", "tiny"), CacheSpec.of("standard_cache"))]
+    with pytest.raises(ConfigError) as excinfo:
+        run_cells(cells, cache=None, engine="fast")
+    return str(excinfo.value)
+
+
+def _retired_by_serve(capsys, tmp_path, monkeypatch):
+    from repro.serve import ServeClient, ServeConfig, ServeHTTPError
+    from repro.serve import ServerThread
+
+    submission = {"trace": {"benchmark": "MV", "scale": "tiny"},
+                  "config": "standard", "engine": "fast"}
+    with ServerThread(ServeConfig(port=0, cache=str(tmp_path))) as server:
+        with ServeClient(server.host, server.port) as client:
+            with pytest.raises(ServeHTTPError) as excinfo:
+                client.submit(submission)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "config-error")
+    assert "unknown engine" in excinfo.value.message
+    return excinfo.value.message
+
+
 class TestErrorCodes:
     """CLI failures carry the stable machine-readable error code."""
 
-    def test_config_error_code_on_engine_refusal(self, capsys):
+    @pytest.mark.parametrize("reject", [
+        _retired_by_resolve_engine, _retired_by_env_knob,
+        _retired_by_engine_flag, _retired_by_run_cells, _retired_by_serve,
+    ], ids=["resolve_engine", "REPRO_ENGINE", "--engine", "run_cells",
+            "serve"])
+    def test_retired_fast_engine_is_rejected(
+        self, capsys, tmp_path, monkeypatch, reject
+    ):
+        """The numpy ``fast`` tier is gone: every way of asking for it
+        fails on the unknown-engine path, and the error names it."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert "'fast'" in reject(capsys, tmp_path, monkeypatch)
+
+    def test_config_error_code_on_engine_refusal(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.sim.native import build
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("CC", "/bin/false")
+        monkeypatch.setattr(build, "_STATE", {
+            "attempted": False, "lib": None,
+            "diagnostic": None, "path": None,
+        })
         assert main(
             ["simulate", "--benchmark", "MV", "--config", "bypass",
-             "--scale", "tiny", "--engine", "fast"]
+             "--scale", "tiny", "--engine", "native"]
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [config-error]:")
-        assert "[no-batch-kernel]" in err
+        assert "[native-unavailable]" in err
 
     def test_trace_error_code_on_missing_file(self, capsys):
         assert main(["simulate", "--trace", "/no/such/trace"]) == 1
@@ -298,7 +373,7 @@ class TestExplainEngine:
             result = simulate(spec.build(), trace, engine="auto")
             assert tiers[name] == result.engine, name
 
-    @pytest.mark.parametrize("knob", ["fast", "native"])
+    @pytest.mark.parametrize("knob", ["native"])
     def test_error_rows_are_the_refused_presets(self, capsys, knob):
         from repro.errors import ConfigError
         from repro.sim.driver import simulate

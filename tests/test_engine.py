@@ -1,10 +1,11 @@
-"""Engine-ladder selection and fast/reference parity.
+"""Engine selection and native/reference parity on plain caches.
 
-The fast engine's contract is *exactness*: for every configuration it
+The native tier's contract is *exactness*: for every configuration it
 accepts, every counter (and the final model state) must be identical to
 the reference per-reference loop.  These tests check the contract on
-randomized traces, and that each tier refuses every configuration whose
-equivalence the models cannot prove.
+randomized traces of plain (assist-free) caches, and that selection
+refuses every run whose equivalence the models cannot prove.  The
+parity suites skip without a C toolchain.
 """
 
 import json
@@ -24,16 +25,15 @@ from repro.sim import (
     EngineMismatchError,
     MemoryTiming,
     StandardCache,
-    TwoLevelCache,
     cross_validate,
     resolve_engine,
     select_engine,
     simulate,
 )
-from repro.sim.engine import PARITY_FIELDS, fast_refusal, native_refusal
+from repro.sim.engine import PARITY_FIELDS, native_refusal
 from repro.sim.native import availability
 
-from conftest import make_trace
+from conftest import make_trace, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
@@ -77,6 +77,7 @@ def assert_counters_equal(a, b, context=""):
     assert not diffs, f"{context}: {diffs}"
 
 
+@needs_toolchain
 class TestParityRandomized:
     """Property-style parity: randomized traces, every counter equal."""
 
@@ -85,46 +86,46 @@ class TestParityRandomized:
     def test_standard_cache(self, seed, ways):
         trace = random_trace(seed)
         reference = simulate(standard(ways), trace, engine="reference")
-        fast = simulate(standard(ways), trace, engine="fast")
-        assert_counters_equal(reference, fast, f"standard ways={ways}")
+        native = simulate(standard(ways), trace, engine="native")
+        assert_counters_equal(reference, native, f"standard ways={ways}")
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("ways", [1, 2])
     def test_soft_cache(self, seed, ways):
         trace = random_trace(seed)
         reference = simulate(plain_soft(ways), trace, engine="reference")
-        fast = simulate(plain_soft(ways), trace, engine="fast")
-        assert_counters_equal(reference, fast, f"soft ways={ways}")
+        native = simulate(plain_soft(ways), trace, engine="native")
+        assert_counters_equal(reference, native, f"soft ways={ways}")
 
     @pytest.mark.parametrize("ways", [1, 2])
     def test_temporal_priority_replacement(self, ways):
         trace = random_trace(11)
         build = lambda: plain_soft(ways, temporal_priority=True)  # noqa: E731
         reference = simulate(build(), trace, engine="reference")
-        fast = simulate(build(), trace, engine="fast")
-        assert_counters_equal(reference, fast, "temporal-priority")
+        native = simulate(build(), trace, engine="native")
+        assert_counters_equal(reference, native, "temporal-priority")
 
     def test_final_state_matches(self):
-        """A fast run must leave the model as the reference run would."""
+        """A native run must leave the model as the reference run would."""
         trace = random_trace(5)
         for build in (standard, plain_soft):
             reference = build()
             simulate(reference, trace, engine="reference")
-            fast = build()
-            simulate(fast, trace, engine="fast")
+            native = build()
+            simulate(native, trace, engine="native")
             for address in range(0, 256 * 4 * 8, 32):
-                assert reference.contains(address) == fast.contains(address)
-            assert reference._ready_at == fast._ready_at
-            assert reference.last_fetch == fast.last_fetch
+                assert reference.contains(address) == native.contains(address)
+            assert reference._ready_at == native._ready_at
+            assert reference.last_fetch == native.last_fetch
 
     def test_temporal_bits_materialised(self):
         trace = random_trace(9)
         reference = plain_soft()
         simulate(reference, trace, engine="reference")
-        fast = plain_soft()
-        simulate(fast, trace, engine="fast")
+        native = plain_soft()
+        simulate(native, trace, engine="native")
         for address in range(0, 256 * 4 * 8, 32):
-            assert reference.temporal_bit(address) == fast.temporal_bit(address)
+            assert reference.temporal_bit(address) == native.temporal_bit(address)
 
     def test_unbuffered_write_buffer(self):
         """entries == 0: every push stalls for the full drain time."""
@@ -152,6 +153,7 @@ short_streams = st.lists(
 )
 
 
+@needs_toolchain
 class TestParityHypothesis:
     @settings(max_examples=150, deadline=None)
     @given(stream=short_streams, ways=st.sampled_from([1, 2]))
@@ -167,8 +169,8 @@ class TestParityHypothesis:
         reference = simulate(
             StandardCache(tiny, TIMING), trace, engine="reference"
         )
-        fast = simulate(StandardCache(tiny, TIMING), trace, engine="fast")
-        assert_counters_equal(reference, fast, "hypothesis stream")
+        native = simulate(StandardCache(tiny, TIMING), trace, engine="native")
+        assert_counters_equal(reference, native, "hypothesis stream")
 
 
 class TestSelection:
@@ -177,57 +179,30 @@ class TestSelection:
         assert resolve_engine(None) == "auto"
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         assert resolve_engine(None) == "reference"
-        assert resolve_engine("fast") == "fast"  # explicit beats env
+        assert resolve_engine("native") == "native"  # explicit beats env
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ConfigError):
             resolve_engine("warp")
 
     def test_auto_picks_top_available_tier(self):
-        """Plain write-back configs never fall to reference: native when
-        the compiled kernels are loadable, else fast."""
+        """Plain configs run native when the compiled kernels are
+        loadable, else on the reference loop."""
         for build in (standard, plain_soft):
             expected = (
-                "native" if native_refusal(build()) is None else "fast"
+                "native" if native_refusal(build()) is None else "reference"
             )
             assert select_engine("auto", build())[0] == expected
 
     def test_engine_recorded_in_result(self):
         trace = random_trace(0)
         expected = (
-            "native" if native_refusal(standard()) is None else "fast"
+            "native" if native_refusal(standard()) is None else "reference"
         )
         assert simulate(standard(), trace).engine == expected
         assert simulate(standard(), trace, engine="reference").engine == (
             "reference"
         )
-
-    @pytest.mark.parametrize(
-        "build,code",
-        [
-            (lambda: standard(write_policy="write-through"), "write-policy"),
-            (lambda: TwoLevelCache(
-                standard(), CacheGeometry(8192, 32, 2), 12),
-             "two-level-hierarchy"),
-            (CacheSpec.of("bypass_buffered").build, "no-batch-kernel"),
-            (CacheSpec.of("stream_buffer").build, "no-batch-kernel"),
-        ],
-    )
-    def test_native_runs_what_fast_refuses(self, build, code):
-        """The related-work models: the numpy tier refuses them with
-        its stable code, the compiled loop vouches for them."""
-        model = build()
-        refusal = fast_refusal(model)
-        assert refusal is not None and refusal.code == code
-        with pytest.raises(ConfigError, match=code):
-            select_engine("fast", model)
-        assert model.native_engine_refusal() is None
-        chosen, why = select_engine("auto", model)
-        if availability() is None:
-            assert (chosen, why) == ("native", None)
-        else:
-            assert chosen == "reference"
-            assert why.code == "native-unavailable"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -244,15 +219,13 @@ class TestSelection:
     )
     def test_auto_accepts_assisted_configs(self, overrides):
         """The whole soft family — bounce-back, virtual lines, temporal
-        bits and prefetch — runs on the compiled loop; the numpy batch
-        kernels refuse it, so without a compiler it runs on the
-        reference loop."""
+        bits and prefetch — runs on the compiled loop; without a
+        compiler it runs on the reference loop."""
         config = dict(size_bytes=1024, line_size=32, ways=1,
                       bounce_back_lines=0, virtual_line_size=None,
                       timing=TIMING)
         config.update(overrides)
         model = SoftwareAssistedCache(SoftCacheConfig(**config))
-        assert fast_refusal(model).code == "no-batch-kernel"
         chosen, why = select_engine("auto", model)
         if availability() is None:
             assert (chosen, why) == ("native", None)
@@ -264,14 +237,16 @@ class TestSelection:
         model = standard()
         assert select_engine("auto", model, reset=False)[0] == "reference"
         assert select_engine("auto", model, warmup_refs=10)[0] == "reference"
-        with pytest.raises(ConfigError):
-            select_engine("fast", model, reset=False)
+        with pytest.raises(ConfigError, match="warm-start"):
+            select_engine("native", model, reset=False)
 
     def test_warm_continuation_after_fast_run(self):
-        """auto falls back for reset=False, continuing from fast state."""
+        """auto falls back for reset=False, continuing from the state
+        the compiled loop (or, without a compiler, the reference loop)
+        left."""
         trace = random_trace(2)
         warm = standard()
-        simulate(warm, trace)  # auto -> fast
+        simulate(warm, trace)  # auto -> native
         follow_on = simulate(warm, trace, reset=False)
         assert follow_on.engine == "reference"
         cold = standard()
@@ -281,28 +256,32 @@ class TestSelection:
 
 
 class TestCrossValidate:
+    @needs_toolchain
     def test_passes_on_eligible_config(self):
         result = cross_validate(standard, random_trace(1))
         assert result.engine == "reference"
-        fast = cross_validate(standard, random_trace(1), engine_result="fast")
-        assert fast.engine == "fast"
+        native = cross_validate(
+            standard, random_trace(1), engine_result="native"
+        )
+        assert native.engine == "native"
 
     def test_rejects_config_without_fast_path(self):
         # Column-associative caches run only on the reference loop.
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="no-batch-kernel"):
             cross_validate(CacheSpec.of("column_assoc").build, random_trace(1))
 
+    @needs_toolchain
     def test_detects_mismatch(self, monkeypatch):
-        import repro.sim.fast as fast_module
+        import repro.sim.native as native_module
 
-        true_fast = fast_module.simulate_fast
+        true_native = native_module.simulate_native
 
         def crooked(model, chunks, name, probes=None):
-            result = true_fast(model, chunks, name, probes=probes)
+            result = true_native(model, chunks, name, probes=probes)
             result.cycles += 1
             return result
 
-        monkeypatch.setattr(fast_module, "simulate_fast", crooked)
+        monkeypatch.setattr(native_module, "simulate_native", crooked)
         with pytest.raises(EngineMismatchError, match="cycles"):
             cross_validate(standard, random_trace(1))
 
@@ -313,28 +292,29 @@ class TestCacheKeyEngine:
     def test_key_separates_engines(self):
         keys = {
             ResultCache.key("tfp", "sfp", engine): engine
-            for engine in ("auto", "reference", "fast")
+            for engine in ("auto", "reference", "native")
         }
         assert len(keys) == 3
-        assert ResultCache.key("tfp", "sfp", "fast") == ResultCache.key(
-            "tfp", "sfp", "fast"
+        assert ResultCache.key("tfp", "sfp", "native") == ResultCache.key(
+            "tfp", "sfp", "native"
         )
 
     def test_run_cells_engines_never_alias(self, tmp_path):
         trace = random_trace(0, refs=500)
         cells = [(trace, CacheSpec.of("standard_cache"))]
         store = ResultCache(tmp_path)
-        run_cells(cells, cache=store, engine="fast")
+        run_cells(cells, cache=store, engine="auto")
         assert (store.hits, store.misses) == (0, 1)
-        # Same cell, other engine: must simulate, not hit the fast entry.
+        # Same cell, other engine: must simulate, not hit the auto entry.
         probe = ResultCache(tmp_path)
         [result] = run_cells(cells, cache=probe, engine="reference")
         assert (probe.hits, probe.misses) == (0, 1)
         assert result.engine == "reference"
         # And each engine hits its own entry on the rerun.
         rerun = ResultCache(tmp_path)
-        [cached] = run_cells(cells, cache=rerun, engine="fast")
-        assert rerun.hits == 1 and cached.engine == "fast"
+        [cached] = run_cells(cells, cache=rerun, engine="auto")
+        expected = "native" if availability() is None else "reference"
+        assert rerun.hits == 1 and cached.engine == expected
 
     def test_legacy_payload_invalidates(self, tmp_path):
         """Pre-engine cache entries (no ``engine`` key) are misses."""
@@ -354,10 +334,10 @@ class TestCacheKeyEngine:
     @pytest.mark.parametrize(
         "knob,spec,code",
         [
+            # The retired numpy tier's knob: an entry cached under it
+            # is never served.
             pytest.param(
-                "fast",
-                CacheSpec.of("standard_cache", write_policy="write-through"),
-                "write-policy", id="fast",
+                "fast", CacheSpec.of("standard_cache"), "'fast'", id="fast",
             ),
             pytest.param(
                 "native", CacheSpec.of("column_assoc"), "no-batch-kernel",
@@ -382,7 +362,8 @@ class TestEngineCLI:
     def test_simulate_engine_flag(self, capsys):
         from repro.cli import main
 
-        for engine in ("reference", "fast"):
+        engines = ("reference",) if availability() else ("reference", "native")
+        for engine in engines:
             assert main(
                 ["simulate", "--benchmark", "MV", "--scale", "tiny",
                  "--config", "standard", "--engine", engine]
@@ -426,7 +407,7 @@ class TestEngineCLI:
         assert {row["config"] for row in block["rows"]} >= {
             "standard", "soft"
         }
-        assert "fast_speedup" in block["summary"]
+        assert "native_speedup" in block["summary"]
         text = capsys.readouterr().out
         assert "Mrefs/s" in text
 

@@ -227,15 +227,15 @@ class TestSelection:
         assert result.engine == "native" and result.engine_refusal is None
 
     def test_explicit_fast_on_assisted_raises(self):
-        with pytest.raises(ConfigError, match=r"\[no-batch-kernel\]"):
+        # The numpy tier is retired: its knob is an unknown engine.
+        with pytest.raises(ConfigError, match="'fast'"):
             select_engine("fast", assisted_soft())
 
     def test_assisted_without_compiler_runs_reference(
         self, tmp_path, monkeypatch
     ):
-        # $CC that cannot report a version: assisted configs fall past
-        # the numpy tier, which has no kernel for them, to the
-        # reference loop, and record why native was passed over.
+        # $CC that cannot report a version: assisted configs fall to
+        # the reference loop and record why native was passed over.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("CC", "/bin/false")
         monkeypatch.setattr(build, "_STATE", {
@@ -252,11 +252,11 @@ class TestSelection:
 
     def test_auto_falls_back_silently_without_toolchain(self, no_toolchain):
         chosen, why = select_engine("auto", standard())
-        assert chosen == "fast"
+        assert chosen == "reference"
         assert why.code == "native-unavailable"
         assert "forced by test" in str(why)
         result = simulate(standard(), random_trace(9))
-        assert result.engine == "fast"
+        assert result.engine == "reference"
         assert result.engine_refusal.code == "native-unavailable"
 
     def test_explicit_native_without_toolchain_raises(self, no_toolchain):
@@ -270,30 +270,11 @@ class TestSelection:
         with pytest.raises(ConfigError, match="native-unavailable"):
             simulate(standard(), random_trace(11))
 
-    def test_env_knob_auto_without_toolchain_serves_fast(
-        self, no_toolchain, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENGINE", "auto")
-        result = simulate(standard(), random_trace(12))
-        assert result.engine == "fast"
-
     @needs_toolchain
     def test_env_knob_native_selects_native(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "native")
         result = simulate(standard(), random_trace(13))
         assert result.engine == "native"
-
-    def test_fast_precedence_unchanged_below_native(self, no_toolchain):
-        # Below native the ladder is unchanged: a plain config falls to
-        # the numpy tier, a prefetching one (no batch kernel) to the
-        # reference loop.
-        model = SoftwareAssistedCache(SoftCacheConfig(
-            size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
-            virtual_line_size=None, prefetch="on-miss", timing=TIMING,
-        ))
-        assert select_engine("auto", standard())[0] == "fast"
-        chosen, why = select_engine("auto", model)
-        assert chosen == "reference" and why.code == "native-unavailable"
 
 
 # ----------------------------------------------------------------------
@@ -367,10 +348,10 @@ class TestBuildCache:
 # ----------------------------------------------------------------------
 
 class TestNativeBenchGuard:
-    """The engine block's native-over-fast floor under ``--check``."""
+    """The engine block's native-over-reference floor under ``--check``."""
 
     @staticmethod
-    def problems(payload, native=None, speedups=None, fast_rps=None):
+    def problems(payload, native=None, speedups=None, reference_rps=None):
         from repro.harness.bench import bench_guard
 
         block = payload["engine"]
@@ -382,9 +363,9 @@ class TestNativeBenchGuard:
                 del block["summary"]["native_speedup"][config]
             else:
                 block["summary"]["native_speedup"][config] = speedup
-        if fast_rps is not None:
+        if reference_rps is not None:
             for row in block["rows"]:
-                row["refs_per_sec"] = fast_rps
+                row["refs_per_sec"] = reference_rps
         return bench_guard({"engine": block})
 
     def test_passes_above_floor(self, bench_payload):
@@ -406,7 +387,7 @@ class TestNativeBenchGuard:
     def test_no_throughput_fails_even_degraded(self, bench_payload):
         problems = self.problems(
             bench_payload, {"standard": "native-unavailable"},
-            speedups={"standard_cache": 8.0}, fast_rps=0,
+            speedups={"standard_cache": 8.0}, reference_rps=0,
         )
         assert len(problems) == 1 and "no throughput" in problems[0]
 

@@ -4,10 +4,11 @@ Every engine tier has one entry that takes an iterable of chunk
 ``Trace``s.  An in-memory trace reaches it whole, as ``(trace,)``; a
 ``TraceStream`` reaches it as windows.  For every config the two
 deliveries must agree bit for bit — counters and final model state — at
-any chunk size.  These tests check that on randomized traces with
-deliberately awkward chunk sizes (1, primes, chunk == trace), on
-store-backed streams, with an unbuffered write buffer, and on a
-one-reference trace.
+any chunk size.  These tests check that on the native tier (and the
+reference loop beside it) on randomized traces with deliberately
+awkward chunk sizes (1, primes, chunk == trace), on store-backed
+streams, with an unbuffered write buffer, and on a one-reference trace.
+They skip without a C toolchain.
 """
 
 import copy
@@ -20,7 +21,7 @@ from repro.sim import CacheGeometry, MemoryTiming, StandardCache, simulate
 from repro.sim.engine import PARITY_FIELDS
 from repro.stream import TraceStream
 
-from conftest import make_trace
+from conftest import make_trace, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
@@ -60,7 +61,7 @@ def model_state(model):
     return state
 
 
-def assert_same_run(build, trace, stream, engine="fast"):
+def assert_same_run(build, trace, stream, engine="native"):
     """``stream`` and the whole ``trace`` leave identical counters and
     identical model state on ``engine``."""
     m_whole, m_chunked = build(), build()
@@ -72,6 +73,7 @@ def assert_same_run(build, trace, stream, engine="fast"):
     return chunked
 
 
+@needs_toolchain
 class TestPipelineParity:
     @pytest.mark.parametrize("ways", [1, 2, 4])
     @pytest.mark.parametrize("seed", [2, 3])
@@ -81,15 +83,12 @@ class TestPipelineParity:
         build = lambda: build_standard(ways=ways)
         stream = TraceStream.from_trace(trace, chunk_refs=chunk_refs)
         chunked = assert_same_run(build, trace, stream)
-        assert chunked.engine == "fast"
-        # auto takes the fastest eligible tier (native when built); the
-        # windowed delivery must still match the whole trace on it.
-        assert_same_run(build, trace, stream, engine="auto")
+        assert chunked.engine == "native"
 
     def test_store_backed(self, tmp_path):
         trace = random_trace(41, refs=4000, write_ratio=0.5)
         store = TraceStore.save(trace, tmp_path / "t.store", chunk_refs=777)
-        for engine in ("reference", "fast"):
+        for engine in ("reference", "native"):
             assert_same_run(
                 build_standard, trace, TraceStream.from_store(store), engine
             )
@@ -106,7 +105,7 @@ class TestPipelineParity:
 
     def test_single_reference_trace(self):
         trace = make_trace([64], is_write=[True])
-        for engine in ("reference", "fast"):
+        for engine in ("reference", "native"):
             chunked = assert_same_run(
                 build_standard, trace,
                 TraceStream.from_trace(trace, chunk_refs=1), engine,

@@ -104,14 +104,14 @@ class TestKeying:
     """Content-addressed equality: the store keys are cache digests."""
 
     def test_same_fingerprints_same_key(self):
-        a = ResultCache.key("trace-fp", "spec-fp", "fast")
-        b = ResultCache.key("trace-fp", "spec-fp", "fast")
+        a = ResultCache.key("trace-fp", "spec-fp", "native")
+        b = ResultCache.key("trace-fp", "spec-fp", "native")
         assert a == b
 
     def test_any_component_changes_the_key(self):
-        base = ResultCache.key("trace-fp", "spec-fp", "fast")
-        assert ResultCache.key("other", "spec-fp", "fast") != base
-        assert ResultCache.key("trace-fp", "other", "fast") != base
+        base = ResultCache.key("trace-fp", "spec-fp", "native")
+        assert ResultCache.key("other", "spec-fp", "native") != base
+        assert ResultCache.key("trace-fp", "other", "native") != base
         assert ResultCache.key("trace-fp", "spec-fp", "reference") != base
 
     def test_equal_keys_share_a_slot(self):

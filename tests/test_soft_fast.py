@@ -12,9 +12,8 @@ telemetry-parity — monolithic and streamed at awkward chunk sizes.  The
 parity suites skip without a C toolchain.
 
 The selection regression lives here too: the soft preset family must
-keep auto-selecting the compiled loop, the numpy batch kernels must
-keep refusing it, and the bench guard must notice if the loop ever
-stops paying for itself.
+keep auto-selecting the compiled loop, and the bench guard must notice
+if the loop ever stops paying for itself.
 """
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.core.bounce_back import BounceBackBuffer
 from repro.harness.bench import bench_guard, soft_bench_trace
 from repro.memtrace import Trace
 from repro.sim import MemoryTiming, cross_validate, cross_validate_stream, simulate
-from repro.sim.engine import fast_refusal
 from repro.sim.native import availability
 from repro.stream import TraceStream
 from repro.telemetry import analyze
@@ -348,16 +346,13 @@ class TestHypothesisParity:
 
 class TestSelectionRegression:
     """auto must keep picking the fastest tier for the soft family: the
-    compiled loop, or the reference loop when no compiler exists (the
-    numpy batch kernels have no assisted kernel)."""
+    compiled loop, or the reference loop when no compiler exists."""
 
     @pytest.mark.parametrize(
         "preset", ["soft", "victim", "temporal", "spatial",
                    "temporal-priority"]
     )
     def test_soft_family_selects_fast(self, preset):
-        assert fast_refusal(presets.build_config(preset)).code == (
-            "no-batch-kernel")
         result = simulate(presets.build_config(preset), soft_trace(0))
         if availability() is None:
             assert result.engine == "native"
@@ -365,10 +360,6 @@ class TestSelectionRegression:
         else:
             assert result.engine == "reference"
             assert result.engine_refusal.code == "native-unavailable"
-
-    def test_prefetch_still_refuses(self):
-        refusal = fast_refusal(presets.build_config("soft-prefetch"))
-        assert refusal is not None and refusal.code == "no-batch-kernel"
 
 
 class TestBenchGuard:

@@ -1,6 +1,6 @@
 """TraceStream and out-of-core simulation parity.
 
-The streaming subsystem's contract mirrors the fast engine's: chunked
+The streaming subsystem's contract mirrors the native tier's: chunked
 simulation must be *exact* — every counter and the final model state
 identical to materialising the trace and running the monolithic path —
 for every model, on both engines, at any chunk size.  These tests check
@@ -31,9 +31,16 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.engine import PARITY_FIELDS
+from repro.sim.native import availability
 from repro.stream import TraceStream, open_trace
 
-from conftest import make_trace
+from conftest import make_trace, needs_toolchain
+
+
+def engines():
+    """The tiers this machine runs: the reference loop, and the native
+    tier when a compiler or prebuilt library exists."""
+    return ("reference",) if availability() else ("reference", "native")
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
@@ -243,7 +250,10 @@ class TestReferenceEngineParity:
         assert_parity(ref, streamed)
 
 
+@needs_toolchain
 class TestFastEngineParity:
+    """Streamed against whole-trace runs on the native tier."""
+
     # Chunk sizes 1 and primes put set groups and write-buffer pushes on
     # chunk boundaries.
     @pytest.mark.parametrize("ways", [1, 2, 4])
@@ -254,17 +264,17 @@ class TestFastEngineParity:
         m_ref = build()
         ref = simulate(m_ref, trace, engine="reference")
         m_whole, whole_probe = build(), Recorder()
-        whole = simulate(m_whole, trace, engine="fast", probes=whole_probe)
-        m_fast, chunk_probe = build(), Recorder()
+        whole = simulate(m_whole, trace, engine="native", probes=whole_probe)
+        m_native, chunk_probe = build(), Recorder()
         streamed = simulate(
-            m_fast, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            engine="fast", probes=chunk_probe,
+            m_native, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
+            engine="native", probes=chunk_probe,
         )
-        assert streamed.engine == "fast"
+        assert streamed.engine == "native"
         assert_parity(ref, streamed)
         assert_parity(whole, streamed)
-        assert model_state(m_ref) == model_state(m_fast)
-        assert model_state(m_whole) == model_state(m_fast)
+        assert model_state(m_ref) == model_state(m_native)
+        assert model_state(m_whole) == model_state(m_native)
         assert_same_telemetry(whole_probe, chunk_probe)
         assert chunk_probe.finished is streamed
 
@@ -276,19 +286,19 @@ class TestFastEngineParity:
         build = lambda: StandardCache(CacheGeometry(512, 32), timing)
         ref = simulate(build(), trace, engine="reference")
         m_whole = build()
-        whole = simulate(m_whole, trace, engine="fast")
+        whole = simulate(m_whole, trace, engine="native")
         m_stream = build()
         streamed = simulate(
             m_stream, TraceStream.from_trace(trace, chunk_refs=41),
-            engine="fast",
+            engine="native",
         )
         assert_parity(ref, streamed)
         assert_parity(whole, streamed)
         assert model_state(m_whole) == model_state(m_stream)
 
     def test_plain_soft_model(self):
-        # Software-assisted model with assists off is fast-eligible;
-        # its per-line temporal bits must carry across chunks too.
+        # Software-assisted model with assists off: its per-line
+        # temporal bits must carry across chunks too.
         config = SoftCacheConfig(
             size_bytes=1024, line_size=32, ways=1, bounce_back_lines=0,
             virtual_line_size=None, timing=TIMING,
@@ -296,11 +306,11 @@ class TestFastEngineParity:
         trace = random_trace(31)
         build = lambda: SoftwareAssistedCache(config)
         m_ref = build()
-        ref = simulate(m_ref, trace, engine="fast")
+        ref = simulate(m_ref, trace, engine="native")
         m_stream = build()
         streamed = simulate(
             m_stream, TraceStream.from_trace(trace, chunk_refs=59),
-            engine="fast",
+            engine="native",
         )
         assert_parity(ref, streamed)
         assert model_state(m_ref) == model_state(m_stream)
@@ -326,7 +336,7 @@ class TestCrossValidateStream:
         trace = random_trace(40)
         store = TraceStore.save(trace, tmp_path / "t.store", chunk_refs=100)
         build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
-        for engine in ("reference", "fast"):
+        for engine in engines():
             result = cross_validate_stream(
                 build, TraceStream.from_store(store), engine=engine
             )
@@ -384,9 +394,9 @@ class TestPropertyParity:
         assert store.fingerprint() == trace.fingerprint()
         stream = TraceStream.from_store(store)
 
-        # fast-eligible standard cache: both engines
+        # plain standard cache: both engines
         plain = lambda: StandardCache(CacheGeometry(512, 32, ways), TIMING)
-        for engine in ("reference", "fast"):
+        for engine in engines():
             m_whole, m_stream = plain(), plain()
             assert_parity(
                 simulate(m_whole, trace, engine=engine),
@@ -430,7 +440,7 @@ class TestDelivery:
         trace = random_trace(52)
         build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
         stream = TraceStream.from_trace(trace, chunk_refs=100)
-        for engine in ("reference", "fast"):
+        for engine in engines():
             streamed = simulate(build(), stream, engine=engine)
             assert streamed.trace == trace.name
             assert_parity(simulate(build(), trace, engine=engine), streamed)

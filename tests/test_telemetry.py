@@ -2,7 +2,7 @@
 
 The subsystem's central contract is *partition- and engine-independence*:
 a telemetry report is a function of (trace, configuration) alone — the
-same whether the reference loop or the fast batch kernels ran, and
+same whether the reference loop or the compiled native loop ran, and
 whether the trace was in memory or streamed at any chunk size.  These
 tests pin that contract, the crafted-case semantics of each probe, the
 exporters, and the probes-off guards.
@@ -25,7 +25,7 @@ from repro.telemetry import (
     write_report,
 )
 
-from conftest import make_trace
+from conftest import make_trace, needs_toolchain
 
 
 def tagged_trace(refs=4000, seed=7, name="tel"):
@@ -53,23 +53,27 @@ def payload_without_engine(report):
 class TestParity:
     """One report per (trace, config) — however it was computed."""
 
+    @needs_toolchain
     def test_reference_vs_fast_identical(self):
+        """The reference loop against the compiled (fast) tier."""
         trace = tagged_trace()
         spec = SPECS["standard"]
         ref = analyze(spec, trace, engine="reference")
-        fast = analyze(spec, trace, engine="fast")
+        native = analyze(spec, trace, engine="native")
         assert ref.result.engine == "reference"
-        assert fast.result.engine == "fast"
-        assert payload_without_engine(ref) == payload_without_engine(fast)
+        assert native.result.engine == "native"
+        assert payload_without_engine(ref) == payload_without_engine(native)
 
+    @needs_toolchain
     def test_fast_streamed_vs_in_memory(self):
+        """Streamed against in-memory on the compiled (fast) tier."""
         trace = tagged_trace()
         spec = SPECS["standard"]
-        whole = analyze(spec, trace, engine="fast")
+        whole = analyze(spec, trace, engine="native")
         streamed = analyze(
             spec,
             TraceStream.from_trace(trace, chunk_refs=333),
-            engine="fast",
+            engine="native",
         )
         assert payload_without_engine(whole) == payload_without_engine(
             streamed
@@ -211,6 +215,7 @@ class TestAttributionProbe:
                 telemetry=TelemetrySpec(attribution=True),
             )
 
+    @needs_toolchain
     def test_attribute_api_engine_parity(self, monkeypatch):
         from repro.metrics.attribution import attribute
 
@@ -218,12 +223,12 @@ class TestAttributionProbe:
         spec = SPECS["standard"]
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         ref = attribute(spec.build(), trace)
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        fast = attribute(spec.build(), trace)
-        assert ref.total_misses == fast.total_misses
-        assert ref.total_refs == fast.total_refs
+        monkeypatch.setenv("REPRO_ENGINE", "native")
+        native = attribute(spec.build(), trace)
+        assert ref.total_misses == native.total_misses
+        assert ref.total_refs == native.total_refs
         for rid, profile in ref.per_instruction.items():
-            other = fast.per_instruction[rid]
+            other = native.per_instruction[rid]
             assert (profile.refs, profile.misses, profile.cycles) == (
                 other.refs, other.misses, other.cycles
             )
@@ -336,12 +341,7 @@ class TestProbeBench:
 
         block = run_scenario("probes", Sizes(refs=20_000, repeat=2))
         assert block["budget"] == pytest.approx(0.02)
-        # The numpy batch kernels have no soft row: they refuse it.
-        pairs = {
-            ("standard", "reference"),
-            ("standard", "fast"),
-            ("soft", "reference"),
-        }
+        pairs = {("standard", "reference"), ("soft", "reference")}
         assert {(r["config"], r["engine"], r["variant"])
                 for r in block["rows"]} == {
             (config, engine, variant)
