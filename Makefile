@@ -20,8 +20,8 @@ test-serial:
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks
 
-# Every simulation scenario of the bench table (engine, soft, stream,
-# probes) at CI's sizes: regenerates the committed BENCH_sim.json;
+# Every simulation scenario of the bench table (engine, soft, stream)
+# at CI's sizes: regenerates the committed BENCH_sim.json;
 # compare against it to catch perf regressions.  Add --check to apply
 # the floor table.
 bench-sim:

@@ -160,14 +160,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scenario",
-        choices=("engine", "soft", "stream", "probes", "serve", "all"),
+        choices=("engine", "soft", "stream", "serve", "all"),
         default="engine",
         help="'engine' = every tier on a uniform trace, 'soft' = the "
         "assisted family on a blocked-loop trace, 'stream' = streamed vs "
-        "in-memory throughput and peak memory, 'probes' = telemetry "
-        "overhead, 'serve' = closed-loop latency/throughput of the "
-        "repro-serve HTTP API, 'all' = every scenario but serve "
-        "(default engine)",
+        "in-memory throughput and peak memory, 'serve' = closed-loop "
+        "latency/throughput of the repro-serve HTTP API, 'all' = every "
+        "scenario but serve (default engine)",
     )
     bench.add_argument(
         "--refs", type=_positive_int, default=None, metavar="N",

@@ -36,9 +36,12 @@ is full is aborted.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Set, Tuple
 
+from ..sim.base import PendingSets, empty_sets
 from ..sim.result import SimResult
+from ..sim.standard import check_mru_sets, check_write_buffer
 from ..sim.write_buffer import WriteBuffer
 from .bounce_back import (
     ADDR,
@@ -52,7 +55,7 @@ from .bounce_back import (
 from .config import SoftCacheConfig
 
 
-class SoftwareAssistedCache:
+class SoftwareAssistedCache(PendingSets):
     """Main cache + bounce-back cache + virtual lines + temporal bits."""
 
     #: Per-line state carries a temporal bit; read by the native tier
@@ -106,24 +109,8 @@ class SoftwareAssistedCache:
         self._init_state()
 
     def _init_state(self) -> None:
-        if self._ways == 1:
-            # Flat array-backed direct-mapped main cache (-1 = empty):
-            # one line per set makes the MRU list pure overhead, and the
-            # paper's default geometry is direct-mapped.
-            self._tags: Optional[List[int]] = [-1] * self._n_sets
-            self._dirty: List[bool] = [False] * self._n_sets
-            self._temporal: List[bool] = [False] * self._n_sets
-            self._sets: Optional[List[List[List]]] = None
-            # Shadow the class-level dispatcher: the per-reference loop
-            # calls straight into the right backend.
-            self.access = self._access_direct
-        else:
-            # Per-set MRU-first lists of [addr, dirty, temporal].
-            self._tags = None
-            self._dirty = []
-            self._temporal = []
-            self._sets = [[] for _ in range(self._n_sets)]
-            self.access = self._access_assoc
+        # Per-set MRU-first lists of [addr, dirty, temporal] entries.
+        self._pend_sets(partial(empty_sets, self._n_sets))
 
     # ------------------------------------------------------------------
     # Lifecycle / observability
@@ -145,8 +132,6 @@ class SoftwareAssistedCache:
     def in_main(self, address: int) -> bool:
         """Presence in the main cache (testing hook)."""
         la = address >> self._line_shift
-        if self._tags is not None:
-            return self._tags[la % self._n_sets] == la
         return any(e[ADDR] == la for e in self._sets[la % self._n_sets])
 
     def in_assist(self, address: int) -> bool:
@@ -159,32 +144,31 @@ class SoftwareAssistedCache:
     def temporal_bit(self, address: int) -> Optional[bool]:
         """The temporal bit of the line holding ``address``, if cached."""
         la = address >> self._line_shift
-        if self._tags is not None:
-            if self._tags[la % self._n_sets] == la:
-                return bool(self._temporal[la % self._n_sets])
-        else:
-            for entry in self._sets[la % self._n_sets]:
-                if entry[ADDR] == la:
-                    return bool(entry[TEMPORAL])
+        for entry in self._sets[la % self._n_sets]:
+            if entry[ADDR] == la:
+                return bool(entry[TEMPORAL])
         found = self.bounce_back.find(la)
         return bool(found[TEMPORAL]) if found is not None else None
 
-    def check_exclusive(self) -> None:
-        """Assert structural invariants: no line lives in both caches, no
-        set exceeds its associativity, no set holds duplicates."""
-        if self._tags is not None:
-            # A line maps to exactly one slot: duplicates/overflow are
-            # impossible by construction in the direct-mapped backend.
-            main = {tag for tag in self._tags if tag != -1}
-        else:
-            main = {e[ADDR] for s in self._sets for e in s}
-            for s in self._sets:
-                addrs = [e[ADDR] for e in s]
-                assert len(addrs) == len(set(addrs)), "duplicate line in a set"
-                assert len(addrs) <= self._ways, "set exceeds its associativity"
-        assist = {e[ADDR] for e in self.bounce_back.entries()}
+    def check_invariants(self) -> None:
+        """Assert the structural contract: every main and bounce-back
+        set is an MRU order of distinct lines that map to it, within its
+        associativity; no line sits in both caches; prefetched buffer
+        lines number at most ``max_prefetched``; the write buffer holds
+        at most its depth."""
+        main = check_mru_sets(self._sets, self._ways, "main cache")
+        bounce_back = self.bounce_back
+        assist = check_mru_sets(
+            bounce_back._sets, bounce_back.ways, "bounce-back cache"
+        )
         overlap = main & assist
         assert not overlap, f"lines duplicated across caches: {overlap}"
+        prefetched = bounce_back.prefetched_count()
+        assert prefetched <= self._max_prefetched, (
+            f"{prefetched} prefetched lines over the cap of "
+            f"{self._max_prefetched}"
+        )
+        check_write_buffer(self.write_buffer)
 
     # ------------------------------------------------------------------
     # Replacement
@@ -201,17 +185,14 @@ class SoftwareAssistedCache:
     # ------------------------------------------------------------------
     # Bounce-back machinery
     # ------------------------------------------------------------------
-    def _discard_line(self, dirty: bool, start: int) -> int:
+    def _discard(self, entry: List, start: int) -> int:
         """Drop a line; dirty data goes through the write buffer."""
-        if dirty:
+        if entry[DIRTY]:
             self.stats.writebacks += 1
             stall = self.write_buffer.push(start)
             self.stats.write_buffer_stalls += stall
             return stall
         return 0
-
-    def _discard(self, entry: List, start: int) -> int:
-        return self._discard_line(entry[DIRTY], start)
 
     def _handle_bb_eviction(
         self, entry: List, start: int, blocked_sets: Set[int]
@@ -228,23 +209,6 @@ class SoftwareAssistedCache:
             # the bounce is pointless (dirty data still saved).
             stats.bounce_aborts += 1
             return self._discard(entry, start)
-
-        tags = self._tags
-        if tags is not None:
-            stall = 0
-            if tags[target_set] != -1:
-                if self._dirty[target_set] and self.write_buffer.is_full(start):
-                    # Write buffer full: abort the transfer (section 2.2).
-                    stats.bounce_aborts += 1
-                    return self._discard(entry, start)
-                stall = self._discard_line(self._dirty[target_set], start)
-            tags[target_set] = entry[ADDR]
-            self._dirty[target_set] = entry[DIRTY]
-            self._temporal[target_set] = (
-                entry[TEMPORAL] and not self._reset_on_bounce
-            )
-            stats.bounce_backs += 1
-            return stall
 
         entries = self._sets[target_set]
         stall = 0
@@ -290,10 +254,7 @@ class SoftwareAssistedCache:
         """
         stats = self.stats
         la = line_address
-        if self._tags is not None:
-            if self._tags[la % self._n_sets] == la:
-                return  # already cached: the software info makes this rare
-        elif any(e[ADDR] == la for e in self._sets[la % self._n_sets]):
+        if any(e[ADDR] == la for e in self._sets[la % self._n_sets]):
             return  # already cached: the software info makes this rare
         if la in self.bounce_back:
             return
@@ -322,219 +283,6 @@ class SoftwareAssistedCache:
     # The access path
     # ------------------------------------------------------------------
     def access(
-        self,
-        address: int,
-        is_write: bool = False,
-        *,
-        temporal: bool = False,
-        spatial: bool = False,
-        now: int = 0,
-    ) -> int:
-        # Class-level fallback; instances bind ``access`` directly to a
-        # backend in _init_state.
-        if self._tags is not None:
-            return self._access_direct(
-                address, is_write, temporal=temporal, spatial=spatial, now=now
-            )
-        return self._access_assoc(
-            address, is_write, temporal=temporal, spatial=spatial, now=now
-        )
-
-    def _access_direct(
-        self,
-        address: int,
-        is_write: bool = False,
-        *,
-        temporal: bool = False,
-        spatial: bool = False,
-        now: int = 0,
-    ) -> int:
-        """Direct-mapped hot path over the flat tag/dirty/temporal arrays.
-
-        Step-for-step identical to :meth:`_access_assoc` with single-entry
-        sets; only the set representation differs.
-        """
-        stats = self.stats
-        stats.refs += 1
-        self.last_fetch = []
-        wait = self._ready_at - now
-        if wait < 0:
-            wait = 0
-        start = now + wait
-
-        la = address >> self._line_shift
-        index = la % self._n_sets
-        tags = self._tags
-
-        # ---- main-cache hit -------------------------------------------
-        if tags[index] == la:
-            if is_write:
-                self._dirty[index] = True
-            if temporal:
-                self._temporal[index] = True
-            stats.hits_main += 1
-            self._ready_at = start + self._hit_time
-            return wait + self._hit_time
-
-        # ---- bounce-back-cache hit: swap ------------------------------
-        if self._use_bb:
-            found = self.bounce_back.lookup_remove(la)
-            if found is not None:
-                stats.hits_assist += 1
-                stats.swaps += 1
-                extra = 0
-                if found[PREFETCHED]:
-                    if found[ARRIVAL] > start:
-                        # Prefetch still in flight: wait for the data.
-                        extra = found[ARRIVAL] - start
-                    if self._prefetch_mode != "off":
-                        stats.prefetch_hits += 1
-                        # Progressive prefetching: fetch the next line.
-                        self._issue_prefetch(la + 1, start + extra)
-                if is_write:
-                    found[DIRTY] = True
-                if temporal:
-                    found[TEMPORAL] = True
-                stall = 0
-                if tags[index] != -1:
-                    # Swap: the main victim takes the buffer slot the hit
-                    # line just freed (see _access_assoc for the blocked
-                    # set rationale).
-                    entry = make_entry(
-                        tags[index], self._dirty[index],
-                        self._temporal[index], False, 0,
-                    )
-                    evicted = self.bounce_back.insert(entry)
-                    if evicted is not None:
-                        stall = self._handle_bb_eviction(
-                            evicted, start, {index}
-                        )
-                tags[index] = la
-                self._dirty[index] = found[DIRTY]
-                self._temporal[index] = found[TEMPORAL]
-                cycles = wait + extra + stall + self._assist_hit
-                self._ready_at = (
-                    start + extra + stall + self._assist_hit + self._swap_lock
-                )
-                return cycles
-
-        # ---- miss ------------------------------------------------------
-        stats.misses += 1
-        vl = self._vl_lines
-        if not (spatial and vl > 1):
-            # Single-line fetch: the common case, with the victim path
-            # inlined (a hit in the bounce-back cache was already handled
-            # above, so the incoming line cannot be in the buffer).
-            bus_delay = self._bus_free_at - (start + self._latency)
-            if bus_delay < 0:
-                bus_delay = 0
-            penalty = self._latency + bus_delay + self._line_transfer
-            self._bus_free_at = start + penalty
-            stats.lines_fetched += 1
-            stats.words_fetched += self._words_per_line
-            self.last_fetch = [la]
-
-            stall = 0
-            occupant = tags[index]
-            if occupant != -1:
-                occ_dirty = self._dirty[index]
-                occ_temporal = self._temporal[index]
-                if self._use_bb and (self._admit_non_temporal or occ_temporal):
-                    entry = make_entry(
-                        occupant, occ_dirty, occ_temporal, False, 0
-                    )
-                    evicted = self.bounce_back.insert(entry)
-                    if evicted is not None:
-                        stall = self._handle_bb_eviction(
-                            evicted, start, {index}
-                        )
-                elif occ_dirty:
-                    stats.writebacks += 1
-                    stall = self.write_buffer.push(start)
-                    stats.write_buffer_stalls += stall
-            tags[index] = la
-            self._dirty[index] = is_write
-            self._temporal[index] = temporal
-
-            if self._prefetch_mode == "software" and spatial:
-                self._issue_prefetch(la + 1, start)
-            elif self._prefetch_mode == "on-miss":
-                self._issue_prefetch(la + 1, start)
-
-            cycles = wait + stall + penalty
-            self._ready_at = start + stall + penalty
-            return cycles
-
-        base = la - (la % vl)
-        candidates: Tuple[int, ...] = tuple(range(base, base + vl))
-
-        # Coherence checks against the main cache hide under the request
-        # pipeline: lines already present are simply not requested.
-        to_fetch: List[int] = [
-            line
-            for line in candidates
-            if line == la or tags[line % self._n_sets] != line
-        ]
-
-        n = len(to_fetch)
-        # The bus may still be draining an earlier prefetch when this
-        # miss's data comes back from memory.
-        bus_delay = self._bus_free_at - (start + self._latency)
-        if bus_delay < 0:
-            bus_delay = 0
-        penalty = self._latency + bus_delay + n * self._line_transfer
-        self._bus_free_at = start + penalty
-        stats.lines_fetched += n
-        stats.words_fetched += n * self._words_per_line
-        self.last_fetch = list(to_fetch)
-
-        blocked_sets = {line % self._n_sets for line in to_fetch}
-        stall = 0
-        for line in to_fetch:
-            line_index = line % self._n_sets
-            occupant = tags[line_index]
-            if (
-                self._use_bb
-                and self.bounce_back.find(line) is not None
-            ):
-                # Checked only after the requests were sent: the fetch
-                # happened, but the buffer's copy is the live one.  The
-                # slot the incoming line was written to is tagged invalid,
-                # which costs the would-be victim its place.
-                stats.invalidations += 1
-                if occupant != -1:
-                    victim = [
-                        occupant, self._dirty[line_index],
-                        self._temporal[line_index],
-                    ]
-                    tags[line_index] = -1
-                    self._dirty[line_index] = False
-                    self._temporal[line_index] = False
-                    stall += self._victim_to_bb(victim, start, blocked_sets)
-                continue
-            victim = None
-            if occupant != -1:
-                victim = [
-                    occupant, self._dirty[line_index],
-                    self._temporal[line_index],
-                ]
-            tags[line_index] = line
-            self._dirty[line_index] = is_write and line == la
-            self._temporal[line_index] = temporal and line == la
-            if victim is not None:
-                stall += self._victim_to_bb(victim, start, blocked_sets)
-
-        if self._prefetch_mode == "software" and spatial:
-            next_line = (candidates[-1] if vl > 1 else la) + 1
-            self._issue_prefetch(next_line, start)
-        elif self._prefetch_mode == "on-miss":
-            self._issue_prefetch(la + 1, start)
-
-        cycles = wait + stall + penalty
-        self._ready_at = start + stall + penalty
-        return cycles
-
-    def _access_assoc(
         self,
         address: int,
         is_write: bool = False,
@@ -608,7 +356,9 @@ class SoftwareAssistedCache:
                         )
                 entries.insert(0, [la, found[DIRTY], found[TEMPORAL]])
                 cycles = wait + extra + stall + self._assist_hit
-                self._ready_at = start + extra + stall + self._assist_hit + self._swap_lock
+                self._ready_at = (
+                    start + extra + stall + self._assist_hit + self._swap_lock
+                )
                 return cycles
 
         # ---- miss ------------------------------------------------------

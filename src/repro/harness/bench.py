@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import platform
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -359,130 +358,6 @@ def measure_stream(
 
 
 # ----------------------------------------------------------------------
-# Telemetry probe overhead
-# ----------------------------------------------------------------------
-#: Probes-off slowdown budget: simulate() without probes may cost at
-#: most this fraction over the bare pre-telemetry hot loop.
-PROBE_OVERHEAD_BUDGET = 0.02
-
-
-def _bare_reference(model, trace: Trace) -> None:
-    """Faithful replica of the pre-telemetry reference hot loop
-    (including the warm-up position check the real loop carries).
-
-    Kept in the benchmark deliberately: probes-off ``simulate()`` is
-    timed against this to catch instrumentation creep into the driver's
-    hot path (the telemetry contract is one ``is None`` test per call,
-    not per reference).
-    """
-    warmup_refs = 0
-    model.reset()
-    addresses, is_write, temporal, spatial, gaps = trace.columns_list()
-    access = model.access
-    timing = getattr(model, "timing", None)
-    pipelined = timing.hit_time if timing is not None else 1
-    clock = 0
-    total = 0
-    for position, (addr, w, t, s, g) in enumerate(
-        zip(addresses, is_write, temporal, spatial, gaps)
-    ):
-        if warmup_refs and position == warmup_refs:
-            pass
-        clock += g
-        cycles = access(addr, w, temporal=t, spatial=s, now=clock)
-        total += cycles
-        extra = cycles - pipelined
-        if extra > 0:
-            clock += extra
-    stats = model.stats
-    stats.trace = trace.name
-    stats.engine = "reference"
-    stats.cycles = total
-    stats.check()
-
-
-def _probe_timings(spec, trace, telemetry, repeat):
-    """``({variant: seconds}, overhead)`` for one config on the
-    reference loop.
-
-    The overhead compares two timings of near-identical cost; on shared
-    hardware whose speed drifts over seconds, independent min-of-N on
-    each side folds that drift into the ratio.  Instead bare and
-    probes-off run back-to-back each round (drift within one round is
-    small, so the per-round ratio cancels it) and the overhead is the
-    median ratio over at least five rounds.
-    """
-
-    def bare() -> None:
-        _bare_reference(spec.build(), trace)
-
-    def probes_off() -> None:
-        simulate(spec.build(), trace, engine="reference")
-
-    def probed() -> None:
-        model = spec.build()
-        simulate(
-            model, trace, engine="reference",
-            probes=telemetry.build_probes(model),
-        )
-
-    bare_samples = [_timed(bare)]
-    off_samples = [_timed(probes_off)]
-    while (len(bare_samples) < max(repeat, 5)
-           or (min(min(bare_samples), min(off_samples)) < 0.25
-               and len(bare_samples) < 15
-               and sum(bare_samples) + sum(off_samples) < 2.0)):
-        bare_samples.append(_timed(bare))
-        off_samples.append(_timed(probes_off))
-    seconds = {
-        "bare": min(bare_samples),
-        "probes-off": min(off_samples),
-        "probed": _best_of(lambda: _timed(probed), repeat),
-    }
-    overhead = statistics.median(
-        o / b for b, o in zip(bare_samples, off_samples)
-    ) - 1.0
-    return seconds, overhead
-
-
-def measure_probes(scenario: Scenario, sizes: Sizes) -> Dict:
-    """Telemetry cost per config on the reference loop: the bare
-    pre-telemetry hot loop (:func:`_bare_reference`), probes-off
-    ``simulate()`` and a fully probed run (windows, shadow
-    classification, tag audit).  ``probes_off_overhead`` is what the
-    budget watches; ``probed_cost`` is informational."""
-    from ..telemetry import TelemetrySpec
-
-    trace = scenario.trace(sizes.refs)
-    telemetry = TelemetrySpec()
-    rows: List[Dict] = []
-    summary: Dict[str, Dict] = {
-        "probes_off_overhead": {}, "within_budget": {}, "probed_cost": {},
-    }
-    for name, spec in _bench_specs(scenario.configs).items():
-        seconds, overhead = _probe_timings(spec, trace, telemetry, sizes.repeat)
-        rows.extend(
-            _row(name, "reference", variant, sizes.refs, s)
-            for variant, s in seconds.items()
-        )
-        for key, value in (
-            ("probes_off_overhead", round(overhead, 4)),
-            ("within_budget", overhead < PROBE_OVERHEAD_BUDGET),
-            ("probed_cost",
-             round(seconds["probed"] / seconds["probes-off"], 2)),
-        ):
-            summary[key][name] = {"reference": value}
-    return {
-        "refs": sizes.refs,
-        "repeat": sizes.repeat,
-        "trace": trace.name,
-        "budget": PROBE_OVERHEAD_BUDGET,
-        "rows": rows,
-        "summary": summary,
-    }
-
-
-# ----------------------------------------------------------------------
 # Serving layer (repro serve) — closed-loop latency/throughput
 # ----------------------------------------------------------------------
 #: The closed-loop client mix, modelling the millions-of-users regime:
@@ -661,17 +536,6 @@ SCENARIOS: Dict[str, Scenario] = {
             configs=tuple(STREAM_ENGINE_TIERS),
             trace=_write_bench_store,
             measure=measure_stream,
-        ),
-        Scenario(
-            "probes",
-            why=(
-                "telemetry cost: probes-off simulate() vs a bare replica of "
-                "the hot loop (paired median, budget 2%), and the fully "
-                "probed battery, expected to be severalfold slower"
-            ),
-            configs=("standard", "soft"),
-            trace=bench_trace,
-            measure=measure_probes,
         ),
         Scenario(
             "serve",

@@ -17,6 +17,7 @@ finalises the result.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 from .result import SimResult
@@ -47,3 +48,27 @@ class CacheModel(Protocol):
     def reset(self) -> None:
         """Clear all cache state and counters."""
         ...
+
+
+def empty_sets(n_sets: int) -> list:
+    """``n_sets`` empty per-set MRU lists."""
+    return [[] for _ in range(n_sets)]
+
+
+class PendingSets:
+    """Base of the models whose main cache is ``self._sets``, per-set
+    MRU lists, built on first use from a pending builder: a reset leaves
+    ``empty_sets``, the native tier a run's final contents
+    (:mod:`repro.sim.native.runner`).  So a sweep cell on the native
+    tier, whose model is read for its counters only, never builds them.
+    The hot path is untouched: once built or assigned, ``_sets`` is a
+    plain instance attribute."""
+
+    @cached_property
+    def _sets(self):
+        return self.__dict__.pop("_pending_sets")()
+
+    def _pend_sets(self, build) -> None:
+        """Make ``build()`` the main cache, called on first use."""
+        self.__dict__.pop("_sets", None)
+        self._pending_sets = build

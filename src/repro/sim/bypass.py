@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from typing import List
 
+from .base import PendingSets
 from .geometry import CacheGeometry
 from .result import SimResult
 from .timing import MemoryTiming
 from .write_buffer import WriteBuffer
 
 
-class BypassCache:
+class BypassCache(PendingSets):
     """Direct-mapped/set-associative cache with software-directed bypassing.
 
     Temporal-tagged references use the cache normally (allocate on miss).

@@ -132,7 +132,8 @@ def simulate(
     stats.trace = name
     stats.engine = "reference"
     stats.engine_refusal = refusal
-    stats.cycles = total
+    # Cumulative, like every other counter across a warm continuation.
+    stats.cycles += total
     if warm_snapshot is not None:
         warm_cycles, counters = warm_snapshot
         stats.cycles -= warm_cycles

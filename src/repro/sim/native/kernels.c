@@ -5,7 +5,7 @@
  * access() walked by the clock of repro/sim/driver.py:
  *
  *   M_ASSISTED       SoftwareAssistedCache (repro/core/software_cache.py,
- *                    _access_assoc): bounce-back cache, virtual lines,
+ *                    access): bounce-back cache, virtual lines,
  *                    temporal bits, prefetch
  *   M_PLAIN          the same with no bounce-back cache, one-line fetches
  *                    and no prefetch; a write-back StandardCache
@@ -390,12 +390,12 @@ INLINE void issue_prefetch(Sim *s, int64_t la, int64_t issued_at) {
     s->lf[s->lf_len++] = la;
 }
 
-/* ---- one access (SoftwareAssistedCache._access_assoc) -------------- */
+/* ---- one access (SoftwareAssistedCache.access) ---------------------- */
 
 /* A plain model (M_PLAIN, M_WRITE_THROUGH) reaches here with use_bb,
  * vl and prefetch pinned to 0, 1 and 0, so the assist paths drop out.
  * Under write-through a store is pushed to the write buffer and the
- * line stays clean (StandardCache._access_assoc). */
+ * line stays clean (StandardCache.access). */
 INLINE int64_t access(Sim *s, const int model, int64_t la, int32_t w,
                       int32_t t, int spatial, int64_t now, int *kind) {
     const int write_through = model == M_WRITE_THROUGH;

@@ -2,8 +2,8 @@
 
 :func:`simulate_native` runs the one loop of ``kernels.c`` over a
 sequence of chunk traces.  The loop transcribes the reference
-per-reference semantics of each model it accepts, walked by the clock
-of :func:`repro.sim.driver.simulate`:
+``access`` of each model it accepts, walked by the clock of
+:func:`repro.sim.driver.simulate`:
 
 * :class:`~repro.core.software_cache.SoftwareAssistedCache` in every
   configuration, and a plain
@@ -28,6 +28,8 @@ execute the identical instruction sequence.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -284,17 +286,19 @@ def _materialise(model, params, state, r) -> None:
         l1.last_fetch = state["last_fetch"][: r["lf_len"]].tolist()
 
     flags, b_flags = state["flags"], state["b_flags"]
-    dirty = (flags & F_DIRTY) > 0
-    main = (state["count"], params["ways"], state["tags"], dirty)
+    columns = [(flags & F_DIRTY) > 0]
+    if getattr(l1, "_entry_has_temporal", False):
+        columns.append((flags & F_TEMPORAL) > 0)
+    l1._pend_sets(partial(
+        _mru_sets, state["count"], params["ways"], state["tags"], *columns
+    ))
     code = params["model"]
     if code == M_BYPASS:
-        l1._sets = _mru_sets(*main)
         l1._buffer = _mru_sets(
             state["b_count"], params["bb_ways"], state["b_addr"],
             (b_flags & F_DIRTY) > 0,
         )[0]
     elif code == M_STREAM:
-        l1._sets = _mru_sets(*main)
         fifos = _mru_sets(
             state["b_count"], params["bb_ways"], state["b_addr"],
             state["b_arrival"],
@@ -307,24 +311,12 @@ def _materialise(model, params, state, r) -> None:
             stream.entries = entries
             stream.next_line, stream.last_used = next_line, last_used
             l1._streams.append(stream)
-    else:
-        temporal = (flags & F_TEMPORAL) > 0
-        tracks_temporal = l1._entry_has_temporal
-        if params["ways"] == 1:
-            live = state["count"] > 0
-            l1._tags = np.where(live, state["tags"], -1).tolist()
-            l1._dirty = (live & dirty).tolist()
-            if tracks_temporal:
-                l1._temporal = (live & temporal).tolist()
-        else:
-            l1._sets = _mru_sets(*main, *((temporal,) if tracks_temporal
-                                          else ()))
-        if params["use_bb"]:
-            l1.bounce_back._sets = _mru_sets(
-                state["b_count"], params["bb_ways"], state["b_addr"],
-                (b_flags & F_DIRTY) > 0, (b_flags & F_TEMPORAL) > 0,
-                (b_flags & F_PREFETCHED) > 0, state["b_arrival"],
-            )
+    elif params["use_bb"]:
+        l1.bounce_back._sets = _mru_sets(
+            state["b_count"], params["bb_ways"], state["b_addr"],
+            (b_flags & F_DIRTY) > 0, (b_flags & F_TEMPORAL) > 0,
+            (b_flags & F_PREFETCHED) > 0, state["b_arrival"],
+        )
     if l2 is not None:
         l2._l2_sets = [
             [entry[0] for entry in entries]
@@ -341,10 +333,9 @@ def _materialise(model, params, state, r) -> None:
 
 def _mru_sets(count, ways, *columns):
     """Per-set MRU-first entries, one value per column in order."""
-    columns = [column.tolist() for column in columns]
+    slots = list(map(list, zip(*(column.tolist() for column in columns))))
     return [
-        [[column[k] for column in columns]
-         for k in range(index * ways, index * ways + live)]
+        slots[index * ways:index * ways + live]
         for index, live in enumerate(count.tolist())
     ]
 

@@ -12,21 +12,19 @@ on write misses.
 This class is deliberately implemented independently of the
 software-assisted model so the two can cross-validate each other (a
 software-assisted cache with no bounce-back cache and no virtual lines
-must behave identically).
-
-Direct-mapped geometries — the paper's default — run on a flat
-array-backed hot path (preallocated ``tags``/``dirty`` columns indexed
-by set) instead of per-set Python lists: one line per set makes the
-MRU list pure overhead.  Set-associative geometries keep the list
-implementation.  Both are the *reference* engine; the compiled
-``native`` loop (:mod:`repro.sim.native`) runs both write policies.
+must behave identically).  Every geometry, direct-mapped included,
+keeps per-set MRU lists; :meth:`StandardCache.access` is the
+*reference* engine, and the compiled ``native`` loop
+(:mod:`repro.sim.native`) transcribes it for both write policies.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import List, Set
 
 from ..errors import ConfigError
+from .base import PendingSets, empty_sets
 from .geometry import CacheGeometry
 from .result import SimResult
 from .timing import MemoryTiming
@@ -35,7 +33,35 @@ from .write_buffer import WriteBuffer
 WRITE_POLICIES = ("write-back", "write-through")
 
 
-class StandardCache:
+def check_mru_sets(sets: List[List[List]], ways: int, what: str) -> Set[int]:
+    """Assert that each set is an MRU order of at most ``ways`` distinct
+    lines, all mapping to it (entries start with the line address);
+    returns the resident lines."""
+    resident: Set[int] = set()
+    for index, entries in enumerate(sets):
+        lines = [entry[0] for entry in entries]
+        assert len(lines) <= ways, (
+            f"{what} set {index} holds {len(lines)} lines in {ways} ways"
+        )
+        assert len(set(lines)) == len(lines), (
+            f"duplicate line in {what} set {index}"
+        )
+        assert all(line % len(sets) == index for line in lines), (
+            f"{what} set {index} holds a line of another set"
+        )
+        resident.update(lines)
+    return resident
+
+
+def check_write_buffer(write_buffer: WriteBuffer) -> None:
+    """Assert that the write buffer holds at most its depth."""
+    assert write_buffer.occupancy <= write_buffer.entries, (
+        f"write buffer holds {write_buffer.occupancy} of "
+        f"{write_buffer.entries} entries"
+    )
+
+
+class StandardCache(PendingSets):
     """LRU set-associative cache; ignores the software tags entirely."""
 
     #: Per-line state carries no temporal bit (cf. the software model);
@@ -78,20 +104,8 @@ class StandardCache:
         self._init_state()
 
     def _init_state(self) -> None:
-        if self._ways == 1:
-            # Flat array-backed direct-mapped state (-1 = empty slot).
-            self._tags: Optional[List[int]] = [-1] * self._n_sets
-            self._dirty: List[bool] = [False] * self._n_sets
-            self._sets: Optional[List[List[List]]] = None
-            # Shadow the class-level dispatcher: the per-reference loop
-            # calls straight into the right backend.
-            self.access = self._access_direct
-        else:
-            # Per-set MRU-first list of [line_address, dirty] entries.
-            self._tags = None
-            self._dirty = []
-            self._sets = [[] for _ in range(self._n_sets)]
-            self.access = self._access_assoc
+        # Per-set MRU-first lists of [line_address, dirty] entries.
+        self._pend_sets(partial(empty_sets, self._n_sets))
 
     def reset(self) -> None:
         self._init_state()
@@ -103,9 +117,14 @@ class StandardCache:
     def contains(self, address: int) -> bool:
         """Presence check (observability hook for tests)."""
         la = address >> self._line_shift
-        if self._tags is not None:
-            return self._tags[la % self._n_sets] == la
         return any(e[0] == la for e in self._sets[la % self._n_sets])
+
+    def check_invariants(self) -> None:
+        """Assert the structural contract: every set is an MRU order of
+        distinct lines that map to it, within its associativity; the
+        write buffer holds at most its depth."""
+        check_mru_sets(self._sets, self._ways, "cache")
+        check_write_buffer(self.write_buffer)
 
     def native_engine_refusal(self):
         """The compiled loop transcribes both write policies (None: it
@@ -113,99 +132,6 @@ class StandardCache:
         return None
 
     def access(
-        self,
-        address: int,
-        is_write: bool = False,
-        *,
-        temporal: bool = False,
-        spatial: bool = False,
-        now: int = 0,
-    ) -> int:
-        # Class-level fallback; instances bind ``access`` directly to a
-        # backend in _init_state.
-        if self._tags is not None:
-            return self._access_direct(address, is_write, now=now)
-        return self._access_assoc(address, is_write, now=now)
-
-    # ------------------------------------------------------------------
-    # Direct-mapped hot path
-    # ------------------------------------------------------------------
-    def _access_direct(
-        self,
-        address: int,
-        is_write: bool = False,
-        *,
-        temporal: bool = False,
-        spatial: bool = False,
-        now: int = 0,
-    ) -> int:
-        stats = self.stats
-        stats.refs += 1
-        wait = self._ready_at - now
-        if wait < 0:
-            wait = 0
-        start = now + wait
-
-        self.last_fetch = []
-        la = address >> self._line_shift
-        index = la % self._n_sets
-        tags = self._tags
-        write_through = self.write_policy == "write-through"
-        if tags[index] == la:
-            stall = 0
-            if is_write:
-                if write_through:
-                    # The store goes to memory as well; the line stays
-                    # clean.
-                    stats.writebacks += 1
-                    stall = self.write_buffer.push(start)
-                    stats.write_buffer_stalls += stall
-                else:
-                    self._dirty[index] = True
-            stats.hits_main += 1
-            self._ready_at = start + stall + self._hit_time
-            return wait + stall + self._hit_time
-
-        # Write miss without allocation: the store goes straight to the
-        # write buffer and the cache is untouched.
-        if is_write and write_through and not self.write_allocate:
-            stats.misses += 1
-            stats.writebacks += 1
-            stall = self.write_buffer.push(start)
-            stats.write_buffer_stalls += stall
-            self._ready_at = start + stall + self._hit_time
-            return wait + stall + self._hit_time
-
-        # Miss: fetch one physical line.
-        stats.misses += 1
-        stall = 0
-        if tags[index] != -1 and self._dirty[index]:
-            stats.writebacks += 1
-            stall = self.write_buffer.push(start)
-            stats.write_buffer_stalls += stall
-        if is_write and write_through:
-            # Allocated clean; the store itself drains through the
-            # write buffer.
-            tags[index] = la
-            self._dirty[index] = False
-            stats.writebacks += 1
-            store_stall = self.write_buffer.push(start)
-            stats.write_buffer_stalls += store_stall
-            stall += store_stall
-        else:
-            tags[index] = la
-            self._dirty[index] = is_write
-        stats.lines_fetched += 1
-        stats.words_fetched += self._words_per_line
-        self.last_fetch = [la]
-        cycles = wait + stall + self._penalty
-        self._ready_at = start + stall + self._penalty
-        return cycles
-
-    # ------------------------------------------------------------------
-    # Set-associative path
-    # ------------------------------------------------------------------
-    def _access_assoc(
         self,
         address: int,
         is_write: bool = False,

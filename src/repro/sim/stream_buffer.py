@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import ConfigError
+from .base import PendingSets
 from .geometry import CacheGeometry
 from .result import SimResult
 from .timing import MemoryTiming
@@ -46,7 +47,7 @@ class _Stream:
         self.last_used = now
 
 
-class StreamBufferCache:
+class StreamBufferCache(PendingSets):
     """Direct-mapped/set-associative cache plus Jouppi stream buffers."""
 
     def __init__(

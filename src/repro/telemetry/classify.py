@@ -46,21 +46,10 @@ class _ShadowLRU:
     def __init__(self, geometry: CacheGeometry) -> None:
         self.n_sets = geometry.n_sets
         self.ways = geometry.ways
-        if self.ways == 1:
-            self._tags: List[int] = [-1] * self.n_sets
-            self._sets: List[List[int]] = []
-        else:
-            self._tags = []
-            self._sets = [[] for _ in range(self.n_sets)]
+        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
 
     def access(self, line: int) -> bool:
-        set_index = line % self.n_sets
-        if self.ways == 1:
-            hit = self._tags[set_index] == line
-            if not hit:
-                self._tags[set_index] = line
-            return hit
-        entries = self._sets[set_index]
+        entries = self._sets[line % self.n_sets]
         for position, resident in enumerate(entries):
             if resident == line:
                 if position:

@@ -46,7 +46,7 @@ class TestSetAssociativeBufferSwaps:
             gaps=[50] * len(stream),
         )
         result = simulate(cache, trace)
-        cache.check_exclusive()
+        cache.check_invariants()
         assert result.refs == (
             result.hits_main + result.hits_assist + result.misses
         )
@@ -70,4 +70,4 @@ class TestSetAssociativeBufferSwaps:
         # and inserts it into buffer set 0 (full) -> eviction -> a
         # temporal even line wants to bounce into main set 0 mid-swap.
         access(0, now=400)
-        c.check_exclusive()  # must not overflow main set 0
+        c.check_invariants()  # must not overflow main set 0

@@ -193,6 +193,41 @@ class TestTieBreak:
         assert r.cycles == 5 * penalty + drain
 
 
+#: (k, C): a cyclic scan of k lines through a fully associative cache of
+#: C < k lines.
+CYCLIC_SCANS = [(10, 4), (17, 8), (33, 8), (100, 64)]
+
+
+class TestCyclicScanClosedForm:
+    """OPT on a cyclic scan of k lines through a fully associative cache
+    of C < k lines misses at the steady-state ratio (k - C)/(k - 1),
+    the closed form of *Analytical Studies of Strategies for Utilization
+    of Cache Memory*; the first pass's k compulsory misses are set
+    apart.  A check of the Belady loops independent of both."""
+
+    PASSES = 200
+
+    def steady_state(self, k, capacity, engine):
+        trace = make_trace([32 * line for line in range(k)] * self.PASSES)
+        geometry = CacheGeometry(32 * capacity, 32, capacity)
+        result = simulate_belady(trace, geometry, TIMING, engine=engine)
+        assert result.engine == engine
+        n = len(trace)
+        return result.misses, (result.misses - k) / (n - k)
+
+    @pytest.mark.parametrize("k, capacity", CYCLIC_SCANS)
+    def test_reference_matches_closed_form(self, k, capacity):
+        _, ratio = self.steady_state(k, capacity, "reference")
+        assert ratio == pytest.approx((k - capacity) / (k - 1), abs=2e-3)
+
+    @needs_toolchain
+    @pytest.mark.parametrize("k, capacity", CYCLIC_SCANS)
+    def test_native_matches_closed_form(self, k, capacity):
+        misses, ratio = self.steady_state(k, capacity, "native")
+        assert ratio == pytest.approx((k - capacity) / (k - 1), abs=2e-3)
+        assert misses == self.steady_state(k, capacity, "reference")[0]
+
+
 class TestEngineKnob:
     def test_reference_env_runs_the_python_loop(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "reference")
@@ -200,7 +235,7 @@ class TestEngineKnob:
         assert result.engine == "reference"
         assert result.engine_refusal is None
 
-    def test_fast_tier_has_no_belady_kernel(self):
+    def test_retired_fast_engine_rejected(self):
         # The numpy tier is retired: its knob is an unknown engine.
         with pytest.raises(ConfigError, match="'fast'"):
             simulate_belady(make_trace([0]), FA, TIMING, engine="fast")

@@ -202,8 +202,7 @@ class TestBenchCLI:
              "--repeat", "1", "--out", str(out)]
         ) == 0
         payload = json.loads(out.read_text())
-        assert list(payload) == ["machine", "engine", "soft", "stream",
-                                 "probes"]
+        assert list(payload) == ["machine", "engine", "soft", "stream"]
         for name, block in payload.items():
             if name == "machine":
                 continue

@@ -1,0 +1,239 @@
+"""Executable contracts for the cache models, checked on both tiers.
+
+Each cache procedure is stated as a contract, in the style of a
+verified cache module (a hit exactly when a valid way holds the tag,
+the tag resident after a fill, nothing valid after init):
+
+* ``access`` — ``hits_main`` rises exactly when ``in_main(addr)`` held
+  before the access, ``hits_assist`` exactly when ``in_assist(addr)``
+  held, ``misses`` otherwise; afterwards the line is in the main cache,
+  except on a write-through no-allocate write miss (or when the miss's
+  own prefetch bounced a temporal line onto it), and its dirty and
+  temporal bits are sticky: set by a write-back store or a temporal
+  tag, kept while the line stays cached, clear on a fill;
+* ``reset`` — every set and buffer is empty and every counter zero;
+* ``check_invariants()`` — the model's structural invariants (no line in
+  both caches, MRU orders are permutations within the associativity,
+  the prefetch cap, the write-buffer depth) hold after every step.
+
+A hypothesis state machine interleaves accesses, resets and warm
+continuations (``simulate(..., reset=False)``) over direct-mapped and
+2-way geometries of every software-assisted preset and of the Standard
+cache under both write policies.  On the native tier, a fresh
+``simulate(engine="native")`` of the references since the last reset
+must leave state that passes the same invariants and equals the
+contract-checked model's.
+"""
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.core.spec import CacheSpec
+from repro.presets import SPECS
+from repro.sim import MemoryTiming, simulate
+from repro.sim.native import availability
+
+from conftest import make_trace
+
+#: A two-entry write buffer so full-buffer stalls and bounce aborts occur.
+TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16,
+                      write_buffer_entries=2)
+
+#: Scaled-down side buffers: two lines, one of them prefetchable.
+BUFFERS = {
+    "standard": {},
+    "victim": {"victim_lines": 2},
+    "temporal": {"bounce_back_lines": 2},
+    "spatial": {"bounce_back_lines": 2},
+    "soft": {"bounce_back_lines": 2},
+    "temporal-priority": {},
+    "standard-prefetch": {"buffer_lines": 2, "max_prefetched": 1},
+    "soft-prefetch": {"bounce_back_lines": 2, "max_prefetched": 1},
+}
+
+#: The Standard cache (``StandardCache``) under both write policies.
+STANDARD_CACHE = {
+    "standard_cache-write-back": {},
+    "standard_cache-write-through": {"write_policy": "write-through"},
+    "standard_cache-no-allocate": {"write_policy": "write-through",
+                                   "write_allocate": False},
+}
+
+
+def build_spec(name, ways):
+    """Four sets of 32-byte lines at ``ways``-way associativity."""
+    scale = dict(size_bytes=128 * ways, ways=ways, timing=TIMING)
+    if name in STANDARD_CACHE:
+        return CacheSpec.of("standard_cache", **scale, **STANDARD_CACHE[name])
+    return SPECS[name].derive(**scale, **BUFFERS[name])
+
+
+# Sixteen lines over four sets: plenty of conflicts and bounces.
+references = st.tuples(
+    st.integers(min_value=0, max_value=63).map(lambda word: word * 8),
+    st.booleans(), st.booleans(), st.booleans(),
+    st.integers(min_value=0, max_value=4),
+)
+
+
+def as_trace(refs):
+    addresses, is_write, temporal, spatial, gaps = zip(*refs)
+    return make_trace(addresses, is_write, temporal, spatial, gaps)
+
+
+class CacheContracts(RuleBasedStateMachine):
+    """One model under the access, reset and warm-continuation rules."""
+
+    def __init__(self, spec):
+        super().__init__()
+        self.spec = spec
+        self.model = spec.build()
+        policy = getattr(self.model, "write_policy", "write-back")
+        self.write_back = policy == "write-back"
+        self.no_allocate = not getattr(self.model, "write_allocate", True)
+        self._restart()
+
+    def _restart(self):
+        # The driver's clock, restarted like simulate(reset=True) does;
+        # ``history`` is the cold-start trace a fresh native run replays
+        # (None once a warm continuation made it unreplayable).
+        self.clock = 0
+        self.history = []
+
+    def _in_main(self, address):
+        return getattr(self.model, "in_main", self.model.contains)(address)
+
+    def _in_assist(self, address):
+        return getattr(self.model, "in_assist", lambda _: False)(address)
+
+    def _main_entry(self, address):
+        line = address >> self.model.geometry.line_shift
+        for entry in self.model._sets[line % len(self.model._sets)]:
+            if entry[0] == line:
+                return entry
+        return None
+
+    def _bits(self, address):
+        """``(dirty, temporal)`` of the cached line (False when absent);
+        main and bounce-back entries both start ``[line, dirty,
+        temporal]``, a plain cache's stop after ``dirty``."""
+        entry = self._main_entry(address)
+        if entry is None and hasattr(self.model, "bounce_back"):
+            line = address >> self.model.geometry.line_shift
+            entry = self.model.bounce_back.find(line)
+        entry = (entry or []) + [False, False, False]
+        return bool(entry[1]), bool(entry[2])
+
+    @rule(ref=references)
+    def access(self, ref):
+        address, is_write, temporal, spatial, gap = ref
+        model = self.model
+        stats = model.stats
+        before = (stats.refs, stats.hits_main, stats.hits_assist, stats.misses)
+        prefetches, bounces = stats.prefetches_issued, stats.bounce_backs
+        was_main, was_assist = self._in_main(address), self._in_assist(address)
+        dirty, tagged = self._bits(address)
+
+        # The driver's clock and cycle accounting (repro.sim.driver).
+        self.clock += gap
+        cycles = model.access(address, is_write, temporal=temporal,
+                              spatial=spatial, now=self.clock)
+        stats.cycles += cycles
+        self.clock += max(0, cycles - model.timing.hit_time)
+        if self.history is not None:
+            self.history.append(ref)
+
+        refs, hits_main, hits_assist, misses = (
+            after - prior for after, prior in zip(
+                (stats.refs, stats.hits_main, stats.hits_assist,
+                 stats.misses), before)
+        )
+        assert refs == 1
+        assert hits_main == int(was_main)
+        assert hits_assist == int(was_assist)
+        assert misses == int(not (was_main or was_assist))
+        if self.no_allocate and is_write and misses:
+            return
+        entry = self._main_entry(address)
+        if entry is None:
+            # The one way a filled line leaves at once: the miss's own
+            # prefetch pushed a temporal line out of the bounce-back
+            # cache, and it bounced onto the line (blocked sets cover
+            # the demand fill only).
+            assert stats.prefetches_issued > prefetches, "line not resident"
+            assert stats.bounce_backs > bounces, "line not resident"
+            return
+        # The line's bits are sticky while it stays cached: dirty after a
+        # write-back store, temporal after a temporal-tagged reference;
+        # a fill starts from clean and untagged.
+        assert entry[1] == (self.write_back and (is_write or dirty)), "dirty"
+        if len(entry) > 2:
+            assert entry[2] == (temporal or tagged), "temporal bit"
+
+    @rule()
+    def reset(self):
+        model = self.model
+        model.reset()
+        assert not any(model._sets), "a main-cache set survived reset"
+        assert len(getattr(model, "bounce_back", ())) == 0
+        assert model.write_buffer.occupancy == 0
+        stats = model.stats
+        assert (stats.refs, stats.hits_main, stats.hits_assist,
+                stats.misses, stats.writebacks) == (0, 0, 0, 0, 0)
+        self._restart()
+
+    @rule(refs=st.lists(references, min_size=1, max_size=12))
+    def warm_continuation(self, refs):
+        stats = self.model.stats
+        before = stats.refs
+        result = simulate(self.model, as_trace(refs), reset=False)
+        assert result.engine == "reference"
+        assert result.refs == before + len(refs)
+        assert result.refs == (result.hits_main + result.hits_assist
+                               + result.misses)
+        self.history = None
+
+    @precondition(lambda self: self.history and availability() is None)
+    @rule()
+    def native_replay(self):
+        fresh = self.spec.build()
+        result = simulate(fresh, as_trace(self.history), engine="native")
+        assert result.engine == "native"
+        fresh.check_invariants()
+        live = self.model
+        for field in ("cycles", "refs", "hits_main", "hits_assist", "misses",
+                      "writebacks", "lines_fetched", "bounce_backs",
+                      "bounce_aborts", "prefetches_issued"):
+            assert getattr(result, field) == getattr(live.stats, field), field
+        assert fresh._sets == live._sets
+        if hasattr(live, "bounce_back"):
+            assert fresh.bounce_back._sets == live.bounce_back._sets
+        assert (list(fresh.write_buffer._completions)
+                == list(live.write_buffer._completions))
+
+    @invariant()
+    def structure(self):
+        self.model.check_invariants()
+
+
+CONTRACT_SETTINGS = settings(
+    max_examples=12, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("ways", (1, 2))
+@pytest.mark.parametrize("name", (*STANDARD_CACHE, *BUFFERS))
+def test_contracts(name, ways):
+    spec = build_spec(name, ways)
+    run_state_machine_as_test(
+        lambda: CacheContracts(spec), settings=CONTRACT_SETTINGS
+    )

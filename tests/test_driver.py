@@ -50,6 +50,16 @@ class TestSimulate:
         r = simulate(cache, trace, reset=False)
         assert r.misses == 1 and r.hits_main == 1  # cumulative counters
 
+    def test_warm_continuation_accumulates_cycles(self):
+        # A miss, then a hit arriving after the miss has long finished:
+        # the continuation's one cycle adds to the first run's twelve,
+        # like every other counter (the check would fail on 1 cycle for
+        # 2 references).
+        cache = make_cache()
+        simulate(cache, make_trace([0], gaps=[0]))
+        r = simulate(cache, make_trace([0], gaps=[100]), reset=False)
+        assert (r.refs, r.cycles) == (2, 12 + 1)
+
     def test_empty_trace(self):
         r = simulate(make_cache(), make_trace([]))
         assert r.refs == 0 and r.cycles == 0

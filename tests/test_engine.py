@@ -240,7 +240,7 @@ class TestSelection:
         with pytest.raises(ConfigError, match="warm-start"):
             select_engine("native", model, reset=False)
 
-    def test_warm_continuation_after_fast_run(self):
+    def test_warm_continuation_after_native_run(self):
         """auto falls back for reset=False, continuing from the state
         the compiled loop (or, without a compiler, the reference loop)
         left."""

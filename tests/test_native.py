@@ -209,7 +209,7 @@ class TestNativeParity:
 
 class TestSelection:
     @needs_toolchain
-    def test_native_beats_fast_in_auto(self):
+    def test_auto_selects_native(self):
         chosen, refusal = select_engine("auto", standard())
         assert chosen == "native" and refusal is None
 
@@ -226,7 +226,7 @@ class TestSelection:
         result = simulate(assisted_soft(), random_trace(14))
         assert result.engine == "native" and result.engine_refusal is None
 
-    def test_explicit_fast_on_assisted_raises(self):
+    def test_retired_fast_engine_rejected_on_assisted(self):
         # The numpy tier is retired: its knob is an unknown engine.
         with pytest.raises(ConfigError, match="'fast'"):
             select_engine("fast", assisted_soft())
@@ -246,7 +246,7 @@ class TestSelection:
         assert result.engine == "reference"
         assert result.engine_refusal.code == "native-unavailable"
 
-    def test_fast_refusal_passes_through(self):
+    def test_warm_start_refusal_passes_through(self):
         reason = native_refusal(standard(), reset=False)
         assert reason is not None and reason.code == "warm-start"
 

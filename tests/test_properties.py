@@ -83,7 +83,7 @@ class TestInvariants:
         cache = soft_cache()
         trace = build_trace(stream)
         result = simulate(cache, trace)
-        cache.check_exclusive()
+        cache.check_invariants()
         assert result.refs == len(stream)
         assert result.refs == (
             result.hits_main + result.hits_assist + result.misses
@@ -142,7 +142,7 @@ class TestPrefetchInvariants:
     def test_prefetch_keeps_conservation(self, stream):
         cache = soft_cache(bounce_back_lines=4, prefetch="software")
         result = simulate(cache, build_trace(stream))
-        cache.check_exclusive()
+        cache.check_invariants()
         assert result.refs == (
             result.hits_main + result.hits_assist + result.misses
         )

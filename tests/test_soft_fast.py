@@ -250,7 +250,7 @@ def model_state(model):
     buffer in MRU order (prefetched flags and arrival times included),
     the write-buffer ring, the clocks and ``last_fetch``."""
     return {
-        "main": (model._tags, model._dirty, model._temporal, model._sets),
+        "main": model._sets,
         "bounce_back": model.bounce_back._sets,
         "write_buffer": (
             model.write_buffer.pushes, model.write_buffer.stall_cycles,

@@ -253,7 +253,7 @@ class TestCoherence:
         for k, addr in enumerate(pattern):
             access(c, addr, temporal=(k % 2 == 0), spatial=(k % 3 == 0),
                    now=100 * k)
-            c.check_exclusive()
+            c.check_invariants()
 
 
 class TestTemporalPriority:

@@ -80,7 +80,7 @@ class TestSetAssociativeSoft:
         access(c, 512, now=200)   # 0 -> bounce-back buffer
         assert c.in_assist(0)
         assert access(c, 0, now=300) == 3  # swap back
-        c.check_exclusive()
+        c.check_invariants()
 
     def test_swap_respects_temporal_priority(self):
         c = make_cache(
@@ -105,7 +105,7 @@ class TestVirtualLineEdges:
         c = make_cache(virtual_line_size=128)
         access(c, 0, spatial=True, now=0)
         assert all(c.in_main(32 * k) for k in range(4))
-        c.check_exclusive()
+        c.check_invariants()
 
     def test_write_allocates_virtual_line_clean_neighbours(self):
         c = make_cache(virtual_line_size=64)
@@ -137,7 +137,7 @@ class TestPrefetchEdges:
         access(c, 256, now=200)        # victim 128 -> buffer: overflow
         access(c, 384, now=300)
         assert c.stats.bounce_backs == 0
-        c.check_exclusive()
+        c.check_invariants()
 
     def test_prefetch_hit_write(self):
         c = make_cache(

@@ -54,8 +54,8 @@ class TestParity:
     """One report per (trace, config) — however it was computed."""
 
     @needs_toolchain
-    def test_reference_vs_fast_identical(self):
-        """The reference loop against the compiled (fast) tier."""
+    def test_reference_vs_native_identical(self):
+        """The reference loop against the compiled native tier."""
         trace = tagged_trace()
         spec = SPECS["standard"]
         ref = analyze(spec, trace, engine="reference")
@@ -65,8 +65,8 @@ class TestParity:
         assert payload_without_engine(ref) == payload_without_engine(native)
 
     @needs_toolchain
-    def test_fast_streamed_vs_in_memory(self):
-        """Streamed against in-memory on the compiled (fast) tier."""
+    def test_native_streamed_vs_in_memory(self):
+        """Streamed against in-memory on the compiled native tier."""
         trace = tagged_trace()
         spec = SPECS["standard"]
         whole = analyze(spec, trace, engine="native")
@@ -333,25 +333,3 @@ class TestCLI:
         )
         assert code == 0
         assert "miss classes" in capsys.readouterr().out
-
-
-class TestProbeBench:
-    def test_probe_bench_payload(self):
-        from repro.harness.bench import Sizes, run_scenario
-
-        block = run_scenario("probes", Sizes(refs=20_000, repeat=2))
-        assert block["budget"] == pytest.approx(0.02)
-        pairs = {("standard", "reference"), ("soft", "reference")}
-        assert {(r["config"], r["engine"], r["variant"])
-                for r in block["rows"]} == {
-            (config, engine, variant)
-            for config, engine in pairs
-            for variant in ("bare", "probes-off", "probed")
-        }
-        summary = block["summary"]
-        for config, engine in pairs:
-            assert engine in summary["within_budget"][config]
-            # Generous sanity bound — the recorded BENCH_sim.json run
-            # enforces the real 2% budget on a long, quiet measurement.
-            assert summary["probes_off_overhead"][config][engine] < 0.25
-        assert all(r["refs_per_sec"] > 0 for r in block["rows"])
