@@ -48,7 +48,6 @@ from .sim import (
     MemoryTiming,
     SimResult,
     StandardCache,
-    simulate_many,
 )
 from .stream import TraceStream, open_trace
 from .telemetry import TelemetryReport, TelemetrySpec, analyze
@@ -72,7 +71,6 @@ __all__ = [
     "StandardCache",
     "BypassCache",
     "simulate",
-    "simulate_many",
     # traces & workloads
     "Trace",
     "TraceBuilder",

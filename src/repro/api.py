@@ -10,7 +10,7 @@ argument                        dispatch
 ==============================  =======================================
 ``config`` is a CacheSpec       a fresh model is built
 ``config`` is a preset name     looked up in :data:`repro.presets.SPECS`
-``config`` is a model           used as-is (warm state allowed)
+``config`` is a model           reset and used as-is
 ``trace`` is a Trace            delivered whole, as one chunk
 ``trace`` is a stream / path    chunked out-of-core simulation
 ``telemetry=`` given            probed run returning a TelemetryReport
@@ -42,11 +42,8 @@ def _resolve_model(config):
 def simulate(
     config,
     trace,
-    reset: bool = True,
-    warmup_refs: int = 0,
     *,
     engine: Optional[str] = None,
-    probes=None,
     telemetry=None,
 ) -> Union[SimResult, "TelemetryReport"]:
     """Run one simulation, whatever the config and trace delivery.
@@ -67,9 +64,8 @@ def simulate(
     ``native`` — native is the compiled-C tier, built on demand when a
     system C compiler exists); when ``auto`` passes over the native
     tier, the structured refusal is recorded on
-    ``result.engine_refusal``.  ``reset=False`` and
-    ``warmup_refs`` behave as in the specialised entry points (and are
-    incompatible with probed runs, which need the full cold trace).
+    ``result.engine_refusal``.  Every run is one cold run over the
+    whole trace: the model is reset first.
     """
     from .sim import driver
 
@@ -82,16 +78,6 @@ def simulate(
     if telemetry is not None:
         from .telemetry import TelemetrySpec, analyze
 
-        if probes is not None:
-            raise ValueError(
-                "pass either telemetry= (a spec) or probes= (built "
-                "probes), not both"
-            )
-        if not reset or warmup_refs:
-            raise ValueError(
-                "telemetry runs need the full cold trace: reset=False / "
-                "warmup_refs are not supported with telemetry="
-            )
         spec = None if telemetry is True else telemetry
         if spec is not None and not isinstance(spec, TelemetrySpec):
             raise TypeError(
@@ -100,7 +86,4 @@ def simulate(
             )
         return analyze(model, trace, telemetry=spec, engine=engine)
 
-    return driver.simulate(
-        model, trace, reset=reset, warmup_refs=warmup_refs,
-        engine=engine, probes=probes,
-    )
+    return driver.simulate(model, trace, engine=engine)

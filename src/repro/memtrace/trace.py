@@ -144,8 +144,7 @@ class Trace:
         The ``.tolist()`` conversion turns numpy scalars into native ints
         and bools, which the per-reference simulation loop consumes far
         faster than numpy scalar extraction.  The conversion is cached so
-        ``simulate_many`` and the sweep/hierarchy drivers pay it once per
-        trace rather than once per model.  Callers must treat the lists
+        a sweep pays it once per trace rather than once per model.  Callers must treat the lists
         as read-only (traces are immutable by convention).
         """
         if self._columns_list is None:

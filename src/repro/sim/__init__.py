@@ -4,7 +4,7 @@ from .base import CacheModel
 from .belady import simulate_belady
 from .bypass import BypassCache
 from .column_assoc import ColumnAssociativeCache
-from .driver import simulate, simulate_many
+from .driver import simulate
 from .engine import (
     ENGINES,
     EngineMismatchError,
@@ -45,5 +45,4 @@ __all__ = [
     "select_engine",
     "simulate",
     "simulate_belady",
-    "simulate_many",
 ]

@@ -24,6 +24,7 @@ from typing import List, Optional
 from ..errors import ConfigError
 from .geometry import CacheGeometry
 from .result import SimResult
+from .standard import check_write_buffer
 from .timing import MemoryTiming
 from .write_buffer import WriteBuffer
 
@@ -75,6 +76,24 @@ class ColumnAssociativeCache:
             if line is not None and line[0] == la:
                 return True
         return False
+
+    def check_invariants(self) -> None:
+        """Assert the structural contract: each resident line sits in its
+        primary slot with its rehash bit clear, or in the rehash slot
+        ``primary ^ flip`` with it set; no line is resident twice; the
+        write buffer holds at most its depth."""
+        resident = set()
+        for index, line in enumerate(self._lines):
+            if line is None:
+                continue
+            primary = line[0] % self._n_sets
+            slot = primary ^ self._flip if line[2] else primary
+            assert index == slot, (
+                f"line {line[0]} in slot {index}, rehash bit {line[2]}"
+            )
+            assert line[0] not in resident, f"line {line[0]} resident twice"
+            resident.add(line[0])
+        check_write_buffer(self.write_buffer)
 
     def _evict(self, index: int, start: int) -> int:
         line = self._lines[index]

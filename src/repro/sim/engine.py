@@ -75,8 +75,6 @@ class EngineRefusal(str):
 
     #: Stable machine-readable refusal codes.
     CODES = (
-        "warm-start",         # continuation from warm cache state
-        "warmup-window",      # warm-up prefix discards counters
         "no-batch-kernel",    # no compiled kernel for this model
         "native-unavailable",  # no C compiler and no prebuilt library
     )
@@ -120,24 +118,14 @@ def is_assisted(model) -> bool:
     )
 
 
-def native_refusal(
-    model, reset: bool = True, warmup_refs: int = 0
-) -> Optional[EngineRefusal]:
+def native_refusal(model) -> Optional[EngineRefusal]:
     """Why the native tier cannot run this simulation (None = it can).
 
-    The run must start cold and keep every counter; the model vouches
-    for its configuration through its ``native_engine_refusal`` hook;
-    on top of it a C toolchain or a prebuilt library must actually be
-    present (``native-unavailable`` carries the compiler diagnostic).
+    The model vouches for its configuration through its
+    ``native_engine_refusal`` hook; on top of it a C toolchain or a
+    prebuilt library must actually be present (``native-unavailable``
+    carries the compiler diagnostic).
     """
-    if not reset:
-        return EngineRefusal(
-            "warm-start", "continuation from warm cache state"
-        )
-    if warmup_refs:
-        return EngineRefusal(
-            "warmup-window", "warm-up window discards a counter prefix"
-        )
     check = getattr(model, "native_engine_refusal", None)
     if check is None:
         return EngineRefusal(
@@ -157,10 +145,7 @@ def native_refusal(
 
 
 def select_engine(
-    engine: Optional[str],
-    model,
-    reset: bool = True,
-    warmup_refs: int = 0,
+    engine: Optional[str], model
 ) -> Tuple[str, Optional[EngineRefusal]]:
     """Resolve the knob against a concrete simulation.
 
@@ -175,7 +160,7 @@ def select_engine(
     engine = resolve_engine(engine)
     if engine == "reference":
         return "reference", None
-    reason = native_refusal(model, reset=reset, warmup_refs=warmup_refs)
+    reason = native_refusal(model)
     if reason is None:
         return "native", None
     if engine == "native":

@@ -20,11 +20,10 @@ bit-identical to the reference loop.  An in-memory trace is simply the
 single chunk ``(trace,)``.
 
 Eligibility is the caller's job (:func:`repro.sim.engine
-.native_refusal`): a cold-start, no-warm-up run of a model whose
-``native_engine_refusal`` hook returns None.  The C side keeps all
-state in caller-owned numpy arrays plus an int64 register block, so
-chunk boundaries are invisible: the streamed and monolithic paths
-execute the identical instruction sequence.
+.native_refusal`): a model whose ``native_engine_refusal`` hook returns
+None.  The C side keeps all state in caller-owned numpy arrays plus an
+int64 register block, so chunk boundaries are invisible: the streamed
+and monolithic paths execute the identical instruction sequence.
 """
 
 from __future__ import annotations
@@ -224,22 +223,10 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
             assert int(cycles_col.sum()) == int(regs[cycles_at]) - before, (
                 "per-reference cycles disagree with the native clock"
             )
-            probes.on_batch(
-                TelemetryBatch(
-                    start=refs,
-                    addresses=chunk.addresses,
-                    is_write=chunk.is_write,
-                    temporal=chunk.temporal,
-                    spatial=chunk.spatial,
-                    gaps=chunk.gaps,
-                    miss=kind == K_MISS,
-                    assist_hit=kind == K_ASSIST,
-                    cycles=cycles_col,
-                    words=words_col,
-                    wb_stall=stall_col,
-                    ref_ids=chunk.ref_ids,
-                )
-            )
+            probes.on_batch(TelemetryBatch.of_chunk(
+                chunk, refs, miss=kind == K_MISS, assist_hit=kind == K_ASSIST,
+                cycles=cycles_col, words=words_col, wb_stall=stall_col,
+            ))
         refs += n
 
     r = dict(zip(REGISTERS, regs.tolist()))

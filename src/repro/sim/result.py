@@ -30,12 +30,11 @@ class SimResult:
     #: different engines never alias).
     engine: str = field(default="", compare=False)
     #: When ``engine=auto`` passed over the native tier — because no
-    #: compiler exists (``native-unavailable``), it has no kernel for
-    #: the model (``no-batch-kernel``) or the run is a continuation
-    #: (``warm-start``, ``warmup-window``) — the
-    #: structured :class:`~repro.sim.engine.EngineRefusal` (stable
-    #: ``.code`` + human message) explaining why; ``None`` when native
-    #: ran or the caller pinned the engine.
+    #: compiler exists (``native-unavailable``) or it has no kernel for
+    #: the model (``no-batch-kernel``) — the structured
+    #: :class:`~repro.sim.engine.EngineRefusal` (stable ``.code`` +
+    #: human message) explaining why; ``None`` when native ran or the
+    #: caller pinned the engine.
     #: Observability only — excluded from equality like ``engine``.
     engine_refusal: Optional["EngineRefusal"] = field(
         default=None, compare=False

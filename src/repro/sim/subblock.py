@@ -26,6 +26,7 @@ from typing import List
 from ..errors import ConfigError
 from .geometry import CacheGeometry
 from .result import SimResult
+from .standard import check_mru_sets, check_write_buffer
 from .timing import MemoryTiming
 from .write_buffer import WriteBuffer
 
@@ -84,6 +85,21 @@ class SubBlockCache:
             if entry[0] == la:
                 return bool(entry[1] & (1 << sub))
         return False
+
+    def check_invariants(self) -> None:
+        """Assert the structural contract: every set is an MRU order of
+        distinct lines that map to it, within its associativity; each
+        resident line has a valid sub-block and only valid sub-blocks
+        are dirty; the write buffer holds at most its depth."""
+        check_mru_sets(self._sets, self._ways, "cache")
+        for entries in self._sets:
+            for line, valid, dirty in entries:
+                assert valid, f"line {line} has no valid sub-block"
+                assert not dirty & ~valid, (
+                    f"line {line} dirty mask {dirty:#x} outside valid "
+                    f"mask {valid:#x}"
+                )
+        check_write_buffer(self.write_buffer)
 
     def access(
         self,

@@ -50,3 +50,21 @@ class TelemetryBatch:
 
     def __len__(self) -> int:
         return len(self.addresses)
+
+    @classmethod
+    def of_chunk(
+        cls, chunk, start: int, **outcomes: np.ndarray
+    ) -> "TelemetryBatch":
+        """The batch of ``chunk`` (a trace, simulated from global index
+        ``start``) with its five outcome columns by name — how both
+        engines emit."""
+        return cls(
+            start=start,
+            addresses=chunk.addresses,
+            is_write=chunk.is_write,
+            temporal=chunk.temporal,
+            spatial=chunk.spatial,
+            gaps=chunk.gaps,
+            ref_ids=chunk.ref_ids,
+            **outcomes,
+        )

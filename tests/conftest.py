@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import tempfile
@@ -68,6 +69,33 @@ def make_trace(
         name=name,
         ref_ids=None if ref_ids is None else np.asarray(ref_ids, dtype=np.int64),
     )
+
+
+def model_state(model):
+    """Everything a run leaves behind, copied: main-cache sets, side
+    buffers in their order (bounce-back, bypass buffer, stream FIFOs
+    with their next line and last use), the L2 and its counters, the
+    write-buffer ring, the clocks and ``last_fetch``."""
+    l1 = getattr(model, "l1", model)
+    state = {
+        attr: getattr(l1, attr)
+        for attr in ("_sets", "_buffer", "_ready_at", "_bus_free_at",
+                     "last_fetch")
+        if hasattr(l1, attr)
+    }
+    state["write_buffer"] = (
+        l1.write_buffer.pushes, l1.write_buffer.stall_cycles,
+        list(l1.write_buffer._completions),
+    )
+    if hasattr(l1, "bounce_back"):
+        state["bounce_back"] = l1.bounce_back._sets
+    if hasattr(l1, "_streams"):
+        state["streams"] = [
+            (s.entries, s.next_line, s.last_used) for s in l1._streams
+        ]
+    if l1 is not model:
+        state["l2"] = (model._l2_sets, model.l2_stats)
+    return copy.deepcopy(state)
 
 
 @pytest.fixture

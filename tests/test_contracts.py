@@ -16,13 +16,18 @@ the tag resident after a fill, nothing valid after init):
   both caches, MRU orders are permutations within the associativity,
   the prefetch cap, the write-buffer depth) hold after every step.
 
-A hypothesis state machine interleaves accesses, resets and warm
-continuations (``simulate(..., reset=False)``) over direct-mapped and
-2-way geometries of every software-assisted preset and of the Standard
-cache under both write policies.  On the native tier, a fresh
-``simulate(engine="native")`` of the references since the last reset
-must leave state that passes the same invariants and equals the
-contract-checked model's.
+A hypothesis state machine interleaves accesses and resets over
+direct-mapped and 2-way geometries of every software-assisted preset
+and of the Standard cache under both write policies.  On the native
+tier, a fresh ``simulate(engine="native")`` of the references since the
+last reset must leave state that passes the same invariants and equals
+the contract-checked model's.
+
+The column-associative and sub-block caches run on the reference loop
+only; a second machine holds them to the same access and reset
+contracts, stated through ``contains`` (a hit exactly when it held
+before the access, the line resident after it) and their own
+``check_invariants()``.
 """
 
 import pytest
@@ -38,7 +43,13 @@ from hypothesis.stateful import (
 
 from repro.core.spec import CacheSpec
 from repro.presets import SPECS
-from repro.sim import MemoryTiming, simulate
+from repro.sim import (
+    CacheGeometry,
+    ColumnAssociativeCache,
+    MemoryTiming,
+    SubBlockCache,
+    simulate,
+)
 from repro.sim.native import availability
 
 from conftest import make_trace
@@ -90,7 +101,7 @@ def as_trace(refs):
 
 
 class CacheContracts(RuleBasedStateMachine):
-    """One model under the access, reset and warm-continuation rules."""
+    """One model under the access and reset rules."""
 
     def __init__(self, spec):
         super().__init__()
@@ -102,9 +113,8 @@ class CacheContracts(RuleBasedStateMachine):
         self._restart()
 
     def _restart(self):
-        # The driver's clock, restarted like simulate(reset=True) does;
-        # ``history`` is the cold-start trace a fresh native run replays
-        # (None once a warm continuation made it unreplayable).
+        # The driver's clock, restarted like simulate() does; ``history``
+        # is the cold-start trace a fresh native run replays.
         self.clock = 0
         self.history = []
 
@@ -148,8 +158,7 @@ class CacheContracts(RuleBasedStateMachine):
                               spatial=spatial, now=self.clock)
         stats.cycles += cycles
         self.clock += max(0, cycles - model.timing.hit_time)
-        if self.history is not None:
-            self.history.append(ref)
+        self.history.append(ref)
 
         refs, hits_main, hits_assist, misses = (
             after - prior for after, prior in zip(
@@ -190,17 +199,6 @@ class CacheContracts(RuleBasedStateMachine):
                 stats.misses, stats.writebacks) == (0, 0, 0, 0, 0)
         self._restart()
 
-    @rule(refs=st.lists(references, min_size=1, max_size=12))
-    def warm_continuation(self, refs):
-        stats = self.model.stats
-        before = stats.refs
-        result = simulate(self.model, as_trace(refs), reset=False)
-        assert result.engine == "reference"
-        assert result.refs == before + len(refs)
-        assert result.refs == (result.hits_main + result.hits_assist
-                               + result.misses)
-        self.history = None
-
     @precondition(lambda self: self.history and availability() is None)
     @rule()
     def native_replay(self):
@@ -236,4 +234,68 @@ def test_contracts(name, ways):
     spec = build_spec(name, ways)
     run_state_machine_as_test(
         lambda: CacheContracts(spec), settings=CONTRACT_SETTINGS
+    )
+
+
+#: The reference-only models: a four-slot column-associative cache of
+#: 32-byte lines, and 64-byte lines of four 16-byte sub-blocks,
+#: direct-mapped and 2-way.
+REFERENCE_ONLY = {
+    "column-assoc": lambda: ColumnAssociativeCache(
+        CacheGeometry(128, 32, 1), TIMING),
+    "subblock-1": lambda: SubBlockCache(
+        CacheGeometry(256, 64, 1), sub_block=16, timing=TIMING),
+    "subblock-2": lambda: SubBlockCache(
+        CacheGeometry(256, 64, 2), sub_block=16, timing=TIMING),
+}
+
+#: Every address the reference strategy draws.
+ADDRESSES = range(0, 64 * 8, 8)
+
+
+class ReferenceOnlyContracts(RuleBasedStateMachine):
+    """A reference-only model under the access and reset rules."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.model = build()
+        self.clock = 0
+
+    @rule(ref=references)
+    def access(self, ref):
+        address, is_write, temporal, spatial, gap = ref
+        model = self.model
+        stats = model.stats
+        before = (stats.refs, stats.misses)
+        was_resident = model.contains(address)
+        self.clock += gap
+        cycles = model.access(address, is_write, temporal=temporal,
+                              spatial=spatial, now=self.clock)
+        self.clock += max(0, cycles - model.timing.hit_time)
+        assert (stats.refs, stats.misses) == (
+            before[0] + 1, before[1] + (not was_resident)
+        )
+        assert model.contains(address), "line not resident"
+
+    @rule()
+    def reset(self):
+        model = self.model
+        model.reset()
+        assert not any(model.contains(address) for address in ADDRESSES)
+        assert model.write_buffer.occupancy == 0
+        stats = model.stats
+        assert (stats.refs, stats.hits_main, stats.hits_assist,
+                stats.misses, stats.writebacks) == (0, 0, 0, 0, 0)
+        self.clock = 0
+
+    @invariant()
+    def structure(self):
+        self.model.check_invariants()
+
+
+@pytest.mark.parametrize("name", REFERENCE_ONLY)
+def test_reference_only_contracts(name):
+    run_state_machine_as_test(
+        lambda: ReferenceOnlyContracts(REFERENCE_ONLY[name]),
+        settings=CONTRACT_SETTINGS,
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CacheGeometry, MemoryTiming, StandardCache, simulate, simulate_many
+from repro.sim import CacheGeometry, MemoryTiming, StandardCache, simulate
 
 from conftest import make_trace
 
@@ -43,23 +43,6 @@ class TestSimulate:
         r = simulate(cache, trace)
         assert r.misses == 1  # cold again
 
-    def test_warm_continuation(self):
-        cache = make_cache()
-        trace = make_trace([0])
-        simulate(cache, trace)
-        r = simulate(cache, trace, reset=False)
-        assert r.misses == 1 and r.hits_main == 1  # cumulative counters
-
-    def test_warm_continuation_accumulates_cycles(self):
-        # A miss, then a hit arriving after the miss has long finished:
-        # the continuation's one cycle adds to the first run's twelve,
-        # like every other counter (the check would fail on 1 cycle for
-        # 2 references).
-        cache = make_cache()
-        simulate(cache, make_trace([0], gaps=[0]))
-        r = simulate(cache, make_trace([0], gaps=[100]), reset=False)
-        assert (r.refs, r.cycles) == (2, 12 + 1)
-
     def test_empty_trace(self):
         r = simulate(make_cache(), make_trace([]))
         assert r.refs == 0 and r.cycles == 0
@@ -68,10 +51,3 @@ class TestSimulate:
         r = simulate(make_cache(), make_trace([0, 8, 64]))
         r.check()
 
-
-class TestSimulateMany:
-    def test_runs_all_models(self):
-        trace = make_trace([0, 0])
-        results = simulate_many([make_cache(), make_cache()], trace)
-        assert len(results) == 2
-        assert results[0].misses == results[1].misses == 1

@@ -30,7 +30,7 @@ from repro.sim import (
     select_engine,
     simulate,
 )
-from repro.sim.engine import PARITY_FIELDS, native_refusal
+from repro.sim.engine import PARITY_FIELDS, EngineRefusal, native_refusal
 from repro.sim.native import availability
 
 from conftest import make_trace, needs_toolchain
@@ -233,26 +233,13 @@ class TestSelection:
             assert chosen == "reference"
             assert why.code == "native-unavailable"
 
-    def test_auto_refuses_warm_continuations(self):
-        model = standard()
-        assert select_engine("auto", model, reset=False)[0] == "reference"
-        assert select_engine("auto", model, warmup_refs=10)[0] == "reference"
-        with pytest.raises(ConfigError, match="warm-start"):
-            select_engine("native", model, reset=False)
-
-    def test_warm_continuation_after_native_run(self):
-        """auto falls back for reset=False, continuing from the state
-        the compiled loop (or, without a compiler, the reference loop)
-        left."""
-        trace = random_trace(2)
-        warm = standard()
-        simulate(warm, trace)  # auto -> native
-        follow_on = simulate(warm, trace, reset=False)
-        assert follow_on.engine == "reference"
-        cold = standard()
-        simulate(cold, trace, engine="reference")
-        follow_ref = simulate(cold, trace, reset=False)
-        assert_counters_equal(follow_on, follow_ref, "warm continuation")
+    def test_refusal_codes(self):
+        # Every simulation is a cold run over the whole trace, so the
+        # native tier refuses only for the model or the toolchain.
+        assert EngineRefusal.CODES == ("no-batch-kernel",
+                                       "native-unavailable")
+        with pytest.raises(ValueError, match="unknown refusal code"):
+            EngineRefusal("warm-start", "continuation")
 
 
 class TestCrossValidate:

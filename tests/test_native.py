@@ -30,7 +30,7 @@ from repro.sim.engine import PARITY_FIELDS
 from repro.sim.native import build
 from repro.stream import TraceStream
 
-from conftest import make_trace, needs_toolchain
+from conftest import make_trace, model_state, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
@@ -86,22 +86,6 @@ def assert_counters_equal(a, b, context=""):
         if getattr(a, name) != getattr(b, name)
     }
     assert not diffs, f"{context}: {diffs}"
-
-
-def model_state(model):
-    import copy
-
-    state = {}
-    for attr in ("_tags", "_dirty", "_temporal", "_sets", "_ready_at",
-                 "_bus_free_at", "last_fetch"):
-        if hasattr(model, attr):
-            state[attr] = copy.deepcopy(getattr(model, attr))
-    state["wb"] = (
-        model.write_buffer.pushes,
-        model.write_buffer.stall_cycles,
-        list(model.write_buffer._completions),
-    )
-    return state
 
 
 @pytest.fixture
@@ -245,10 +229,6 @@ class TestSelection:
         result = simulate(assisted_soft(), random_trace(15))
         assert result.engine == "reference"
         assert result.engine_refusal.code == "native-unavailable"
-
-    def test_warm_start_refusal_passes_through(self):
-        reason = native_refusal(standard(), reset=False)
-        assert reason is not None and reason.code == "warm-start"
 
     def test_auto_falls_back_silently_without_toolchain(self, no_toolchain):
         chosen, why = select_engine("auto", standard())

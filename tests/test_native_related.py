@@ -30,7 +30,7 @@ from repro.stream import TraceStream
 from repro.telemetry import WindowProbe
 from repro.telemetry.probes import ProbeSet
 
-from conftest import needs_toolchain
+from conftest import model_state, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 #: A one-entry write buffer draining over a narrow bus, so stores and
@@ -136,33 +136,6 @@ TRACES = {
     "related": related_trace(0),
     "random": random_trace(1),
 }
-
-
-def model_state(model):
-    """Everything a run leaves behind: main-cache sets, side buffers in
-    their order (bounce-back, bypass buffer, stream FIFOs with their
-    next line and last use), the L2 and its counters, the write-buffer
-    ring, the clocks and ``last_fetch``."""
-    l1 = getattr(model, "l1", model)
-    state = {
-        attr: getattr(l1, attr)
-        for attr in ("_tags", "_dirty", "_temporal", "_sets", "_buffer",
-                     "_ready_at", "_bus_free_at", "last_fetch")
-        if hasattr(l1, attr)
-    }
-    state["write_buffer"] = (
-        l1.write_buffer.pushes, l1.write_buffer.stall_cycles,
-        list(l1.write_buffer._completions),
-    )
-    if hasattr(l1, "bounce_back"):
-        state["bounce_back"] = l1.bounce_back._sets
-    if hasattr(l1, "_streams"):
-        state["streams"] = [
-            (s.entries, s.next_line, s.last_used) for s in l1._streams
-        ]
-    if l1 is not model:
-        state["l2"] = (model._l2_sets, model.l2_stats)
-    return state
 
 
 @needs_toolchain

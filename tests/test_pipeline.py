@@ -11,8 +11,6 @@ streams, with an unbuffered write buffer, and on a one-reference trace.
 They skip without a C toolchain.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from repro.sim import CacheGeometry, MemoryTiming, StandardCache, simulate
 from repro.sim.engine import PARITY_FIELDS
 from repro.stream import TraceStream
 
-from conftest import make_trace, needs_toolchain
+from conftest import make_trace, model_state, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
@@ -49,16 +47,6 @@ def assert_parity(whole, chunked):
         if getattr(whole, name) != getattr(chunked, name)
     }
     assert not bad, f"chunked counters diverge: {bad}"
-
-
-def model_state(model):
-    state = {}
-    for attr in ("_tags", "_dirty", "_temporal", "_sets", "_ready_at",
-                 "_bus_free_at", "last_fetch"):
-        if hasattr(model, attr):
-            state[attr] = copy.deepcopy(getattr(model, attr))
-    state["wb"] = (model.write_buffer.pushes, model.write_buffer.stall_cycles)
-    return state
 
 
 def assert_same_run(build, trace, stream, engine="native"):

@@ -31,7 +31,7 @@ from repro.sim.native import availability
 from repro.stream import TraceStream
 from repro.telemetry import analyze
 
-from conftest import needs_toolchain
+from conftest import model_state, needs_toolchain
 
 TIMING = MemoryTiming(latency=12, bus_bytes_per_cycle=8)
 
@@ -243,22 +243,6 @@ class TestStreamedParity:
         assert reference.cycles == native.cycles
         assert reference.misses == native.misses
         assert reference.bounce_backs == native.bounce_backs
-
-
-def model_state(model):
-    """Everything a run leaves behind: the main cache, the bounce-back
-    buffer in MRU order (prefetched flags and arrival times included),
-    the write-buffer ring, the clocks and ``last_fetch``."""
-    return {
-        "main": model._sets,
-        "bounce_back": model.bounce_back._sets,
-        "write_buffer": (
-            model.write_buffer.pushes, model.write_buffer.stall_cycles,
-            list(model.write_buffer._completions),
-        ),
-        "clocks": (model._ready_at, model._bus_free_at),
-        "last_fetch": model.last_fetch,
-    }
 
 
 @needs_toolchain

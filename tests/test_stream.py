@@ -10,7 +10,6 @@ whose state is hardest to carry: virtual-line fetches straddling chunk
 boundaries, bounce-back swaps, write-buffer drains.
 """
 
-import copy
 import pickle
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.sim.engine import PARITY_FIELDS
 from repro.sim.native import availability
 from repro.stream import TraceStream, open_trace
 
-from conftest import make_trace, needs_toolchain
+from conftest import make_trace, model_state, needs_toolchain
 
 
 def engines():
@@ -64,16 +63,6 @@ def assert_parity(reference, streamed):
         if getattr(reference, name) != getattr(streamed, name)
     }
     assert not bad, f"streamed counters diverge: {bad}"
-
-
-def model_state(model):
-    state = {}
-    for attr in ("_tags", "_dirty", "_temporal", "_sets", "_ready_at",
-                 "_bus_free_at"):
-        if hasattr(model, attr):
-            state[attr] = copy.deepcopy(getattr(model, attr))
-    state["wb"] = (model.write_buffer.pushes, model.write_buffer.stall_cycles)
-    return state
 
 
 class Recorder:
@@ -237,16 +226,6 @@ class TestReferenceEngineParity:
             engine="reference",
         )
         assert streamed.engine == "reference"
-        assert_parity(ref, streamed)
-
-    def test_warmup_window_carries_across_chunks(self):
-        trace = random_trace(14, refs=800)
-        build = lambda: StandardCache(CacheGeometry(1024, 32), TIMING)
-        ref = simulate(build(), trace, engine="reference", warmup_refs=350)
-        streamed = simulate(
-            build(), TraceStream.from_trace(trace, chunk_refs=100),
-            warmup_refs=350,
-        )
         assert_parity(ref, streamed)
 
 

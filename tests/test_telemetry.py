@@ -236,18 +236,17 @@ class TestAttributionProbe:
 
 class TestGuards:
     def test_probed_run_requires_reset(self):
-        trace = make_trace([0, 32])
-        model = SPECS["standard"].build()
-        probes = TelemetrySpec().build_probes(model)
-        with pytest.raises(ConfigError):
-            simulate(model, trace, reset=False, probes=probes)
-
-    def test_probed_run_refuses_warmup(self):
-        trace = make_trace([0, 32])
-        model = SPECS["standard"].build()
-        probes = TelemetrySpec().build_probes(model)
-        with pytest.raises(ConfigError):
-            simulate(model, trace, warmup_refs=1, probes=probes)
+        # The reference loop resets the model itself: a probed run on a
+        # used model reports exactly what a fresh model does.
+        trace = tagged_trace()
+        used = SPECS["soft"].build()
+        simulate(used, trace)
+        runs = []
+        for model in (used, SPECS["soft"].build()):
+            probes = TelemetrySpec().build_probes(model)
+            result = simulate(model, trace, engine="reference", probes=probes)
+            runs.append((result.as_dict(), probes.report()))
+        assert runs[0] == runs[1]
 
     def test_probed_counters_match_unprobed(self):
         trace = tagged_trace()
