@@ -14,7 +14,7 @@ from pathlib import Path
 from repro import simulate
 from repro.core import presets
 from repro.harness import format_table
-from repro.memtrace import load_trace, save_trace
+from repro.memtrace import TraceStore
 from repro.metrics import attribute
 from repro.sim import CacheGeometry, MemoryTiming
 from repro.sim.belady import simulate_belady
@@ -26,11 +26,12 @@ def main() -> None:
 
     # --- persist & reload -------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spmv.npz"
-        save_trace(trace, path)
-        reloaded = load_trace(path)
+        path = Path(tmp) / "spmv.store"
+        TraceStore.save(trace, path)
+        reloaded = TraceStore.open(path).load()
+        on_disk = sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
         print(f"round-trip: {len(reloaded)} references, "
-              f"{path.stat().st_size // 1024} KiB on disk")
+              f"{on_disk // 1024} KiB on disk")
         assert (reloaded.addresses == trace.addresses).all()
 
     # --- who causes the misses? -------------------------------------------

@@ -13,10 +13,9 @@ simulate
 tags
     Show the section 2.3 locality tags of a benchmark's loop nests.
 trace
-    Generate a benchmark trace (legacy flags), or via subcommands:
-    ``trace import`` converts an external address trace into a chunked
-    v2 store, ``trace info`` describes any trace artefact, ``trace
-    convert`` migrates between the v1 archive and the v2 store.
+    Generate a benchmark trace into a chunked store (``--benchmark B
+    --out P``), or via subcommands: ``trace import`` converts an
+    external address trace into a store, ``trace info`` describes one.
 attribute
     Per-instruction miss attribution of a benchmark (top offenders).
 analyze
@@ -41,20 +40,21 @@ bench
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .core.spec import CacheSpec
 from .errors import ConfigError, ReproError
 from .harness.parallel import ResultCache, cache_enabled, default_cache_dir
 from .harness.runner import run_sweep
 from .harness.tables import format_table
-from .memtrace.io import save_trace
 from .metrics.attribution import attribute as attribute_misses
 from .presets import SPECS, build_config
+from .stream import TraceStream, is_store
 from .workloads.registry import BENCHMARK_ORDER, build_program, get_trace
 
 #: Cache configurations selectable from the command line.  The name is
@@ -129,9 +129,9 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--benchmark", choices=BENCHMARK_ORDER)
     sim.add_argument(
         "--trace", metavar="PATH", dest="trace_path",
-        help="simulate an on-disk trace instead of a benchmark (v2 "
-        "store directories stream out-of-core; v1 .npz archives load "
-        "whole)",
+        help="simulate an on-disk trace instead of a benchmark (store "
+        "directories stream out-of-core; external .din/.bin traces are "
+        "ingested on the fly with annotated tags)",
     )
     sim.add_argument(
         "--config", default="all", choices=list(CONFIGS) + ["all"]
@@ -206,19 +206,13 @@ def _parser() -> argparse.ArgumentParser:
     tags.add_argument("--scale", choices=SCALES, default="paper")
 
     trace = sub.add_parser(
-        "trace", help="generate, import, convert or inspect traces"
+        "trace", help="generate, import or inspect trace stores"
     )
-    # Legacy generate mode: `repro trace --benchmark MV --out mv.npz`.
+    # Generate mode: `repro trace --benchmark MV --out mv.store`.
     trace.add_argument("--benchmark", choices=BENCHMARK_ORDER)
     trace.add_argument("--scale", choices=SCALES, default="paper")
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--out", help="output path (.npz, or a v2 store "
-                       "directory with --store)")
-    trace.add_argument(
-        "--store", action="store_true",
-        help="write the generated trace as a chunked v2 store directory "
-        "instead of a v1 .npz archive",
-    )
+    trace.add_argument("--out", help="output store directory")
     tsub = trace.add_subparsers(dest="trace_cmd")
 
     timport = tsub.add_parser(
@@ -249,20 +243,8 @@ def _parser() -> argparse.ArgumentParser:
         "--compression", choices=("zlib", "none"), default="zlib"
     )
 
-    tinfo = tsub.add_parser("info", help="describe a trace artefact")
-    tinfo.add_argument("path", help="a v2 store directory or a v1 .npz")
-
-    tconvert = tsub.add_parser(
-        "convert",
-        help="migrate a v1 .npz archive to a chunked v2 store (or, with "
-        "a .npz output path, a store back to v1)",
-    )
-    tconvert.add_argument("source")
-    tconvert.add_argument("--out", required=True, dest="convert_out")
-    tconvert.add_argument("--chunk-refs", type=int, default=None, metavar="N")
-    tconvert.add_argument(
-        "--compression", choices=("zlib", "none"), default="zlib"
-    )
+    tinfo = tsub.add_parser("info", help="describe a trace store")
+    tinfo.add_argument("path", help="a trace store directory")
 
     attr = sub.add_parser("attribute", help="per-instruction miss profile")
     attr.add_argument("--benchmark", required=True, choices=BENCHMARK_ORDER)
@@ -276,10 +258,9 @@ def _parser() -> argparse.ArgumentParser:
     analyze.add_argument("--benchmark", choices=BENCHMARK_ORDER)
     analyze.add_argument(
         "--trace", metavar="PATH", dest="trace_path",
-        help="analyze an on-disk trace instead of a benchmark (v2 store "
-        "directories stream out-of-core; .npz archives load whole; "
-        "external .din/.bin traces are ingested on the fly with "
-        "annotated tags)",
+        help="analyze an on-disk trace instead of a benchmark (store "
+        "directories stream out-of-core; external .din/.bin traces are "
+        "ingested on the fly with annotated tags)",
     )
     analyze.add_argument(
         "--config", default="soft", choices=list(CONFIGS)
@@ -537,32 +518,31 @@ def _cmd_simulate(
             file=sys.stderr,
         )
         return 2
-    if trace_path is not None:
-        from .stream import open_trace
-
-        trace = open_trace(trace_path)
-        label_trace = trace.name
-        origin = f"streamed from {trace_path}"
-    else:
-        trace = get_trace(benchmark, scale, seed)
-        label_trace = benchmark
+    if trace_path is None:
+        opened = contextlib.nullcontext(get_trace(benchmark, scale, seed))
         origin = f"scale={scale}"
+    else:
+        opened = _open_trace_path(trace_path)
+        origin = f"streamed from {trace_path}"
     chosen = dict(CONFIGS) if config == "all" else {config: CONFIGS[config]}
-    if cross_validate:
-        from .sim.engine import cross_validate as check_engines
-        from .sim.engine import select_engine
+    with opened as trace:
+        label_trace = benchmark or trace.name
+        if cross_validate:
+            from .sim.engine import cross_validate as check_engines
+            from .sim.engine import select_engine
 
-        check_trace = trace.load() if trace_path is not None else trace
-        validated = 0
-        for label, spec in chosen.items():
-            if select_engine("auto", spec.build())[0] != "reference":
-                check_engines(spec.build, check_trace)
-                validated += 1
-        print(
-            f"cross-validated {validated}/{len(chosen)} configs: "
-            "the native tier agrees with the reference on every counter"
+            validated = 0
+            for spec in chosen.values():
+                if select_engine("auto", spec.build())[0] != "reference":
+                    check_engines(spec.build, trace)
+                    validated += 1
+            print(
+                f"cross-validated {validated}/{len(chosen)} configs: "
+                "the native tier agrees with the reference on every counter"
+            )
+        sweep = run_sweep(
+            {label_trace: trace}, chosen, jobs=jobs, engine=engine
         )
-    sweep = run_sweep({label_trace: trace}, chosen, jobs=jobs, engine=engine)
     rows = {}
     for label, r in sweep.results[label_trace].items():
         rows[label] = {
@@ -699,28 +679,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return _cmd_trace_import(args)
     if args.trace_cmd == "info":
         return _cmd_trace_info(args.path)
-    if args.trace_cmd == "convert":
-        return _cmd_trace_convert(args)
-    # Legacy generate mode.
     if args.benchmark is None or args.out is None:
         print(
             "error: trace generation needs --benchmark and --out "
-            "(or use a subcommand: import / info / convert)",
+            "(or use a subcommand: import / info)",
             file=sys.stderr,
         )
         return 2
-    trace = get_trace(args.benchmark, args.scale, args.seed)
-    if args.store:
-        from .memtrace.store import TraceStore
+    from .memtrace.store import TraceStore
 
-        store = TraceStore.save(trace, args.out)
-        print(
-            f"wrote {len(trace)} references to {args.out} "
-            f"({store.n_chunks} chunks)"
-        )
-    else:
-        save_trace(trace, args.out)
-        print(f"wrote {len(trace)} references to {args.out}")
+    trace = get_trace(args.benchmark, args.scale, args.seed)
+    store = TraceStore.save(trace, args.out)
+    print(
+        f"wrote {len(trace)} references to {args.out} "
+        f"({store.n_chunks} chunks)"
+    )
     return 0
 
 
@@ -747,46 +720,10 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(path: str) -> int:
-    from .memtrace.io import load_trace
-    from .memtrace.store import TraceStore, is_store
+    from .memtrace.store import TraceStore
 
-    if is_store(path):
-        for key, value in TraceStore.open(path).describe().items():
-            print(f"{key}: {value}")
-        return 0
-    trace = load_trace(path)
-    print(f"path: {path}")
-    print("format: npz v1")
-    print(f"name: {trace.name}")
-    print(f"refs: {len(trace)}")
-    print(f"has_ref_ids: {trace.ref_ids is not None}")
-    print(f"fingerprint: {trace.fingerprint()}")
-    return 0
-
-
-def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    from .memtrace.io import load_trace
-    from .memtrace.store import DEFAULT_CHUNK_REFS, TraceStore, is_store
-
-    if is_store(args.source):
-        trace = TraceStore.open(args.source).load()
-        save_trace(trace, args.convert_out)
-        print(
-            f"converted store {args.source} to v1 archive "
-            f"{args.convert_out} ({len(trace)} references)"
-        )
-        return 0
-    trace = load_trace(args.source)
-    store = TraceStore.save(
-        trace,
-        args.convert_out,
-        chunk_refs=args.chunk_refs or DEFAULT_CHUNK_REFS,
-        compression=args.compression,
-    )
-    print(
-        f"converted {args.source} to v2 store {args.convert_out} "
-        f"({len(trace)} references, {store.n_chunks} chunks)"
-    )
+    for key, value in TraceStore.open(path).describe().items():
+        print(f"{key}: {value}")
     return 0
 
 
@@ -838,17 +775,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.trace_path is not None:
-        trace = _open_analyze_trace(args.trace_path)
-    else:
-        trace = get_trace(args.benchmark, args.scale, args.seed)
     spec = TelemetrySpec(
         window_refs=args.window or DEFAULT_WINDOW_REFS,
         attribution=args.attribution,
     )
-    report = analyze(
-        CONFIGS[args.config], trace, telemetry=spec, engine=args.engine
-    )
+    if args.trace_path is None:
+        opened = contextlib.nullcontext(
+            get_trace(args.benchmark, args.scale, args.seed)
+        )
+    else:
+        opened = _open_trace_path(args.trace_path)
+    with opened as trace:
+        report = analyze(
+            CONFIGS[args.config], trace, telemetry=spec, engine=args.engine
+        )
     print(report.format())
     if args.out is not None:
         from .telemetry import write_report
@@ -858,27 +798,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_analyze_trace(path: str):
-    """Open any trace artefact for analysis.
+@contextlib.contextmanager
+def _open_trace_path(path: str) -> Iterator[TraceStream]:
+    """Open a ``--trace`` argument as a stream for one command.
 
-    Store directories and ``.npz`` archives go through
-    :func:`~repro.stream.open_trace`; external ``.din``/``.bin`` traces
-    are ingested into a temporary chunked store (with reconstructed
-    locality tags, so the tag audit has compiler bits to grade).
+    A store directory streams as it is.  An external ``.din``/``.bin``
+    trace is ingested into a temporary chunked store (with reconstructed
+    locality tags, so the tag audit has compiler bits to grade), which
+    is removed when the block exits.
     """
-    from .memtrace.store import is_store
-    from .stream import open_trace
-
-    suffix = os.path.splitext(path)[1].lower()
-    if is_store(path) or suffix not in (".din", ".bin"):
-        return open_trace(path)
     import tempfile
 
     from .stream.ingest import ingest_trace
 
-    out = tempfile.mkdtemp(prefix="repro-analyze-")
-    ingest_trace(path, out, annotate=True)
-    return open_trace(out)
+    suffix = os.path.splitext(path)[1].lower()
+    if is_store(path) or suffix not in (".din", ".bin"):
+        yield TraceStream.open(path)
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as scratch:
+        store = ingest_trace(
+            path, os.path.join(scratch, "store"), annotate=True
+        )
+        yield TraceStream.from_store(store)
 
 
 def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
@@ -1080,8 +1021,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
     corpus = Corpus.load(args.manifest)
     if command == "list":
-        from .stream import is_store
-
         print(f"corpus {corpus.name!r} ({len(corpus.entries)} entries)")
         for name in sorted(corpus.entries):
             entry = corpus.entries[name]

@@ -124,11 +124,6 @@ class SoftwareAssistedCache(PendingSets):
         self._bus_free_at = 0
         self.last_fetch = []
 
-    def native_engine_refusal(self):
-        """The compiled loop transcribes this model's semantics for
-        every configuration (None: it always applies)."""
-        return None
-
     def in_main(self, address: int) -> bool:
         """Presence in the main cache (testing hook)."""
         la = address >> self._line_shift

@@ -50,7 +50,7 @@ from ..core.spec import CacheSpec
 from ..errors import ConfigError, WorkerDiedError
 from ..memtrace.trace import Trace
 from ..sim.driver import simulate
-from ..sim.engine import resolve_engine, select_engine
+from ..sim.engine import EngineRefusal, resolve_engine, select_engine
 from ..sim.result import SimResult
 
 #: Bump on any change that alters simulation results; invalidates the
@@ -108,17 +108,33 @@ def _is_shard_dir(name: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Result serialisation (lossless: SimResult counters are ints)
+# Result serialisation (lossless: SimResult counters are ints, and a
+# refusal keeps its code as ``{"code", "message"}``)
 # ----------------------------------------------------------------------
 _RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SimResult))
 
 
 def result_to_payload(result: SimResult) -> Dict:
-    return {name: getattr(result, name) for name in _RESULT_FIELDS}
+    payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    refusal = result.engine_refusal
+    if refusal is not None:
+        payload["engine_refusal"] = {
+            "code": refusal.code, "message": refusal.message,
+        }
+    return payload
 
 
 def payload_to_result(payload: Dict) -> SimResult:
-    return SimResult(**{name: payload[name] for name in _RESULT_FIELDS})
+    """Rebuild a result; a refusal stored without its code (the older
+    plain-string form) raises ``TypeError``, which the cache reads as a
+    miss."""
+    fields = {name: payload[name] for name in _RESULT_FIELDS}
+    refusal = fields["engine_refusal"]
+    if refusal is not None:
+        fields["engine_refusal"] = EngineRefusal(
+            refusal["code"], refusal["message"]
+        )
+    return SimResult(**fields)
 
 
 class ResultCache:

@@ -6,7 +6,6 @@ software tags and randomly drawn inter-reference time gaps, plus the
 locality analyses behind figures 1 and 4.
 """
 
-from .io import load_trace, save_trace
 from .lifetime import LifetimeProfile, lifetime_profile, line_lifetimes
 from .store import DEFAULT_CHUNK_REFS, STORE_VERSION, TraceStore, is_store
 from .reuse import (
@@ -27,8 +26,6 @@ from .vectors import (
 )
 
 __all__ = [
-    "save_trace",
-    "load_trace",
     "DEFAULT_CHUNK_REFS",
     "STORE_VERSION",
     "TraceStore",

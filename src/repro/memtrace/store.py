@@ -1,9 +1,9 @@
-"""Chunked on-disk trace store (format v2).
+"""Chunked on-disk trace store (format v2), the one on-disk trace format.
 
-The v1 ``.npz`` format (:mod:`repro.memtrace.io`) holds a whole trace as
-monolithic column arrays: loading is all-or-nothing and memory is
-O(trace).  :class:`TraceStore` is the out-of-core replacement: a trace
-is a *directory* of fixed-size column chunks plus a JSON manifest::
+Traces are expensive to regenerate, and the paper's method re-simulates
+*identical* traces (gaps are recorded in the trace, not drawn at
+simulation time).  A :class:`TraceStore` persists a trace out-of-core:
+a *directory* of fixed-size column chunks plus a JSON manifest::
 
     store/
         manifest.json            # format, name, refs, chunk table
@@ -22,7 +22,7 @@ traces always share cache entries).
 
 Writing streams: :meth:`TraceStore.create` returns a
 :class:`TraceStoreWriter` that buffers O(chunk) rows and flushes full
-chunks as they fill, so converting or ingesting a trace never
+chunks as they fill, so saving or ingesting a trace never
 materialises more than one chunk.  Reading streams likewise:
 :meth:`TraceStore.chunks` yields one in-memory :class:`Trace` per chunk.
 """

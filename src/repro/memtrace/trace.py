@@ -155,7 +155,7 @@ class Trace:
         """Stable content hash over every column plus the name (hex).
 
         Used as the trace component of the on-disk sweep result-cache key
-        and as an integrity check in the ``.npz`` persistence layer.  The
+        and as an integrity check of on-disk trace stores.  The
         hash is computed once per trace object (the columns are
         immutable by convention).
         """

@@ -73,11 +73,6 @@ class BypassCache(PendingSets):
         self.stats = SimResult(cache=self.name)
         self._ready_at = 0
 
-    def native_engine_refusal(self):
-        """The compiled loop transcribes both variants (None: it always
-        applies)."""
-        return None
-
     def access(
         self,
         address: int,

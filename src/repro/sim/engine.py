@@ -21,12 +21,11 @@ Every simulation names an *engine*:
     ``reference``.  The selection is recorded in ``SimResult.engine``,
     and the native tier's refusal in ``SimResult.engine_refusal``.
 
-Models opt in by implementing ``native_engine_refusal()``, returning
-``None`` when the compiled kernel applies, or an :class:`EngineRefusal`
-carrying a stable machine-readable ``code`` plus a human-readable
-message.  The check is *conservative by construction*: a model without
-the hook, and any configuration the hook cannot vouch for, runs on the
-reference loop.
+The native tier runs the model classes listed in
+:data:`repro.sim.native.runner.KERNEL_MODELS` (a two-level hierarchy
+by its L1), in every configuration; any other model is refused with an
+:class:`EngineRefusal` carrying a stable machine-readable ``code`` plus
+a human-readable message, and runs on the reference loop.
 
 ``REPRO_ENGINE`` sets the default engine when the caller passes none
 (mirrors ``REPRO_JOBS``); :func:`cross_validate` runs the native tier
@@ -121,20 +120,17 @@ def is_assisted(model) -> bool:
 def native_refusal(model) -> Optional[EngineRefusal]:
     """Why the native tier cannot run this simulation (None = it can).
 
-    The model vouches for its configuration through its
-    ``native_engine_refusal`` hook; on top of it a C toolchain or a
-    prebuilt library must actually be present (``native-unavailable``
-    carries the compiler diagnostic).
+    The loop must transcribe the model's class (``no-batch-kernel``
+    otherwise), and a C toolchain or a prebuilt library must actually
+    be present (``native-unavailable`` carries the compiler diagnostic).
     """
-    check = getattr(model, "native_engine_refusal", None)
-    if check is None:
+    from .native import availability
+    from .native.runner import has_kernel
+
+    if not has_kernel(model):
         return EngineRefusal(
             "no-batch-kernel", f"{type(model).__name__} has no compiled kernel"
         )
-    reason = check()
-    if reason is not None:
-        return reason
-    from .native import availability
 
     diagnostic = availability()
     if diagnostic is not None:

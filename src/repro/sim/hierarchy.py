@@ -34,7 +34,6 @@ from typing import List
 from ..errors import ConfigError
 from .geometry import CacheGeometry
 from .result import SimResult
-from .timing import MemoryTiming
 
 
 class TwoLevelCache:
@@ -75,11 +74,6 @@ class TwoLevelCache:
     def stats(self) -> SimResult:
         """The L1's record (the driver reads and finalises this)."""
         return self.l1.stats
-
-    def native_engine_refusal(self):
-        """The compiled loop replays the L2 after each access of any L1
-        it runs (the L1's own refusal, None for both L1 caches)."""
-        return self.l1.native_engine_refusal()
 
     def reset(self) -> None:
         self.l1.reset()

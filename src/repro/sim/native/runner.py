@@ -20,10 +20,10 @@ bit-identical to the reference loop.  An in-memory trace is simply the
 single chunk ``(trace,)``.
 
 Eligibility is the caller's job (:func:`repro.sim.engine
-.native_refusal`): a model whose ``native_engine_refusal`` hook returns
-None.  The C side keeps all state in caller-owned numpy arrays plus an
-int64 register block, so chunk boundaries are invisible: the streamed
-and monolithic paths execute the identical instruction sequence.
+.native_refusal`): a model for which :func:`has_kernel` holds.  The C
+side keeps all state in caller-owned numpy arrays plus an int64
+register block, so chunk boundaries are invisible: the streamed and
+monolithic paths execute the identical instruction sequence.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ from functools import partial
 
 import numpy as np
 
+from ...core.software_cache import SoftwareAssistedCache
 from ...errors import ConfigError
 from ..bypass import BypassCache
 from ..engine import is_assisted
 from ..hierarchy import TwoLevelCache
 from ..result import SimResult
+from ..standard import StandardCache
 from ..stream_buffer import StreamBufferCache, _Stream
 from ..write_buffer import WriteBuffer
 from . import build
@@ -90,6 +92,19 @@ def _levels(model):
     if isinstance(model, TwoLevelCache):
         return model.l1, model
     return model, None
+
+
+#: The cache models the loop transcribes in every configuration, alone
+#: or as the L1 of a :class:`TwoLevelCache` (:func:`_params` dispatches
+#: on these types).
+KERNEL_MODELS = (
+    SoftwareAssistedCache, StandardCache, BypassCache, StreamBufferCache,
+)
+
+
+def has_kernel(model) -> bool:
+    """Whether the loop transcribes ``model`` (a hierarchy by its L1)."""
+    return type(_levels(model)[0]) in KERNEL_MODELS
 
 
 def _params(model) -> dict:

@@ -126,11 +126,6 @@ class StandardCache(PendingSets):
         check_mru_sets(self._sets, self._ways, "cache")
         check_write_buffer(self.write_buffer)
 
-    def native_engine_refusal(self):
-        """The compiled loop transcribes both write policies (None: it
-        always applies)."""
-        return None
-
     def access(
         self,
         address: int,

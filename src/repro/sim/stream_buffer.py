@@ -21,7 +21,7 @@ Model notes (documented simplifications):
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import ConfigError
 from .base import PendingSets
@@ -91,11 +91,6 @@ class StreamBufferCache(PendingSets):
         self.stats = SimResult(cache=self.name)
         self._ready_at = 0
         self._bus_free_at = 0
-
-    def native_engine_refusal(self):
-        """The compiled loop transcribes this model (None: it always
-        applies)."""
-        return None
 
     # ------------------------------------------------------------------
     # Internals

@@ -11,8 +11,7 @@ A stream is backed either by
 
 * a chunked on-disk :class:`~repro.memtrace.store.TraceStore` (the
   out-of-core case — chunks are read, verified and decoded one at a
-  time, with an optional read-ahead thread overlapping decompression
-  with simulation), or
+  time), or
 * an in-memory ``Trace`` (windowed zero-copy views — useful for
   chunked/monolithic parity testing).
 
@@ -30,7 +29,6 @@ text and raw binary records) into v2 stores.
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import Iterator, Optional, Union
 
 from ..errors import TraceError
@@ -39,38 +37,10 @@ from ..memtrace.trace import Trace
 
 __all__ = [
     "DEFAULT_CHUNK_REFS",
-    "MAX_READAHEAD",
     "TraceStream",
+    "is_store",
     "open_trace",
-    "resolve_readahead",
 ]
-
-#: Hard ceiling on the read-ahead queue depth.  Each buffered chunk
-#: costs O(chunk_refs) memory, so an accidental ``REPRO_READAHEAD=1e9``
-#: must not turn the bounded-memory path into an unbounded one.
-MAX_READAHEAD = 64
-
-
-def resolve_readahead(prefetch: Optional[int] = None) -> int:
-    """Resolve the read-ahead depth: explicit > ``REPRO_READAHEAD`` > 1.
-
-    ``0`` disables the read-ahead thread entirely; values are clamped to
-    :data:`MAX_READAHEAD` so the queue stays bounded.
-    """
-    if prefetch is None:
-        raw = os.environ.get("REPRO_READAHEAD", "").strip()
-        if not raw:
-            return 1
-        try:
-            prefetch = int(raw)
-        except ValueError:
-            raise TraceError(
-                f"REPRO_READAHEAD must be an integer >= 0: {raw!r}"
-            ) from None
-    if prefetch < 0:
-        raise TraceError(f"read-ahead depth must be >= 0: {prefetch}")
-    return min(prefetch, MAX_READAHEAD)
-
 
 class TraceStream:
     """A restartable, bounded-memory sequence of trace chunks.
@@ -118,17 +88,9 @@ class TraceStream:
 
     @classmethod
     def open(cls, path: Union[str, os.PathLike]) -> "TraceStream":
-        """Open any trace artefact as a stream.
-
-        A v2 store directory streams out-of-core; a v1 ``.npz`` archive
-        is materialised (that format cannot be read partially) and then
-        windowed.
-        """
-        if is_store(path):
-            return cls.from_store(path)
-        from ..memtrace.io import load_trace
-
-        return cls.from_trace(load_trace(path))
+        """Open an on-disk trace store as a stream (the one on-disk
+        format; anything else raises :class:`~repro.errors.TraceError`)."""
+        return cls.from_store(path)
 
     # ------------------------------------------------------------------
     # Metadata
@@ -187,43 +149,18 @@ class TraceStream:
             ref_ids=None if trace.ref_ids is None else trace.ref_ids[lo:hi],
         )
 
-    def chunks(
-        self, verify: bool = True, prefetch: Optional[int] = None
-    ) -> Iterator[Trace]:
+    def chunks(self, verify: bool = True) -> Iterator[Trace]:
         """Yield the trace as in-memory chunk windows, in order.
 
-        For store-backed streams ``prefetch`` chunks are decoded on a
-        read-ahead thread while the caller consumes the current one
-        (decompression releases the GIL), hiding I/O under simulation
-        time; memory stays O(1 + prefetch) chunks.  The queue is always
-        bounded: ``prefetch`` defaults to ``$REPRO_READAHEAD`` (or 1)
-        and is clamped to :data:`MAX_READAHEAD`.  ``verify`` checks
-        every chunk against its manifest fingerprint.
+        A store-backed stream reads and decodes one chunk at a time, so
+        memory stays O(chunk); ``verify`` checks every chunk against its
+        manifest fingerprint.
         """
-        if self._store is None:
-            for index in range(self.n_chunks):
-                yield self._window(index)
+        if self._store is not None:
+            yield from self._store.chunks(verify=verify)
             return
-        store = self._store
-        n = store.n_chunks
-        prefetch = resolve_readahead(prefetch)
-        if prefetch <= 0 or n <= 1:
-            yield from store.chunks(verify=verify)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = deque()
-            upcoming = 0
-            while upcoming < n and len(pending) <= prefetch:
-                pending.append(pool.submit(store.chunk, upcoming, verify))
-                upcoming += 1
-            while pending:
-                chunk = pending.popleft().result()
-                if upcoming < n:
-                    pending.append(pool.submit(store.chunk, upcoming, verify))
-                    upcoming += 1
-                yield chunk
+        for index in range(self.n_chunks):
+            yield self._window(index)
 
     def __iter__(self) -> Iterator[Trace]:
         return self.chunks()

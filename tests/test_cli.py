@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import BELADY_CELLS, CONFIGS, RELATED_WORK_CELLS, main
@@ -109,15 +110,30 @@ class TestTags:
 
 class TestTrace:
     def test_saves_trace(self, tmp_path, capsys):
-        out_path = tmp_path / "mv.npz"
+        out_path = tmp_path / "mv.store"
         assert main(
             ["trace", "--benchmark", "MV", "--scale", "tiny",
              "--out", str(out_path)]
         ) == 0
-        assert out_path.exists()
-        from repro.memtrace import load_trace
+        from repro.memtrace import TraceStore
+        from repro.workloads.registry import get_trace
 
-        assert len(load_trace(out_path)) > 0
+        store = TraceStore.open(out_path)
+        assert store.fingerprint() == get_trace("MV", "tiny").fingerprint()
+        assert store.load().fingerprint() == store.fingerprint()
+
+    @pytest.mark.parametrize("command", [
+        ["trace", "info"], ["simulate", "--config", "standard", "--trace"],
+    ])
+    def test_single_file_archive_is_a_trace_error(
+        self, tmp_path, capsys, command
+    ):
+        # Only store directories are read; an old single-file archive
+        # fails with the stable trace-error code, not a traceback.
+        archive = tmp_path / "old.npz"
+        np.savez_compressed(archive, addresses=np.arange(4))
+        assert main([*command, str(archive)]) == 1
+        assert "error [trace-error]" in capsys.readouterr().err
 
 
 class TestBenchStream:

@@ -275,26 +275,50 @@ class TestCli:
         ]) == 0
         assert "streamed from s.store" in capsys.readouterr().out
 
-    def test_convert_both_ways(self, tmp_path, capsys, monkeypatch):
+    def test_generated_store_simulates_like_the_benchmark(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Generate -> store -> simulate is a lossless round trip: the
+        # streamed store reproduces the in-memory benchmark's table.
         from repro.cli import main
-        from repro.memtrace.io import load_trace
 
         monkeypatch.chdir(tmp_path)
         assert main([
-            "trace", "--benchmark", "MV", "--scale", "tiny", "--out", "mv.npz",
-        ]) == 0
-        assert main([
-            "trace", "convert", "mv.npz", "--out", "mv.store",
-            "--chunk-refs", "200",
-        ]) == 0
-        assert main([
-            "trace", "convert", "mv.store", "--out", "back.npz",
+            "trace", "--benchmark", "MV", "--scale", "tiny",
+            "--out", "mv.store",
         ]) == 0
         capsys.readouterr()
-        assert (
-            load_trace("back.npz").fingerprint()
-            == load_trace("mv.npz").fingerprint()
-        )
+        simulate = ["simulate", "--config", "soft"]
+        assert main([*simulate, "--benchmark", "MV", "--scale", "tiny"]) == 0
+        generated = capsys.readouterr().out.splitlines()
+        assert main([*simulate, "--trace", "mv.store"]) == 0
+        streamed = capsys.readouterr().out.splitlines()
+        assert "streamed from mv.store" in streamed[0]
+        assert streamed[1:] == generated[1:]
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--config", "standard"],
+        ["analyze", "--config", "soft", "--window", "64"],
+    ])
+    def test_trace_argument_leaves_no_temporary_store(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # An external trace is ingested into a temporary store for the
+        # command and removed afterwards, on the simulate and analyze
+        # paths alike.
+        import tempfile
+
+        from repro.cli import main
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        source = tmp_path / "s.din"
+        write_din(source, [(i % 2, 8 * (i % 96)) for i in range(400)])
+        assert main([*command, "--trace", str(source)]) == 0
+        assert "400 ref" in capsys.readouterr().out
+        assert list(scratch.iterdir()) == []
 
     def test_generate_store_directly(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
@@ -303,7 +327,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main([
             "trace", "--benchmark", "MV", "--scale", "tiny",
-            "--out", "mv.store", "--store",
+            "--out", "mv.store",
         ]) == 0
         assert is_store("mv.store")
 

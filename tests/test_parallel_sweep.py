@@ -156,6 +156,31 @@ class TestResultCache:
         result = sweep.results["t0"]["s"]
         assert payload_to_result(result_to_payload(result)) == result
 
+    def test_cached_refusal_keeps_its_code(self, tmp_path):
+        cells = [(_suite(n_traces=1)["t0"], CacheSpec.of("column_assoc"))]
+        fresh = run_cells(cells, cache=ResultCache(tmp_path))[0]
+        probe = ResultCache(tmp_path)
+        cached = run_cells(cells, cache=probe)[0]
+        assert probe.hits == 1
+        assert fresh.engine_refusal.code == "no-batch-kernel"
+        assert cached.engine_refusal.code == fresh.engine_refusal.code
+        assert cached.engine_refusal.message == fresh.engine_refusal.message
+
+    def test_refusal_without_code_reads_as_miss(self, tmp_path):
+        import json
+
+        cells = [(_suite(n_traces=1)["t0"], CacheSpec.of("column_assoc"))]
+        run_cells(cells, cache=ResultCache(tmp_path))
+        (entry,) = tmp_path.glob("*/*/*.json")
+        payload = json.loads(entry.read_text())
+        # The older form kept only the refusal's message, as a string.
+        payload["engine_refusal"] = payload["engine_refusal"]["message"]
+        entry.write_text(json.dumps(payload))
+        probe = ResultCache(tmp_path)
+        result = run_cells(cells, cache=probe)[0]
+        assert (probe.hits, probe.misses) == (0, 1)
+        assert result.engine_refusal.code == "no-batch-kernel"
+
     def test_corrupt_entry_falls_back_to_simulation(self, tmp_path):
         traces = _suite(n_traces=1)
         store = ResultCache(tmp_path)
@@ -289,13 +314,11 @@ class TestTraceFingerprint:
         tagged = make_trace(addresses, temporal=[True] * len(addresses))
         assert plain.fingerprint() != tagged.fingerprint()
 
-    def test_npz_round_trip_verifies(self, tmp_path):
-        from repro.memtrace.io import load_trace, save_trace
+    def test_store_round_trip_verifies(self, tmp_path):
+        from repro.memtrace import TraceStore
 
         trace = _suite(n_traces=1)["t0"]
-        path = tmp_path / "t.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
+        loaded = TraceStore.save(trace, tmp_path / "t.store").load()
         assert loaded.fingerprint() == trace.fingerprint()
 
 

@@ -138,23 +138,16 @@ class TestStreamBasics:
         second = [c.addresses[0] for c in stream]
         assert first == second
 
-    def test_prefetch_matches_serial(self, tmp_path):
-        trace = random_trace(4, refs=1000)
-        store = TraceStore.save(trace, tmp_path / "t.store", chunk_refs=64)
-        stream = TraceStream.from_store(store)
-        serial = [c.addresses for c in stream.chunks(prefetch=0)]
-        ahead = [c.addresses for c in stream.chunks(prefetch=3)]
-        assert all((a == b).all() for a, b in zip(serial, ahead))
-
     def test_open_dispatches_by_format(self, tmp_path):
-        from repro.memtrace.io import save_trace
-
+        # A store directory is the one on-disk format: it opens as a
+        # stream, and a single-file archive is refused, never guessed at.
         trace = random_trace(5, refs=200)
-        save_trace(trace, tmp_path / "t.npz")
         TraceStore.save(trace, tmp_path / "t.store", chunk_refs=50)
-        for path in (tmp_path / "t.npz", tmp_path / "t.store"):
-            stream = open_trace(path)
-            assert stream.fingerprint() == trace.fingerprint()
+        stream = open_trace(tmp_path / "t.store")
+        assert stream.fingerprint() == trace.fingerprint()
+        np.savez_compressed(tmp_path / "t.npz", addresses=trace.addresses)
+        with pytest.raises(TraceError):
+            open_trace(tmp_path / "t.npz")
 
     def test_store_stream_pickles_without_data(self, tmp_path):
         trace = random_trace(6, refs=400)
