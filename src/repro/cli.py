@@ -849,8 +849,9 @@ def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
 
 
 #: The parity battery's related-work configurations: the write policies
-#: of ablation-writepolicy, the hierarchy study's L2s and the stream
-#: buffers of the related-work studies.
+#: of ablation-writepolicy, the hierarchy study's L2s, the stream
+#: buffers, column-associative, HP-7200 assist and sub-block caches of
+#: the related-work studies, and headroom's fully associative LRU cache.
 RELATED_WORK_CELLS: Dict[str, CacheSpec] = {
     "write-through": CacheSpec.of(
         "standard_cache", write_policy="write-through"
@@ -861,6 +862,10 @@ RELATED_WORK_CELLS: Dict[str, CacheSpec] = {
     "standard+L2": CacheSpec.of("with_l2", inner="standard"),
     "soft+L2": CacheSpec.of("with_l2", inner="soft"),
     "stream-buffers": CacheSpec.of("stream_buffer"),
+    "column-assoc": CacheSpec.of("column_assoc"),
+    "hp-assist": CacheSpec.of("hp_assist"),
+    "sub-block": CacheSpec.of("subblock", line_size=64, sub_block=32),
+    "LRU-FA-256": CacheSpec.of("standard_cache", ways=256),
 }
 
 #: The parity battery's Belady OPT lines, as (size, line size, ways):
@@ -871,7 +876,7 @@ BELADY_CELLS: Dict[str, tuple] = {
 }
 
 
-def _verify_belady(trace) -> int:
+def _verify_belady(traces) -> int:
     """The parity battery's OPT lines: the native Belady loop against
     the reference loop.  Returns the number of lines that disagree."""
     from .sim.belady import simulate_belady
@@ -881,24 +886,45 @@ def _verify_belady(trace) -> int:
     failures = 0
     for name, shape in BELADY_CELLS.items():
         geometry = CacheGeometry(*shape)
-        native = simulate_belady(trace, geometry, engine="auto")
-        if native.engine == "reference":
-            refusal = native.engine_refusal
-            print(f"  {name:>16} skipped: [{refusal.code}] {refusal}")
-            continue
-        reference = simulate_belady(trace, geometry, engine="reference")
-        mismatches = [
-            f"{field}: reference={getattr(reference, field)} "
-            f"native={getattr(native, field)}"
-            for field in PARITY_FIELDS
-            if getattr(reference, field) != getattr(native, field)
-        ]
-        if mismatches:
-            failures += 1
-            print(f"  {name:>16} FAIL: " + "; ".join(mismatches))
+        mismatches = []
+        for trace in traces:
+            native = simulate_belady(trace, geometry, engine="auto")
+            if native.engine == "reference":
+                refusal = native.engine_refusal
+                print(f"  {name:>16} skipped: [{refusal.code}] {refusal}")
+                break
+            reference = simulate_belady(trace, geometry, engine="reference")
+            mismatches += [
+                f"{field}: reference={getattr(reference, field)} "
+                f"native={getattr(native, field)} on {trace.name}"
+                for field in PARITY_FIELDS
+                if getattr(reference, field) != getattr(native, field)
+            ]
         else:
-            print(f"  {name:>16} ok: engines agree on {trace.name}")
+            if mismatches:
+                failures += 1
+                print(f"  {name:>16} FAIL: " + "; ".join(mismatches))
+            else:
+                print(f"  {name:>16} ok: engines agree on {_names(traces)}")
     return failures
+
+
+def parity_traces() -> list:
+    """The parity battery's deterministic workloads.  The untagged scan
+    fills whole lines; the tagged MV kernel adds conflicts
+    (column-associative swaps) and spatial-only data (the assist cache's
+    discards)."""
+    from .metrics.analytic import SequentialScanDistribution
+    from .workloads.registry import get_trace
+
+    return [
+        SequentialScanDistribution(array_bytes=32 * 1024, passes=3).trace(),
+        get_trace("MV", "tiny"),
+    ]
+
+
+def _names(traces) -> str:
+    return ", ".join(trace.name for trace in traces)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -934,19 +960,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 handle.write("\n")
         return 0 if all(row["ok"] for row in rows) else 1
 
-    # Parity battery: cross-validate every applicable engine pair on a
-    # deterministic workload, per preset and (by default) per
+    # Parity battery: cross-validate every applicable engine pair on
+    # deterministic workloads, per preset and (by default) per
     # related-work configuration the studies run beyond the presets.
-    from .metrics.analytic import SequentialScanDistribution
     from .presets import config_names, spec
     from .sim.engine import EngineMismatchError, cross_validate, select_engine
 
     cells = [(name, spec(name)) for name in args.config or config_names()]
     if not args.config:
         cells += RELATED_WORK_CELLS.items()
-    trace = SequentialScanDistribution(
-        array_bytes=32 * 1024, passes=3
-    ).trace()
+    traces = parity_traces()
     failures = 0
     for name, cell in cells:
         chosen, refusal = select_engine("auto", cell.build())
@@ -954,14 +977,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {name:>16} skipped: [{refusal.code}] {refusal}")
             continue
         try:
-            cross_validate(cell.build, trace)
+            for trace in traces:
+                cross_validate(cell.build, trace)
         except EngineMismatchError as error:
             failures += 1
             print(f"  {name:>16} FAIL: {error}")
         else:
-            print(f"  {name:>16} ok: engines agree on {trace.name}")
+            print(f"  {name:>16} ok: engines agree on {_names(traces)}")
     if not args.config:
-        failures += _verify_belady(trace)
+        failures += _verify_belady(traces)
     print(
         "parity: all validated configurations agree"
         if failures == 0

@@ -22,16 +22,19 @@ The spatial-only hint maps to the complement of our temporal tag.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, List
 
 from ..errors import ConfigError
+from ..sim.base import PendingSets, empty_sets
 from ..sim.geometry import CacheGeometry
 from ..sim.result import SimResult
+from ..sim.standard import check_mru_sets, check_write_buffer
 from ..sim.timing import MemoryTiming
 from ..sim.write_buffer import WriteBuffer
 
 
-class HPAssistCache:
+class HPAssistCache(PendingSets):
     """Main cache plus a FIFO assist buffer probed in parallel."""
 
     def __init__(
@@ -47,9 +50,6 @@ class HPAssistCache:
         self.timing = timing
         self.assist_lines = assist_lines
         self.name = name or f"hp-assist({assist_lines}) {geometry}"
-        self._sets: List[List[List]] = [[] for _ in range(geometry.n_sets)]
-        # FIFO of [line_address, dirty, spatial_only] entries.
-        self._assist: Deque[List] = deque()
         self.write_buffer = WriteBuffer(
             timing.write_buffer_entries,
             timing.transfer_cycles(geometry.line_size),
@@ -62,10 +62,16 @@ class HPAssistCache:
         self._penalty = timing.miss_penalty(1, geometry.line_size)
         self._words_per_line = geometry.line_size // 8
         self._hit_time = timing.hit_time
+        self._init_state()
+
+    def _init_state(self) -> None:
+        # Per-set MRU-first [line_address, dirty] entries, and the FIFO
+        # of [line_address, dirty, spatial_only] entries, oldest first.
+        self._pend_sets(partial(empty_sets, self._n_sets))
+        self._assist: Deque[List] = deque()
 
     def reset(self) -> None:
-        self._sets = [[] for _ in range(self._n_sets)]
-        self._assist = deque()
+        self._init_state()
         self.write_buffer.reset()
         self.stats = SimResult(cache=self.name)
         self._ready_at = 0
@@ -80,6 +86,22 @@ class HPAssistCache:
     def in_assist(self, address: int) -> bool:
         la = address >> self._line_shift
         return any(e[0] == la for e in self._assist)
+
+    def check_invariants(self) -> None:
+        """Assert the structural contract: every set is an MRU order of
+        distinct lines that map to it, within its associativity; the
+        FIFO holds at most ``assist_lines`` distinct lines, none of them
+        also in the main cache; the write buffer holds at most its
+        depth."""
+        resident = check_mru_sets(self._sets, self._ways, "cache")
+        fifo = [entry[0] for entry in self._assist]
+        assert len(fifo) <= self.assist_lines, (
+            f"assist FIFO holds {len(fifo)} of {self.assist_lines} lines"
+        )
+        assert len(set(fifo)) == len(fifo), "duplicate line in assist FIFO"
+        both = resident.intersection(fifo)
+        assert not both, f"lines {sorted(both)} in main and assist caches"
+        check_write_buffer(self.write_buffer)
 
     # ------------------------------------------------------------------
     # Internals

@@ -17,7 +17,6 @@ finalises the result.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 from .result import SimResult
@@ -55,20 +54,38 @@ def empty_sets(n_sets: int) -> list:
     return [[] for _ in range(n_sets)]
 
 
+class Pending:
+    """A per-instance attribute built on first use from a pending
+    builder (set with :func:`pend`).  Once built or assigned, the value
+    is a plain instance attribute, so the hot path is untouched."""
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__.pop("_pending" + self.name)()
+        obj.__dict__[self.name] = value
+        return value
+
+
+def pend(obj, name: str, build) -> None:
+    """Make ``build()`` the value of ``obj``'s :class:`Pending`
+    attribute ``name``, called on first use."""
+    obj.__dict__.pop(name, None)
+    obj.__dict__["_pending" + name] = build
+
+
 class PendingSets:
     """Base of the models whose main cache is ``self._sets``, per-set
     MRU lists, built on first use from a pending builder: a reset leaves
     ``empty_sets``, the native tier a run's final contents
     (:mod:`repro.sim.native.runner`).  So a sweep cell on the native
-    tier, whose model is read for its counters only, never builds them.
-    The hot path is untouched: once built or assigned, ``_sets`` is a
-    plain instance attribute."""
+    tier, whose model is read for its counters only, never builds them."""
 
-    @cached_property
-    def _sets(self):
-        return self.__dict__.pop("_pending_sets")()
+    _sets = Pending()
 
     def _pend_sets(self, build) -> None:
         """Make ``build()`` the main cache, called on first use."""
-        self.__dict__.pop("_sets", None)
-        self._pending_sets = build
+        pend(self, "_sets", build)

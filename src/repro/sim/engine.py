@@ -4,18 +4,19 @@ Every simulation names an *engine*:
 
 ``reference``
     The per-reference Python loop (:mod:`repro.sim.driver` walking
-    ``model.access``).  Always available, defines the semantics.
+    ``model.access``).  Always available, defines the semantics; what
+    runs when no compiler is present.
 ``native``
     The compiled C loop of :mod:`repro.sim.native`: a transcription of
     the reference semantics of the paper's whole software-assisted
     family (bounce-back cache, virtual lines, temporal bits, prefetch),
     of :class:`~repro.sim.standard.StandardCache` under either write
-    policy, and of the related-work bypass, stream-buffer and
+    policy, and of the related-work bypass, stream-buffer,
+    column-associative, sub-block, HP-7200 assist and
     two-level-hierarchy models — built on demand with the system C
     compiler and loaded via ctypes.  Conditional on a toolchain or a
     prebuilt library being present (the stable ``native-unavailable``
-    refusal when not).  The column-associative, sub-block and HP-7200
-    assist models have no kernel.
+    refusal when not).
 ``auto`` (the default)
     ``native`` when :func:`native_refusal` accepts the run, else
     ``reference``.  The selection is recorded in ``SimResult.engine``,

@@ -29,15 +29,20 @@ back-to-back L2 misses.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
 from ..errors import ConfigError
+from .base import Pending, empty_sets, pend
 from .geometry import CacheGeometry
 from .result import SimResult
 
 
 class TwoLevelCache:
     """An L1 cache model backed by a functional LRU second level."""
+
+    #: Functional L2: per-set MRU-first lists of line addresses, built
+    #: on first use (a sweep cell on the native tier never builds them).
+    _l2_sets = Pending()
 
     def __init__(
         self,
@@ -59,10 +64,7 @@ class TwoLevelCache:
         self.memory_extra_latency = memory_extra_latency
         self.name = name or f"{l1.name} + L2 {l2_geometry}"
         self.timing = l1.timing  # driver pipelining constant
-        # Functional L2: per-set MRU-first lists of line addresses.
-        self._l2_sets: List[List[int]] = [
-            [] for _ in range(l2_geometry.n_sets)
-        ]
+        pend(self, "_l2_sets", partial(empty_sets, l2_geometry.n_sets))
         self.l2_stats = SimResult(cache=f"L2 {l2_geometry}")
         # L1 lines per L2 line (both powers of two).
         self._ratio_shift = (
@@ -77,7 +79,7 @@ class TwoLevelCache:
 
     def reset(self) -> None:
         self.l1.reset()
-        self._l2_sets = [[] for _ in range(self.l2_geometry.n_sets)]
+        pend(self, "_l2_sets", partial(empty_sets, self.l2_geometry.n_sets))
         self.l2_stats = SimResult(cache=self.l2_stats.cache)
 
     def in_l2(self, address: int) -> bool:

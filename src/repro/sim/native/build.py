@@ -48,7 +48,7 @@ _STATE = {"attempted": False, "lib": None, "diagnostic": None, "path": None}
 _ARGTYPES = (
     [ctypes.c_longlong]          # n
     + [ctypes.c_void_p] * 5      # the trace columns
-    + [ctypes.c_void_p] * 15     # params, cache, buffer and L2 state, regs
+    + [ctypes.c_void_p] * 17     # params, cache, buffer and L2 state, regs
     + [ctypes.c_void_p] * 4      # per-reference outputs
 )
 

@@ -1,6 +1,6 @@
 /* Native simulation kernel (the "native" engine tier).
  *
- * One loop for the cache models of the simulator's main line and of the
+ * One loop for every cache model of the simulator's main line and of the
  * related work, each a line-for-line transcription of its reference
  * access() walked by the clock of repro/sim/driver.py:
  *
@@ -14,6 +14,9 @@
  *   M_BYPASS         BypassCache (repro/sim/bypass.py), with or without
  *                    its bypass buffer
  *   M_STREAM         StreamBufferCache (repro/sim/stream_buffer.py)
+ *   M_COLUMN         ColumnAssociativeCache (repro/sim/column_assoc.py)
+ *   M_SUBBLOCK       SubBlockCache (repro/sim/subblock.py)
+ *   M_HP_ASSIST      HPAssistCache (repro/core/assist_hp.py)
  *
  * and, fused after any of the first three, the functional L2 of
  * TwoLevelCache (repro/sim/hierarchy.py).  The caller
@@ -45,23 +48,31 @@
  * repro/sim/write_buffer.py.
  *
  * State layout (all MRU-first per set, `count` live entries each):
- *   main cache   tags/flags[n_sets * ways], count[n_sets]
+ *   main cache   tags/flags[n_sets * ways], count[n_sets]; the
+ *                column-associative cache is n_sets one-line slots
+ *                (count 0 or 1), and a sub-block line keeps its valid
+ *                and dirty sector masks in sb_valid/sb_dirty
  *   side buffer  b_addr/b_arrival/b_flags[bb_sets * bb_ways],
  *                b_count[bb_sets]: the bounce-back cache; the bypass
- *                buffer (one fully-associative set); or one FIFO per
+ *                buffer (one fully-associative set); one FIFO per
  *                stream buffer, head first, with st_next/st_last
- *                holding each stream's next line and last use
+ *                holding each stream's next line and last use; or the
+ *                HP assist FIFO, oldest first
  *   last_fetch   lines fetched by the latest access (capacity vl + 1)
  *   L2           l2_tags[l2_sets * l2_ways], l2_count[l2_sets]
- * Line flags are F_DIRTY | F_TEMPORAL (| F_PREFETCHED in the buffer).
+ * Line flags are F_DIRTY | F_TEMPORAL (| F_PREFETCHED in the buffer),
+ * F_REHASH on a column-associative line in its rehash slot and
+ * F_SPATIAL_ONLY on an assist-FIFO line that must not be promoted.
  *
  * `params` and `regs` (carried across chunk calls; the counters
  * accumulate there) are int64 arrays in the order of PARAMS and
  * REGISTERS below, which repro/sim/native/runner.py mirrors by name.
  * The loop works on a by-value copy of both, so the compiler keeps
  * them in registers rather than behind pointers the array stores may
- * alias.  run() is compiled once per model and L2 flag, each with them
- * known, so a model pays only for its own paths.
+ * alias.  run() is compiled once per main-line model and L2 flag, each
+ * with them known, so a model pays only for its own paths; the
+ * related-work models share one further copy that dispatches on the
+ * model per reference.
  */
 
 #include <stdint.h>
@@ -74,7 +85,8 @@
     X(assist_hit) X(swap_lock) X(use_bb) X(use_temporal)                \
     X(temporal_priority) X(reset_on_bounce) X(admit_non_temporal)       \
     X(prefetch) X(max_prefetched) X(wb_entries) X(wb_drain) X(bb_sets)  \
-    X(bb_ways) X(l2_sets) X(l2_ways) X(l2_shift) X(l2_extra)
+    X(bb_ways) X(l2_sets) X(l2_ways) X(l2_shift) X(l2_extra)            \
+    X(sub_shift) X(sub_per_line)
 
 #define REGISTERS(X)                                                    \
     X(clock) X(ready) X(bus) X(wb_len) X(wb_head) X(wb_pushes)          \
@@ -89,10 +101,17 @@
 #define M_WRITE_THROUGH 2
 #define M_BYPASS 3
 #define M_STREAM 4
+#define M_COLUMN 5
+#define M_SUBBLOCK 6
+#define M_HP_ASSIST 7
+/* The copy of run() that dispatches on params.model per reference. */
+#define M_RELATED -1
 
 #define F_DIRTY 1
 #define F_TEMPORAL 2
 #define F_PREFETCHED 4
+#define F_REHASH 8
+#define F_SPATIAL_ONLY 16
 
 /* Prefetch modes (params.prefetch). */
 #define PF_SOFTWARE 1
@@ -120,6 +139,8 @@ typedef struct {
     int64_t *tags;
     int32_t *flags;
     int64_t *count;
+    uint64_t *sb_valid;
+    uint64_t *sb_dirty;
     int64_t *b_addr;
     int64_t *b_arrival;
     int32_t *b_flags;
@@ -161,16 +182,24 @@ INLINE void main_remove(Sim *s, int64_t set, int64_t pos) {
     s->count[set] = last;
 }
 
-INLINE void main_push_front(Sim *s, int64_t set, int64_t tag, int32_t f) {
-    int64_t base = set * s->ways, cnt = s->count[set], j, t;
+/* Put (tag, f) at MRU, shifting ways [0, pos) down one: way pos is
+ * overwritten.  A hit moves its own way (pos) to the front, touching
+ * only the ways above it. */
+INLINE void main_to_front(Sim *s, int64_t set, int64_t pos, int64_t tag,
+                          int32_t f) {
+    int64_t base = set * s->ways, j, t;
     int32_t g;
-    for (j = 0; j < cnt; j++) {
+    for (j = 0; j < pos; j++) {
         t = s->tags[base + j], s->tags[base + j] = tag, tag = t;
         g = s->flags[base + j], s->flags[base + j] = f, f = g;
     }
-    s->tags[base + cnt] = tag;
-    s->flags[base + cnt] = f;
-    s->count[set] = cnt + 1;
+    s->tags[base + pos] = tag;
+    s->flags[base + pos] = f;
+}
+
+INLINE void main_push_front(Sim *s, int64_t set, int64_t tag, int32_t f) {
+    main_to_front(s, set, s->count[set], tag, f);
+    s->count[set]++;
 }
 
 /* _victim_index: the way to replace in a full set -- LRU, or LRU among
@@ -413,9 +442,8 @@ INLINE int64_t access(Sim *s, const int model, int64_t la, int32_t w,
     /* main-cache hit */
     pos = main_find(s, set, la);
     if (pos >= 0) {
-        int32_t f = s->flags[set * s->ways + pos] | touched;
-        main_remove(s, set, pos);
-        main_push_front(s, set, la, f);
+        main_to_front(s, set, pos, la,
+                      s->flags[set * s->ways + pos] | touched);
         if (write_through && w)
             stall = discard(s, F_DIRTY, start);
         s->hits_main++;
@@ -519,9 +547,8 @@ INLINE int64_t access(Sim *s, const int model, int64_t la, int32_t w,
 /* A main-cache hit of the models whose lines carry only a dirty bit. */
 INLINE int64_t hit_plain(Sim *s, int64_t set, int64_t pos, int64_t la,
                          int32_t w, int64_t wait, int64_t start, int *kind) {
-    int32_t f = s->flags[set * s->ways + pos] | (w ? F_DIRTY : 0);
-    main_remove(s, set, pos);
-    main_push_front(s, set, la, f);
+    main_to_front(s, set, pos, la,
+                  s->flags[set * s->ways + pos] | (w ? F_DIRTY : 0));
     s->hits_main++;
     s->ready = start + s->hit;
     *kind = K_HIT;
@@ -670,6 +697,211 @@ INLINE int64_t access_stream(Sim *s, int64_t la, int32_t w, int64_t now,
     return wait + stall + penalty;
 }
 
+/* ColumnAssociativeCache.access: slot `first` is the line's primary
+ * slot, `first ^ n_sets / 2` its rehash slot (count 1 when occupied);
+ * F_REHASH marks a line living in its rehash slot. */
+INLINE int64_t access_column(Sim *s, int64_t la, int32_t w, int64_t now,
+                             int *kind) {
+    int64_t wait = s->ready - now, start, first, second, stall = 0;
+    int64_t penalty = s->latency + s->transfer, probe = 0;
+    int32_t f = w ? F_DIRTY : 0;
+
+    if (wait < 0)
+        wait = 0;
+    start = now + wait;
+    first = set_of(s, la);
+    second = first ^ (s->n_sets >> 1);
+
+    if (s->count[first] && s->tags[first] == la) {
+        /* First-probe hit. */
+        s->flags[first] |= f;
+        s->hits_main++;
+        s->ready = start + s->hit;
+        *kind = K_HIT;
+        return wait + s->hit;
+    }
+    if (s->count[second] && s->tags[second] == la
+        && !(s->count[first] && (s->flags[first] & F_REHASH))) {
+        /* Second-probe hit: swap, so the next access hits first try. */
+        int32_t found = (s->flags[second] | f) & ~F_REHASH;
+        s->count[second] = s->count[first];
+        s->tags[second] = s->tags[first];
+        s->flags[second] = s->flags[first] | F_REHASH;
+        s->count[first] = 1;
+        s->tags[first] = la;
+        s->flags[first] = found;
+        s->hits_assist++;
+        s->ready = start + s->assist_hit + 1;
+        *kind = K_ASSIST;
+        return wait + s->assist_hit;
+    }
+
+    s->misses++;
+    s->lines++;
+    s->words += s->words_per_line;
+    *kind = K_MISS;
+    if (s->count[first] && (s->flags[first] & F_REHASH)) {
+        /* A rehashed line in the primary slot is the less recently used
+         * of the pair: replace it in place, without a second probe. */
+        stall = discard(s, s->flags[first], start);
+    } else if (s->count[first]) {
+        /* Miss in both probes: the primary occupant rehashes into the
+         * alternate slot, displacing whatever lived there. */
+        if (s->count[second])
+            stall = discard(s, s->flags[second], start);
+        s->count[second] = 1;
+        s->tags[second] = s->tags[first];
+        s->flags[second] = s->flags[first] | F_REHASH;
+        probe = 1;
+    } else {
+        probe = 1;
+    }
+    s->count[first] = 1;
+    s->tags[first] = la;
+    s->flags[first] = f;
+    s->ready = start + stall + penalty;
+    return wait + stall + penalty + probe;
+}
+
+/* Put a sub-block line at MRU, shifting ways [0, pos) down one (way
+ * pos is overwritten), as main_to_front does for tags and flags. */
+INLINE void sub_to_front(Sim *s, int64_t set, int64_t pos, int64_t tag,
+                         uint64_t valid, uint64_t dirty) {
+    int64_t base = set * s->ways, j;
+    for (j = pos; j > 0; j--) {
+        s->tags[base + j] = s->tags[base + j - 1];
+        s->sb_valid[base + j] = s->sb_valid[base + j - 1];
+        s->sb_dirty[base + j] = s->sb_dirty[base + j - 1];
+    }
+    s->tags[base] = tag;
+    s->sb_valid[base] = valid;
+    s->sb_dirty[base] = dirty;
+}
+
+/* SubBlockCache.access: a tag miss evicts the LRU line (its dirty
+ * sectors drain as one write-buffer entry) and fetches the referenced
+ * sector only; a sub-block miss fetches the sector into its line. */
+INLINE int64_t access_subblock(Sim *s, int64_t address, int64_t la,
+                               int32_t w, int64_t now, int *kind) {
+    int64_t wait = s->ready - now, start, set, pos, stall = 0;
+    int64_t penalty = s->latency + s->transfer;
+    uint64_t bit = (uint64_t)1
+                   << ((address >> s->sub_shift) & (s->sub_per_line - 1));
+
+    if (wait < 0)
+        wait = 0;
+    start = now + wait;
+    set = set_of(s, la);
+    pos = main_find(s, set, la);
+    if (pos >= 0) {
+        int64_t way = set * s->ways + pos;
+        uint64_t valid = s->sb_valid[way], dirty = s->sb_dirty[way];
+        if (w)
+            dirty |= bit;
+        if (valid & bit) {
+            sub_to_front(s, set, pos, la, valid, dirty);
+            s->hits_main++;
+            s->ready = start + s->hit;
+            *kind = K_HIT;
+            return wait + s->hit;
+        }
+        sub_to_front(s, set, pos, la, valid | bit, dirty);
+        s->misses++;
+        s->lines++;
+        s->words += s->words_per_line;
+        s->ready = start + penalty;
+        *kind = K_MISS;
+        return wait + penalty;
+    }
+
+    s->misses++;
+    s->lines++;
+    s->words += s->words_per_line;
+    *kind = K_MISS;
+    pos = s->count[set];
+    if (pos >= s->ways) {
+        pos = s->ways - 1;
+        if (s->sb_dirty[set * s->ways + pos])
+            stall = discard(s, F_DIRTY, start);
+    } else {
+        s->count[set]++;
+    }
+    sub_to_front(s, set, pos, la, bit, w ? bit : 0);
+    s->ready = start + stall + penalty;
+    return wait + stall + penalty;
+}
+
+/* HPAssistCache.access: main cache and assist FIFO (the side buffer's
+ * one set, oldest first) are probed in parallel; a miss enters the
+ * FIFO, whose oldest line is promoted into the main cache as it ages
+ * out, unless it carries the spatial-only hint. */
+INLINE int64_t access_hp(Sim *s, int64_t la, int32_t w, int32_t t,
+                         int spatial, int64_t now, int *kind) {
+    int64_t wait = s->ready - now, start, set, pos, stall = 0, k;
+    int64_t penalty = s->latency + s->transfer, slot;
+
+    if (wait < 0)
+        wait = 0;
+    start = now + wait;
+    set = set_of(s, la);
+    pos = main_find(s, set, la);
+    if (pos >= 0)
+        return hit_plain(s, set, pos, la, w, wait, start, kind);
+
+    for (k = 0; k < s->b_count[0]; k++) {
+        if (s->b_addr[k] == la) {
+            if (w)
+                s->b_flags[k] |= F_DIRTY;
+            if (t)
+                s->b_flags[k] &= ~F_SPATIAL_ONLY; /* a temporal touch */
+            s->hits_assist++;
+            s->ready = start + s->hit;
+            *kind = K_ASSIST;
+            return wait + s->hit;
+        }
+    }
+
+    s->misses++;
+    s->lines++;
+    s->words += s->words_per_line;
+    *kind = K_MISS;
+    if (s->b_count[0] >= s->bb_ways) {
+        Entry oldest = bb_take(s, 0, 0);
+        if (oldest.flags & F_SPATIAL_ONLY) {
+            /* Spatial-only data never reaches the main cache. */
+            stall = discard(s, oldest.flags, start);
+        } else {
+            stall = install(s, set_of(s, oldest.addr), oldest.addr,
+                            oldest.flags & F_DIRTY, start);
+            s->bounce_backs++; /* promotion counter */
+        }
+    }
+    slot = s->b_count[0]++;
+    s->b_addr[slot] = la;
+    s->b_flags[slot] = (w ? F_DIRTY : 0)
+                       | (spatial && !t ? F_SPATIAL_ONLY : 0);
+    s->ready = start + stall + penalty;
+    return wait + stall + penalty;
+}
+
+/* The related-work step of params.model, chosen per reference. */
+INLINE int64_t access_related(Sim *s, int64_t address, int64_t la,
+                              int32_t w, int32_t t, int spatial,
+                              int64_t now, int *kind) {
+    switch (s->model) {
+    case M_BYPASS:
+        return access_bypass(s, la, w, t, now, kind);
+    case M_STREAM:
+        return access_stream(s, la, w, now, kind);
+    case M_COLUMN:
+        return access_column(s, la, w, now, kind);
+    case M_SUBBLOCK:
+        return access_subblock(s, address, la, w, now, kind);
+    default:
+        return access_hp(s, la, w, t, spatial, now, kind);
+    }
+}
+
 /* TwoLevelCache.access: replay the L1's fetches, one lookup per distinct
  * L2 line in first-seen order, against the functional LRU L2.  Returns
  * memory_extra_latency when any of them missed (pipelined requests pay
@@ -715,11 +947,10 @@ INLINE void run(Sim *s, const int model, const int l2, int64_t n,
         int64_t la = addresses[i] >> s->line_shift;
         int kind;
         s->clock += gaps[i];
-        if (model == M_BYPASS)
-            cycles = access_bypass(s, la, is_write[i], temporal[i],
-                                   s->clock, &kind);
-        else if (model == M_STREAM)
-            cycles = access_stream(s, la, is_write[i], s->clock, &kind);
+        if (model == M_RELATED)
+            cycles = access_related(s, addresses[i], la, is_write[i],
+                                    temporal[i], spatial[i], s->clock,
+                                    &kind);
         else
             cycles = access(s, model, la, is_write[i], temporal[i],
                             spatial[i], s->clock, &kind);
@@ -754,6 +985,8 @@ int64_t repro_sim_chunk(
     int64_t *tags,
     int32_t *flags,
     int64_t *count,
+    uint64_t *sb_valid,
+    uint64_t *sb_dirty,
     int64_t *b_addr,
     int64_t *b_arrival,
     int32_t *b_flags,
@@ -787,6 +1020,8 @@ int64_t repro_sim_chunk(
     s.tags = tags;
     s.flags = flags;
     s.count = count;
+    s.sb_valid = sb_valid;
+    s.sb_dirty = sb_dirty;
     s.b_addr = b_addr;
     s.b_arrival = b_arrival;
     s.b_flags = b_flags;
@@ -798,9 +1033,10 @@ int64_t repro_sim_chunk(
     s.l2_tags = l2_tags;
     s.l2_count = l2_count;
 
-    /* One compiled copy of the loop per model and L2 flag.  The plain
-     * models run the assisted access() with the assist parameters
-     * known, so the dead paths drop out. */
+    /* One compiled copy of the loop per main-line model and L2 flag.
+     * The plain models run the assisted access() with the assist
+     * parameters known, so the dead paths drop out.  The related-work
+     * models, which have no L2 wrapper, share one copy. */
 #define RUN(model, l2)                                                  \
     run(&s, model, l2, n, addresses, is_write, temporal, spatial, gaps, \
         kind_out, cycles_out, words_out, stalls_out)
@@ -823,17 +1059,14 @@ int64_t repro_sim_chunk(
         else
             RUN(M_WRITE_THROUGH, 0);
         break;
-    case M_BYPASS:
-        RUN(M_BYPASS, 0);
-        break;
-    case M_STREAM:
-        RUN(M_STREAM, 0);
-        break;
-    default:
+    case M_ASSISTED:
         if (s.l2_sets)
             RUN(M_ASSISTED, 1);
         else
             RUN(M_ASSISTED, 0);
+        break;
+    default:
+        RUN(M_RELATED, 0);
     }
 #undef RUN
 

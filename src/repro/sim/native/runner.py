@@ -12,9 +12,15 @@ sequence of chunk traces.  The loop transcribes the reference
 * a write-through :class:`~repro.sim.standard.StandardCache`;
 * :class:`~repro.sim.bypass.BypassCache`, with or without its buffer;
 * :class:`~repro.sim.stream_buffer.StreamBufferCache`;
-* :class:`~repro.sim.hierarchy.TwoLevelCache` over either L1 cache, its
-  functional L2 replayed after each access.
+* :class:`~repro.sim.column_assoc.ColumnAssociativeCache`;
+* :class:`~repro.sim.subblock.SubBlockCache`, up to 64 sub-blocks a
+  line;
+* :class:`~repro.core.assist_hp.HPAssistCache`;
+* :class:`~repro.sim.hierarchy.TwoLevelCache` over any L1 cache with
+  ``last_fetch``, its functional L2 replayed after each access.
 
+That is every cache model of the simulator, so the reference loop
+defines the semantics and runs only where no compiler is available.
 Counters, final model state and per-reference telemetry are
 bit-identical to the reference loop.  An in-memory trace is simply the
 single chunk ``(trace,)``.
@@ -28,18 +34,23 @@ monolithic paths execute the identical instruction sequence.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 
 import numpy as np
 
+from ...core.assist_hp import HPAssistCache
 from ...core.software_cache import SoftwareAssistedCache
 from ...errors import ConfigError
+from ..base import pend
 from ..bypass import BypassCache
+from ..column_assoc import ColumnAssociativeCache
 from ..engine import is_assisted
 from ..hierarchy import TwoLevelCache
 from ..result import SimResult
 from ..standard import StandardCache
 from ..stream_buffer import StreamBufferCache, _Stream
+from ..subblock import SubBlockCache
 from ..write_buffer import WriteBuffer
 from . import build
 
@@ -52,6 +63,7 @@ PARAMS = (
     "temporal_priority", "reset_on_bounce", "admit_non_temporal",
     "prefetch", "max_prefetched", "wb_entries", "wb_drain", "bb_sets",
     "bb_ways", "l2_sets", "l2_ways", "l2_shift", "l2_extra",
+    "sub_shift", "sub_per_line",
 )
 REGISTERS = (
     "clock", "ready", "bus", "wb_len", "wb_head", "wb_pushes",
@@ -62,10 +74,14 @@ REGISTERS = (
 )
 
 #: Models (must match kernels.c).
-M_ASSISTED, M_PLAIN, M_WRITE_THROUGH, M_BYPASS, M_STREAM = range(5)
+(M_ASSISTED, M_PLAIN, M_WRITE_THROUGH, M_BYPASS, M_STREAM, M_COLUMN,
+ M_SUBBLOCK, M_HP_ASSIST) = range(8)
 
 #: Line flag bits (must match kernels.c).
-F_DIRTY, F_TEMPORAL, F_PREFETCHED = 1, 2, 4
+F_DIRTY, F_TEMPORAL, F_PREFETCHED, F_REHASH, F_SPATIAL_ONLY = 1, 2, 4, 8, 16
+
+#: Sub-blocks a line may hold: the loop keeps a line's masks in 64 bits.
+MAX_SUB_BLOCKS = 64
 
 #: Per-reference outcome codes (must match kernels.c).
 K_ASSIST, K_MISS = 1, 2
@@ -94,27 +110,34 @@ def _levels(model):
     return model, None
 
 
-#: The cache models the loop transcribes in every configuration, alone
-#: or as the L1 of a :class:`TwoLevelCache` (:func:`_params` dispatches
-#: on these types).
+#: The cache models the loop transcribes, alone or as the L1 of a
+#: :class:`TwoLevelCache` (:func:`_params` dispatches on these types).
 KERNEL_MODELS = (
     SoftwareAssistedCache, StandardCache, BypassCache, StreamBufferCache,
+    ColumnAssociativeCache, SubBlockCache, HPAssistCache,
 )
 
 
 def has_kernel(model) -> bool:
-    """Whether the loop transcribes ``model`` (a hierarchy by its L1)."""
-    return type(_levels(model)[0]) in KERNEL_MODELS
+    """Whether the loop transcribes ``model`` (a hierarchy by its L1):
+    any configuration of a :data:`KERNEL_MODELS` class, except a
+    sub-block cache of more than :data:`MAX_SUB_BLOCKS` sectors a line."""
+    l1 = _levels(model)[0]
+    return (type(l1) in KERNEL_MODELS
+            and getattr(l1, "_sub_per_line", 1) <= MAX_SUB_BLOCKS)
 
 
 def _params(model) -> dict:
     """The loop's parameters.  Attributes only the software-assisted
     model has default to a plain cache's values; the side buffer is the
-    bounce-back cache, the bypass buffer or the stream FIFOs."""
+    bounce-back cache, the bypass buffer, the stream FIFOs or the assist
+    FIFO."""
     l1, l2 = _levels(model)
     geometry = l1.geometry
     timing = l1.timing
     bb_sets, bb_ways = 1, 1
+    # A sub-block cache fetches and counts one sector at a time.
+    fetch_bytes = getattr(l1, "sub_block", geometry.line_size)
     use_bb = getattr(l1, "_use_bb", False)
     if isinstance(l1, BypassCache):
         code = M_BYPASS
@@ -122,6 +145,13 @@ def _params(model) -> dict:
     elif isinstance(l1, StreamBufferCache):
         code = M_STREAM
         bb_sets, bb_ways = l1.n_buffers, l1.depth
+    elif isinstance(l1, ColumnAssociativeCache):
+        code = M_COLUMN
+    elif isinstance(l1, SubBlockCache):
+        code = M_SUBBLOCK
+    elif isinstance(l1, HPAssistCache):
+        code = M_HP_ASSIST
+        bb_ways = l1.assist_lines
     elif getattr(l1, "write_policy", "write-back") == "write-through":
         code = M_WRITE_THROUGH
     elif is_assisted(l1):
@@ -137,8 +167,8 @@ def _params(model) -> dict:
         "vl": getattr(l1, "_vl_lines", 1),
         "hit": timing.hit_time,
         "latency": timing.latency,
-        "transfer": timing.transfer_cycles(geometry.line_size),
-        "words_per_line": geometry.line_size // 8,
+        "transfer": timing.transfer_cycles(fetch_bytes),
+        "words_per_line": fetch_bytes // 8,
         "word_penalty": timing.word_fetch_penalty(),
         "write_allocate": int(getattr(l1, "write_allocate", True)),
         "assist_hit": timing.assist_hit_time,
@@ -158,6 +188,8 @@ def _params(model) -> dict:
         "l2_ways": 0 if l2 is None else l2.l2_geometry.ways,
         "l2_shift": 0 if l2 is None else l2._ratio_shift,
         "l2_extra": 0 if l2 is None else l2.memory_extra_latency,
+        "sub_shift": getattr(l1, "_sub_shift", 0),
+        "sub_per_line": getattr(l1, "_sub_per_line", 1),
     }
 
 
@@ -170,15 +202,20 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
     stats.engine = "native"
 
     params = _params(model)
+    lines = params["n_sets"] * params["ways"]
     bb_lines = params["bb_sets"] * params["bb_ways"]
     streams = params["model"] == M_STREAM
+    sectors = params["model"] == M_SUBBLOCK
 
     # In the argument order of repro_sim_chunk; a model's loop never
     # touches another model's arrays, so those stay NULL.
     state = {
-        "tags": np.zeros(params["n_sets"] * params["ways"], dtype=np.int64),
-        "flags": np.zeros(params["n_sets"] * params["ways"], dtype=np.int32),
+        "tags": np.zeros(lines, dtype=np.int64),
+        "flags": np.zeros(lines, dtype=np.int32),
         "count": np.zeros(params["n_sets"], dtype=np.int64),
+        # A sub-block line's valid and dirty sector masks.
+        "sb_valid": np.zeros(lines, dtype=np.uint64) if sectors else None,
+        "sb_dirty": np.zeros(lines, dtype=np.uint64) if sectors else None,
         "b_addr": np.zeros(bb_lines, dtype=np.int64),
         "b_arrival": np.zeros(bb_lines, dtype=np.int64),
         "b_flags": np.zeros(bb_lines, dtype=np.int32),
@@ -249,8 +286,9 @@ def simulate_native(model, chunks, name: str, probes=None) -> SimResult:
     stats.cycles = r["cycles"]
     stats.hits_main = r["hits_main"]
     stats.hits_assist = r["hits_assist"]
-    if params["model"] in (M_ASSISTED, M_PLAIN):
-        # Every hit in the bounce-back cache is a swap.
+    if params["model"] in (M_ASSISTED, M_PLAIN, M_COLUMN):
+        # Every hit in the bounce-back cache, or in the rehash slot, is a
+        # swap.
         stats.swaps = r["hits_assist"]
     stats.misses = r["misses"]
     stats.lines_fetched = r["lines"]
@@ -288,18 +326,37 @@ def _materialise(model, params, state, r) -> None:
         l1.last_fetch = state["last_fetch"][: r["lf_len"]].tolist()
 
     flags, b_flags = state["flags"], state["b_flags"]
-    columns = [(flags & F_DIRTY) > 0]
-    if getattr(l1, "_entry_has_temporal", False):
-        columns.append((flags & F_TEMPORAL) > 0)
-    l1._pend_sets(partial(
-        _mru_sets, state["count"], params["ways"], state["tags"], *columns
-    ))
+    dirty = (flags & F_DIRTY) > 0
     code = params["model"]
+    if code == M_COLUMN:
+        l1._lines = [
+            [tag, line_dirty, rehashed] if live else None
+            for tag, line_dirty, rehashed, live in zip(
+                state["tags"].tolist(), dirty.tolist(),
+                ((flags & F_REHASH) > 0).tolist(), state["count"].tolist(),
+            )
+        ]
+    else:
+        columns = (
+            [state["sb_valid"], state["sb_dirty"]] if code == M_SUBBLOCK
+            else [dirty, (flags & F_TEMPORAL) > 0]
+            if getattr(l1, "_entry_has_temporal", False)
+            else [dirty]
+        )
+        l1._pend_sets(partial(
+            _mru_sets, state["count"], params["ways"], state["tags"],
+            *columns,
+        ))
     if code == M_BYPASS:
         l1._buffer = _mru_sets(
             state["b_count"], params["bb_ways"], state["b_addr"],
             (b_flags & F_DIRTY) > 0,
         )[0]
+    elif code == M_HP_ASSIST:
+        l1._assist = deque(_mru_sets(
+            state["b_count"], params["bb_ways"], state["b_addr"],
+            (b_flags & F_DIRTY) > 0, (b_flags & F_SPATIAL_ONLY) > 0,
+        )[0])
     elif code == M_STREAM:
         fifos = _mru_sets(
             state["b_count"], params["bb_ways"], state["b_addr"],
@@ -320,12 +377,10 @@ def _materialise(model, params, state, r) -> None:
             (b_flags & F_PREFETCHED) > 0, state["b_arrival"],
         )
     if l2 is not None:
-        l2._l2_sets = [
-            [entry[0] for entry in entries]
-            for entries in _mru_sets(
-                state["l2_count"], params["l2_ways"], state["l2_tags"]
-            )
-        ]
+        pend(l2, "_l2_sets", partial(
+            _mru_lines, state["l2_count"], params["l2_ways"],
+            state["l2_tags"],
+        ))
         l2_stats = l2.l2_stats
         l2_stats.refs = r["l2_refs"]
         l2_stats.misses = l2_stats.lines_fetched = r["l2_misses"]
@@ -339,6 +394,14 @@ def _mru_sets(count, ways, *columns):
     return [
         slots[index * ways:index * ways + live]
         for index, live in enumerate(count.tolist())
+    ]
+
+
+def _mru_lines(count, ways, tags):
+    """Per-set MRU-first line addresses."""
+    return [
+        [entry[0] for entry in entries]
+        for entries in _mru_sets(count, ways, tags)
     ]
 
 

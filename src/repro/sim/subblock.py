@@ -21,9 +21,10 @@ valid bit per ``sub_block`` bytes.  A reference can miss two ways:
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
 from ..errors import ConfigError
+from .base import PendingSets, empty_sets
 from .geometry import CacheGeometry
 from .result import SimResult
 from .standard import check_mru_sets, check_write_buffer
@@ -31,7 +32,7 @@ from .timing import MemoryTiming
 from .write_buffer import WriteBuffer
 
 
-class SubBlockCache:
+class SubBlockCache(PendingSets):
     """Sectored set-associative cache with per-sub-block valid bits."""
 
     def __init__(
@@ -54,8 +55,6 @@ class SubBlockCache:
         self.name = name or (
             f"subblock {geometry} / {sub_block}B sectors"
         )
-        # Per-set MRU-first entries: [line_address, valid_mask, dirty_mask].
-        self._sets: List[List[List]] = [[] for _ in range(geometry.n_sets)]
         self.write_buffer = WriteBuffer(
             timing.write_buffer_entries,
             timing.transfer_cycles(sub_block),
@@ -70,9 +69,14 @@ class SubBlockCache:
         self._penalty = timing.latency + timing.transfer_cycles(sub_block)
         self._words_per_sub = sub_block // 8
         self._hit_time = timing.hit_time
+        self._init_state()
+
+    def _init_state(self) -> None:
+        # Per-set MRU-first entries: [line_address, valid_mask, dirty_mask].
+        self._pend_sets(partial(empty_sets, self._n_sets))
 
     def reset(self) -> None:
-        self._sets = [[] for _ in range(self._n_sets)]
+        self._init_state()
         self.write_buffer.reset()
         self.stats = SimResult(cache=self.name)
         self._ready_at = 0

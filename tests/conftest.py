@@ -12,8 +12,9 @@ import pytest
 
 from repro.compiler import Array, ArrayRef, Loop, Program, nest, var
 from repro.core import SoftCacheConfig
+from repro.core.spec import CacheSpec
 from repro.memtrace import Trace, UNIT_GAPS
-from repro.sim import CacheGeometry, MemoryTiming
+from repro.sim import CacheGeometry, MemoryTiming, StandardCache
 
 
 def pytest_configure(config):
@@ -41,6 +42,29 @@ def pytest_runtest_setup(item):
 
     if item.get_closest_marker("needs_toolchain") and availability():
         pytest.skip("no C toolchain / native library in this environment")
+
+
+class NoKernelCache(StandardCache):
+    """A model the native loop does not transcribe (``KERNEL_MODELS``
+    lists exact types), so it runs on the reference loop only."""
+
+
+#: The spec of a :class:`NoKernelCache`; its kind is registered by the
+#: ``no_kernel_spec`` fixture.
+NO_KERNEL_SPEC = CacheSpec("test-no-kernel")
+
+
+@pytest.fixture
+def no_kernel_spec(monkeypatch):
+    """Register :data:`NO_KERNEL_SPEC`'s kind for one test."""
+    from repro.core import spec
+
+    spec._ensure_builders()  # registers the presets first
+    monkeypatch.setitem(
+        spec._BUILDERS, NO_KERNEL_SPEC.kind,
+        lambda: NoKernelCache(CacheGeometry(8192, 32, 1)),
+    )
+    return NO_KERNEL_SPEC
 
 
 def make_trace(
@@ -72,15 +96,18 @@ def make_trace(
 
 
 def model_state(model):
-    """Everything a run leaves behind, copied: main-cache sets, side
-    buffers in their order (bounce-back, bypass buffer, stream FIFOs
-    with their next line and last use), the L2 and its counters, the
-    write-buffer ring, the clocks and ``last_fetch``."""
+    """Everything a run leaves behind, copied: main-cache sets (a
+    column-associative cache's slots with their rehash bits, sub-block
+    lines with their valid and dirty masks), side buffers in their
+    order (bounce-back, bypass buffer, assist FIFO with its
+    spatial-only bits, stream FIFOs with their next line and last use),
+    the L2 and its counters, the write-buffer ring, the clocks and
+    ``last_fetch``."""
     l1 = getattr(model, "l1", model)
     state = {
         attr: getattr(l1, attr)
-        for attr in ("_sets", "_buffer", "_ready_at", "_bus_free_at",
-                     "last_fetch")
+        for attr in ("_sets", "_lines", "_buffer", "_assist", "_ready_at",
+                     "_bus_free_at", "last_fetch")
         if hasattr(l1, attr)
     }
     state["write_buffer"] = (

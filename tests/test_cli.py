@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cli import BELADY_CELLS, CONFIGS, RELATED_WORK_CELLS, main
+from repro.cli import (
+    BELADY_CELLS, CONFIGS, RELATED_WORK_CELLS, main, parity_traces,
+)
 from repro.core.spec import CacheSpec
+from repro.sim import simulate
 
 from conftest import needs_toolchain
 
@@ -416,6 +419,35 @@ class TestVerify:
         assert "skipped" not in out
         for name in [*CONFIGS, *RELATED_WORK_CELLS, *BELADY_CELLS]:
             assert f" {name} ok:" in out, name
+
+    def test_parity_traces_exercise_the_related_work(self):
+        # Second-probe swaps, assist promotions and spatial-only
+        # discards, and both kinds of sub-block miss (an absent tag, an
+        # invalid sector of a resident line).
+        traces = parity_traces()
+        totals = {}
+        for name in ("column-assoc", "hp-assist"):
+            for trace in traces:
+                model = RELATED_WORK_CELLS[name].build()
+                result = simulate(model, trace, engine="reference")
+                counts = totals.setdefault(name, [0, 0, 0])
+                counts[0] += result.swaps
+                counts[1] += result.bounce_backs
+                counts[2] += (result.misses - result.bounce_backs
+                              - len(getattr(model, "_assist", ())))
+        assert totals["column-assoc"][0] > 0
+        assert totals["hp-assist"][1] > 0 and totals["hp-assist"][2] > 0
+        model = RELATED_WORK_CELLS["sub-block"].build()
+        kinds = set()
+        for address in traces[0].addresses.tolist():
+            line = address >> model.geometry.line_shift
+            tagged = any(entry[0] == line for entry in
+                         model._sets[line % model.geometry.n_sets])
+            misses = model.stats.misses
+            model.access(address)
+            if model.stats.misses > misses:
+                kinds.add("sector" if tagged else "tag")
+        assert kinds == {"tag", "sector"}
 
     def test_opt_lines_skip_without_compiler(self, capsys, tmp_path,
                                              monkeypatch):

@@ -23,11 +23,13 @@ tier, a fresh ``simulate(engine="native")`` of the references since the
 last reset must leave state that passes the same invariants and equals
 the contract-checked model's.
 
-The column-associative and sub-block caches run on the reference loop
-only; a second machine holds them to the same access and reset
-contracts, stated through ``contains`` (a hit exactly when it held
-before the access, the line resident after it) and their own
-``check_invariants()``.
+The column-associative, sub-block and HP-7200 assist caches have no
+``in_main``/``in_assist`` split of the kind above (or, for the assist
+cache, no dirty and temporal bits to follow); a second machine holds
+them to the same access and reset contracts, stated through residency
+(a hit exactly when the line, or for a sub-block cache its sector, was
+resident before the access, and resident after it) and their own
+``check_invariants()``, with the same native replay rule.
 """
 
 import pytest
@@ -41,6 +43,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.core import HPAssistCache
 from repro.core.spec import CacheSpec
 from repro.presets import SPECS
 from repro.sim import (
@@ -50,9 +53,10 @@ from repro.sim import (
     SubBlockCache,
     simulate,
 )
+from repro.sim.engine import PARITY_FIELDS
 from repro.sim.native import availability
 
-from conftest import make_trace
+from conftest import make_trace, model_state
 
 #: A two-entry write buffer so full-buffer stalls and bounce aborts occur.
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16,
@@ -237,9 +241,10 @@ def test_contracts(name, ways):
     )
 
 
-#: The reference-only models: a four-slot column-associative cache of
-#: 32-byte lines, and 64-byte lines of four 16-byte sub-blocks,
-#: direct-mapped and 2-way.
+#: The models whose contracts are stated through residency: a
+#: four-slot column-associative cache of 32-byte lines; 64-byte lines of
+#: four 16-byte sub-blocks, direct-mapped and 2-way; and a 2-way cache
+#: behind a two-line assist FIFO.
 REFERENCE_ONLY = {
     "column-assoc": lambda: ColumnAssociativeCache(
         CacheGeometry(128, 32, 1), TIMING),
@@ -247,6 +252,8 @@ REFERENCE_ONLY = {
         CacheGeometry(256, 64, 1), sub_block=16, timing=TIMING),
     "subblock-2": lambda: SubBlockCache(
         CacheGeometry(256, 64, 2), sub_block=16, timing=TIMING),
+    "hp-assist": lambda: HPAssistCache(
+        CacheGeometry(128, 32, 2), TIMING, assist_lines=2),
 }
 
 #: Every address the reference strategy draws.
@@ -254,12 +261,24 @@ ADDRESSES = range(0, 64 * 8, 8)
 
 
 class ReferenceOnlyContracts(RuleBasedStateMachine):
-    """A reference-only model under the access and reset rules."""
+    """A model under the access, reset and native replay rules, its
+    hits stated through residency."""
 
     def __init__(self, build):
         super().__init__()
+        self.build = build
         self.model = build()
+        self._restart()
+
+    def _restart(self):
         self.clock = 0
+        self.history = []
+
+    def _resident(self, address):
+        model = self.model
+        if hasattr(model, "contains"):
+            return model.contains(address)
+        return model.in_main(address) or model.in_assist(address)
 
     @rule(ref=references)
     def access(self, ref):
@@ -267,26 +286,40 @@ class ReferenceOnlyContracts(RuleBasedStateMachine):
         model = self.model
         stats = model.stats
         before = (stats.refs, stats.misses)
-        was_resident = model.contains(address)
+        was_resident = self._resident(address)
         self.clock += gap
         cycles = model.access(address, is_write, temporal=temporal,
                               spatial=spatial, now=self.clock)
+        stats.cycles += cycles
         self.clock += max(0, cycles - model.timing.hit_time)
+        self.history.append(ref)
         assert (stats.refs, stats.misses) == (
             before[0] + 1, before[1] + (not was_resident)
         )
-        assert model.contains(address), "line not resident"
+        assert self._resident(address), "line not resident"
 
     @rule()
     def reset(self):
         model = self.model
         model.reset()
-        assert not any(model.contains(address) for address in ADDRESSES)
+        assert not any(self._resident(address) for address in ADDRESSES)
         assert model.write_buffer.occupancy == 0
         stats = model.stats
         assert (stats.refs, stats.hits_main, stats.hits_assist,
                 stats.misses, stats.writebacks) == (0, 0, 0, 0, 0)
-        self.clock = 0
+        self._restart()
+
+    @precondition(lambda self: self.history and availability() is None)
+    @rule()
+    def native_replay(self):
+        fresh = self.build()
+        result = simulate(fresh, as_trace(self.history), engine="native")
+        assert result.engine == "native"
+        fresh.check_invariants()
+        for field in PARITY_FIELDS:
+            assert getattr(result, field) == getattr(self.model.stats,
+                                                     field), field
+        assert model_state(fresh) == model_state(self.model)
 
     @invariant()
     def structure(self):

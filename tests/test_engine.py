@@ -33,7 +33,7 @@ from repro.sim import (
 from repro.sim.engine import PARITY_FIELDS, EngineRefusal, native_refusal
 from repro.sim.native import availability
 
-from conftest import make_trace, needs_toolchain
+from conftest import NO_KERNEL_SPEC, make_trace, needs_toolchain
 
 TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
@@ -252,10 +252,11 @@ class TestCrossValidate:
         )
         assert native.engine == "native"
 
-    def test_rejects_config_without_fast_path(self):
-        # Column-associative caches run only on the reference loop.
+    def test_rejects_config_without_fast_path(self, no_kernel_spec):
+        # A model without a compiled kernel runs only on the reference
+        # loop.
         with pytest.raises(ConfigError, match="no-batch-kernel"):
-            cross_validate(CacheSpec.of("column_assoc").build, random_trace(1))
+            cross_validate(no_kernel_spec.build, random_trace(1))
 
     @needs_toolchain
     def test_detects_mismatch(self, monkeypatch):
@@ -327,13 +328,12 @@ class TestCacheKeyEngine:
                 "fast", CacheSpec.of("standard_cache"), "'fast'", id="fast",
             ),
             pytest.param(
-                "native", CacheSpec.of("column_assoc"), "no-batch-kernel",
-                id="native",
+                "native", NO_KERNEL_SPEC, "no-batch-kernel", id="native",
             ),
         ],
     )
     def test_explicit_knob_refuses_a_cached_cell(
-        self, tmp_path, knob, spec, code
+        self, tmp_path, no_kernel_spec, knob, spec, code
     ):
         """A warm entry never answers for a configuration the knob's
         tier refuses, for good."""

@@ -3,23 +3,27 @@
 The compiled loop of :mod:`repro.sim.native` claims bit-exactness with
 the reference per-reference loop for the write-through standard cache
 (with and without write-allocate), the two-level hierarchy over either
-L1, Jouppi's stream buffers and software bypassing (with and without
-its buffer).  These tests drive tagged workloads whose mechanisms fire
-(asserted in ``TestWorkloads``) and assert counter-, state- and
-telemetry-parity, monolithic and streamed at awkward chunk sizes.  The
-parity suites skip without a C toolchain; the no-compiler fallback runs
-everywhere.
+L1, Jouppi's stream buffers, software bypassing (with and without its
+buffer), the column-associative cache, the sub-block cache, the HP-7200
+assist cache and a 256-way LRU cache whose hits land deep in the set.
+These tests drive tagged workloads whose mechanisms fire (asserted in
+``TestWorkloads``) and assert counter-, state- and telemetry-parity,
+monolithic and streamed at awkward chunk sizes.  The parity suites skip
+without a C toolchain; the no-compiler fallback runs everywhere.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import HPAssistCache
 from repro.core.spec import CacheSpec
 from repro.memtrace import Trace
 from repro.sim import (
     CacheGeometry,
+    ColumnAssociativeCache,
     MemoryTiming,
     StandardCache,
+    SubBlockCache,
     TwoLevelCache,
     cross_validate,
     cross_validate_stream,
@@ -128,6 +132,19 @@ def configs(ways):
                 "stream_buffer", ways=ways, n_buffers=n_buffers,
                 depth=depth, timing=TIMING,
             )
+    # Column associativity needs a direct-mapped cache: ``ways`` halves
+    # its slots instead, doubling the conflicts.
+    out["column-assoc"] = lambda: ColumnAssociativeCache(
+        CacheGeometry(1024 // ways, 32, 1), TIGHT)
+    for sub_block in (16, 32):
+        out[f"subblock-64/{sub_block}"] = lambda sub_block=sub_block: (
+            SubBlockCache(CacheGeometry(1024, 64, ways),
+                          sub_block=sub_block, timing=TIGHT))
+    for assist_lines in (1, 4):
+        out[f"hp-assist-{assist_lines}"] = (
+            lambda assist_lines=assist_lines: HPAssistCache(
+                CacheGeometry(1024, 32, ways), TIGHT,
+                assist_lines=assist_lines))
     return out
 
 
@@ -183,6 +200,41 @@ class TestWorkloads:
         result = self.run("bypass")
         assert result.words_fetched > 4 * result.lines_fetched > 0
 
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_column_assoc_swaps_and_rehashes(self, ways):
+        model = configs(ways)["column-assoc"]()
+        result = simulate(model, related_trace(0), engine="reference")
+        assert result.swaps == result.hits_assist > 0
+        assert any(line and line[2] for line in model._lines)
+
+    @pytest.mark.parametrize("name", ["subblock-64/16", "subblock-64/32"])
+    def test_subblock_miss_kinds(self, name):
+        # Both kinds of miss occur: an absent tag and an invalid sector
+        # of a resident line.
+        model = configs(1)[name]()
+        trace = related_trace(0)
+        kinds = set()
+        for address, is_write in zip(trace.addresses.tolist(),
+                                     trace.is_write.tolist()):
+            line = address >> model.geometry.line_shift
+            tagged = any(entry[0] == line for entry in
+                         model._sets[line % model.geometry.n_sets])
+            misses = model.stats.misses
+            model.access(address, is_write)
+            if model.stats.misses > misses:
+                kinds.add("sector" if tagged else "tag")
+        assert kinds == {"tag", "sector"}
+
+    @pytest.mark.parametrize("name", ["hp-assist-1", "hp-assist-4"])
+    def test_assist_promotes_and_discards(self, name):
+        model = configs(1)[name]()
+        result = simulate(model, related_trace(0), engine="reference")
+        # Every miss enters the FIFO, which it leaves by promotion
+        # (bounce_backs) or as spatial-only data, or is still in it.
+        discarded = result.misses - result.bounce_backs - len(model._assist)
+        assert result.hits_assist > 0
+        assert result.bounce_backs > 0 and discarded > 0
+
 
 @needs_toolchain
 class TestStreamedParity:
@@ -199,7 +251,8 @@ class TestStreamedParity:
     def test_streamed_native_equals_reference(self):
         stream = TraceStream.from_trace(related_trace(3), chunk_refs=257)
         for name in ("l2-soft", "stream-4x4", "bypass-buffer",
-                     "write-through"):
+                     "write-through", "column-assoc", "subblock-64/16",
+                     "hp-assist-4"):
             build_model = configs(1)[name]
             reference = simulate(build_model(), stream, engine="reference")
             native = simulate(build_model(), stream, engine="native")
@@ -220,7 +273,8 @@ class TestStateParity:
 
     def test_streamed_state(self):
         trace = related_trace(6)
-        for name in ("l2-prefetch", "stream-2x4", "bypass-buffer"):
+        for name in ("l2-prefetch", "stream-2x4", "bypass-buffer",
+                     "column-assoc", "subblock-64/32", "hp-assist-4"):
             build_model = configs(2)[name]
             reference, native = build_model(), build_model()
             simulate(reference, trace, engine="reference")
@@ -242,6 +296,59 @@ class TestTelemetryParity:
             assert result.engine == engine
             reports.append(probes.report())
         assert reports[0] == reports[1]
+
+
+class TestSectorLimit:
+    def test_more_sectors_than_mask_bits_runs_reference(self):
+        # 128 sectors a line do not fit the loop's 64-bit masks.
+        model = SubBlockCache(CacheGeometry(8192, 1024, 1), sub_block=8,
+                              timing=TIGHT)
+        result = simulate(model, related_trace(11, refs=500))
+        assert result.engine == "reference"
+        assert result.engine_refusal.code == "no-batch-kernel"
+
+    @needs_toolchain
+    def test_sixty_four_sectors_run_native(self):
+        cross_validate(
+            lambda: SubBlockCache(CacheGeometry(8192, 512, 2), sub_block=8,
+                                  timing=TIGHT),
+            related_trace(12), engine_result="native",
+        )
+
+
+class TestFullyAssociative:
+    """A 256-way LRU set (headroom's LRU-FA) whose hits land deep: a
+    cyclic walk over 240 lines hits each line at its set's 240th way."""
+
+    def build(self):
+        return StandardCache(CacheGeometry(8192, 32, 256), TIGHT)
+
+    def trace(self):
+        rng = np.random.default_rng(9)
+        refs = 240 * 8
+        return Trace(
+            (np.arange(refs) % 240 * 32).astype(np.int64),
+            rng.random(refs) < 0.3, np.zeros(refs, dtype=bool),
+            np.zeros(refs, dtype=bool),
+            rng.integers(0, 3, refs).astype(np.int64), name="deep",
+        )
+
+    def test_hits_are_deep(self):
+        model = self.build()
+        simulate(model, self.trace(), engine="reference")
+        assert model.stats.hits_main == 240 * 7
+        assert [entry[0] for entry in model._sets[0]] == list(
+            range(239, -1, -1))
+
+    @needs_toolchain
+    @pytest.mark.parametrize("trace", ["deep", "random"])
+    def test_native_matches(self, trace):
+        trace = self.trace() if trace == "deep" else random_trace(10)
+        cross_validate(self.build, trace, engine_result="native")
+        reference, native = self.build(), self.build()
+        simulate(reference, trace, engine="reference")
+        simulate(native, trace, engine="native")
+        assert model_state(reference) == model_state(native)
 
 
 class TestL2ReplayOrder:
@@ -278,7 +385,7 @@ class TestL2ReplayOrder:
 class TestWithoutCompiler:
     @pytest.mark.parametrize("name", [
         "write-through", "l2-standard", "l2-soft", "stream-4x4", "bypass",
-        "bypass-buffer",
+        "bypass-buffer", "column-assoc", "subblock-64/32", "hp-assist-4",
     ])
     def test_runs_reference(self, name, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -156,8 +156,8 @@ class TestResultCache:
         result = sweep.results["t0"]["s"]
         assert payload_to_result(result_to_payload(result)) == result
 
-    def test_cached_refusal_keeps_its_code(self, tmp_path):
-        cells = [(_suite(n_traces=1)["t0"], CacheSpec.of("column_assoc"))]
+    def test_cached_refusal_keeps_its_code(self, tmp_path, no_kernel_spec):
+        cells = [(_suite(n_traces=1)["t0"], no_kernel_spec)]
         fresh = run_cells(cells, cache=ResultCache(tmp_path))[0]
         probe = ResultCache(tmp_path)
         cached = run_cells(cells, cache=probe)[0]
@@ -166,10 +166,11 @@ class TestResultCache:
         assert cached.engine_refusal.code == fresh.engine_refusal.code
         assert cached.engine_refusal.message == fresh.engine_refusal.message
 
-    def test_refusal_without_code_reads_as_miss(self, tmp_path):
+    def test_refusal_without_code_reads_as_miss(self, tmp_path,
+                                                 no_kernel_spec):
         import json
 
-        cells = [(_suite(n_traces=1)["t0"], CacheSpec.of("column_assoc"))]
+        cells = [(_suite(n_traces=1)["t0"], no_kernel_spec)]
         run_cells(cells, cache=ResultCache(tmp_path))
         (entry,) = tmp_path.glob("*/*/*.json")
         payload = json.loads(entry.read_text())
