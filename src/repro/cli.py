@@ -825,8 +825,12 @@ def _open_trace_path(path: str) -> Iterator[TraceStream]:
 def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
     cache = ResultCache(default_cache_dir())
     if action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached results from {cache.root}")
+        results, records = cache.counts()
+        cache.clear()
+        print(
+            f"removed {results} cached results and {records} trace "
+            f"records from {cache.root}"
+        )
         return 0
     if action == "prune":
         if max_bytes is None:
@@ -834,16 +838,18 @@ def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
             return 2
         limit = _parse_size(max_bytes)
         removed, removed_bytes = cache.prune(limit)
+        results, records = cache.counts()
         print(
-            f"pruned {removed} cached results ({removed_bytes} bytes) "
-            f"from {cache.root}; {len(cache)} entries "
-            f"({cache.size_bytes()} bytes) remain"
+            f"pruned {removed} entries ({removed_bytes} bytes) "
+            f"from {cache.root}; {results} results and {records} trace "
+            f"records ({cache.size_bytes()} bytes) remain"
         )
         return 0
     state = "enabled" if cache_enabled() else "disabled (REPRO_CACHE=0)"
+    results, records = cache.counts()
     print(
-        f"result cache: {cache.root} ({len(cache)} entries, "
-        f"{cache.size_bytes()} bytes, {state})"
+        f"result cache: {cache.root} ({results} results, {records} trace "
+        f"records, {cache.size_bytes()} bytes, {state})"
     )
     return 0
 

@@ -31,6 +31,12 @@ class TraceError(ReproError):
     code = "trace-error"
 
 
+class TraceRecordMismatch(TraceError):
+    """A generated trace's fingerprint differs from its on-disk record."""
+
+    code = "trace-record-mismatch"
+
+
 class CompilerError(ReproError):
     """A loop nest or affine expression cannot be analysed or generated."""
 

@@ -18,11 +18,10 @@ many-stream kernel that exercises the paper's stream-buffer critique.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List
 
-from ..compiler import Array, ArrayRef, Loop, Program, generate_trace, nest, var
 from ..core.spec import CacheSpec
+from ..workloads.registry import get_stream_trace
 from .common import (
     Claim, ExperimentSpec, FigureResult, compare, geomeans, per_row, run_experiment,
 )
@@ -69,26 +68,6 @@ def baseline_traffic(scale: str = "paper", seed: int = 0) -> FigureResult:
 MANY_STREAM_COUNTS = (2, 4, 6, 8)
 
 
-@lru_cache(maxsize=16)
-def _many_stream_trace(n_streams: int, scale: str = "paper", seed: int = 0):
-    """A loop body with ``n_streams`` interleaved compulsory-miss streams.
-
-    Every reference walks its own array with stride one: exactly the
-    workload shape the paper says breaks stream buffers once the stream
-    count exceeds the buffer count.
-    """
-    length = {"tiny": 256, "test": 2000, "paper": 12000}.get(scale, 2000)
-    i = var("i")
-    arrays = [Array(f"S{k}", (length,)) for k in range(n_streams)]
-    loop = nest(
-        [Loop("i", 0, length)],
-        body=[ArrayRef(f"S{k}", (i,)) for k in range(n_streams)],
-        name=f"streams-{n_streams}",
-    )
-    program = Program(f"streams{n_streams}", arrays, [loop])
-    return generate_trace(program, seed=seed)
-
-
 STREAM_STUDY = ExperimentSpec.create(
     "related-work-streams",
     "Stream buffers vs interleaved stream count",
@@ -105,7 +84,7 @@ STREAM_STUDY = ExperimentSpec.create(
 def stream_buffer_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Stream-buffer count vs interleaved stream count (the §5 critique)."""
     traces = {
-        f"{n} streams": _many_stream_trace(n, scale, seed)
+        f"{n} streams": get_stream_trace(n, scale, seed)
         for n in MANY_STREAM_COUNTS
     }
     return run_experiment(STREAM_STUDY, scale=scale, seed=seed, traces=traces)

@@ -37,6 +37,7 @@ it invalidates every cached cell at once.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -137,13 +138,61 @@ def payload_to_result(payload: Dict) -> SimResult:
     return SimResult(**fields)
 
 
+# ----------------------------------------------------------------------
+# Entry files: every write stages and publishes atomically, every read
+# takes a missing, torn or non-JSON file for a miss
+# ----------------------------------------------------------------------
+def _publish(path: Path, payload) -> None:
+    """Write ``payload`` as JSON at ``path`` through a ``.tmp-*`` stage
+    and an atomic rename, so concurrent writers race benignly and no
+    reader sees a torn file.  A read-only or full cache is ignored: it
+    must never fail a sweep."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=".tmp-", suffix=".json"
+        )
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _load(path: Path):
+    """The JSON value at ``path``, or None.  A concurrently pruned entry
+    lands here too: deletion mid-read is a miss, never an error.  A read
+    refreshes the mtime, so :meth:`ResultCache.prune`'s LRU order tracks
+    use, not write time."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(path)
+    return payload
+
+
+#: File suffix of trace records in the shared layout (results are
+#: ``<key>.json``).
+RECORD_SUFFIX = ".trace.json"
+
+
 class ResultCache:
     """Content-addressed on-disk store of finished sweep cells.
 
     Keys are ``sha256(SIM_VERSION, trace fingerprint, spec fingerprint,
     engine)``; values are the raw :class:`SimResult` counters as JSON.
     Counters are integers, so the round-trip is lossless and cached
-    cells are byte-identical to freshly simulated ones.
+    cells are byte-identical to freshly simulated ones.  The same layout
+    holds the registry's trace records (``<key>.trace.json``, read and
+    written by :meth:`get_record`/:meth:`put_record`), so
+    :meth:`clear`, :meth:`prune`, :meth:`size_bytes` and ``len`` cover
+    both; :meth:`counts` tells them apart.
 
     The store is safe under concurrent multi-process use — the ``repro
     serve`` workers, parallel sweeps and ``cache prune`` may all touch
@@ -180,42 +229,32 @@ class ResultCache:
         )
         return hashlib.sha256(material.encode()).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / key[2:4] / f"{key}.json"
+    def _path(self, key: str, suffix: str = ".json") -> Path:
+        return self.root / key[:2] / key[2:4] / f"{key}{suffix}"
 
     def get(self, key: str) -> Optional[SimResult]:
-        path = self._path(key)
+        payload = _load(self._path(key))
         try:
-            payload = json.loads(path.read_text())
-            result = payload_to_result(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            # A concurrently pruned entry lands here too and is a miss —
-            # callers re-simulate; deletion mid-read is never an error.
+            result = None if payload is None else payload_to_result(payload)
+        except (KeyError, TypeError):
+            result = None
+        if result is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            # Refresh the mtime so prune()'s LRU order tracks *use*,
-            # not write time.
-            os.utime(path)
-        except OSError:
-            pass
+        else:
+            self.hits += 1
         return result
 
     def put(self, key: str, result: SimResult) -> None:
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: concurrent writers race benignly.
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as handle:
-                json.dump(result_to_payload(result), handle)
-            os.replace(tmp, path)
-        except OSError:
-            # A read-only or full cache must never fail the sweep.
-            pass
+        _publish(self._path(key), result_to_payload(result))
+
+    def get_record(self, key: str) -> Optional[Dict]:
+        """A trace record (:mod:`repro.workloads.registry`), or None.
+        Not counted in :attr:`hits`/:attr:`misses`, which are about
+        results only."""
+        return _load(self._path(key, RECORD_SUFFIX))
+
+    def put_record(self, key: str, record: Dict) -> None:
+        _publish(self._path(key, RECORD_SUFFIX), record)
 
     def _entries(self):
         """Published cache entries, excluding in-flight ``.tmp-*`` files.
@@ -304,6 +343,16 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
+
+    def counts(self) -> Tuple[int, int]:
+        """``(results, trace records)`` held."""
+        results = records = 0
+        for entry in self._entries():
+            if entry.name.endswith(RECORD_SUFFIX):
+                records += 1
+            else:
+                results += 1
+        return results, records
 
 
 def _open_cache(

@@ -88,16 +88,23 @@ class TestSimulate:
 
 class TestCacheCommand:
     def test_info_and_clear(self, tmp_path, capsys, monkeypatch):
+        from repro.workloads.registry import get_trace
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
+        get_trace.cache_clear()  # a fresh handle writes its trace record
         assert main(
             ["simulate", "--benchmark", "LIV", "--config", "soft",
              "--scale", "tiny"]
         ) == 0
         capsys.readouterr()
         assert main(["cache"]) == 0
-        assert "1 entries" in capsys.readouterr().out
+        assert "1 results, 1 trace records" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
-        assert "removed 1" in capsys.readouterr().out
+        assert "removed 1 cached results and 1 trace records" in (
+            capsys.readouterr().out
+        )
+        assert main(["cache"]) == 0
+        assert "0 results, 0 trace records" in capsys.readouterr().out
 
 
 class TestTags:

@@ -255,14 +255,19 @@ class TestCachePrune:
     def test_cli_prune(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
+        from repro.workloads.registry import get_trace
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        get_trace.cache_clear()  # a fresh handle writes its trace record
         assert main(
             ["simulate", "--benchmark", "MV", "--config", "soft",
              "--scale", "tiny"]
         ) == 0
         capsys.readouterr()
         assert main(["cache", "prune", "--max-bytes", "0"]) == 0
-        assert "pruned 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "pruned 2 entries" in out
+        assert "0 results and 0 trace records (0 bytes) remain" in out
         assert main(["cache", "prune"]) == 2
         assert "--max-bytes" in capsys.readouterr().err
 
