@@ -3,17 +3,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-serial lint bench-sim bench-serve native serve-smoke trace-demo analyze-demo figures clean-cache
+.PHONY: test lint bench-sim bench-serve native serve-smoke trace-demo analyze-demo figures clean-cache
 
-# Tier-1: the unit/integration/property suite.  REPRO_JOBS=2 keeps the
-# process-pool path (and spec pickling) exercised on every run;
+# Tier-1: the unit/integration/property suite;
 # -p no:cacheprovider avoids .pytest_cache churn in CI.
 test:
-	REPRO_JOBS=2 $(PYTHON) -m pytest -x -q -p no:cacheprovider
-
-# The strict serial path (bit-identical reference behaviour).
-test-serial:
-	REPRO_JOBS=1 $(PYTHON) -m pytest -x -q -p no:cacheprovider
+	$(PYTHON) -m pytest -x -q -p no:cacheprovider
 
 # Lint ratchet (see [tool.ruff] in pyproject.toml): full ruleset over
 # src/repro/harness/, grandfathered ignores elsewhere.

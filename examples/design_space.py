@@ -7,9 +7,8 @@ geomean AMAT per design point — the kind of study a cache architect
 would run before committing gates.
 
 The grid goes through the sweep engine: declarative ``CacheSpec``
-columns, a process pool (``jobs=0`` = all cores), and the on-disk
-result cache, so re-running after editing the grid only simulates the
-new design points.
+columns and the on-disk result cache, so re-running after editing the
+grid only simulates the new design points.
 
 Run:  python examples/design_space.py
 """
@@ -38,7 +37,7 @@ def main() -> None:
         for bb in BOUNCE_BACK_LINES
         for vl in VIRTUAL_LINES
     }
-    sweep = run_sweep(suite_traces("paper"), configs, jobs=0)
+    sweep = run_sweep(suite_traces("paper"), configs)
 
     rows = {}
     best = (None, float("inf"))

@@ -82,17 +82,6 @@ def _write_json(payload: Dict, path: str) -> None:
         handle.write("\n")
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for sweeps (0 = all cores; "
-        "default: $REPRO_JOBS or 1)",
-    )
-
-
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     from .sim.engine import ENGINES
 
@@ -122,7 +111,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", choices=SCALES, default="paper")
     run.add_argument("--chart", action="store_true",
                      help="render ASCII bar charts instead of tables")
-    _add_jobs_argument(run)
     _add_engine_argument(run)
 
     sim = sub.add_parser("simulate", help="simulate a benchmark")
@@ -152,7 +140,6 @@ def _parser() -> argparse.ArgumentParser:
         "--engine) selects and the structured refusal (code: message) "
         "when the native tier cannot run; no simulation happens",
     )
-    _add_jobs_argument(sim)
     _add_engine_argument(sim)
 
     bench = sub.add_parser(
@@ -447,7 +434,6 @@ def _parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="write the summary payload as JSON (default: stdout only)",
     )
-    _add_jobs_argument(crun)
     _add_engine_argument(crun)
     return parser
 
@@ -466,18 +452,14 @@ def _cmd_figures() -> int:
 
 def _cmd_run(
     names: List[str], scale: str, chart: bool = False,
-    jobs: Optional[int] = None, engine: Optional[str] = None,
+    engine: Optional[str] = None,
 ) -> int:
     from .experiments import ALL_FIGURES, CLAIMS, EXTENSION_STUDIES
     from .sim.engine import resolve_engine
 
-    if jobs is not None:
-        # Figure drivers have heterogeneous signatures; the environment
-        # knob reaches every run_sweep call they make.
-        os.environ["REPRO_JOBS"] = str(jobs)
     if engine is not None:
-        # Same channel as --jobs: every simulate/run_sweep call the
-        # figure drivers make honours $REPRO_ENGINE.
+        # Figure drivers have heterogeneous signatures; the environment
+        # knob reaches every simulate/run_sweep call they make.
         os.environ["REPRO_ENGINE"] = engine
     # Validate $REPRO_ENGINE before any study runs: the trace-analysis
     # studies never read it, so a misspelt engine would pass silently.
@@ -499,14 +481,14 @@ def _cmd_run(
             print(claim.verdict())
         print()
         # Wall time goes to stderr: stdout stays byte-identical across
-        # --jobs and --engine.
+        # runs and --engine.
         print(f"[{name}: {elapsed:.1f}s]", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(
     benchmark: Optional[str], config: str, scale: str, seed: int,
-    jobs: Optional[int] = None, engine: Optional[str] = None,
+    engine: Optional[str] = None,
     cross_validate: bool = False, trace_path: Optional[str] = None,
     explain_engine: bool = False,
 ) -> int:
@@ -540,9 +522,7 @@ def _cmd_simulate(
                 f"cross-validated {validated}/{len(chosen)} configs: "
                 "the native tier agrees with the reference on every counter"
             )
-        sweep = run_sweep(
-            {label_trace: trace}, chosen, jobs=jobs, engine=engine
-        )
+        sweep = run_sweep({label_trace: trace}, chosen, engine=engine)
     rows = {}
     for label, r in sweep.results[label_trace].items():
         rows[label] = {
@@ -1085,7 +1065,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         payload = run_corpus(
             corpus,
             args.presets,
-            jobs=args.jobs,
             engine=args.engine,
             cache=False if args.no_cache else "auto",
             cache_root=args.cache_dir,
@@ -1127,13 +1106,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "figures":
             return _cmd_figures()
         if args.command == "run":
-            return _cmd_run(
-                args.names, args.scale, args.chart, args.jobs, args.engine
-            )
+            return _cmd_run(args.names, args.scale, args.chart, args.engine)
         if args.command == "simulate":
             return _cmd_simulate(
                 args.benchmark, args.config, args.scale, args.seed,
-                args.jobs, args.engine, args.cross_validate,
+                args.engine, args.cross_validate,
                 args.trace_path, args.explain_engine,
             )
         if args.command == "bench":

@@ -356,8 +356,9 @@ def subblock(
 
 
 # ----------------------------------------------------------------------
-# Spec kinds: every factory above, addressable by name so sweeps can
-# ship picklable CacheSpec objects to worker processes.
+# Spec kinds: every factory above, addressable by name so sweeps and
+# repro serve (which ships them to its worker processes) take picklable
+# CacheSpec objects.
 # ----------------------------------------------------------------------
 for _name in __all__:
     register_kind(_name, globals()[_name])

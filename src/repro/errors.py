@@ -50,7 +50,7 @@ class SimulationError(ReproError):
 
 
 class WorkerDiedError(ReproError):
-    """A worker process of a parallel sweep died before returning."""
+    """A ``repro serve`` worker process died before returning its cell."""
 
     code = "worker-died"
 

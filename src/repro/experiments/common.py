@@ -12,7 +12,7 @@ Drivers whose figure is a plain (benchmark x configuration) grid are
 figure, the benchmarks, the configurations (as picklable
 :class:`~repro.core.spec.CacheSpec` objects) and the metric, and
 :func:`run_experiment` turns it into a :class:`FigureResult` through the
-parallel cached sweep engine.
+cached sweep engine.
 """
 
 from __future__ import annotations
@@ -228,9 +228,9 @@ def run_experiment(
     """Run one declared experiment through the sweep engine.
 
     ``traces`` overrides the benchmark registry (used by studies whose
-    rows are synthetic traces rather than suite benchmarks).  Worker
-    count, result cache and engine come from ``REPRO_JOBS``,
-    ``REPRO_CACHE`` and ``REPRO_ENGINE``, as for every other driver.
+    rows are synthetic traces rather than suite benchmarks).  Cells run
+    serially; the result cache and engine come from ``REPRO_CACHE`` and
+    ``REPRO_ENGINE``, as for every other driver.
     """
     from ..harness.runner import run_sweep
     from ..workloads.registry import BENCHMARK_ORDER, get_trace

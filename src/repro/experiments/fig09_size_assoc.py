@@ -46,7 +46,7 @@ FIG9B = ExperimentSpec.create(
 def cache_size_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 9a: % of misses removed, per cache size."""
     # Both columns of every cache point go through one sweep, so the
-    # grid parallelises and caches like any other figure.
+    # grid caches like any other figure.
     configs = {}
     for label, (size, line, vline) in FIG9A_CACHES.items():
         configs[f"{label} base"] = CacheSpec.of(

@@ -46,7 +46,7 @@ def kernel_study(scale: str = "paper", seed: int = 0) -> FigureResult:
 def latency_sweep(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Figure 10b: AMAT(Standard) - AMAT(Soft) vs memory latency."""
     # Both caches at every latency point run through one sweep grid, so
-    # the study parallelises and caches like any other figure.
+    # the study caches like any other figure.
     configs = {}
     for latency in LATENCIES:
         timing = MemoryTiming(latency=latency)

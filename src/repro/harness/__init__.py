@@ -1,4 +1,4 @@
-"""Experiment harness: parallel cached grid runner and table rendering."""
+"""Experiment harness: cached grid runner and table rendering."""
 
 from .parallel import (
     SIM_VERSION,

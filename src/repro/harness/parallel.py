@@ -1,34 +1,28 @@
-"""Parallel dispatch and on-disk result caching for sweep grids.
+"""Serial dispatch and on-disk result caching for sweep grids.
 
 The figure battery is a large (benchmark x configuration) grid whose
 cells are completely independent: each one runs a deterministic
-simulation of a trace on a cold cache.  This module gives the grid two
-speed levers:
+simulation of a trace on a cold cache.  Cells run one after another in
+this process (on the compiled loop each takes milliseconds, so a
+process fan-out costs more than it saves; see ``docs/performance.md``)
+behind **a content-addressed result cache**: every finished cell is
+stored on disk as soon as it finishes, keyed by ``sha256(simulator
+version, trace fingerprint, spec fingerprint, engine)``, so re-running
+an unchanged cell costs one small JSON read instead of a simulation.
+The engine knob is part of the key so results from different engines
+can never alias, even though the native tier is validated to be
+counter-identical to the reference loop.
 
-* **process-level parallelism** — cells dispatch to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Work units are
-  ``(trace, CacheSpec, engine)`` tuples, all plain picklable data;
-  closures never cross the process boundary.
-* **a content-addressed result cache** — every finished cell is stored
-  on disk as soon as it arrives, keyed by ``sha256(simulator version,
-  trace fingerprint, spec fingerprint, engine)``, so re-running an
-  unchanged cell costs one small JSON read instead of a simulation.
-  The engine knob is part of the key so results from different
-  engines can never alias, even though the native tier is validated to
-  be counter-identical to the reference loop.
+Knobs:
 
-Knobs (all also honoured by ``python -m repro run/simulate --jobs``):
-
-``REPRO_JOBS``
-    Default worker count when ``jobs`` is not passed explicitly.
-    ``1`` (the default) is a strict serial fallback that produces
-    bit-identical results to the pre-parallel runner; ``0`` or ``auto``
-    means one worker per CPU.
 ``REPRO_CACHE``
     Set to ``0``/``off``/``false`` to disable the result cache.
 ``REPRO_CACHE_DIR``
     Cache location (default ``$XDG_CACHE_HOME/repro/results`` or
     ``~/.cache/repro/results``).  Deleting the directory clears it.
+
+:func:`resolve_jobs` resolves the worker count of ``repro serve``'s
+simulation pool (``REPRO_JOBS``); sweeps have no pool.
 
 ``SIM_VERSION`` must be bumped whenever a change alters simulation
 *results* (timing rules, replacement policies, counter semantics...);
@@ -42,13 +36,11 @@ import dataclasses
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.spec import CacheSpec
-from ..errors import ConfigError, WorkerDiedError
+from ..errors import ConfigError
 from ..memtrace.trace import Trace
 from ..sim.driver import simulate
 from ..sim.engine import EngineRefusal, resolve_engine, select_engine
@@ -60,7 +52,7 @@ SIM_VERSION = "2"
 
 
 # ----------------------------------------------------------------------
-# Job-count resolution
+# Worker-count resolution (``repro serve``'s simulation pool)
 # ----------------------------------------------------------------------
 def resolve_jobs(jobs: Union[int, str, None] = None) -> int:
     """Resolve a worker count: explicit argument > ``REPRO_JOBS`` > 1.
@@ -195,8 +187,8 @@ class ResultCache:
     both; :meth:`counts` tells them apart.
 
     The store is safe under concurrent multi-process use — the ``repro
-    serve`` workers, parallel sweeps and ``cache prune`` may all touch
-    it at once:
+    serve`` workers, sweeps in other processes and ``cache prune`` may
+    all touch it at once:
 
     * writes stage to a ``.tmp-*`` file and publish with an atomic
       rename, so readers never observe a torn entry and racing writers
@@ -355,10 +347,10 @@ class ResultCache:
         return results, records
 
 
-def _open_cache(
+def open_cache(
     cache: Union[ResultCache, str, os.PathLike, None, bool]
 ) -> Optional[ResultCache]:
-    """Normalise run_sweep's ``cache`` argument.
+    """Normalise a ``cache`` argument (``run_sweep``, ``repro serve``).
 
     ``"auto"`` (the default upstream) uses the default directory unless
     ``REPRO_CACHE`` disables caching; ``None``/``False`` disables; a
@@ -374,16 +366,15 @@ def _open_cache(
 
 
 # ----------------------------------------------------------------------
-# Workers
+# Cells
 # ----------------------------------------------------------------------
 def simulate_cell(payload: Tuple) -> SimResult:
-    """Pool work unit: simulate one ``(trace, spec, engine)`` cell cold.
+    """Simulate one ``(trace, spec, engine)`` cell cold.
 
-    Module-level (not a closure) so it pickles under every start method.
-    The trace slot also accepts a :class:`~repro.stream.TraceStream` —
-    streams pickle as path + manifest, so out-of-core cells ship no
-    trace data across the process boundary; each worker pages its own
-    chunks in.
+    Module-level (not a closure) so it pickles under every start method:
+    ``repro serve`` ships it to its worker pool.  The trace slot also
+    accepts a :class:`~repro.stream.TraceStream`, which pickles as path
+    + manifest and pages its own chunks in.
     """
     trace, spec, engine = payload
     return simulate(spec.build(), trace, engine=engine)
@@ -391,28 +382,26 @@ def simulate_cell(payload: Tuple) -> SimResult:
 
 def run_cells(
     cells: Sequence[Tuple[Trace, CacheSpec]],
-    jobs: Union[int, str, None] = None,
     cache: Union[ResultCache, str, os.PathLike, None, bool] = "auto",
     engine: Optional[str] = None,
 ) -> List[SimResult]:
-    """Run independent (trace, spec) cells, in submitted order.
+    """Run independent (trace, spec) cells serially, in submitted order.
 
-    Cache hits are resolved first; the remaining cells run serially
-    (``jobs == 1``) or on a process pool, and each one is stored as soon
-    as it arrives, so an interrupted sweep keeps every cell it finished.
-    The returned list is aligned with ``cells`` regardless of completion
-    order.  ``engine`` is the simulation-engine knob (resolved once;
-    part of the cache key).  An explicit ``native`` knob refuses a
-    configuration it cannot prove whether or not the cell is cached.  A pool worker that dies raises :class:`WorkerDiedError`.
+    Cache hits are resolved first; each remaining cell runs through
+    :func:`simulate_cell` and is stored as soon as it finishes, so an
+    interrupted sweep keeps every cell it finished.  The returned list
+    is aligned with ``cells``.  ``engine`` is the simulation-engine knob
+    (resolved once; part of the cache key).  An explicit ``native`` knob
+    refuses a configuration it cannot prove whether or not the cell is
+    cached.
 
     The trace slot accepts either an in-memory ``Trace`` or a
     :class:`~repro.stream.TraceStream`; both expose the same
     ``fingerprint()``, so a cell keyed while streamed and the same cell
     keyed in memory share one cache entry.
     """
-    jobs = resolve_jobs(jobs)
     engine = resolve_engine(engine)
-    store = _open_cache(cache)
+    store = open_cache(cache)
     if engine == "native":
         for _, spec in cells:
             select_engine(engine, spec.build())
@@ -424,26 +413,9 @@ def run_cells(
                 trace.fingerprint(), spec.fingerprint(), engine
             )
             results[index] = store.get(keys[index])
-    pending = [index for index, result in enumerate(results) if result is None]
-
-    payloads = [(*cells[index], engine) for index in pending]
-    workers = min(jobs, len(pending))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        # Both maps yield in submission order, whatever order the pool
-        # finishes cells in.
-        mapper = map if pool is None else pool.map
-        for index, result in zip(pending, mapper(simulate_cell, payloads)):
-            results[index] = result
+    for index, result in enumerate(results):
+        if result is None:
+            results[index] = simulate_cell((*cells[index], engine))
             if store is not None:
-                store.put(keys[index], result)
-    except BrokenProcessPool as error:
-        raise WorkerDiedError(
-            f"a sweep worker exited before returning its cell; "
-            f"{sum(r is not None for r in results)} of {len(cells)} "
-            f"cells finished"
-        ) from error
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                store.put(keys[index], results[index])
     return results  # type: ignore[return-value]

@@ -3,11 +3,10 @@
 Cache models are stateful, so every sweep column is a
 :class:`~repro.core.spec.CacheSpec` — a declarative, picklable
 description from which each cell constructs a fresh model (cold cache,
-as in the paper).  Cells dispatch through
-:func:`repro.harness.parallel.run_cells`: they run on a process pool
-when ``jobs > 1``, and each finished cell is stored in the on-disk
-result cache as it arrives, so an unchanged cell is read back instead
-of simulated again.
+as in the paper).  Cells run serially through
+:func:`repro.harness.parallel.run_cells`, and each finished cell is
+stored in the on-disk result cache as it finishes, so an unchanged cell
+is read back instead of simulated again.
 """
 
 from __future__ import annotations
@@ -65,19 +64,16 @@ class Sweep:
 def run_sweep(
     traces: Mapping[str, Trace],
     configs: Mapping[str, CacheSpec],
-    jobs: Union[int, str, None] = None,
     cache: Union[ResultCache, str, os.PathLike, None, bool] = "auto",
     engine: Optional[str] = None,
 ) -> Sweep:
     """Simulate every trace against every configuration (fresh caches).
 
-    ``jobs`` selects the worker count (default: ``REPRO_JOBS`` env var,
-    else 1 — the serial path, bit-identical to parallel runs).  ``cache``
-    selects the on-disk result cache (``"auto"`` = the default store
-    unless ``REPRO_CACHE`` disables it; ``None`` = off; a path or
-    :class:`ResultCache` = a specific store).  ``engine`` selects the
-    simulation engine (default: ``REPRO_ENGINE`` env var, else
-    ``auto``); it is part of the result-cache key.
+    Cells run serially.  ``cache`` selects the on-disk result cache
+    (``"auto"`` = the default store unless ``REPRO_CACHE`` disables it;
+    ``None`` = off; a path or :class:`ResultCache` = a specific store).
+    ``engine`` selects the simulation engine (default: ``REPRO_ENGINE``
+    env var, else ``auto``); it is part of the result-cache key.
 
     Trace values may be in-memory ``Trace`` objects or
     :class:`~repro.stream.TraceStream` instances; streams simulate
@@ -91,11 +87,10 @@ def run_sweep(
                 f"not {type(spec).__name__}"
             )
     # Row-major over the input mappings; run_cells returns results in
-    # this order, so parallel completion order never reorders the grid.
+    # this order.
     grid = [(trace, config) for trace in traces for config in configs]
     results = run_cells(
         [(traces[trace], configs[config]) for trace, config in grid],
-        jobs=jobs,
         cache=cache,
         engine=engine,
     )

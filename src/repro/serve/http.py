@@ -38,7 +38,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..errors import ReproError
+from ..errors import ReproError, WorkerDiedError
 from .service import (
     JobNotDoneError,
     QueueFullError,
@@ -61,6 +61,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -269,6 +270,10 @@ class ServeApp:
             return 404, _error_payload(error.code, str(error))
         except JobNotDoneError as error:
             return 409, _error_payload(error.code, str(error))
+        except WorkerDiedError as error:
+            # The server's fault, not the request's: retrying is safe.
+            service.metrics.errors += 1
+            return 503, _error_payload(error.code, str(error))
         except ReproError as error:
             service.metrics.errors += 1
             return 400, _error_payload(error.code, str(error))

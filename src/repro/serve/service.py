@@ -2,8 +2,9 @@
 
 :class:`SimulationService` owns the two-tier result store, an in-flight
 table that coalesces duplicate requests, a bounded admission queue
-providing backpressure, and a process worker pool (the same
-``simulate_cell`` work unit the sweep engine ships to its pool).  The
+providing backpressure, and a process worker pool running the sweep
+engine's ``simulate_cell`` work unit.  A worker that dies answers
+``worker-died`` and the next simulation starts a fresh pool.  The
 HTTP layer (:mod:`repro.serve.http`) is a thin JSON adapter over it; the
 service itself is transport-agnostic and directly testable.
 
@@ -30,14 +31,16 @@ import json
 import secrets
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.spec import CacheSpec
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError, ReproError, WorkerDiedError
 from ..harness.parallel import (
     ResultCache,
-    cache_enabled,
+    open_cache,
     resolve_jobs,
     result_to_payload,
     simulate_cell,
@@ -181,7 +184,7 @@ class SimulationService:
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config if config is not None else ServeConfig()
         self.engine = resolve_engine(self.config.engine)
-        disk = self._open_disk(self.config.cache)
+        disk = open_cache(self.config.cache)
         self.store = TieredResultStore(
             HotResultStore(sets=self.config.sets, ways=self.config.ways),
             disk,
@@ -199,20 +202,8 @@ class SimulationService:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _open_disk(cache) -> Optional[ResultCache]:
-        if cache is None or cache is False:
-            return None
-        if isinstance(cache, ResultCache):
-            return cache
-        if cache == "auto":
-            return ResultCache() if cache_enabled() else None
-        return ResultCache(cache)
-
     def _executor(self):
         if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
             self._pool = ProcessPoolExecutor(
                 max_workers=resolve_jobs(self.config.workers)
             )
@@ -405,11 +396,22 @@ class SimulationService:
     async def _run_cell(self, cell: _Cell) -> SimResult:
         try:
             loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(
-                self._executor(),
-                simulate_cell,
-                (cell.trace, cell.spec, cell.engine),
-            )
+            pool = self._executor()
+            try:
+                result = await loop.run_in_executor(
+                    pool, simulate_cell, (cell.trace, cell.spec, cell.engine)
+                )
+            except BrokenProcessPool as error:
+                # A broken pool refuses every later submission: drop it
+                # (unless a peer cell already did) so the next one
+                # builds a fresh pool.
+                if self._pool is pool:
+                    self._pool = None
+                pool.shutdown(wait=False)
+                raise WorkerDiedError(
+                    f"a serve worker exited before returning the cell "
+                    f"{cell.spec.label()} x {cell.trace_label}"
+                ) from error
             # Durable publish first, then hot admission: a hot entry is
             # always backed by a published disk entry.
             self.store.put(cell.key, result)

@@ -28,8 +28,8 @@ by its L1), in every configuration; any other model is refused with an
 :class:`EngineRefusal` carrying a stable machine-readable ``code`` plus
 a human-readable message, and runs on the reference loop.
 
-``REPRO_ENGINE`` sets the default engine when the caller passes none
-(mirrors ``REPRO_JOBS``); :func:`cross_validate` runs the native tier
+``REPRO_ENGINE`` sets the default engine when the caller passes none;
+:func:`cross_validate` runs the native tier
 and the reference loop on fresh models and asserts every counter
 matches.
 """

@@ -16,9 +16,9 @@ A stream is backed either by
   chunked/monolithic parity testing).
 
 Streams are picklable (the store backend ships only its path and
-manifest), so sweep cells carrying a stream cross process-pool
-boundaries without serialising trace data; each worker pages chunks in
-itself.  ``TraceStream.fingerprint()`` equals the materialised trace's
+manifest), so cells carrying a stream cross ``repro serve``'s
+process-pool boundary without serialising trace data; each worker
+pages chunks in itself.  ``TraceStream.fingerprint()`` equals the materialised trace's
 ``Trace.fingerprint()``, so the content-addressed result cache never
 distinguishes a streamed trace from an in-memory one.
 

@@ -447,7 +447,6 @@ class Corpus:
 def run_corpus(
     corpus: Corpus,
     presets: Sequence[str],
-    jobs: Union[int, str, None] = None,
     engine: Optional[str] = None,
     cache: Union[str, os.PathLike, None, bool] = "auto",
     cache_root: Union[str, os.PathLike, None] = None,
@@ -456,9 +455,9 @@ def run_corpus(
     """Sweep every corpus entry against every preset; summarise.
 
     Entries stream out-of-core through the ordinary sweep machinery —
-    the same ``simulate_cell`` workers and result-cache keys as ``repro
-    run`` and ``repro serve`` — so a repeated corpus run is all cache
-    hits.  Returns the artifact payload: per-(trace, config) rows plus
+    the same ``simulate_cell`` work unit and result-cache keys as
+    ``repro run`` and ``repro serve`` — so a repeated corpus run is all
+    cache hits.  Returns the artifact payload: per-(trace, config) rows plus
     per-config geometric means over the corpus (degenerate metrics
     aggregate to ``None`` rather than aborting the report).
     """
@@ -478,9 +477,7 @@ def run_corpus(
     fingerprints = {
         name: stream.fingerprint() for name, stream in streams.items()
     }
-    sweep = run_sweep(
-        streams, configs, jobs=jobs, cache=cache, engine=engine
-    )
+    sweep = run_sweep(streams, configs, cache=cache, engine=engine)
     rows = []
     for trace_name in selected:
         for config_name in sweep.config_order:

@@ -165,7 +165,7 @@ class TraceHandle(Trace):
     one exists; anything else (the columns, ``columns_list()``,
     iteration) generates the trace once and from then on the handle is
     an ordinary :class:`Trace`.  A handle pickles as its materialised
-    ``Trace``, so pool workers receive plain traces.
+    ``Trace``, so ``repro serve``'s workers receive plain traces.
     """
 
     def __init__(self, call: Tuple, generate: Callable[[], Trace]) -> None:
@@ -251,13 +251,24 @@ class TraceHandle(Trace):
 # Getters
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=128)
-def get_trace(name: str, scale: str = "paper", seed: int = 0) -> Trace:
-    """The instrumented trace of a benchmark (a cached handle)."""
+def get_trace(
+    name: str, scale: str = "paper", seed: int = 0,
+    policy: str = "elementary",
+) -> Trace:
+    """The instrumented trace of a benchmark (a cached handle), tagged
+    by the compiler's ``policy``."""
     if name not in _PROGRAM_BUILDERS:
         build_program(name, scale)  # raises the unknown-name error
+    # The default policy is left out of the key, so records written
+    # before ``policy`` existed still hit.
+    call = ("get_trace", name, scale, seed)
+    if policy != "elementary":
+        call += (policy,)
     return TraceHandle(
-        ("get_trace", name, scale, seed),
-        lambda: generate_trace(build_program(name, scale), seed=seed),
+        call,
+        lambda: generate_trace(
+            build_program(name, scale), seed=seed, policy=policy
+        ),
     )
 
 

@@ -1,6 +1,6 @@
 """Multi-writer safety of the on-disk ResultCache (serve hardening).
 
-The serve workers, parallel sweeps and ``cache prune`` may all touch
+The serve workers, sweeps in other processes and ``cache prune`` may all touch
 one cache directory at once.  These tests race real processes against
 each other and assert the documented guarantees: atomic publishes are
 never observed torn, concurrent prunes read as misses (never errors),

@@ -44,15 +44,6 @@ class TestRun:
         out = capsys.readouterr().out
         assert "fig4a" in out and "fig4b" in out
 
-    def test_jobs_flag_matches_serial(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert main(["run", "fig6a", "--scale", "tiny", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["run", "fig6a", "--scale", "tiny", "--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
 
 class TestSimulate:
     def test_single_config(self, capsys):
@@ -74,13 +65,6 @@ class TestSimulate:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--benchmark", "nope"])
-
-    def test_jobs_flag_accepted(self, capsys):
-        assert main(
-            ["simulate", "--benchmark", "LIV", "--scale", "tiny",
-             "--jobs", "2"]
-        ) == 0
-        assert "AMAT" in capsys.readouterr().out
 
     def test_configs_registry_is_specs(self):
         assert all(isinstance(s, CacheSpec) for s in CONFIGS.values())
@@ -365,7 +349,7 @@ class TestErrorCodes:
         from repro.errors import WorkerDiedError
 
         def dying_sweep(*args, **kwargs):
-            raise WorkerDiedError("a sweep worker exited")
+            raise WorkerDiedError("a serve worker exited")
 
         monkeypatch.setattr(repro.cli, "run_sweep", dying_sweep)
         assert main(

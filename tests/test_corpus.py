@@ -237,7 +237,7 @@ class TestPruneInteraction:
 
 class TestRunCorpus:
     def test_rows_geomean_and_cache_hits(self, corpus, cache_root):
-        payload = run_corpus(corpus, ["standard", "soft"], jobs=1)
+        payload = run_corpus(corpus, ["standard", "soft"])
         assert payload["corpus"] == "corpus"
         assert payload["traces"] == ["irm1", "sample", "scan1"]
         assert len(payload["rows"]) == 6
@@ -251,15 +251,15 @@ class TestRunCorpus:
         cache = ResultCache(cache_root)
         assert len(cache) == 6
         cache.hits = cache.misses = 0
-        again = run_corpus(corpus, ["standard", "soft"], jobs=1, cache=cache)
+        again = run_corpus(corpus, ["standard", "soft"], cache=cache)
         assert again["rows"] == payload["rows"]
         assert cache.hits == 6 and cache.misses == 0
 
     def test_survives_prune_between_runs(self, corpus, cache_root):
-        first = run_corpus(corpus, ["standard"], jobs=1)
+        first = run_corpus(corpus, ["standard"])
         cache = ResultCache(cache_root)
         cache.prune(0)
-        second = run_corpus(corpus, ["standard"], jobs=1)
+        second = run_corpus(corpus, ["standard"])
         assert second["rows"] == first["rows"]
 
     def test_needs_presets_and_entries(self, corpus, tmp_path):

@@ -1,17 +1,15 @@
-"""Parallel dispatch and result caching of the sweep engine."""
+"""Serial dispatch and result caching of the sweep engine."""
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
 
 import numpy as np
 import pytest
 
 from repro.core import spec as spec_module
 from repro.core.spec import CacheSpec
-from repro.errors import ConfigError, WorkerDiedError
+from repro.errors import ConfigError
 from repro.harness.parallel import (
     ResultCache,
     payload_to_result,
@@ -50,18 +48,10 @@ CONFIGS = {
 }
 
 
-class TestParallelEquivalence:
-    def test_parallel_equals_serial(self, tmp_path):
-        traces = _suite()
-        serial = run_sweep(traces, CONFIGS, jobs=1, cache=None)
-        parallel = run_sweep(traces, CONFIGS, jobs=2, cache=None)
-        assert serial.results.keys() == parallel.results.keys()
-        for name in traces:
-            assert serial.results[name] == parallel.results[name]
-
+class TestSweepGrid:
     def test_row_and_column_order_is_submission_order(self):
         traces = _suite()
-        sweep = run_sweep(traces, CONFIGS, jobs=2, cache=None)
+        sweep = run_sweep(traces, CONFIGS, cache=None)
         assert list(sweep.results) == list(traces)
         assert sweep.config_order == list(CONFIGS)
         for row in sweep.metric("amat").values():
@@ -77,39 +67,33 @@ class TestParallelEquivalence:
             run_sweep(traces, configs, cache=None)
 
 
-def _dying_model(root: str, wait_for: int):
-    """A spec builder that kills its worker once ``wait_for`` cells are
-    in the result cache at ``root`` (or after 30 s)."""
-    deadline = time.monotonic() + 30
-    while len(ResultCache(root)) < wait_for and time.monotonic() < deadline:
-        time.sleep(0.01)
-    os._exit(3)
+class _ModelFailed(Exception):
+    pass
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the dying kind is registered in this process only",
-)
+def _failing_model():
+    raise _ModelFailed("model construction failed mid-sweep")
+
+
 class TestWorkerDeath:
+    """A sweep that stops mid-way keeps every cell it finished: each
+    cell is stored as soon as it finishes, not when the sweep ends.
+    (A dead ``repro serve`` worker is covered in ``test_serve.py``.)"""
+
     def test_finished_cells_are_cached_before_the_error(
         self, tmp_path, monkeypatch
     ):
-        # Registered for this test only; pool workers fork after it.
         monkeypatch.setitem(
-            spec_module._BUILDERS, "test-dying-worker", _dying_model
+            spec_module._BUILDERS, "test-failing-model", _failing_model
         )
         traces = _suite(n_traces=4)
         standard = CONFIGS["Standard"]
-        dying = CacheSpec.of(
-            "test-dying-worker", root=str(tmp_path), wait_for=3
-        )
         cells = [(traces[f"t{k}"], standard) for k in range(3)]
-        cells.append((traces["t3"], dying))
-        with pytest.raises(WorkerDiedError) as caught:
-            run_cells(cells, jobs=2, cache=tmp_path)
-        assert caught.value.code == "worker-died"
+        cells.append((traces["t3"], CacheSpec.of("test-failing-model")))
+        with pytest.raises(_ModelFailed):
+            run_cells(cells, cache=tmp_path)
         probe = ResultCache(tmp_path)
-        warm = run_cells(cells[:3], jobs=1, cache=probe)
+        warm = run_cells(cells[:3], cache=probe)
         assert (probe.hits, probe.misses) == (3, 0)
         assert [r.refs for r in warm] == [400, 400, 400]
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
 import time
 
 import pytest
 
+from repro.core import spec as spec_module
+from repro.errors import WorkerDiedError
 from repro.serve import (
     QueueFullError,
     ServeClient,
@@ -278,6 +282,58 @@ class TestHTTP:
         # The bad-input tests above are counted; no internal errors.
         metrics = server.service.metrics_payload()
         assert metrics["rejected"] == 0
+
+
+# ----------------------------------------------------------------------
+# A worker that dies mid-cell
+# ----------------------------------------------------------------------
+def _dying_model():
+    """A spec builder that kills the worker process building it."""
+    os._exit(3)
+
+
+DYING_CELL = {"trace": MV_TINY["trace"], "config": {"kind": "test-dying-worker"}}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying kind is registered in this process only",
+)
+class TestWorkerDeath:
+    @pytest.fixture(autouse=True)
+    def dying_kind(self, monkeypatch):
+        # Registered before the pool exists, so its workers fork with it.
+        monkeypatch.setitem(
+            spec_module._BUILDERS, "test-dying-worker", _dying_model
+        )
+
+    def test_dead_worker_answers_worker_died_and_pool_is_rebuilt(self):
+        async def main():
+            service = SimulationService(ServeConfig(cache=None, workers=1))
+            try:
+                with pytest.raises(WorkerDiedError) as caught:
+                    await service.submit(DYING_CELL)
+                dropped = service._pool
+                response = await service.submit(MV_TINY)
+                return caught.value, dropped, service._pool, response
+            finally:
+                service.close()
+
+        error, dropped, fresh, response = _run(main())
+        assert error.code == "worker-died"
+        assert dropped is None and fresh is not None
+        assert response["served"] == "simulated"
+        assert response["result"]["refs"] > 0
+
+    def test_http_answers_503_then_serves(self):
+        config = ServeConfig(port=0, cache=None, workers=1)
+        with ServerThread(config) as server:
+            with ServeClient(server.host, server.port) as client:
+                with pytest.raises(ServeHTTPError) as caught:
+                    client.submit(DYING_CELL)
+                response = client.submit(MV_TINY)
+        assert (caught.value.status, caught.value.code) == (503, "worker-died")
+        assert response["served"] == "simulated"
 
 
 # ----------------------------------------------------------------------

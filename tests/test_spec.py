@@ -6,12 +6,19 @@ import pickle
 
 import pytest
 
+from repro import presets
 from repro.core.software_cache import SoftwareAssistedCache
 from repro.core.spec import CacheSpec, registered_kinds
 from repro.errors import ConfigError
 from repro.sim.standard import StandardCache
 from repro.sim.timing import MemoryTiming
 
+#: Every preset plus the related-work kinds a serve submission can name.
+SERVABLE_SPECS = list(presets.SPECS.values()) + [
+    CacheSpec.of(kind)
+    for kind in ("column_assoc", "subblock", "hp_assist", "stream_buffer",
+                 "with_l2")
+]
 
 class TestOf:
     def test_builds_registered_kind(self):
@@ -69,6 +76,13 @@ class TestValueSemantics:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert isinstance(clone.build(), SoftwareAssistedCache)
+
+    @pytest.mark.parametrize("spec", SERVABLE_SPECS, ids=str)
+    def test_servable_spec_pickles(self, spec):
+        # repro serve ships specs to its worker processes.
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone.fingerprint() == spec.fingerprint()
+        assert type(clone.build()) is type(spec.build())
 
 
 class TestSerialisation:

@@ -96,6 +96,23 @@ class TestHandle:
         assert warm.columns_list() == cold.columns_list()
         assert len(generations) == 2
 
+    def test_policy_gets_its_own_record(self, cache_root, generations):
+        elementary = registry.get_trace("MV", "tiny").fingerprint()
+        volume = registry.get_trace("MV", "tiny", 0, "volume-aware")
+        direct = registry.generate_trace(
+            registry.build_program("MV", "tiny"), policy="volume-aware"
+        )
+        assert volume.fingerprint() == Trace.fingerprint(direct)
+        assert mv_record(cache_root).exists()
+        assert len(record_files(cache_root)) == 2
+        fresh_handles()
+        del generations[:]
+        assert registry.get_trace("MV", "tiny").fingerprint() == elementary
+        assert registry.get_trace(
+            "MV", "tiny", 0, "volume-aware"
+        ).fingerprint() == volume.fingerprint()
+        assert generations == []
+
     def test_pickles_as_plain_trace(self, cache_root):
         handle = registry.get_trace("LIV", "tiny")
         handle.fingerprint()
@@ -234,31 +251,6 @@ class TestCacheOff:
             fingerprint
         )
         assert list(cache_root.iterdir()) == []
-
-
-class TestPool:
-    def test_parallel_sweep_over_unmaterialised_handles(
-        self, cache_root, monkeypatch
-    ):
-        names = ("MV", "LIV", "SpMV")
-        configs = {name: SPECS[name] for name in ("standard", "soft")}
-        for name in names:
-            registry.get_trace(name, "tiny").fingerprint()
-        fresh_handles()
-        handles = {name: registry.get_trace(name, "tiny") for name in names}
-        for handle in handles.values():
-            handle.fingerprint()
-            assert "addresses" not in vars(handle)
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        pooled = run_sweep(handles, configs, cache=None)
-        fresh_handles()
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        serial = run_sweep(
-            {name: registry.get_trace(name, "tiny") for name in names},
-            configs, cache=None,
-        )
-        for metric in ("amat", "misses", "cycles", "refs"):
-            assert pooled.metric(metric) == serial.metric(metric)
 
 
 class TestCacheAdmin:
