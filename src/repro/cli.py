@@ -454,7 +454,7 @@ def _cmd_run(
     names: List[str], scale: str, chart: bool = False,
     engine: Optional[str] = None,
 ) -> int:
-    from .experiments import ALL_FIGURES, CLAIMS, EXTENSION_STUDIES
+    from .experiments import STUDIES
     from .sim.engine import resolve_engine
 
     if engine is not None:
@@ -464,20 +464,20 @@ def _cmd_run(
     # Validate $REPRO_ENGINE before any study runs: the trace-analysis
     # studies never read it, so a misspelt engine would pass silently.
     resolve_engine()
-    battery = {**ALL_FIGURES, **EXTENSION_STUDIES}
-    wanted = list(battery) if names == ["all"] else names
-    unknown = [n for n in wanted if n not in battery]
+    wanted = list(STUDIES) if names == ["all"] else names
+    unknown = [n for n in wanted if n not in STUDIES]
     if unknown:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
     for name in wanted:
         start = time.perf_counter()
-        result = battery[name](scale=scale)
+        study = STUDIES[name]
+        result = study.driver(scale=scale)
         elapsed = time.perf_counter() - start
         print(result.chart() if chart else result.table())
         # A verdict per paper claim; claims need not hold at tiny scale,
         # so they report and never change the exit status.
-        for claim in CLAIMS[name](result, scale) if name in CLAIMS else ():
+        for claim in study.claims(result, scale) if study.claims else ():
             print(claim.verdict())
         print()
         # Wall time goes to stderr: stdout stays byte-identical across
@@ -866,7 +866,7 @@ def _verify_belady(traces) -> int:
     """The parity battery's OPT lines: the native Belady loop against
     the reference loop.  Returns the number of lines that disagree."""
     from .sim.belady import simulate_belady
-    from .sim.engine import PARITY_FIELDS
+    from .sim.engine import counter_mismatches
     from .sim.geometry import CacheGeometry
 
     failures = 0
@@ -881,10 +881,8 @@ def _verify_belady(traces) -> int:
                 break
             reference = simulate_belady(trace, geometry, engine="reference")
             mismatches += [
-                f"{field}: reference={getattr(reference, field)} "
-                f"native={getattr(native, field)} on {trace.name}"
-                for field in PARITY_FIELDS
-                if getattr(reference, field) != getattr(native, field)
+                f"{line} on {trace.name}"
+                for line in counter_mismatches(reference, native)
             ]
         else:
             if mismatches:

@@ -10,6 +10,8 @@ tables with a verdict per claim; the tier-1 suite
 scale.
 """
 
+from typing import Callable, List, NamedTuple, Optional
+
 from . import (
     ablations,
     attribution_study,
@@ -29,93 +31,101 @@ from . import (
     related_work,
     transforms_study,
 )
-from .common import FigureResult
+from .common import Claim, FigureResult
 
-#: Every figure driver, in paper order: name -> zero-config callable.
-ALL_FIGURES = {
-    "fig1a": fig01_locality.reuse_distances,
-    "fig1b": fig01_locality.vector_lengths,
-    "fig3a": fig03_pollution.bypass_study,
-    "fig3b": fig03_pollution.victim_study,
-    "fig4a": fig04_instrumentation.tag_fractions,
-    "fig4b": fig04_instrumentation.time_distribution,
-    "fig6a": fig06_summary.amat_breakdown,
-    "fig6b": fig06_summary.hit_repartition,
-    "fig7a": fig07_traffic_miss.traffic,
-    "fig7b": fig07_traffic_miss.miss_ratios,
-    "fig8a": fig08_line_size.virtual_sweep,
-    "fig8b": fig08_line_size.physical_sweep,
-    "fig9a": fig09_size_assoc.cache_size_study,
-    "fig9b": fig09_size_assoc.associativity_study,
-    "fig10a": fig10_latency.kernel_study,
-    "fig10b": fig10_latency.latency_sweep,
-    "fig11a": fig11_blocking.block_size_sweep,
-    "fig11b": fig11_blocking.copying_study,
-    "fig12": fig12_prefetch.prefetch_study,
+
+class Study(NamedTuple):
+    """A study's driver, its claims function (None where the paper states
+    nothing; claims never run inside a driver, callers evaluate them on
+    its result) and whether it reproduces a paper figure."""
+
+    driver: Callable[..., FigureResult]
+    claims: Optional[Callable[[FigureResult, str], List[Claim]]]
+    figure: bool = False
+
+
+#: Every study by id: the paper's figures in paper order, then the
+#: extension studies.
+STUDIES = {
+    "fig1a": Study(fig01_locality.reuse_distances,
+                   fig01_locality.reuse_distances_claims, figure=True),
+    "fig1b": Study(fig01_locality.vector_lengths,
+                   fig01_locality.vector_lengths_claims, figure=True),
+    "fig3a": Study(fig03_pollution.bypass_study,
+                   fig03_pollution.bypass_study_claims, figure=True),
+    "fig3b": Study(fig03_pollution.victim_study,
+                   fig03_pollution.victim_study_claims, figure=True),
+    "fig4a": Study(fig04_instrumentation.tag_fractions,
+                   fig04_instrumentation.tag_fractions_claims, figure=True),
+    "fig4b": Study(fig04_instrumentation.time_distribution,
+                   fig04_instrumentation.time_distribution_claims, figure=True),
+    "fig6a": Study(fig06_summary.amat_breakdown,
+                   fig06_summary.amat_breakdown_claims, figure=True),
+    "fig6b": Study(fig06_summary.hit_repartition,
+                   fig06_summary.hit_repartition_claims, figure=True),
+    "fig7a": Study(fig07_traffic_miss.traffic,
+                   fig07_traffic_miss.traffic_claims, figure=True),
+    "fig7b": Study(fig07_traffic_miss.miss_ratios,
+                   fig07_traffic_miss.miss_ratios_claims, figure=True),
+    "fig8a": Study(fig08_line_size.virtual_sweep,
+                   fig08_line_size.virtual_sweep_claims, figure=True),
+    "fig8b": Study(fig08_line_size.physical_sweep,
+                   fig08_line_size.physical_sweep_claims, figure=True),
+    "fig9a": Study(fig09_size_assoc.cache_size_study,
+                   fig09_size_assoc.cache_size_study_claims, figure=True),
+    "fig9b": Study(fig09_size_assoc.associativity_study,
+                   fig09_size_assoc.associativity_study_claims, figure=True),
+    "fig10a": Study(fig10_latency.kernel_study,
+                    fig10_latency.kernel_study_claims, figure=True),
+    "fig10b": Study(fig10_latency.latency_sweep,
+                    fig10_latency.latency_sweep_claims, figure=True),
+    "fig11a": Study(fig11_blocking.block_size_sweep,
+                    fig11_blocking.block_size_sweep_claims, figure=True),
+    "fig11b": Study(fig11_blocking.copying_study,
+                    fig11_blocking.copying_study_claims, figure=True),
+    "fig12": Study(fig12_prefetch.prefetch_study,
+                   fig12_prefetch.prefetch_study_claims, figure=True),
+    # Studies beyond the paper's figures: §5 related-work comparisons
+    # and the prose-claim ablations.
+    "related-work": Study(related_work.baseline_comparison,
+                          related_work.baseline_comparison_claims),
+    "related-work-traffic": Study(related_work.baseline_traffic,
+                                  related_work.baseline_traffic_claims),
+    "related-work-streams": Study(related_work.stream_buffer_study,
+                                  related_work.stream_buffer_study_claims),
+    "related-work-placement": Study(related_work.placement_study,
+                                    related_work.placement_study_claims),
+    "related-work-subblock": Study(related_work.subblock_study,
+                                   related_work.subblock_study_claims),
+    "transform-interchange": Study(transforms_study.interchange_study,
+                                   transforms_study.interchange_study_claims),
+    "transform-expansion": Study(transforms_study.expansion_study,
+                                 transforms_study.expansion_study_claims),
+    "attribution": Study(attribution_study.miss_concentration,
+                         attribution_study.miss_concentration_claims),
+    "policy": Study(policy_study.policy_comparison,
+                    policy_study.policy_comparison_claims),
+    "headroom": Study(headroom_study.headroom, headroom_study.headroom_claims),
+    "hierarchy": Study(hierarchy_study.l2_retrospective,
+                       hierarchy_study.l2_retrospective_claims),
+    "ablation-bbsize": Study(ablations.bounce_back_size,
+                             ablations.bounce_back_size_claims),
+    "ablation-bbassoc": Study(ablations.bounce_back_associativity,
+                              ablations.bounce_back_associativity_claims),
+    "ablation-admission": Study(ablations.admission_policy,
+                                ablations.admission_policy_claims),
+    "ablation-reset": Study(ablations.temporal_reset, ablations.temporal_reset_claims),
+    "ablation-physline": Study(ablations.physical_line, ablations.physical_line_claims),
+    # A traffic illustration with no claim in the paper.
+    "ablation-writepolicy": Study(ablations.write_policy, None),
 }
 
-#: Studies beyond the paper's figures: §5 related-work comparisons and
-#: the prose-claim ablations.
-EXTENSION_STUDIES = {
-    "related-work": related_work.baseline_comparison,
-    "related-work-traffic": related_work.baseline_traffic,
-    "related-work-streams": related_work.stream_buffer_study,
-    "related-work-placement": related_work.placement_study,
-    "related-work-subblock": related_work.subblock_study,
-    "transform-interchange": transforms_study.interchange_study,
-    "transform-expansion": transforms_study.expansion_study,
-    "attribution": attribution_study.miss_concentration,
-    "policy": policy_study.policy_comparison,
-    "headroom": headroom_study.headroom,
-    "hierarchy": hierarchy_study.l2_retrospective,
-    "ablation-bbsize": ablations.bounce_back_size,
-    "ablation-bbassoc": ablations.bounce_back_associativity,
-    "ablation-admission": ablations.admission_policy,
-    "ablation-reset": ablations.temporal_reset,
-    "ablation-physline": ablations.physical_line,
-    "ablation-writepolicy": ablations.write_policy,
-}
+#: Views of :data:`STUDIES`: the paper figures' drivers, the extension
+#: studies' drivers, and every claims function by study id.
+ALL_FIGURES = {name: s.driver for name, s in STUDIES.items() if s.figure}
+EXTENSION_STUDIES = {name: s.driver for name, s in STUDIES.items() if not s.figure}
+CLAIMS = {name: s.claims for name, s in STUDIES.items() if s.claims}
 
-#: Study id -> ``claims(result, scale) -> List[Claim]``.  Every study
-#: but ``ablation-writepolicy`` (a traffic illustration with no claim
-#: in the paper) has one.  Claims never run inside a driver: callers
-#: evaluate them on the driver's result.
-CLAIMS = {
-    "fig1a": fig01_locality.reuse_distances_claims,
-    "fig1b": fig01_locality.vector_lengths_claims,
-    "fig3a": fig03_pollution.bypass_study_claims,
-    "fig3b": fig03_pollution.victim_study_claims,
-    "fig4a": fig04_instrumentation.tag_fractions_claims,
-    "fig4b": fig04_instrumentation.time_distribution_claims,
-    "fig6a": fig06_summary.amat_breakdown_claims,
-    "fig6b": fig06_summary.hit_repartition_claims,
-    "fig7a": fig07_traffic_miss.traffic_claims,
-    "fig7b": fig07_traffic_miss.miss_ratios_claims,
-    "fig8a": fig08_line_size.virtual_sweep_claims,
-    "fig8b": fig08_line_size.physical_sweep_claims,
-    "fig9a": fig09_size_assoc.cache_size_study_claims,
-    "fig9b": fig09_size_assoc.associativity_study_claims,
-    "fig10a": fig10_latency.kernel_study_claims,
-    "fig10b": fig10_latency.latency_sweep_claims,
-    "fig11a": fig11_blocking.block_size_sweep_claims,
-    "fig11b": fig11_blocking.copying_study_claims,
-    "fig12": fig12_prefetch.prefetch_study_claims,
-    "related-work": related_work.baseline_comparison_claims,
-    "related-work-traffic": related_work.baseline_traffic_claims,
-    "related-work-streams": related_work.stream_buffer_study_claims,
-    "related-work-placement": related_work.placement_study_claims,
-    "related-work-subblock": related_work.subblock_study_claims,
-    "transform-interchange": transforms_study.interchange_study_claims,
-    "transform-expansion": transforms_study.expansion_study_claims,
-    "attribution": attribution_study.miss_concentration_claims,
-    "policy": policy_study.policy_comparison_claims,
-    "headroom": headroom_study.headroom_claims,
-    "hierarchy": hierarchy_study.l2_retrospective_claims,
-    "ablation-bbsize": ablations.bounce_back_size_claims,
-    "ablation-bbassoc": ablations.bounce_back_associativity_claims,
-    "ablation-admission": ablations.admission_policy_claims,
-    "ablation-reset": ablations.temporal_reset_claims,
-    "ablation-physline": ablations.physical_line_claims,
-}
-
-__all__ = ["FigureResult", "ALL_FIGURES", "EXTENSION_STUDIES", "CLAIMS"]
+__all__ = [
+    "FigureResult", "Study", "STUDIES", "ALL_FIGURES", "EXTENSION_STUDIES", "CLAIMS",
+]

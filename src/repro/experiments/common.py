@@ -5,7 +5,7 @@ values — so ``repro run`` and EXPERIMENTS.md generation can treat all
 nineteen figures uniformly.  Next to each driver sits its claims
 function, ``claims(result, scale) -> List[Claim]``: the paper's
 qualitative statements about that figure, each checked on the result
-(see ``CLAIMS`` in :mod:`repro.experiments`).
+(see ``STUDIES`` in :mod:`repro.experiments`).
 
 Drivers whose figure is a plain (benchmark x configuration) grid are
 *declared* rather than coded: an :class:`ExperimentSpec` names the

@@ -35,7 +35,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,6 +44,7 @@ from ..memtrace.trace import Trace
 from ..sim.driver import simulate
 from ..sim.engine import EngineRefusal, resolve_engine, select_engine
 from ..sim.result import SimResult
+from ..staging import staged
 
 #: Bump on any change that alters simulation results; invalidates the
 #: whole result cache.
@@ -139,20 +139,8 @@ def _publish(path: Path, payload) -> None:
     and an atomic rename, so concurrent writers race benignly and no
     reader sees a torn file.  A read-only or full cache is ignored: it
     must never fail a sweep."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    with contextlib.suppress(OSError), staged(path) as handle:
+        json.dump(payload, handle)
 
 
 def _load(path: Path):

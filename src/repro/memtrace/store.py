@@ -32,13 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
 from ..errors import TraceError
+from ..staging import staged
 from .trace import Trace
 
 #: On-disk format version of the chunked store.
@@ -437,19 +437,8 @@ class TraceStoreWriter:
         save = np.savez_compressed if self.compression == "zlib" else np.savez
         # Atomic publish so a crashed writer never leaves a half chunk
         # that a later open would read.
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent), prefix=".tmp-", suffix=".npz"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                save(handle, **columns)
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with staged(target, "wb") as handle:
+            save(handle, **columns)
         self._chunk_entries.append(
             {
                 "file": relative,
@@ -492,14 +481,9 @@ class TraceStoreWriter:
             "fingerprint": self._fingerprint,
             "chunks": self._chunk_entries,
         }
-        manifest_path = self.path / MANIFEST_NAME
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path), prefix=".tmp-", suffix=".json"
-        )
-        with os.fdopen(fd, "w") as handle:
+        with staged(self.path / MANIFEST_NAME) as handle:
             json.dump(manifest, handle, indent=1)
             handle.write("\n")
-        os.replace(tmp, manifest_path)
         self._closed = True
         self.store = TraceStore(self.path, manifest)
         return self.store

@@ -37,7 +37,7 @@ matches.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ConfigError, ReproError
 from .result import SimResult
@@ -53,6 +53,17 @@ PARITY_FIELDS = (
     "bounce_aborts", "swaps", "invalidations", "prefetches_issued",
     "prefetch_hits", "write_buffer_stalls",
 )
+
+
+def counter_mismatches(left, right, labels=("reference", "native")) -> List[str]:
+    """``"<field>: <label>=<left> <label>=<right>"`` for each
+    :data:`PARITY_FIELDS` counter on which two results differ."""
+    return [
+        f"{name}: {labels[0]}={getattr(left, name)} "
+        f"{labels[1]}={getattr(right, name)}"
+        for name in PARITY_FIELDS
+        if getattr(left, name) != getattr(right, name)
+    ]
 
 
 class EngineMismatchError(ReproError):
@@ -209,12 +220,7 @@ def cross_validate(
         )
     reference = simulate(build(), trace, engine="reference")
     native = simulate(build(), trace, engine="native")
-    mismatches = [
-        f"{name}: reference={getattr(reference, name)} "
-        f"native={getattr(native, name)}"
-        for name in PARITY_FIELDS
-        if getattr(reference, name) != getattr(native, name)
-    ]
+    mismatches = counter_mismatches(reference, native)
     if mismatches:
         raise EngineMismatchError(
             f"engines disagree on {reference.cache!r} x {trace.name!r}: "
@@ -243,12 +249,9 @@ def cross_validate_stream(
 
     streamed = simulate(build(), stream, engine=engine)
     monolithic = simulate(build(), stream.load(), engine=engine)
-    mismatches = [
-        f"{name}: monolithic={getattr(monolithic, name)} "
-        f"streamed={getattr(streamed, name)}"
-        for name in PARITY_FIELDS
-        if getattr(monolithic, name) != getattr(streamed, name)
-    ]
+    mismatches = counter_mismatches(
+        monolithic, streamed, ("monolithic", "streamed")
+    )
     if mismatches:
         raise EngineMismatchError(
             f"chunked streaming disagrees with the monolithic path on "

@@ -18,8 +18,8 @@
  *   M_SUBBLOCK       SubBlockCache (repro/sim/subblock.py)
  *   M_HP_ASSIST      HPAssistCache (repro/core/assist_hp.py)
  *
- * and, fused after any of the first three, the functional L2 of
- * TwoLevelCache (repro/sim/hierarchy.py).  The caller
+ * and, as a runtime step after any of the first three, the functional
+ * L2 of TwoLevelCache (repro/sim/hierarchy.py).  The caller
  * (repro.sim.native.runner) owns every array; this file holds no global
  * state, so one loaded library serves any number of concurrent
  * simulations with distinct state.
@@ -69,10 +69,12 @@
  * REGISTERS below, which repro/sim/native/runner.py mirrors by name.
  * The loop works on a by-value copy of both, so the compiler keeps
  * them in registers rather than behind pointers the array stores may
- * alias.  run() is compiled once per main-line model and L2 flag, each
- * with them known, so a model pays only for its own paths; the
- * related-work models share one further copy that dispatches on the
- * model per reference.
+ * alias.  run() is compiled once per main-line model, each with it
+ * known, so a model pays only for its own paths; the related-work
+ * models share one further copy that dispatches on the model per
+ * reference.  The L2 replay is a runtime step of every copy: it runs
+ * only when l2_sets is non-zero, which the caller sets only over a
+ * StandardCache or SoftwareAssistedCache L1.
  */
 
 #include <stdint.h>
@@ -936,7 +938,7 @@ INLINE int64_t l2_replay(Sim *s) {
 }
 
 /* The driver loop over one chunk (see repro_sim_chunk). */
-INLINE void run(Sim *s, const int model, const int l2, int64_t n,
+INLINE void run(Sim *s, const int model, int64_t n,
                 const int64_t *addresses, const uint8_t *is_write,
                 const uint8_t *temporal, const uint8_t *spatial,
                 const int64_t *gaps, uint8_t *kind_out, int64_t *cycles_out,
@@ -954,7 +956,7 @@ INLINE void run(Sim *s, const int model, const int l2, int64_t n,
         else
             cycles = access(s, model, la, is_write[i], temporal[i],
                             spatial[i], s->clock, &kind);
-        if (l2 && s->lf_len > 0)
+        if (s->l2_sets && s->lf_len > 0)
             cycles += l2_replay(s);
         s->cycles += cycles;
         /* Anything beyond the pipelined hit stalls the issue clock. */
@@ -1033,40 +1035,31 @@ int64_t repro_sim_chunk(
     s.l2_tags = l2_tags;
     s.l2_count = l2_count;
 
-    /* One compiled copy of the loop per main-line model and L2 flag.
-     * The plain models run the assisted access() with the assist
-     * parameters known, so the dead paths drop out.  The related-work
-     * models, which have no L2 wrapper, share one copy. */
-#define RUN(model, l2)                                                  \
-    run(&s, model, l2, n, addresses, is_write, temporal, spatial, gaps, \
+    /* One compiled copy of the loop per main-line model.  The plain
+     * models run the assisted access() with the assist parameters
+     * known, so the dead paths drop out.  The related-work models
+     * share one copy. */
+#define RUN(model)                                                  \
+    run(&s, model, n, addresses, is_write, temporal, spatial, gaps, \
         kind_out, cycles_out, words_out, stalls_out)
     switch (s.model) {
     case M_PLAIN:
         s.use_bb = 0;
         s.vl = 1;
         s.prefetch = 0;
-        if (s.l2_sets)
-            RUN(M_PLAIN, 1);
-        else
-            RUN(M_PLAIN, 0);
+        RUN(M_PLAIN);
         break;
     case M_WRITE_THROUGH:
         s.use_bb = 0;
         s.vl = 1;
         s.prefetch = 0;
-        if (s.l2_sets)
-            RUN(M_WRITE_THROUGH, 1);
-        else
-            RUN(M_WRITE_THROUGH, 0);
+        RUN(M_WRITE_THROUGH);
         break;
     case M_ASSISTED:
-        if (s.l2_sets)
-            RUN(M_ASSISTED, 1);
-        else
-            RUN(M_ASSISTED, 0);
+        RUN(M_ASSISTED);
         break;
     default:
-        RUN(M_RELATED, 0);
+        RUN(M_RELATED);
     }
 #undef RUN
 

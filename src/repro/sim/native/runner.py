@@ -184,6 +184,7 @@ def _params(model) -> dict:
         "wb_drain": l1.write_buffer.drain_cycles,
         "bb_sets": bb_sets,
         "bb_ways": bb_ways,
+        # 0 (no hierarchy) turns off the loop's runtime L2 replay.
         "l2_sets": 0 if l2 is None else l2.l2_geometry.n_sets,
         "l2_ways": 0 if l2 is None else l2.l2_geometry.ways,
         "l2_shift": 0 if l2 is None else l2._ratio_shift,

@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import ConfigError, TraceError
 from ..memtrace.store import TraceStore
+from ..staging import staged
 from . import TraceStream, is_store
 
 MANIFEST_VERSION = 1
@@ -238,14 +239,9 @@ class Corpus:
                 for name, entry in sorted(self.entries.items())
             },
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=".tmp-", suffix=".json"
-        )
-        with os.fdopen(fd, "w") as handle:
+        with staged(self.path) as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        os.replace(tmp, self.path)
 
     # -- registration --------------------------------------------------
     def _register(self, entry: CorpusEntry) -> CorpusEntry:

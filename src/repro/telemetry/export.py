@@ -21,10 +21,10 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Union
 
+from ..staging import staged
 from .report import TelemetryReport
 
 #: Column order of the windows CSV (derived columns last).
@@ -43,27 +43,19 @@ def jsonl_lines(report: TelemetryReport) -> Iterator[str]:
         yield json.dumps({"type": "window", **row}, sort_keys=True)
 
 
-def write_jsonl(
-    report: TelemetryReport, path: Union[str, os.PathLike]
-) -> Path:
-    """Atomically write the JSONL artifact (mkstemp + replace)."""
+def write_jsonl(report: TelemetryReport, path: Union[str, os.PathLike]) -> Path:
+    """Atomically write the JSONL artifact."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".jsonl"
-    )
-    with os.fdopen(fd, "w") as handle:
+    with staged(path) as handle:
         for line in jsonl_lines(report):
             handle.write(line + "\n")
-    os.replace(tmp, path)
     return path
 
 
 def write_csv(report: TelemetryReport, path: Union[str, os.PathLike]) -> Path:
-    """Write the window time series as CSV."""
+    """Atomically write the window time series as CSV."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with staged(path, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=WINDOW_FIELDS)
         writer.writeheader()
         for row in report.windows:
@@ -76,9 +68,10 @@ def write_report(
 ) -> Dict[str, Path]:
     """Write all three renderings into ``out_dir``; returns the paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    with staged(json_path) as handle:
+        json.dump(report.to_dict(), handle, indent=2)
+        handle.write("\n")
     return {
         "report.json": json_path,
         "telemetry.jsonl": write_jsonl(report, out_dir / "telemetry.jsonl"),
