@@ -15,13 +15,11 @@ test:
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks
 
-# Every simulation scenario of the bench table (engine, soft, stream)
-# at CI's sizes: regenerates the committed BENCH_sim.json;
-# compare against it to catch perf regressions.  Add --check to apply
-# the floor table.
+# Every simulation scenario of the bench table (engine, soft) at CI's
+# sizes: regenerates the committed BENCH_sim.json; compare against it
+# to catch perf regressions.  Add --check to apply the floor table.
 bench-sim:
-	$(PYTHON) -m repro bench --scenario all --refs 100000 \
-		--stream-refs 500000 --chunk-refs 65536 --repeat 2 \
+	$(PYTHON) -m repro bench --scenario all --refs 100000 --repeat 2 \
 		--out BENCH_sim.json
 
 # Force-build the native compiled kernels and print the cached .so

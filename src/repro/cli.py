@@ -31,10 +31,10 @@ serve
     (``--smoke`` runs the end-to-end self-test and exits).
 bench
     Run one scenario of the bench table (``--scenario all`` for every
-    one but serve): per-tier throughput on two traces, streamed vs
-    in-memory, telemetry probe overhead (written to BENCH_sim.json) and
-    the serving layer's closed-loop latency (BENCH_serve.json).
-    ``--check`` exits 1 when a block misses its constant floor.
+    one but serve): per-tier throughput on a uniform and a blocked-loop
+    trace (written to BENCH_sim.json) and the serving layer's
+    closed-loop latency (BENCH_serve.json).  ``--check`` exits 1 when a
+    block misses its constant floor.
 """
 
 from __future__ import annotations
@@ -147,11 +147,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scenario",
-        choices=("engine", "soft", "stream", "serve", "all"),
+        choices=("engine", "soft", "serve", "all"),
         default="engine",
         help="'engine' = every tier on a uniform trace, 'soft' = the "
-        "assisted family on a blocked-loop trace, 'stream' = streamed vs "
-        "in-memory throughput and peak memory, 'serve' = closed-loop "
+        "assisted family on a blocked-loop trace, 'serve' = closed-loop "
         "latency/throughput of the repro-serve HTTP API, 'all' = every "
         "scenario but serve (default engine)",
     )
@@ -162,15 +161,6 @@ def _parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--repeat", type=_positive_int, default=None, metavar="K",
         help="timing repetitions, best taken (default 3)",
-    )
-    bench.add_argument(
-        "--stream-refs", type=_positive_int, default=None, metavar="N",
-        help="streamed trace length for the stream scenario "
-        "(default 10000000)",
-    )
-    bench.add_argument(
-        "--chunk-refs", type=int, default=None, metavar="N",
-        help="store chunk size for the stream scenario (default 262144)",
     )
     bench.add_argument(
         "--out", default=None,
@@ -591,10 +581,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     names = [args.scenario]
     if args.scenario == "all":
         names = [name for name in SCENARIOS if name != "serve"]
-    given = {
-        "refs": args.refs, "repeat": args.repeat,
-        "stream_refs": args.stream_refs, "chunk_refs": args.chunk_refs,
-    }
+    given = {"refs": args.refs, "repeat": args.repeat}
     sizes = Sizes(**{k: v for k, v in given.items() if v is not None})
     payload = {"machine": machine_record()}
     print(format_bench(payload))

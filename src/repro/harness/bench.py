@@ -28,10 +28,6 @@ from ..sim.engine import native_refusal
 #: Default trace length; long enough that per-call overhead vanishes.
 DEFAULT_REFS = 400_000
 
-#: Default streamed-trace length for the stream scenario (10M refs —
-#: well past what the paper's traces need).
-DEFAULT_STREAM_REFS = 10_000_000
-
 
 @dataclass(frozen=True)
 class Sizes:
@@ -39,8 +35,6 @@ class Sizes:
 
     refs: int = DEFAULT_REFS
     repeat: int = 3
-    stream_refs: int = DEFAULT_STREAM_REFS
-    chunk_refs: int = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -107,34 +101,6 @@ def soft_bench_trace(refs: int = DEFAULT_REFS, seed: int = 20817) -> Trace:
     )
 
 
-def _write_bench_store(refs, chunk_refs, root, seed=12345):
-    """Write the synthetic bench trace as a v2 store, block by block.
-
-    Draws the same distribution as :func:`bench_trace` but never holds
-    more than one block in memory, so building the 10M-reference input
-    is itself O(chunk).
-    """
-    from ..memtrace.store import TraceStore
-
-    rng = np.random.default_rng(seed)
-    block = min(chunk_refs, 1 << 18)
-    with TraceStore.create(
-        root, name=f"bench-stream-{refs}", chunk_refs=chunk_refs
-    ) as writer:
-        remaining = refs
-        while remaining:
-            n = min(block, remaining)
-            writer.append_block(
-                rng.integers(0, 4096, n, dtype=np.int64) * 8,
-                rng.random(n) < 0.3,
-                rng.random(n) < 0.2,
-                rng.random(n) < 0.2,
-                rng.integers(0, 4, n).astype(np.int64),
-            )
-            remaining -= n
-    return writer.store
-
-
 def _bench_specs(configs: Tuple[str, ...]) -> Dict[str, CacheSpec]:
     """Resolve battery names: preset specs first, then raw spec kinds
     (``standard_cache`` is a kind with no preset alias)."""
@@ -168,25 +134,7 @@ def _best_of(sample, repeat: int) -> float:
     return min(samples)
 
 
-def _traced_peak(fn):
-    """``(peak traced allocation in bytes, fn's result)`` of one run of
-    ``fn``.
-
-    ``tracemalloc`` slows the traced run severalfold, so callers time
-    throughput in a separate untraced pass.
-    """
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, result
-
-
-def _row(config, engine, variant, refs, seconds, **extra) -> Dict:
+def _row(config, engine, variant, refs, seconds) -> Dict:
     """One measurement in the schema every block shares."""
     return {
         "config": config,
@@ -195,7 +143,6 @@ def _row(config, engine, variant, refs, seconds, **extra) -> Dict:
         "refs": refs,
         "seconds": round(seconds, 6),
         "refs_per_sec": round(refs / seconds),
-        **extra,
     }
 
 
@@ -279,81 +226,6 @@ def measure_throughput(scenario: Scenario, sizes: Sizes) -> Dict:
         "rows": rows,
         "summary": summary,
         "refusals": refusals,
-    }
-
-
-# ----------------------------------------------------------------------
-# Streamed vs in-memory
-# ----------------------------------------------------------------------
-#: Engine knob each stream config runs under.  ``standard`` takes
-#: ``auto`` (the compiled loop's per-chunk entry when a compiler exists,
-#: else the reference loop); ``soft`` stays on the reference tier: this
-#: scenario proves memory boundedness, not kernel speed, and the
-#: reference loop is the one tier every machine runs.  Each row records
-#: the engine its run actually used.
-STREAM_ENGINE_TIERS = {"standard": "auto", "soft": "reference"}
-
-
-def _stream_runs(spec: CacheSpec, stream, engine: str) -> Dict[str, Callable]:
-    """The two ways to simulate one store: chunk by chunk, or loaded
-    whole (the load is part of the in-memory run)."""
-    return {
-        "streamed": lambda: simulate(spec.build(), stream, engine=engine),
-        "in-memory": lambda: simulate(
-            spec.build(), stream.load(), engine=engine
-        ),
-    }
-
-
-def measure_stream(
-    scenario: Scenario, sizes: Sizes, workdir: Optional[str] = None
-) -> Dict:
-    """Simulate one on-disk store streamed and loaded whole.
-
-    Throughput is min-of-``repeat`` from the same on-disk input; peak
-    traced allocation comes from one extra ``tracemalloc`` pass each
-    (not wall-clock comparable).  A bounded streamed peak shows as a
-    small ``peak_ratio``: the in-memory peak is O(trace).
-    """
-    import resource
-    import shutil
-    import tempfile
-
-    from ..stream import TraceStream
-
-    refs = sizes.stream_refs
-    rows: List[Dict] = []
-    summary: Dict = {"throughput_ratio": {}, "peak_ratio": {}}
-    root = tempfile.mkdtemp(prefix="bench-stream-", dir=workdir)
-    try:
-        store = scenario.trace(refs, sizes.chunk_refs, f"{root}/trace.store")
-        stream = TraceStream.from_store(store)
-        for name, spec in _bench_specs(scenario.configs).items():
-            runs = _stream_runs(spec, stream, STREAM_ENGINE_TIERS[name])
-            seconds = {
-                variant: min(_timed(run) for _ in range(sizes.repeat))
-                for variant, run in runs.items()
-            }
-            traced = {variant: _traced_peak(run) for variant, run in runs.items()}
-            peaks = {variant: peak for variant, (peak, _) in traced.items()}
-            for variant, (peak, result) in traced.items():
-                rows.append(_row(name, result.engine, variant, refs,
-                                 seconds[variant], peak_bytes=peak))
-            summary["throughput_ratio"][name] = round(
-                seconds["in-memory"] / seconds["streamed"], 3
-            )
-            summary["peak_ratio"][name] = round(
-                peaks["streamed"] / peaks["in-memory"], 4
-            )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    summary["max_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {
-        "refs": refs,
-        "chunk_refs": sizes.chunk_refs,
-        "repeat": sizes.repeat,
-        "rows": rows,
-        "summary": summary,
     }
 
 
@@ -527,17 +399,6 @@ SCENARIOS: Dict[str, Scenario] = {
             measure=measure_throughput,
         ),
         Scenario(
-            "stream",
-            why=(
-                "one on-disk store streamed chunk by chunk vs loaded whole: "
-                "streamed throughput should match while peak memory stays "
-                "O(chunk), a small peak_ratio"
-            ),
-            configs=tuple(STREAM_ENGINE_TIERS),
-            trace=_write_bench_store,
-            measure=measure_stream,
-        ),
-        Scenario(
             "serve",
             why=(
                 "closed-loop clients against a live repro serve at a ~95% "
@@ -698,13 +559,10 @@ def format_bench(payload: Dict) -> str:
         }
         lines += [f"{name}: {block['why']}", f"  {_render(sizes)}"]
         for row in block.get("rows", ()):
-            line = (
+            lines.append(
                 f"  {row['config']:>17} [{row['engine']:>9}] "
                 f"{row['variant']:<10} {row['refs_per_sec'] / 1e6:8.3f} Mrefs/s"
             )
-            if "peak_bytes" in row:
-                line += f"  peak {row['peak_bytes'] / 1e6:.1f} MB"
-            lines.append(line)
         for field, entries in block.items():
             if not isinstance(entries, dict):
                 continue

@@ -9,7 +9,6 @@ from .engine import (
     ENGINES,
     EngineMismatchError,
     cross_validate,
-    cross_validate_stream,
     native_refusal,
     resolve_engine,
     select_engine,
@@ -39,7 +38,6 @@ __all__ = [
     "ENGINES",
     "EngineMismatchError",
     "cross_validate",
-    "cross_validate_stream",
     "native_refusal",
     "resolve_engine",
     "select_engine",

@@ -16,8 +16,8 @@ the victim is the one with the smallest line address.  The tie-break
 matters: which dirty line leaves, and when, moves ``writebacks`` and
 ``cycles``.
 
-Two tiers run the same loop, chosen by the engine knob
-(:func:`~repro.sim.engine.resolve_engine`): ``repro_belady`` in the
+Two tiers run the same loop, chosen by the engine knob through
+:func:`~repro.sim.engine.select_engine`: ``repro_belady`` in the
 native library (``sim/native/kernels.c``), and the Python loop below,
 which defines the semantics and serves when no compiler is present.
 ``auto`` takes the native loop when the library loads; ``reference``
@@ -27,12 +27,12 @@ forces the Python loop.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..memtrace.reuse import next_use
 from ..memtrace.trace import Trace
-from .engine import EngineRefusal, resolve_engine
+from .engine import select_engine
 from .geometry import CacheGeometry
 from .result import SimResult
 from .timing import MemoryTiming
@@ -40,29 +40,6 @@ from .write_buffer import WriteBuffer
 
 #: Sentinel "never used again" distance.
 INFINITE = 1 << 60
-
-
-def _select(engine: Optional[str]) -> Tuple[str, Optional[EngineRefusal]]:
-    """``(tier, refusal)`` for the engine knob, as
-    :func:`~repro.sim.engine.select_engine` answers for a cache model;
-    an explicit tier that cannot run raises
-    :class:`~repro.errors.ConfigError`."""
-    engine = resolve_engine(engine)
-    if engine == "reference":
-        return "reference", None
-    from .native import availability
-
-    diagnostic = availability()
-    if diagnostic is None:
-        return "native", None
-    reason = EngineRefusal(
-        "native-unavailable", f"no compiled kernel: {diagnostic}"
-    )
-    if engine == "auto":
-        return "reference", reason
-    raise ConfigError(
-        f"engine={engine!r} cannot run 'belady' [{reason.code}]: {reason}"
-    )
 
 
 def simulate_belady(
@@ -79,7 +56,7 @@ def simulate_belady(
     :func:`~repro.sim.driver.simulate` (``None``: ``REPRO_ENGINE``, else
     ``auto``).
     """
-    tier, refusal = _select(engine)
+    tier, refusal = select_engine(engine, "belady")
     stats = SimResult(
         cache=f"belady {geometry}", trace=trace.name, engine=tier,
         engine_refusal=refusal,

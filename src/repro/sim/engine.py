@@ -135,11 +135,14 @@ def native_refusal(model) -> Optional[EngineRefusal]:
     The loop must transcribe the model's class (``no-batch-kernel``
     otherwise), and a C toolchain or a prebuilt library must actually
     be present (``native-unavailable`` carries the compiler diagnostic).
+    ``model`` may instead name a compiled loop with no model to
+    transcribe (``"belady"``, the offline OPT loop): only the toolchain
+    can refuse it.
     """
     from .native import availability
     from .native.runner import has_kernel
 
-    if not has_kernel(model):
+    if not isinstance(model, str) and not has_kernel(model):
         return EngineRefusal(
             "no-batch-kernel", f"{type(model).__name__} has no compiled kernel"
         )
@@ -155,7 +158,8 @@ def native_refusal(model) -> Optional[EngineRefusal]:
 def select_engine(
     engine: Optional[str], model
 ) -> Tuple[str, Optional[EngineRefusal]]:
-    """Resolve the knob against a concrete simulation.
+    """Resolve the knob against a concrete simulation (``model``, as
+    :func:`native_refusal` takes it).
 
     Returns ``(chosen, refusal)`` where ``chosen`` is ``"native"`` or
     ``"reference"``; ``refusal`` is the native tier's, explaining why it
@@ -172,8 +176,9 @@ def select_engine(
     if reason is None:
         return "native", None
     if engine == "native":
+        name = model if isinstance(model, str) else model.name
         raise ConfigError(
-            f"engine={engine!r} cannot run {model.name!r} "
+            f"engine={engine!r} cannot run {name!r} "
             f"[{reason.code}]: {reason}"
         )
     return "reference", reason
@@ -232,29 +237,3 @@ def cross_validate(
         oracle_check(build(), oracle, reference, tol=tol)
     return native if engine_result == "native" else reference
 
-
-def cross_validate_stream(
-    build: Callable[[], object], stream, engine: Optional[str] = None
-) -> SimResult:
-    """Assert chunked streaming matches the monolithic path exactly.
-
-    Runs :func:`~repro.sim.driver.simulate` twice on fresh models from
-    ``build``: once over ``stream`` chunk-wise and once over its
-    materialised trace (delivered whole), and compares every counter.
-    This is the orthogonal axis to :func:`cross_validate`: same engine,
-    different trace delivery.  Returns the streamed result; raises
-    :class:`EngineMismatchError` on any difference.
-    """
-    from .driver import simulate
-
-    streamed = simulate(build(), stream, engine=engine)
-    monolithic = simulate(build(), stream.load(), engine=engine)
-    mismatches = counter_mismatches(
-        monolithic, streamed, ("monolithic", "streamed")
-    )
-    if mismatches:
-        raise EngineMismatchError(
-            f"chunked streaming disagrees with the monolithic path on "
-            f"{streamed.cache!r} x {stream.name!r}: " + "; ".join(mismatches)
-        )
-    return streamed

@@ -2,8 +2,9 @@
 
 One C loop for the software-assisted cache (a plain cache being the
 case with no assists), the write-through cache and the related-work
-bypass, stream-buffer and two-level-hierarchy models, plus the offline
-Belady OPT loop of :func:`repro.sim.belady.simulate_belady`, compiled
+bypass, stream-buffer, column-associative, sub-block, HP-7200 assist
+and two-level-hierarchy models, plus the offline Belady OPT loop of
+:func:`repro.sim.belady.simulate_belady`, compiled
 on demand with the system C compiler, cached under the result-cache
 directory keyed by a source+compiler hash, and loaded via
 :mod:`ctypes`.  The top of the engine ladder (:mod:`repro.sim.engine`):

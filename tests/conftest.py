@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 
 from repro.compiler import Array, ArrayRef, Loop, Program, nest, var
-from repro.core import SoftCacheConfig
+from repro.core import HPAssistCache, SoftCacheConfig, SoftwareAssistedCache
 from repro.core.spec import CacheSpec
 from repro.memtrace import Trace, UNIT_GAPS
-from repro.sim import CacheGeometry, MemoryTiming, StandardCache
+from repro.sim import (
+    CacheGeometry,
+    ColumnAssociativeCache,
+    MemoryTiming,
+    StandardCache,
+    SubBlockCache,
+    TwoLevelCache,
+)
 
 
 def pytest_configure(config):
@@ -93,6 +100,182 @@ def make_trace(
         name=name,
         ref_ids=None if ref_ids is None else np.asarray(ref_ids, dtype=np.int64),
     )
+
+
+#: The test caches' timing: latency 10, a 32-byte line in 2 cycles.
+TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
+#: A one-entry write buffer draining over a narrow bus, so stores and
+#: victims stall.
+TIGHT = MemoryTiming(latency=10, bus_bytes_per_cycle=4,
+                     write_buffer_entries=1)
+
+
+def random_trace(seed, refs=4000, lines=256, write_ratio=0.3):
+    """Uniform tagged references over ``lines`` 32-byte lines, with
+    mixed gaps."""
+    rng = np.random.default_rng(seed)
+    return Trace(
+        rng.integers(0, lines * 4, refs) * 8,
+        rng.random(refs) < write_ratio,
+        rng.random(refs) < 0.25,
+        rng.random(refs) < 0.25,
+        rng.integers(0, 5, refs),
+        name=f"rand{seed}",
+    )
+
+
+def soft_trace(seed, refs=6000):
+    """A tagged mix of temporal reuse, spatial streaming and noise.
+
+    Hot lines (temporal-tagged) conflict with a strided stream
+    (spatial-tagged) and untagged scatter across a footprint several
+    times the 1 KB test cache: enough pressure that every assist
+    mechanism fires (``test_parity.TestWorkloads``).
+    """
+    rng = np.random.default_rng(seed)
+    kind = rng.random(refs)
+    addr = np.where(
+        kind < 0.55, rng.integers(0, 1200, refs) * 8,
+        np.where(
+            kind < 0.85,
+            (1 << 18) + rng.integers(0, 1 << 14, refs) * 8,
+            rng.integers(0, 1 << 16, refs),
+        ),
+    )
+    return Trace(
+        addr, rng.random(refs) < 0.3, kind < 0.55,
+        (kind >= 0.55) & (kind < 0.85), rng.integers(0, 4, refs),
+        name=f"soft-{seed}",
+    )
+
+
+def related_trace(seed, refs=6000):
+    """Interleaved sequential streams, a temporal-tagged hot set and
+    scatter over a footprint several times the 1 KB test cache: stream
+    buffers and the bypass buffer hit, bypassed words and L2 misses
+    occur, and the write buffer fills."""
+    rng = np.random.default_rng(seed)
+    kind = rng.random(refs)
+    stream = rng.integers(0, 3, refs)
+    position = np.zeros(refs, dtype=np.int64)
+    for k in range(3):
+        mask = stream == k
+        position[mask] = np.arange(mask.sum())
+    addr = np.where(
+        kind < 0.45, (1 << 16) * (stream + 1) + position * 8,
+        np.where(
+            kind < 0.85, rng.integers(0, 160, refs) * 32,
+            rng.integers(0, 1 << 18, refs) & ~7,
+        ),
+    )
+    return Trace(
+        addr, rng.random(refs) < 0.3, (kind >= 0.45) & (kind < 0.85),
+        kind < 0.45, rng.integers(0, 4, refs),
+        name=f"related-{seed}",
+    )
+
+
+def standard(ways=1, timing=TIMING, **policy):
+    """A 1 KB standard cache of 32-byte lines."""
+    return StandardCache(CacheGeometry(1024, 32, ways), timing, **policy)
+
+
+def plain_soft(ways=1, **overrides):
+    """A 1 KB software-assisted cache with every assist mechanism off."""
+    config = dict(
+        size_bytes=1024, line_size=32, ways=ways,
+        bounce_back_lines=0, virtual_line_size=None, timing=TIMING,
+    )
+    config.update(overrides)
+    return SoftwareAssistedCache(SoftCacheConfig(**config))
+
+
+#: Every mechanism combination of the software-assisted cache, as
+#: overrides of :func:`build_variant`'s full assisted 1 KB cache.
+VARIANTS = {
+    "full": {},
+    "bb-only": dict(virtual_line_size=None),
+    "vl-only": dict(bounce_back_lines=0, use_temporal=False),
+    "vl-wide": dict(virtual_line_size=128),
+    "bb-set-assoc": dict(bounce_back_ways=2),
+    "no-temporal": dict(use_temporal=False),
+    "keep-on-bounce": dict(reset_temporal_on_bounce=False),
+    "strict-admit": dict(admit_non_temporal=False),
+    "temporal-priority": dict(temporal_priority=True),
+    "two-way": dict(ways=2),
+    "tiny-wb": dict(timing=MemoryTiming(
+        latency=12, bus_bytes_per_cycle=8, write_buffer_entries=1)),
+    "no-wb": dict(timing=MemoryTiming(
+        latency=12, bus_bytes_per_cycle=8, write_buffer_entries=0)),
+    "bb-4way": dict(bounce_back_lines=16, bounce_back_ways=4),
+    "pf-software": dict(prefetch="software", max_prefetched=2),
+    "pf-on-miss": dict(prefetch="on-miss", max_prefetched=2),
+    "pf-set-assoc": dict(prefetch="on-miss", bounce_back_ways=2,
+                         max_prefetched=2),
+    "degenerate-timing": dict(timing=MemoryTiming(
+        latency=0, bus_bytes_per_cycle=64, hit_time=2, assist_hit_time=3)),
+}
+
+
+def build_variant(name):
+    """The :data:`VARIANTS` entry ``name``: a 1 KB cache with an 8-line
+    bounce-back cache, 64-byte virtual lines and temporal bits, unless
+    overridden."""
+    config = dict(
+        size_bytes=1024, line_size=32, ways=1, bounce_back_lines=8,
+        virtual_line_size=64, use_temporal=True,
+        timing=MemoryTiming(latency=12, bus_bytes_per_cycle=8),
+    )
+    config.update(VARIANTS[name])
+    return SoftwareAssistedCache(SoftCacheConfig(**config))
+
+
+def related_configs(ways):
+    """Builders of every related-work configuration the native loop
+    accepts, each a 1 KB cache of ``ways`` ways."""
+
+    def spec_build(kind, **params):
+        return CacheSpec.of(kind, size_bytes=1024, ways=ways, **params).build
+
+    def with_l2(inner, l2_geometry=CacheGeometry(8192, 64, 2)):
+        return lambda: TwoLevelCache(inner(), l2_geometry, 12)
+
+    write_through = dict(write_policy="write-through")
+    out = {
+        "write-through": lambda: standard(ways, TIGHT, **write_through),
+        "write-through-no-allocate": lambda: standard(
+            ways, TIGHT, write_allocate=False, **write_through),
+        "l2-standard": with_l2(spec_build("standard", timing=TIMING)),
+        "l2-soft": with_l2(spec_build("soft", timing=TIMING)),
+        # One 128-byte line per L2: nearly every replay misses.
+        "l2-tiny": with_l2(spec_build("soft", timing=TIMING),
+                           CacheGeometry(128, 128, 1)),
+        "l2-write-through": with_l2(
+            lambda: standard(ways, TIGHT, **write_through)),
+        "l2-prefetch": with_l2(spec_build("soft_prefetch", timing=TIMING)),
+        "bypass": spec_build("bypass", timing=TIGHT),
+        "bypass-buffer": spec_build("bypass_buffered", timing=TIGHT),
+    }
+    for n_buffers in (1, 2, 4, 8):
+        for depth in (1, 4):
+            out[f"stream-{n_buffers}x{depth}"] = spec_build(
+                "stream_buffer", n_buffers=n_buffers, depth=depth,
+                timing=TIMING,
+            )
+    # Column associativity needs a direct-mapped cache: ``ways`` halves
+    # its slots instead, doubling the conflicts.
+    out["column-assoc"] = lambda: ColumnAssociativeCache(
+        CacheGeometry(1024 // ways, 32, 1), TIGHT)
+    for sub_block in (16, 32):
+        out[f"subblock-64/{sub_block}"] = lambda sub_block=sub_block: (
+            SubBlockCache(CacheGeometry(1024, 64, ways),
+                          sub_block=sub_block, timing=TIGHT))
+    for assist_lines in (1, 4):
+        out[f"hp-assist-{assist_lines}"] = (
+            lambda assist_lines=assist_lines: HPAssistCache(
+                CacheGeometry(1024, 32, ways), TIGHT,
+                assist_lines=assist_lines))
+    return out
 
 
 def model_state(model):

@@ -130,46 +130,6 @@ class TestTrace:
         assert "error [trace-error]" in capsys.readouterr().err
 
 
-class TestBenchStream:
-    def test_run_stream_bench_payload(self, tmp_path):
-        from repro.harness.bench import Sizes, run_scenario
-
-        block = run_scenario(
-            "stream", Sizes(stream_refs=4000, chunk_refs=1000, repeat=1),
-            workdir=str(tmp_path),
-        )
-        assert block["refs"] == 4000
-        assert block["summary"]["max_rss_kb"] > 0
-        assert [(row["config"], row["variant"]) for row in block["rows"]] == [
-            ("standard", "streamed"), ("standard", "in-memory"),
-            ("soft", "streamed"), ("soft", "in-memory"),
-        ]
-        for row in block["rows"]:
-            assert row["refs"] == 4000
-            assert row["refs_per_sec"] > 0
-            assert row["peak_bytes"] > 0
-        assert set(block["summary"]["peak_ratio"]) == {"standard", "soft"}
-        # the benchmark work directory is cleaned up afterwards
-        assert not list(tmp_path.glob("bench-stream-*"))
-
-    def test_cli_stream_scenario_writes_payload(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_sim.json"
-        assert main(
-            ["bench", "--scenario", "stream", "--stream-refs", "3000",
-             "--chunk-refs", "800", "--repeat", "1", "--out", str(out)]
-        ) == 0
-        from repro.harness.bench import SCENARIOS
-
-        text = capsys.readouterr().out
-        assert f"stream: {SCENARIOS['stream'].why}" in text
-        payload = json.loads(out.read_text())
-        assert set(payload) == {"machine", "stream"}
-        assert payload["stream"]["refs"] == 3000
-        assert payload["stream"]["chunk_refs"] == 800
-
-
 class TestBenchCLI:
     @pytest.mark.parametrize(
         "argv",
@@ -177,9 +137,8 @@ class TestBenchCLI:
             ["--repeat", "0"],
             ["--refs", "-5"],
             ["--refs", "0"],
-            ["--stream-refs", "0"],
         ],
-        ids=["repeat-0", "refs-negative", "refs-0", "stream-refs-0"],
+        ids=["repeat-0", "refs-negative", "refs-0"],
     )
     def test_sizes_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -187,7 +146,7 @@ class TestBenchCLI:
         assert exit_info.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
-    def test_help_lists_seven_options_and_six_scenarios(self, capsys):
+    def test_help_lists_every_option_and_scenario(self, capsys):
         import re
 
         from repro.harness.bench import SCENARIOS
@@ -196,8 +155,7 @@ class TestBenchCLI:
             main(["bench", "--help"])
         text = capsys.readouterr().out
         assert re.findall(r"^  (--[\w-]+)", text, re.M) == [
-            "--scenario", "--refs", "--repeat", "--stream-refs",
-            "--chunk-refs", "--out", "--check",
+            "--scenario", "--refs", "--repeat", "--out", "--check",
         ]
         choices = re.search(r"--scenario \{([^}]*)\}", text).group(1)
         assert choices.split(",") == [*SCENARIOS, "all"]
@@ -208,11 +166,10 @@ class TestBenchCLI:
         out = tmp_path / "BENCH_sim.json"
         assert main(
             ["bench", "--scenario", "all", "--refs", "2000",
-             "--stream-refs", "2000", "--chunk-refs", "500",
              "--repeat", "1", "--out", str(out)]
         ) == 0
         payload = json.loads(out.read_text())
-        assert list(payload) == ["machine", "engine", "soft", "stream"]
+        assert list(payload) == ["machine", "engine", "soft"]
         for name, block in payload.items():
             if name == "machine":
                 continue
@@ -228,6 +185,17 @@ class TestBenchCLI:
                 assert len(native_rows) == 1
             else:
                 assert code == "native-unavailable" and not native_rows
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "stream"], ["--stream-refs", "2000"],
+        ["--chunk-refs", "500"],
+    ], ids=["scenario", "stream-refs", "chunk-refs"])
+    def test_stream_scenario_retired(self, argv, capsys):
+        # e2e's stream-store workload measures streamed throughput and
+        # peak memory; the bench table has no stream scenario.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *argv, "--out", "-"])
+        assert exit_info.value.code == 2
 
     @needs_toolchain
     def test_check_exits_1_below_a_floor(self, monkeypatch, capsys):

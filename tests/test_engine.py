@@ -1,176 +1,39 @@
-"""Engine selection and native/reference parity on plain caches.
+"""Engine selection, cross-validation and the engine in cache keys.
 
 The native tier's contract is *exactness*: for every configuration it
 accepts, every counter (and the final model state) must be identical to
-the reference per-reference loop.  These tests check the contract on
-randomized traces of plain (assist-free) caches, and that selection
-refuses every run whose equivalence the models cannot prove.  The
-parity suites skip without a C toolchain.
+the reference per-reference loop (``test_parity.py`` checks that
+table).  These tests check that selection refuses every run whose
+equivalence the models cannot prove, that ``cross_validate`` catches a
+disagreement, and that the result cache never serves one engine's entry
+for another.
 """
 
 import json
 import os
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import SoftCacheConfig, SoftwareAssistedCache
 from repro.core.spec import CacheSpec
 from repro.errors import ConfigError
 from repro.harness.parallel import ResultCache, run_cells
 from repro.sim import (
-    CacheGeometry,
     EngineMismatchError,
-    MemoryTiming,
-    StandardCache,
     cross_validate,
     resolve_engine,
     select_engine,
     simulate,
 )
-from repro.sim.engine import PARITY_FIELDS, EngineRefusal, native_refusal
+from repro.sim.engine import EngineRefusal, native_refusal
 from repro.sim.native import availability
 
-from conftest import NO_KERNEL_SPEC, make_trace, needs_toolchain
-
-TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
-
-
-def random_trace(seed, refs=4000, lines=256, write_ratio=0.3):
-    """A randomized tagged reference stream with mixed gaps."""
-    rng = np.random.default_rng(seed)
-    return make_trace(
-        (rng.integers(0, lines * 4, refs) * 8).tolist(),
-        is_write=(rng.random(refs) < write_ratio).tolist(),
-        temporal=(rng.random(refs) < 0.25).tolist(),
-        spatial=(rng.random(refs) < 0.25).tolist(),
-        gaps=rng.integers(0, 5, refs).tolist(),
-        name=f"rand{seed}",
-    )
-
-
-def plain_soft(ways=1, **overrides):
-    """A software-assisted cache with every assist mechanism off."""
-    config = dict(
-        size_bytes=1024, line_size=32, ways=ways,
-        bounce_back_lines=0, virtual_line_size=None, timing=TIMING,
-    )
-    config.update(overrides)
-    return SoftwareAssistedCache(SoftCacheConfig(**config))
-
-
-def standard(ways=1, **kwargs):
-    return StandardCache(
-        CacheGeometry(size_bytes=1024, line_size=32, ways=ways),
-        TIMING, **kwargs,
-    )
-
-
-def assert_counters_equal(a, b, context=""):
-    diffs = {
-        name: (getattr(a, name), getattr(b, name))
-        for name in PARITY_FIELDS
-        if getattr(a, name) != getattr(b, name)
-    }
-    assert not diffs, f"{context}: {diffs}"
-
-
-@needs_toolchain
-class TestParityRandomized:
-    """Property-style parity: randomized traces, every counter equal."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("ways", [1, 2])
-    def test_standard_cache(self, seed, ways):
-        trace = random_trace(seed)
-        reference = simulate(standard(ways), trace, engine="reference")
-        native = simulate(standard(ways), trace, engine="native")
-        assert_counters_equal(reference, native, f"standard ways={ways}")
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("ways", [1, 2])
-    def test_soft_cache(self, seed, ways):
-        trace = random_trace(seed)
-        reference = simulate(plain_soft(ways), trace, engine="reference")
-        native = simulate(plain_soft(ways), trace, engine="native")
-        assert_counters_equal(reference, native, f"soft ways={ways}")
-
-    @pytest.mark.parametrize("ways", [1, 2])
-    def test_temporal_priority_replacement(self, ways):
-        trace = random_trace(11)
-        build = lambda: plain_soft(ways, temporal_priority=True)  # noqa: E731
-        reference = simulate(build(), trace, engine="reference")
-        native = simulate(build(), trace, engine="native")
-        assert_counters_equal(reference, native, "temporal-priority")
-
-    def test_final_state_matches(self):
-        """A native run must leave the model as the reference run would."""
-        trace = random_trace(5)
-        for build in (standard, plain_soft):
-            reference = build()
-            simulate(reference, trace, engine="reference")
-            native = build()
-            simulate(native, trace, engine="native")
-            for address in range(0, 256 * 4 * 8, 32):
-                assert reference.contains(address) == native.contains(address)
-            assert reference._ready_at == native._ready_at
-            assert reference.last_fetch == native.last_fetch
-
-    def test_temporal_bits_materialised(self):
-        trace = random_trace(9)
-        reference = plain_soft()
-        simulate(reference, trace, engine="reference")
-        native = plain_soft()
-        simulate(native, trace, engine="native")
-        for address in range(0, 256 * 4 * 8, 32):
-            assert reference.temporal_bit(address) == native.temporal_bit(address)
-
-    def test_unbuffered_write_buffer(self):
-        """entries == 0: every push stalls for the full drain time."""
-        timing = MemoryTiming(
-            latency=10, bus_bytes_per_cycle=16, write_buffer_entries=0
-        )
-        trace = random_trace(3, write_ratio=0.7)
-        result = cross_validate(
-            lambda: StandardCache(
-                CacheGeometry(size_bytes=256, line_size=32, ways=1), timing
-            ),
-            trace,
-        )
-        assert result.write_buffer_stalls > 0
-
-
-short_streams = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=63).map(lambda k: k * 8),
-        st.booleans(), st.booleans(), st.booleans(),
-        st.integers(min_value=0, max_value=4),
-    ),
-    min_size=1,
-    max_size=80,
+from conftest import (
+    NO_KERNEL_SPEC,
+    needs_toolchain,
+    plain_soft,
+    random_trace,
+    standard,
 )
-
-
-@needs_toolchain
-class TestParityHypothesis:
-    @settings(max_examples=150, deadline=None)
-    @given(stream=short_streams, ways=st.sampled_from([1, 2]))
-    def test_arbitrary_streams(self, stream, ways):
-        trace = make_trace(
-            [a for a, _, _, _, _ in stream],
-            is_write=[w for _, w, _, _, _ in stream],
-            temporal=[t for _, _, t, _, _ in stream],
-            spatial=[s for _, _, _, s, _ in stream],
-            gaps=[g for _, _, _, _, g in stream],
-        )
-        tiny = CacheGeometry(size_bytes=128, line_size=32, ways=ways)
-        reference = simulate(
-            StandardCache(tiny, TIMING), trace, engine="reference"
-        )
-        native = simulate(StandardCache(tiny, TIMING), trace, engine="native")
-        assert_counters_equal(reference, native, "hypothesis stream")
 
 
 class TestSelection:
@@ -221,12 +84,7 @@ class TestSelection:
         """The whole soft family — bounce-back, virtual lines, temporal
         bits and prefetch — runs on the compiled loop; without a
         compiler it runs on the reference loop."""
-        config = dict(size_bytes=1024, line_size=32, ways=1,
-                      bounce_back_lines=0, virtual_line_size=None,
-                      timing=TIMING)
-        config.update(overrides)
-        model = SoftwareAssistedCache(SoftCacheConfig(**config))
-        chosen, why = select_engine("auto", model)
+        chosen, why = select_engine("auto", plain_soft(**overrides))
         if availability() is None:
             assert (chosen, why) == ("native", None)
         else:

@@ -216,15 +216,17 @@ class TestIngest:
         )
         trace = store.load()
         assert trace.temporal.any() and trace.spatial.any()
-        from repro.sim import cross_validate_stream
+        from repro.sim import simulate
+        from repro.sim.engine import counter_mismatches
 
-        cross_validate_stream(
-            lambda: StandardCache(
+        def build():
+            return StandardCache(
                 CacheGeometry(512, 32),
                 MemoryTiming(latency=10, bus_bytes_per_cycle=16),
-            ),
-            TraceStream.from_store(store),
-        )
+            )
+
+        streamed = simulate(build(), TraceStream.from_store(store))
+        assert not counter_mismatches(simulate(build(), trace), streamed)
 
     def test_bin_end_to_end(self, tmp_path):
         source = tmp_path / "t.bin"

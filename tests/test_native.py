@@ -1,38 +1,33 @@
-"""Native compiled engine tier: parity, selection, and the build cache.
+"""Native compiled engine tier: selection, the build cache and the
+bench guard.
 
 The native tier's contract: for every configuration it accepts,
 counters, final model state and per-reference telemetry must be
-bit-identical to the reference loop — in memory and streamed at any
-chunk size — while the tier itself stays strictly optional (no C
-compiler anywhere must never break anything, only slow it down).  The
-plain caches' parity lives here, the software-assisted family's in
-``test_soft_fast.py``.  Parity tests skip when no toolchain exists; the
+bit-identical to the reference loop (``test_parity.py`` checks that
+table), while the tier itself stays strictly optional (no C compiler
+anywhere must never break anything, only slow it down).  The
 selection-policy and build-cache tests run everywhere.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import SoftCacheConfig, SoftwareAssistedCache
+from repro import presets
+from repro.core import SoftwareAssistedCache
 from repro.errors import ConfigError
-from repro.sim import (
-    CacheGeometry,
-    MemoryTiming,
-    StandardCache,
-    cross_validate,
-    native_refusal,
-    select_engine,
-    simulate,
+from repro.harness.bench import SPEEDUP_FLOORS, bench_guard, soft_bench_trace
+from repro.sim import native_refusal, select_engine, simulate
+from repro.sim.native import availability, build
+
+from conftest import (
+    build_variant,
+    model_state,
+    needs_toolchain,
+    plain_soft,
+    random_trace,
+    soft_trace,
+    standard,
 )
-from repro.sim.engine import PARITY_FIELDS
-from repro.sim.native import build
-from repro.stream import TraceStream
-
-from conftest import make_trace, model_state, needs_toolchain
-
-TIMING = MemoryTiming(latency=10, bus_bytes_per_cycle=16)
 
 
 def _working_compiler():
@@ -45,47 +40,8 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def random_trace(seed, refs=4000, lines=256, write_ratio=0.3):
-    rng = np.random.default_rng(seed)
-    return make_trace(
-        (rng.integers(0, lines * 4, refs) * 8).tolist(),
-        is_write=(rng.random(refs) < write_ratio).tolist(),
-        temporal=(rng.random(refs) < 0.25).tolist(),
-        spatial=(rng.random(refs) < 0.25).tolist(),
-        gaps=rng.integers(0, 5, refs).tolist(),
-        name=f"rand{seed}",
-    )
-
-
-def standard(ways=1, timing=TIMING):
-    return StandardCache(
-        CacheGeometry(size_bytes=1024, line_size=32, ways=ways), timing
-    )
-
-
-def plain_soft(ways=1, **overrides):
-    config = dict(
-        size_bytes=1024, line_size=32, ways=ways,
-        bounce_back_lines=0, virtual_line_size=None, timing=TIMING,
-    )
-    config.update(overrides)
-    return SoftwareAssistedCache(SoftCacheConfig(**config))
-
-
 def assisted_soft():
-    return SoftwareAssistedCache(SoftCacheConfig(
-        size_bytes=1024, line_size=32, ways=1, bounce_back_lines=4,
-        virtual_line_size=None, timing=TIMING,
-    ))
-
-
-def assert_counters_equal(a, b, context=""):
-    diffs = {
-        name: (getattr(a, name), getattr(b, name))
-        for name in PARITY_FIELDS
-        if getattr(a, name) != getattr(b, name)
-    }
-    assert not diffs, f"{context}: {diffs}"
+    return plain_soft(bounce_back_lines=4)
 
 
 @pytest.fixture
@@ -96,95 +52,6 @@ def no_toolchain(monkeypatch):
         "attempted": True, "lib": None,
         "diagnostic": "forced by test", "path": None,
     })
-
-
-# ----------------------------------------------------------------------
-# Bit-identical parity (toolchain required)
-# ----------------------------------------------------------------------
-
-@needs_toolchain
-class TestNativeParity:
-    @pytest.mark.parametrize("ways", [1, 2, 4])
-    def test_counters_and_state(self, ways):
-        for seed in (0, 1):
-            trace = random_trace(seed)
-            m_ref, m_nat = standard(ways), standard(ways)
-            reference = simulate(m_ref, trace, engine="reference")
-            native = simulate(m_nat, trace, engine="native")
-            assert native.engine == "native"
-            assert_counters_equal(reference, native, f"ways={ways}")
-            assert model_state(m_ref) == model_state(m_nat)
-
-    @pytest.mark.parametrize("temporal_priority", [False, True])
-    def test_plain_soft_counters_and_state(self, temporal_priority):
-        build_model = lambda: plain_soft(
-            ways=4, temporal_priority=temporal_priority
-        )
-        trace = random_trace(3)
-        m_ref, m_nat = build_model(), build_model()
-        reference = simulate(m_ref, trace, engine="reference")
-        native = simulate(m_nat, trace, engine="native")
-        assert_counters_equal(reference, native, "plain soft")
-        assert model_state(m_ref) == model_state(m_nat)
-
-    def test_unbuffered_write_buffer(self):
-        timing = MemoryTiming(
-            latency=10, bus_bytes_per_cycle=16, write_buffer_entries=0
-        )
-        trace = random_trace(4, write_ratio=0.6)
-        reference = simulate(standard(timing=timing), trace,
-                             engine="reference")
-        native = simulate(standard(timing=timing), trace, engine="native")
-        assert_counters_equal(reference, native, "wb entries=0")
-        assert native.write_buffer_stalls > 0
-
-    @pytest.mark.parametrize("chunk_refs", [1, 37, 509, 4000])
-    def test_streamed_matches_monolithic(self, chunk_refs):
-        trace = random_trace(5)
-        monolithic = simulate(standard(ways=2), trace, engine="native")
-        m_stream = standard(ways=2)
-        streamed = simulate(
-            m_stream, TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            engine="native",
-        )
-        assert streamed.engine == "native"
-        assert_counters_equal(monolithic, streamed, f"chunk={chunk_refs}")
-        m_mono = standard(ways=2)
-        simulate(m_mono, trace, engine="native")
-        assert model_state(m_mono) == model_state(m_stream)
-
-    def test_telemetry_reconstruction(self):
-        from repro.telemetry import WindowProbe
-        from repro.telemetry.probes import ProbeSet
-
-        trace = random_trace(6)
-        ref_probes = ProbeSet([WindowProbe(128)])
-        nat_probes = ProbeSet([WindowProbe(128)])
-        simulate(standard(), trace, engine="reference", probes=ref_probes)
-        simulate(standard(), trace, engine="native", probes=nat_probes)
-        assert ref_probes.report() == nat_probes.report()
-
-    def test_cross_validate_runs_three_way(self):
-        trace = random_trace(7)
-        result = cross_validate(standard, trace, engine_result="native")
-        assert result.engine == "native"
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        refs=st.integers(1, 1500),
-        chunk_refs=st.integers(1, 400),
-        ways=st.sampled_from([1, 2, 4]),
-    )
-    def test_property_parity(self, seed, refs, chunk_refs, ways):
-        trace = random_trace(seed, refs=refs)
-        reference = simulate(standard(ways), trace, engine="reference")
-        streamed = simulate(
-            standard(ways),
-            TraceStream.from_trace(trace, chunk_refs=chunk_refs),
-            engine="native",
-        )
-        assert_counters_equal(reference, streamed, "hypothesis")
 
 
 # ----------------------------------------------------------------------
@@ -323,63 +190,119 @@ class TestBuildCache:
         assert "no C compiler" in diagnostic
 
 
+class TestPrefetchCapDrop:
+    """At the cap, a set-associative buffer whose hinted set holds no
+    prefetched line drops the prefetch before it takes the bus."""
+
+    def test_dropped_prefetch_leaves_the_bus(self, monkeypatch):
+        drops = []
+        original = SoftwareAssistedCache._issue_prefetch
+
+        def observed(self, line_address, issued_at):
+            bus, issued = self._bus_free_at, self.stats.prefetches_issued
+            at_cap = (
+                self.bounce_back.prefetched_count() >= self._max_prefetched
+            )
+            original(self, line_address, issued_at)
+            dropped = (
+                self.stats.prefetches_issued == issued
+                and not self.contains(line_address << self._line_shift)
+            )
+            if at_cap and dropped:
+                drops.append(self._bus_free_at == bus)
+
+        monkeypatch.setattr(SoftwareAssistedCache, "_issue_prefetch",
+                            observed)
+        simulate(build_variant("pf-set-assoc"), soft_trace(0),
+                 engine="reference")
+        assert drops and all(drops)
+
+    @needs_toolchain
+    def test_native_matches(self):
+        reference, native = (build_variant("pf-set-assoc"),
+                             build_variant("pf-set-assoc"))
+        simulate(reference, soft_trace(0), engine="reference")
+        simulate(native, soft_trace(0), engine="native")
+        assert model_state(reference) == model_state(native)
+
+
+class TestSelectionRegression:
+    """auto must keep picking the fastest tier for the soft family: the
+    compiled loop, or the reference loop when no compiler exists."""
+
+    @pytest.mark.parametrize(
+        "preset", ["soft", "victim", "temporal", "spatial",
+                   "temporal-priority"]
+    )
+    def test_soft_family_selects_native(self, preset, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        result = simulate(presets.build_config(preset), soft_trace(0))
+        if availability() is None:
+            assert result.engine == "native"
+            assert result.engine_refusal is None
+        else:
+            assert result.engine == "reference"
+            assert result.engine_refusal.code == "native-unavailable"
+
+
 # ----------------------------------------------------------------------
 # Bench guard
 # ----------------------------------------------------------------------
 
-class TestNativeBenchGuard:
-    """The engine block's native-over-reference floor under ``--check``."""
+def _no_toolchain(block, config):
+    for codes in block["refusals"].values():
+        codes["native"] = "native-unavailable"
+    block["summary"]["native_speedup"] = {}
 
-    @staticmethod
-    def problems(payload, native=None, speedups=None, reference_rps=None):
-        from repro.harness.bench import bench_guard
 
-        block = payload["engine"]
-        for config, code in (native or {}).items():
-            block["refusals"][config]["native"] = code
-        for config, speedup in (speedups or {}).items():
-            # None drops the measurement.
-            if speedup is None:
-                del block["summary"]["native_speedup"][config]
-            else:
-                block["summary"]["native_speedup"][config] = speedup
-        if reference_rps is not None:
-            for row in block["rows"]:
-                row["refs_per_sec"] = reference_rps
-        return bench_guard({"engine": block})
+def _no_toolchain_no_throughput(block, config):
+    _no_toolchain(block, config)
+    block["rows"] = [row for row in block["rows"] if row["config"] != config]
 
-    def test_passes_above_floor(self, bench_payload):
-        assert self.problems(bench_payload) == []
 
-    def test_fails_below_floor(self, bench_payload):
-        problems = self.problems(
-            bench_payload, speedups={"standard": 3.0, "standard_cache": 8.0}
-        )
-        assert len(problems) == 1 and "below" in problems[0]
+#: case -> (how it breaks one floored config of a block, the problem
+#: ``bench_guard`` reports, or None for a pass).
+GUARD_CASES = {
+    "above-floor": (lambda block, config: None, None),
+    "below-floor": (
+        lambda block, config: block["summary"]["native_speedup"].update(
+            {config: 3.0}),
+        "native speedup 3.0x is below the 5.0x floor",
+    ),
+    "unexpected-refusal": (
+        lambda block, config: block["refusals"][config].update(
+            native="no-batch-kernel"),
+        "native tier refuses (code=no-batch-kernel)",
+    ),
+    "missing-measurement": (
+        lambda block, config: block["summary"]["native_speedup"].pop(config),
+        "no native-engine measurement",
+    ),
+    # No compiler: each floor degrades to "the reference loop ran".
+    "no-toolchain": (_no_toolchain, None),
+    "no-toolchain-no-throughput": (
+        _no_toolchain_no_throughput,
+        "reference fallback recorded no throughput",
+    ),
+}
 
-    def test_degrades_without_toolchain(self, bench_payload):
-        unavailable = dict.fromkeys(
-            ("standard", "standard_cache"), "native-unavailable"
-        )
-        problems = self.problems(bench_payload, unavailable, speedups={})
-        assert problems == []
 
-    def test_no_throughput_fails_even_degraded(self, bench_payload):
-        problems = self.problems(
-            bench_payload, {"standard": "native-unavailable"},
-            speedups={"standard_cache": 8.0}, reference_rps=0,
-        )
-        assert len(problems) == 1 and "no throughput" in problems[0]
+@pytest.mark.parametrize("block", list(SPEEDUP_FLOORS))
+@pytest.mark.parametrize("case", list(GUARD_CASES))
+def test_bench_guard(bench_payload, block, case):
+    """``repro bench --check`` on each floored block: the native loop at
+    least 5x the reference loop, degrading to a completed reference run
+    without a compiler."""
+    (tier, config), floor = next(iter(SPEEDUP_FLOORS[block].items()))
+    assert (tier, floor) == ("native", 5.0)
+    breaks, problem = GUARD_CASES[case]
+    breaks(bench_payload[block], config)
+    expected = [] if problem is None else [f"{block}: {config}: {problem}"]
+    assert bench_guard(bench_payload) == expected
 
-    def test_unexpected_refusal_always_fails(self, bench_payload):
-        problems = self.problems(
-            bench_payload, {"standard": "no-batch-kernel"},
-            speedups={"standard_cache": 8.0},
-        )
-        assert len(problems) == 1 and "no-batch-kernel" in problems[0]
 
-    def test_missing_measurement_fails(self, bench_payload):
-        problems = self.problems(bench_payload, speedups={"standard": None})
-        assert problems == [
-            "engine: standard: no native-engine measurement"
-        ]
+def test_soft_bench_trace_deterministic():
+    a, b = soft_bench_trace(2000), soft_bench_trace(2000)
+    np.testing.assert_array_equal(a.addresses, b.addresses)
+    assert not np.any(a.temporal & a.spatial)
+    assert a.temporal.any() and a.spatial.any()
