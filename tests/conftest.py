@@ -410,3 +410,58 @@ def bench_payload():
         },
     }
     return payload
+
+
+def _no_toolchain(block, config):
+    for codes in block["refusals"].values():
+        codes["native"] = "native-unavailable"
+    block["summary"]["native_speedup"] = {}
+
+
+def _no_toolchain_no_throughput(block, config):
+    _no_toolchain(block, config)
+    block["rows"] = [row for row in block["rows"] if row["config"] != config]
+
+
+#: The ``bench_guard`` rules: case -> (how it breaks one floored config
+#: of a :func:`bench_payload` block, the problem ``bench_guard``
+#: reports, or None for a pass).
+GUARD_CASES = {
+    "above-floor": (lambda block, config: None, None),
+    "below-floor": (
+        lambda block, config: block["summary"]["native_speedup"].update(
+            {config: 3.0}),
+        "native speedup 3.0x is below the 5.0x floor",
+    ),
+    "unexpected-refusal": (
+        lambda block, config: block["refusals"][config].update(
+            native="no-batch-kernel"),
+        "native tier refuses (code=no-batch-kernel)",
+    ),
+    "missing-measurement": (
+        lambda block, config: block["summary"]["native_speedup"].pop(config),
+        "no native-engine measurement",
+    ),
+    # No compiler: each floor degrades to "the reference loop ran".
+    "no-toolchain": (_no_toolchain, None),
+    "no-toolchain-no-throughput": (
+        _no_toolchain_no_throughput,
+        "reference fallback recorded no throughput",
+    ),
+}
+
+
+def check_guard(payload, block, case, config=None):
+    """``repro bench --check`` on ``block`` of a passing payload broken
+    as :data:`GUARD_CASES` ``case`` says, on ``config`` (default: the
+    block's first floored config), reports exactly that case's problem.
+    Every floor is the native loop at 5x the reference loop."""
+    from repro.harness.bench import SPEEDUP_FLOORS, bench_guard
+
+    floors = SPEEDUP_FLOORS[block]
+    config = config or next(iter(floors))[1]
+    assert floors[("native", config)] == 5.0
+    breaks, problem = GUARD_CASES[case]
+    breaks(payload[block], config)
+    expected = [] if problem is None else [f"{block}: {config}: {problem}"]
+    assert bench_guard(payload) == expected

@@ -1,18 +1,22 @@
-"""Engine selection, cross-validation and the engine in cache keys.
+"""Engine selection, plain-cache parity, cross-validation and the
+engine in cache keys.
 
 The native tier's contract is *exactness*: for every configuration it
 accepts, every counter (and the final model state) must be identical to
-the reference per-reference loop (``test_parity.py`` checks that
-table).  These tests check that selection refuses every run whose
-equivalence the models cannot prove, that ``cross_validate`` catches a
-disagreement, and that the result cache never serves one engine's entry
-for another.
+the reference per-reference loop.  ``test_parity.py`` checks that over
+its table; here :func:`parity.check_row` runs the plain caches on more
+randomized traces and drawn streams.  These tests also check that
+selection refuses every run whose equivalence the models cannot prove,
+that ``cross_validate`` catches a disagreement, and that the result
+cache never serves one engine's entry for another.
 """
 
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.spec import CacheSpec
 from repro.errors import ConfigError
@@ -34,6 +38,65 @@ from conftest import (
     random_trace,
     standard,
 )
+from parity import (
+    ROWS,
+    check_row,
+    check_stream,
+    family_rows,
+    short_tagged_streams,
+    windows,
+)
+
+#: One window size per seed (None: one window of the whole trace).
+SEED_WINDOWS = (1, 7, 31, 97, 509, None)
+
+
+@needs_toolchain
+class TestParityRandomized:
+    """Plain caches on randomized traces: the native tier's counters,
+    final state and telemetry against the reference loop's
+    (:func:`parity.check_row`)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_standard_cache(self, seed, ways):
+        check_row(lambda: standard(ways), random_trace(seed), "native",
+                  SEED_WINDOWS[seed])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_soft_cache(self, seed, ways):
+        check_row(lambda: plain_soft(ways), random_trace(seed), "native",
+                  SEED_WINDOWS[seed])
+
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_temporal_priority_replacement(self, ways):
+        check_row(lambda: plain_soft(ways, temporal_priority=True),
+                  random_trace(11), "native", 211)
+
+    def test_final_state_matches(self):
+        for build in (standard, plain_soft):
+            check_row(build, random_trace(5), "native")
+
+    def test_temporal_bits_materialised(self):
+        # The temporal bits live in the sets, which the state compares.
+        check_row(plain_soft, random_trace(9), "native", 997)
+
+    def test_unbuffered_write_buffer(self):
+        result = check_row(ROWS["unbuffered-wb"][1],
+                           random_trace(3, write_ratio=0.7), "native", 101)
+        assert result.write_buffer_stalls > 0
+
+
+@needs_toolchain
+class TestParityHypothesis:
+    """Drawn short streams on the plain rows, native tier."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(row=st.sampled_from(family_rows("plain")),
+           stream=short_tagged_streams, window=windows)
+    def test_arbitrary_streams(self, row, stream, window):
+        check_stream(row, stream, "native", window)
 
 
 class TestSelection:

@@ -1,32 +1,39 @@
-"""Native compiled engine tier: selection, the build cache and the
-bench guard.
+"""Native compiled engine tier: parity, selection, the build cache and
+the bench guard.
 
 The native tier's contract: for every configuration it accepts,
 counters, final model state and per-reference telemetry must be
 bit-identical to the reference loop (``test_parity.py`` checks that
-table), while the tier itself stays strictly optional (no C compiler
-anywhere must never break anything, only slow it down).  The
-selection-policy and build-cache tests run everywhere.
+table; :class:`TestNativeParity` runs the plain caches on more traces
+and window sizes, and drawn streams on the related-work rows), while
+the tier itself stays strictly optional (no C compiler anywhere must
+never break anything, only slow it down).  Parity tests skip when no
+toolchain exists; the selection-policy and build-cache tests run
+everywhere.
 """
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import presets
-from repro.core import SoftwareAssistedCache
 from repro.errors import ConfigError
-from repro.harness.bench import SPEEDUP_FLOORS, bench_guard, soft_bench_trace
-from repro.sim import native_refusal, select_engine, simulate
-from repro.sim.native import availability, build
+from repro.sim import cross_validate, native_refusal, select_engine, simulate
+from repro.sim.native import build
 
 from conftest import (
-    build_variant,
-    model_state,
+    check_guard,
     needs_toolchain,
     plain_soft,
     random_trace,
-    soft_trace,
     standard,
+)
+from parity import (
+    ROWS,
+    check_row,
+    check_stream,
+    family_rows,
+    short_tagged_streams,
+    windows,
 )
 
 
@@ -52,6 +59,52 @@ def no_toolchain(monkeypatch):
         "attempted": True, "lib": None,
         "diagnostic": "forced by test", "path": None,
     })
+
+
+# ----------------------------------------------------------------------
+# Bit-identical parity (toolchain required)
+# ----------------------------------------------------------------------
+
+@needs_toolchain
+class TestNativeParity:
+    """The native tier against the reference loop through
+    :func:`parity.check_row`: counters, final state and telemetry,
+    whole, windowed and store-backed."""
+
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_counters_and_state(self, ways):
+        for seed in (0, 1):
+            check_row(lambda: standard(ways), random_trace(seed), "native",
+                      509)
+
+    @pytest.mark.parametrize("temporal_priority", [False, True])
+    def test_plain_soft_counters_and_state(self, temporal_priority):
+        check_row(lambda: plain_soft(4, temporal_priority=temporal_priority),
+                  random_trace(3), "native", 37)
+
+    def test_unbuffered_write_buffer(self):
+        result = check_row(ROWS["unbuffered-wb"][1],
+                           random_trace(4, write_ratio=0.6), "native", 41)
+        assert result.write_buffer_stalls > 0
+
+    @pytest.mark.parametrize("chunk_refs", [1, 37, 509, 4000])
+    def test_streamed_matches_monolithic(self, chunk_refs):
+        check_row(lambda: standard(2), random_trace(5), "native", chunk_refs)
+
+    def test_telemetry_reconstruction(self):
+        check_row(standard, random_trace(6), "native", 128)
+
+    def test_cross_validate_runs_three_way(self):
+        result = cross_validate(standard, random_trace(7),
+                                engine_result="native")
+        assert result.engine == "native"
+
+    @settings(max_examples=50, deadline=None)
+    @given(row=st.sampled_from(family_rows("related")),
+           stream=short_tagged_streams, window=windows)
+    def test_property_parity(self, row, stream, window):
+        # Drawn short streams on the related-work rows.
+        check_stream(row, stream, "native", window)
 
 
 # ----------------------------------------------------------------------
@@ -190,119 +243,28 @@ class TestBuildCache:
         assert "no C compiler" in diagnostic
 
 
-class TestPrefetchCapDrop:
-    """At the cap, a set-associative buffer whose hinted set holds no
-    prefetched line drops the prefetch before it takes the bus."""
-
-    def test_dropped_prefetch_leaves_the_bus(self, monkeypatch):
-        drops = []
-        original = SoftwareAssistedCache._issue_prefetch
-
-        def observed(self, line_address, issued_at):
-            bus, issued = self._bus_free_at, self.stats.prefetches_issued
-            at_cap = (
-                self.bounce_back.prefetched_count() >= self._max_prefetched
-            )
-            original(self, line_address, issued_at)
-            dropped = (
-                self.stats.prefetches_issued == issued
-                and not self.contains(line_address << self._line_shift)
-            )
-            if at_cap and dropped:
-                drops.append(self._bus_free_at == bus)
-
-        monkeypatch.setattr(SoftwareAssistedCache, "_issue_prefetch",
-                            observed)
-        simulate(build_variant("pf-set-assoc"), soft_trace(0),
-                 engine="reference")
-        assert drops and all(drops)
-
-    @needs_toolchain
-    def test_native_matches(self):
-        reference, native = (build_variant("pf-set-assoc"),
-                             build_variant("pf-set-assoc"))
-        simulate(reference, soft_trace(0), engine="reference")
-        simulate(native, soft_trace(0), engine="native")
-        assert model_state(reference) == model_state(native)
-
-
-class TestSelectionRegression:
-    """auto must keep picking the fastest tier for the soft family: the
-    compiled loop, or the reference loop when no compiler exists."""
-
-    @pytest.mark.parametrize(
-        "preset", ["soft", "victim", "temporal", "spatial",
-                   "temporal-priority"]
-    )
-    def test_soft_family_selects_native(self, preset, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        result = simulate(presets.build_config(preset), soft_trace(0))
-        if availability() is None:
-            assert result.engine == "native"
-            assert result.engine_refusal is None
-        else:
-            assert result.engine == "reference"
-            assert result.engine_refusal.code == "native-unavailable"
-
-
 # ----------------------------------------------------------------------
 # Bench guard
 # ----------------------------------------------------------------------
 
-def _no_toolchain(block, config):
-    for codes in block["refusals"].values():
-        codes["native"] = "native-unavailable"
-    block["summary"]["native_speedup"] = {}
+class TestNativeBenchGuard:
+    """The engine block's native-over-reference floor under ``--check``
+    (the rules of conftest's :data:`GUARD_CASES`)."""
 
+    def test_passes_above_floor(self, bench_payload):
+        check_guard(bench_payload, "engine", "above-floor")
 
-def _no_toolchain_no_throughput(block, config):
-    _no_toolchain(block, config)
-    block["rows"] = [row for row in block["rows"] if row["config"] != config]
+    def test_fails_below_floor(self, bench_payload):
+        check_guard(bench_payload, "engine", "below-floor")
 
+    def test_degrades_without_toolchain(self, bench_payload):
+        check_guard(bench_payload, "engine", "no-toolchain")
 
-#: case -> (how it breaks one floored config of a block, the problem
-#: ``bench_guard`` reports, or None for a pass).
-GUARD_CASES = {
-    "above-floor": (lambda block, config: None, None),
-    "below-floor": (
-        lambda block, config: block["summary"]["native_speedup"].update(
-            {config: 3.0}),
-        "native speedup 3.0x is below the 5.0x floor",
-    ),
-    "unexpected-refusal": (
-        lambda block, config: block["refusals"][config].update(
-            native="no-batch-kernel"),
-        "native tier refuses (code=no-batch-kernel)",
-    ),
-    "missing-measurement": (
-        lambda block, config: block["summary"]["native_speedup"].pop(config),
-        "no native-engine measurement",
-    ),
-    # No compiler: each floor degrades to "the reference loop ran".
-    "no-toolchain": (_no_toolchain, None),
-    "no-toolchain-no-throughput": (
-        _no_toolchain_no_throughput,
-        "reference fallback recorded no throughput",
-    ),
-}
+    def test_no_throughput_fails_even_degraded(self, bench_payload):
+        check_guard(bench_payload, "engine", "no-toolchain-no-throughput")
 
+    def test_unexpected_refusal_always_fails(self, bench_payload):
+        check_guard(bench_payload, "engine", "unexpected-refusal")
 
-@pytest.mark.parametrize("block", list(SPEEDUP_FLOORS))
-@pytest.mark.parametrize("case", list(GUARD_CASES))
-def test_bench_guard(bench_payload, block, case):
-    """``repro bench --check`` on each floored block: the native loop at
-    least 5x the reference loop, degrading to a completed reference run
-    without a compiler."""
-    (tier, config), floor = next(iter(SPEEDUP_FLOORS[block].items()))
-    assert (tier, floor) == ("native", 5.0)
-    breaks, problem = GUARD_CASES[case]
-    breaks(bench_payload[block], config)
-    expected = [] if problem is None else [f"{block}: {config}: {problem}"]
-    assert bench_guard(bench_payload) == expected
-
-
-def test_soft_bench_trace_deterministic():
-    a, b = soft_bench_trace(2000), soft_bench_trace(2000)
-    np.testing.assert_array_equal(a.addresses, b.addresses)
-    assert not np.any(a.temporal & a.spatial)
-    assert a.temporal.any() and a.spatial.any()
+    def test_missing_measurement_fails(self, bench_payload):
+        check_guard(bench_payload, "engine", "missing-measurement")

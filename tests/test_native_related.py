@@ -1,14 +1,19 @@
-"""The related-work models on the native tier: the edges the parity
-table does not reach.
+"""The related-work models on the native tier: exactness.
 
-``test_parity.py`` holds every related-work configuration (the
-write-through cache, the two-level hierarchy over either L1, stream
-buffers, bypassing, the column-associative, sub-block and HP-7200
-assist caches) to the reference loop.  This module covers what lies
-beside that table: a sub-block line with more sectors than the loop's
-masks hold, a 256-way LRU set whose hits land deep, the order in which
-one access's L2 fetches replay, and the reference fallback without a
-compiler.
+The compiled loop of :mod:`repro.sim.native` claims bit-exactness with
+the reference per-reference loop for the write-through standard cache
+(with and without write-allocate), the two-level hierarchy over either
+L1, Jouppi's stream buffers, software bypassing (with and without its
+buffer), the column-associative cache, the sub-block cache and the
+HP-7200 assist cache.  ``test_parity.py`` holds each of them to the
+reference loop on the table's traces; here :func:`parity.check_row`
+runs them on more workloads and window sizes, and
+:class:`TestWorkloads` proves the table's related trace fires their
+mechanisms.  This module also covers what lies beside the table: a
+sub-block line with more sectors than the loop's masks hold, a 256-way
+LRU set whose hits land deep, the order in which one access's L2
+fetches replay, and the reference fallback without a compiler.  The
+parity tests skip without a C toolchain.
 """
 
 import numpy as np
@@ -35,11 +40,129 @@ from conftest import (
     related_configs,
     related_trace,
 )
+from parity import ROWS, check_row, reference, table_trace
 
 
 @pytest.fixture(autouse=True)
 def _default_engine_knob(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
+
+
+CONFIG_NAMES = list(related_configs(1))
+TRACES = {
+    "related": related_trace(0),
+    "random": random_trace(1),
+}
+
+
+@needs_toolchain
+class TestCounterParity:
+    @pytest.mark.parametrize("trace", list(TRACES))
+    @pytest.mark.parametrize("ways", [1, 2])
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_cross_validate(self, name, ways, trace):
+        check_row(related_configs(ways)[name], TRACES[trace], "native")
+
+    def test_bypass_swaps_nothing(self):
+        # A bypass-buffer hit is an assist hit, not a swap.
+        result = check_row(related_configs(1)["bypass-buffer"],
+                           related_trace(1), "native")
+        assert result.hits_assist > 0 and result.swaps == 0
+
+
+class TestWorkloads:
+    """The table is only meaningful if the machinery it claims to
+    verify fires on its related trace (reference loop, runs
+    everywhere)."""
+
+    def test_write_through_stalls(self):
+        for name in ("write-through", "write-through-no-allocate"):
+            assert reference(f"{name}-1w")[1].write_buffer_stalls > 0, name
+
+    def test_l2_misses(self):
+        for name in ("l2-standard", "l2-soft", "l2-tiny"):
+            model, _ = reference(f"{name}-1w")
+            assert 0 < model.l2_stats.misses < model.l2_stats.refs, name
+
+    def test_side_buffers_hit(self):
+        for name in ("bypass-buffer", "stream-1x4", "stream-4x4"):
+            assert reference(f"{name}-1w")[1].hits_assist > 0, name
+
+    def test_pure_bypass_fetches_words(self):
+        _, result = reference("bypass-1w")
+        assert result.words_fetched > 4 * result.lines_fetched > 0
+
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_column_assoc_swaps_and_rehashes(self, ways):
+        model, result = reference(f"column-assoc-{ways}w")
+        assert result.swaps == result.hits_assist > 0
+        assert any(line and line[2] for line in model._lines)
+
+    @pytest.mark.parametrize("name", ["subblock-64/16", "subblock-64/32"])
+    def test_subblock_miss_kinds(self, name):
+        # Both kinds of miss occur: an absent tag and an invalid sector
+        # of a resident line.
+        model = ROWS[f"{name}-1w"][1]()
+        trace = table_trace("related")
+        kinds = set()
+        for address, is_write in zip(trace.addresses.tolist(),
+                                     trace.is_write.tolist()):
+            line = address >> model.geometry.line_shift
+            tagged = any(entry[0] == line for entry in
+                         model._sets[line % model.geometry.n_sets])
+            misses = model.stats.misses
+            model.access(address, is_write)
+            if model.stats.misses > misses:
+                kinds.add("sector" if tagged else "tag")
+        assert kinds == {"tag", "sector"}
+
+    @pytest.mark.parametrize("name", ["hp-assist-1", "hp-assist-4"])
+    def test_assist_promotes_and_discards(self, name):
+        model, result = reference(f"{name}-1w")
+        # Every miss enters the FIFO, which it leaves by promotion
+        # (bounce_backs) or as spatial-only data, or is still in it.
+        discarded = result.misses - result.bounce_backs - len(model._assist)
+        assert result.hits_assist > 0
+        assert result.bounce_backs > 0 and discarded > 0
+
+
+@needs_toolchain
+class TestStreamedParity:
+    @pytest.mark.parametrize("chunk_refs", [1, 97, 2048])
+    def test_chunked_equals_monolithic(self, chunk_refs):
+        trace = related_trace(2, refs=3000)
+        for name, build_model in related_configs(2).items():
+            check_row(build_model, trace, "native", chunk_refs)
+
+    def test_streamed_native_equals_reference(self):
+        for name in ("l2-soft", "stream-4x4", "bypass-buffer",
+                     "write-through", "column-assoc", "subblock-64/16",
+                     "hp-assist-4"):
+            check_row(related_configs(1)[name], related_trace(3), "native",
+                      257)
+
+
+@needs_toolchain
+class TestStateParity:
+    @pytest.mark.parametrize("ways", [1, 2])
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_final_model_state(self, name, ways):
+        for trace in (related_trace(4), related_trace(5, refs=1)):
+            check_row(related_configs(ways)[name], trace, "native")
+
+    def test_streamed_state(self):
+        for name in ("l2-prefetch", "stream-2x4", "bypass-buffer",
+                     "column-assoc", "subblock-64/32", "hp-assist-4"):
+            check_row(related_configs(2)[name], related_trace(6), "native",
+                      61)
+
+
+@needs_toolchain
+class TestTelemetryParity:
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_probed_run(self, name):
+        check_row(related_configs(1)[name], related_trace(7, refs=3000),
+                  "native", 128)
 
 
 class TestSectorLimit:

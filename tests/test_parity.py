@@ -1,174 +1,38 @@
-"""Engine parity: one table of configurations, every tier and delivery.
+"""Engine parity: every row of the table, every tier and delivery.
 
-The paper's figures come from the compiled loop of
-:mod:`repro.sim.native`, and they stand on its claim to reproduce the
-reference ``access()`` of every model bit for bit.  This module checks
-the claim from one table.  :data:`ROWS` holds every configuration the
-loop runs: the plain caches, the software-assisted family with each
-mechanism alone and together, prefetch, and the related-work models at
-one and two ways.  Each row runs on the trace of its family and on the
-tiny suite's nine benchmarks back to back (the tagged traffic the
-studies run).
+:data:`parity.ROWS` holds every configuration the compiled loop runs.
+Each row runs on the trace of its family and on the tiny suite's nine
+benchmarks back to back (the tagged traffic the studies run), through
+:func:`parity.check_row`: whole, windowed and store-backed, probed and
+unprobed, with equal counters, final model state and per-reference
+telemetry against the reference loop's whole, probed run.  The native
+tier's cells skip without a C toolchain; the reference tier's delivery
+cells run everywhere.
 
-:func:`check_row` runs a row in one tier over every delivery (the whole
-trace, windows of it through ``TraceStream.from_trace`` and a chunked
-store), probed and unprobed, and holds each run to the reference loop's
-whole, probed run: equal :data:`~repro.sim.engine.PARITY_FIELDS`
-counters, equal final model state and equal per-reference telemetry
-columns.  The native tier's cells skip without a C toolchain; the
-reference tier's delivery cells run everywhere.
-
-:class:`TestWorkloads` proves the table's traces fire every mechanism
-the rows claim to cover.
+The family modules (``test_engine``, ``test_native``,
+``test_native_related``, ``test_soft_fast``, ``test_pipeline``,
+``test_stream``, ``test_telemetry``) run their own traces, window sizes
+and drawn streams through the same check, and prove that the table's
+traces fire every mechanism the rows claim to cover.
 """
 
 import functools
-import tempfile
-from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import presets
-from repro.core.bounce_back import BounceBackBuffer
-from repro.memtrace import Trace, TraceStore
-from repro.sim import CacheGeometry, MemoryTiming, StandardCache, simulate
-from repro.sim.engine import counter_mismatches
-from repro.stream import TraceStream
-from repro.workloads.registry import BENCHMARK_ORDER, get_trace
+from repro.memtrace import TraceStore
 
-from conftest import (
-    VARIANTS,
-    build_variant,
-    model_state,
-    needs_toolchain,
-    plain_soft,
-    random_trace,
-    related_configs,
-    related_trace,
-    soft_trace,
-    standard,
-)
-
-#: Row name -> (trace family, model builder).
-ROWS = {
-    "standard-1w": ("plain", functools.partial(standard, 1)),
-    "standard-2w": ("plain", functools.partial(standard, 2)),
-    "standard-4w": ("plain", functools.partial(standard, 4)),
-    "plain-soft-1w": ("plain", functools.partial(plain_soft, 1)),
-    "plain-soft-2w": ("plain", functools.partial(plain_soft, 2)),
-    "plain-soft-priority-4w": ("plain", functools.partial(
-        plain_soft, 4, temporal_priority=True)),
-    # entries == 0: every write-buffer push stalls for the full drain.
-    "unbuffered-wb": ("plain", lambda: StandardCache(
-        CacheGeometry(512, 32),
-        MemoryTiming(latency=10, bus_bytes_per_cycle=16,
-                     write_buffer_entries=0))),
-    **{name: ("soft", functools.partial(build_variant, name))
-       for name in VARIANTS},
-    # The presets with prefetch through the buffer (fig 12).
-    **{preset: ("soft", functools.partial(presets.build_config, preset))
-       for preset in ("soft-prefetch", "standard-prefetch")},
-    **{f"{name}-{ways}w": ("related", build)
-       for ways in (1, 2) for name, build in related_configs(ways).items()},
-}
-
-
-@functools.lru_cache(maxsize=None)
-def table_trace(name):
-    """The table's traces: one per row family, plus the tiny suite."""
-    if name == "suite":
-        traces = [get_trace(benchmark, "tiny") for benchmark in BENCHMARK_ORDER]
-        return functools.reduce(Trace.concat, traces)
-    return {"plain": lambda: random_trace(0, refs=2000, write_ratio=0.5),
-            "soft": lambda: soft_trace(0, refs=2000),
-            "related": lambda: related_trace(0, refs=2000)}[name]()
-
-
-#: Window sizes, cycled over the rows on their family trace (None: one
-#: window of the whole trace); the suite trace runs in 509-reference
-#: windows.  Stores hold 1021-reference chunks.
-FAMILY_WINDOWS = (1, 7, 31, 97, 509, 1499, None)
-SUITE_WINDOW = 509
-STORE_CHUNK = 1021
-
-#: Telemetry columns compared per reference: the trace as delivered,
-#: then the outcomes.
-TELEMETRY_COLUMNS = ("addresses", "is_write", "temporal", "spatial", "gaps",
-                     "miss", "assist_hit", "cycles", "words", "wb_stall")
-
-#: tier -> the (delivery, probed) runs held to the reference loop's
-#: whole, probed run.
-LEGS = {
-    "reference": (("windowed", True), ("store", False)),
-    "native": (("whole", False), ("windowed", True), ("store", True)),
-}
+from conftest import needs_toolchain
+from parity import ROWS, STORE_CHUNK, check_row, run, table_trace
 
 #: tier -> the marks of its cells: the native tier needs the library.
 TIER_MARKS = {"reference": (), "native": (needs_toolchain,)}
-TIERS = [pytest.param(tier, marks=marks) for tier, marks in TIER_MARKS.items()]
 
-
-class Recorder:
-    """A probe that keeps every telemetry batch."""
-
-    def __init__(self):
-        self.batches = []
-        self.finished = None
-
-    def on_batch(self, batch):
-        self.batches.append(batch)
-
-    def finish(self, result):
-        self.finished = result
-
-    def columns(self):
-        """The batches' columns end to end; each batch starts where the
-        previous one ended."""
-        ends = np.cumsum([len(batch) for batch in self.batches]).tolist()
-        assert [batch.start for batch in self.batches] == [0] + ends[:-1]
-        return {
-            name: np.concatenate([getattr(b, name) for b in self.batches])
-            for name in TELEMETRY_COLUMNS
-        }
-
-
-def run(build, trace, tier, probed):
-    """``(result, final model state, telemetry columns or None)`` of one
-    run of a fresh model on ``tier``."""
-    model = build()
-    recorder = Recorder() if probed else None
-    result = simulate(model, trace, engine=tier, probes=recorder)
-    assert result.engine == tier
-    if not probed:
-        return result, model_state(model), None
-    assert recorder.finished is result
-    return result, model_state(model), recorder.columns()
-
-
-def check_row(build, trace, tier, window, store, expected=None):
-    """Every delivery of ``trace`` on ``tier`` -- whole, in ``window``-
-    reference windows and from ``store`` -- probed or not as
-    :data:`LEGS` says, leaves the counters, model state and telemetry of
-    ``expected`` (default: the reference loop's whole, probed run)."""
-    expected = expected or run(build, trace, "reference", True)
-    deliveries = {
-        "whole": trace,
-        "windowed": TraceStream.from_trace(trace, chunk_refs=window),
-        "store": TraceStream.from_store(store),
-    }
-    counters, state, telemetry = expected
-    for delivery, probed in LEGS[tier]:
-        label = f"{tier}/{delivery}"
-        got = run(build, deliveries[delivery], tier, probed)
-        assert not counter_mismatches(counters, got[0], ("reference", label))
-        assert got[1] == state, f"{label}: final model state differs"
-        if probed:
-            for name in TELEMETRY_COLUMNS:
-                assert np.array_equal(got[2][name], telemetry[name]), (
-                    f"{label}: telemetry column {name} differs")
+#: Window sizes, cycled over the rows on their family trace (None: one
+#: window of the whole trace); the suite trace runs in 509-reference
+#: windows.
+FAMILY_WINDOWS = (1, 7, 31, 97, 509, 1499, None)
+SUITE_WINDOW = 509
 
 
 @functools.lru_cache(maxsize=1)
@@ -204,137 +68,5 @@ def cells():
 @pytest.mark.parametrize("row,trace_name,window,tier", cells())
 def test_table(row, trace_name, window, tier, stores):
     trace = table_trace(trace_name)
-    check_row(ROWS[row][1], trace, tier, window or len(trace),
-              stores[trace_name], reference_run(row, trace_name))
-
-
-short_tagged_streams = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=511).map(lambda k: k * 8),
-        st.booleans(), st.booleans(), st.booleans(),
-        st.integers(min_value=0, max_value=4),
-    ),
-    min_size=1,
-    max_size=80,
-)
-
-
-@pytest.mark.parametrize("tier", TIERS)
-@settings(max_examples=50, deadline=None)
-@given(row=st.sampled_from(list(ROWS)), stream=short_tagged_streams,
-       window=st.integers(min_value=1, max_value=80))
-def test_arbitrary_tagged_streams(tier, row, stream, window):
-    # The drawn tuples are rows of (address, write, temporal, spatial, gap).
-    trace = Trace(*map(np.array, zip(*stream)), name="hyp")
-    with tempfile.TemporaryDirectory() as root:
-        store = TraceStore.save(trace, Path(root) / "t.store", chunk_refs=7)
-        check_row(ROWS[row][1], trace, tier, window, store)
-
-
-def reference(row, trace_name=None):
-    """The reference loop's model and result of a row on its family
-    trace (or ``trace_name``)."""
-    family, build = ROWS[row]
-    model = build()
-    result = simulate(model, table_trace(trace_name or family),
-                      engine="reference")
-    return model, result
-
-
-def prefetch_cap_hits(row) -> int:
-    """How often a reference run found ``max_prefetched`` lines in the
-    buffer and dropped one to admit a new prefetch."""
-    calls = []
-    original = BounceBackBuffer.evict_lru_prefetched
-
-    def counted(self, set_hint):
-        calls.append(set_hint)
-        return original(self, set_hint)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(BounceBackBuffer, "evict_lru_prefetched", counted)
-        reference(row)
-    return len(calls)
-
-
-class TestWorkloads:
-    """The table is only meaningful if the machinery it claims to verify
-    fires on its traces (reference loop, runs everywhere)."""
-
-    def test_assists_fire(self):
-        _, result = reference("full")
-        assert result.hits_assist > 0
-        assert result.bounce_backs > 0
-        assert result.bounce_aborts > 0
-        assert result.swaps > 0
-        assert result.writebacks > 0
-        # Virtual-line bursts landing on a bounce-back resident are
-        # rare; sum across the VL-heavy variants and both traces.
-        assert sum(
-            reference(name, trace_name)[1].invalidations
-            for name in ("vl-wide", "bb-set-assoc", "two-way")
-            for trace_name in ("soft", "suite")
-        ) > 0
-
-    @pytest.mark.parametrize("row", ["pf-software", "pf-on-miss",
-                                     "soft-prefetch", "standard-prefetch"])
-    def test_prefetch_cap_exercised(self, row):
-        assert prefetch_cap_hits(row) > 0
-        # Prefetched lines are reused on the suite's loop nests.
-        assert reference(row, "suite")[1].prefetch_hits > 0
-
-    @pytest.mark.parametrize("row", ["no-wb", "unbuffered-wb",
-                                     "write-through-1w",
-                                     "write-through-no-allocate-1w"])
-    def test_stalls_exercised(self, row):
-        assert reference(row)[1].write_buffer_stalls > 0
-
-    def test_l2_misses(self):
-        for row in ("l2-standard-1w", "l2-soft-1w", "l2-tiny-1w"):
-            model, _ = reference(row)
-            assert 0 < model.l2_stats.misses < model.l2_stats.refs, row
-
-    def test_side_buffers_hit(self):
-        for row in ("bypass-buffer-1w", "stream-1x4-1w", "stream-4x4-1w"):
-            assert reference(row)[1].hits_assist > 0, row
-
-    def test_bypass_buffer_swaps_nothing(self):
-        # A bypass-buffer hit is an assist hit, not a swap.
-        assert reference("bypass-buffer-1w")[1].swaps == 0
-
-    def test_pure_bypass_fetches_words(self):
-        _, result = reference("bypass-1w")
-        assert result.words_fetched > 4 * result.lines_fetched > 0
-
-    @pytest.mark.parametrize("ways", [1, 2])
-    def test_column_assoc_swaps_and_rehashes(self, ways):
-        model, result = reference(f"column-assoc-{ways}w")
-        assert result.swaps == result.hits_assist > 0
-        assert any(line and line[2] for line in model._lines)
-
-    @pytest.mark.parametrize("row", ["subblock-64/16-1w", "subblock-64/32-1w"])
-    def test_subblock_miss_kinds(self, row):
-        # Both kinds of miss occur: an absent tag and an invalid sector
-        # of a resident line.
-        model = ROWS[row][1]()
-        trace = table_trace("related")
-        kinds = set()
-        for address, is_write in zip(trace.addresses.tolist(),
-                                     trace.is_write.tolist()):
-            line = address >> model.geometry.line_shift
-            tagged = any(entry[0] == line for entry in
-                         model._sets[line % model.geometry.n_sets])
-            misses = model.stats.misses
-            model.access(address, is_write)
-            if model.stats.misses > misses:
-                kinds.add("sector" if tagged else "tag")
-        assert kinds == {"tag", "sector"}
-
-    @pytest.mark.parametrize("row", ["hp-assist-1-1w", "hp-assist-4-1w"])
-    def test_assist_promotes_and_discards(self, row):
-        model, result = reference(row)
-        # Every miss enters the FIFO, which it leaves by promotion
-        # (bounce_backs) or as spatial-only data, or is still in it.
-        discarded = result.misses - result.bounce_backs - len(model._assist)
-        assert result.hits_assist > 0
-        assert result.bounce_backs > 0 and discarded > 0
+    check_row(ROWS[row][1], trace, tier, window, stores[trace_name],
+              reference_run(row, trace_name))

@@ -5,9 +5,10 @@ a telemetry report is a function of (trace, configuration) alone — the
 same whether the reference loop or the compiled native loop ran, and
 whether the trace was in memory or streamed at any chunk size.
 ``test_parity.py`` holds the per-reference telemetry columns of every
-configuration to that contract; these tests pin its windowed report,
-the crafted-case semantics of each probe, the exporters, and the
-probes-off guards.
+configuration to that contract, and :class:`TestParity` runs the
+tagged trace of this module through the same check; these tests also
+pin its windowed report, the crafted-case semantics of each probe, the
+exporters, and the probes-off guards.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.telemetry import (
 )
 
 from conftest import make_trace, needs_toolchain
+from parity import available_tiers, check_row
 
 
 def tagged_trace(refs=4000, seed=7, name="tel"):
@@ -47,6 +49,20 @@ def tagged_trace(refs=4000, seed=7, name="tel"):
 
 class TestParity:
     """One report per (trace, config) — however it was computed."""
+
+    @needs_toolchain
+    def test_reference_vs_native_identical(self):
+        """The reference loop against the compiled native tier."""
+        check_row(SPECS["standard"].build, tagged_trace(), "native")
+
+    @needs_toolchain
+    def test_native_streamed_vs_in_memory(self):
+        """Streamed against in-memory on the compiled native tier."""
+        check_row(SPECS["standard"].build, tagged_trace(), "native", 333)
+
+    def test_soft_streamed_vs_in_memory(self):
+        for tier in available_tiers():
+            check_row(SPECS["soft"].build, tagged_trace(refs=2500), tier, 77)
 
     def test_window_partition_invariance(self):
         # Chunk boundaries never align with window boundaries here, and
