@@ -795,8 +795,8 @@ def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
         results, records = cache.counts()
         cache.clear()
         print(
-            f"removed {results} cached results and {records} trace "
-            f"records from {cache.root}"
+            f"removed {results} cached results and {records} records "
+            f"from {cache.root}"
         )
         return 0
     if action == "prune":
@@ -808,14 +808,14 @@ def _cmd_cache(action: str, max_bytes: Optional[str] = None) -> int:
         results, records = cache.counts()
         print(
             f"pruned {removed} entries ({removed_bytes} bytes) "
-            f"from {cache.root}; {results} results and {records} trace "
-            f"records ({cache.size_bytes()} bytes) remain"
+            f"from {cache.root}; {results} results and {records} records "
+            f"({cache.size_bytes()} bytes) remain"
         )
         return 0
     state = "enabled" if cache_enabled() else "disabled (REPRO_CACHE=0)"
     results, records = cache.counts()
     print(
-        f"result cache: {cache.root} ({results} results, {records} trace "
+        f"result cache: {cache.root} ({results} results, {records} "
         f"records, {cache.size_bytes()} bytes, {state})"
     )
     return 0

@@ -13,10 +13,13 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import List
 
-from ..memtrace.reuse import REUSE_BUCKETS, reuse_profile
-from ..memtrace.vectors import VECTOR_BUCKETS, vector_profile
+from ..harness.parallel import cached_analysis
+from ..memtrace.reuse import REUSE_BUCKETS, ReuseProfile, reuse_profile
+from ..memtrace.trace import WORD_SIZE
+from ..memtrace.vectors import VECTOR_BUCKETS, VectorProfile, vector_profile
 from ..workloads.registry import BENCHMARK_ORDER, suite_traces
 from .common import Claim, FigureResult, for_rows, per_row
 
@@ -33,7 +36,11 @@ def reuse_distances(scale: str = "paper", seed: int = 0) -> FigureResult:
         metric="fraction of references",
     )
     for name, trace in suite_traces(scale, seed).items():
-        profile = reuse_profile(trace)
+        profile = cached_analysis(
+            trace, "reuse_profile", (WORD_SIZE,), ("memtrace/reuse.py",),
+            lambda: reuse_profile(trace, WORD_SIZE), asdict,
+            lambda value: ReuseProfile(**value),
+        )
         for label, _ in REUSE_BUCKETS:
             result.add(name, label, profile.fraction(label))
     return result
@@ -48,7 +55,11 @@ def vector_lengths(scale: str = "paper", seed: int = 0) -> FigureResult:
         metric="fraction of references",
     )
     for name, trace in suite_traces(scale, seed).items():
-        profile = vector_profile(trace)
+        profile = cached_analysis(
+            trace, "vector_profile", (), ("memtrace/vectors.py",),
+            lambda: vector_profile(trace), asdict,
+            lambda value: VectorProfile(**value),
+        )
         for label, _ in VECTOR_BUCKETS:
             result.add(name, label, profile.fraction(label))
     return result

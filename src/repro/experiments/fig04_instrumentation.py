@@ -14,9 +14,16 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import List
 
-from ..memtrace.stats import TAG_CATEGORIES, gap_histogram, tag_profile
+from ..harness.parallel import cached_analysis
+from ..memtrace.stats import (
+    TAG_CATEGORIES,
+    TagProfile,
+    gap_histogram,
+    tag_profile,
+)
 from ..memtrace.timing import FIG4B_DISTRIBUTION
 from ..workloads.registry import suite_traces
 from .common import Claim, FigureResult, compare, for_rows, per_row
@@ -33,7 +40,11 @@ def tag_fractions(scale: str = "paper", seed: int = 0) -> FigureResult:
         metric="fraction of trace entries",
     )
     for name, trace in suite_traces(scale, seed).items():
-        profile = tag_profile(trace)
+        profile = cached_analysis(
+            trace, "tag_profile", (), ("memtrace/stats.py",),
+            lambda: tag_profile(trace), asdict,
+            lambda value: TagProfile(**value),
+        )
         for category in TAG_CATEGORIES:
             result.add(name, category, profile.fractions[category])
     return result
@@ -56,7 +67,14 @@ def time_distribution(scale: str = "paper", seed: int = 0) -> FigureResult:
     traces = suite_traces(scale, seed)
     grand = 0
     for trace in traces.values():
-        histogram = gap_histogram(trace, FIG4B_DISTRIBUTION)
+        # JSON keys are strings: the gap values go out and come back.
+        histogram = cached_analysis(
+            trace, "gap_histogram", (FIG4B_DISTRIBUTION,),
+            ("memtrace/stats.py", "memtrace/timing.py"),
+            lambda: gap_histogram(trace, FIG4B_DISTRIBUTION),
+            lambda value: {str(gap): share for gap, share in value.items()},
+            lambda value: {int(gap): share for gap, share in value.items()},
+        )
         for value, fraction in histogram.items():
             totals[value] += fraction * len(trace)
         grand += len(trace)

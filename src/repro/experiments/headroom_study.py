@@ -30,8 +30,14 @@ from __future__ import annotations
 from typing import List
 
 from ..core.spec import CacheSpec
+from ..harness.parallel import (
+    cached_analysis,
+    payload_to_result,
+    result_to_payload,
+)
 from ..harness.runner import run_sweep
 from ..sim.belady import simulate_belady
+from ..sim.engine import resolve_engine
 from ..sim.geometry import CacheGeometry
 from ..sim.timing import MemoryTiming
 from ..workloads.registry import suite_traces
@@ -62,11 +68,14 @@ def headroom(scale: str = "paper", seed: int = 0) -> FigureResult:
         result.add(name, "LRU-FA", row["LRU-FA"].miss_ratio)
         # Belady needs the whole future reference stream, so it runs
         # through its own offline simulator, outside the sweep grid.
-        result.add(
-            name,
-            "OPT-FA",
-            simulate_belady(trace, fully_associative, timing).miss_ratio,
+        optimal = cached_analysis(
+            trace, "simulate_belady",
+            (fully_associative, timing, resolve_engine()),
+            ("sim/belady.py", "memtrace/reuse.py"),
+            lambda: simulate_belady(trace, fully_associative, timing),
+            result_to_payload, payload_to_result,
         )
+        result.add(name, "OPT-FA", optimal.miss_ratio)
         result.add(name, "Soft", row["Soft"].miss_ratio)
     return result
 

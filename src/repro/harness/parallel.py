@@ -11,7 +11,9 @@ version, trace fingerprint, spec fingerprint, engine)``, so re-running
 an unchanged cell costs one small JSON read instead of a simulation.
 The engine knob is part of the key so results from different engines
 can never alias, even though the native tier is validated to be
-counter-identical to the reference loop.
+counter-identical to the reference loop.  The same store keeps the
+records of the per-trace analyses (:func:`cached_analysis`), so a warm
+run of the figures that analyse whole traces generates no trace.
 
 Knobs:
 
@@ -33,12 +35,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.spec import CacheSpec
+from ..core.spec import CacheSpec, stable_fingerprint
 from ..errors import ConfigError
 from ..memtrace.trace import Trace
 from ..sim.driver import simulate
@@ -139,8 +142,9 @@ def _publish(path: Path, payload) -> None:
     and an atomic rename, so concurrent writers race benignly and no
     reader sees a torn file.  A read-only or full cache is ignored: it
     must never fail a sweep."""
+    text = json.dumps(payload)
     with contextlib.suppress(OSError), staged(path) as handle:
-        json.dump(payload, handle)
+        handle.write(text)
 
 
 def _load(path: Path):
@@ -157,9 +161,10 @@ def _load(path: Path):
     return payload
 
 
-#: File suffix of trace records in the shared layout (results are
-#: ``<key>.json``).
+#: File suffixes of trace records and of per-trace analysis records in
+#: the shared layout (results are ``<key>.json``).
 RECORD_SUFFIX = ".trace.json"
+ANALYSIS_SUFFIX = ".analysis.json"
 
 
 class ResultCache:
@@ -169,10 +174,12 @@ class ResultCache:
     engine)``; values are the raw :class:`SimResult` counters as JSON.
     Counters are integers, so the round-trip is lossless and cached
     cells are byte-identical to freshly simulated ones.  The same layout
-    holds the registry's trace records (``<key>.trace.json``, read and
-    written by :meth:`get_record`/:meth:`put_record`), so
-    :meth:`clear`, :meth:`prune`, :meth:`size_bytes` and ``len`` cover
-    both; :meth:`counts` tells them apart.
+    holds the registry's trace records (``<key>.trace.json``) and the
+    per-trace analysis records of :func:`cached_analysis`
+    (``<key>.analysis.json``), both read and written by
+    :meth:`get_record`/:meth:`put_record`, so :meth:`clear`,
+    :meth:`prune`, :meth:`size_bytes` and ``len`` cover all three;
+    :meth:`counts` tells results from records.
 
     The store is safe under concurrent multi-process use — the ``repro
     serve`` workers, sweeps in other processes and ``cache prune`` may
@@ -183,13 +190,13 @@ class ResultCache:
       of the same key last-write-win with identical bytes;
     * a concurrently deleted entry (another process pruning) reads as a
       miss — the caller re-simulates; never an error;
-    * entries shard into two levels of fan-out directories
-      (``key[:2]/key[2:4]/``), bounding any directory to ~256 entries
-      even at millions of cached cells, so directory scans and renames
-      stay O(1)-ish.  Entries older versions wrote at the single-level
-      ``key[:2]/`` path are never read (their keys hash an older
-      ``SIM_VERSION``), but :meth:`clear`, :meth:`prune` and ``len``
-      still count and reclaim them.
+    * entries shard into one level of 256 fan-out directories
+      (``key[:2]/``, git's object layout), so a cold cache creates at
+      most 256 directories however many entries it publishes.  Entries
+      older versions wrote at the two-level ``key[:2]/key[2:4]/`` path
+      are never read (a cache written before the move reads as cold
+      once), but :meth:`clear`, :meth:`prune` and ``len`` still count
+      and reclaim them.
     """
 
     def __init__(self, root: Union[str, os.PathLike, None] = None) -> None:
@@ -201,8 +208,6 @@ class ResultCache:
     def key(
         trace_fingerprint: str, spec_fingerprint: str, engine: str = "auto"
     ) -> str:
-        import hashlib
-
         material = (
             f"{SIM_VERSION}\n{trace_fingerprint}\n{spec_fingerprint}"
             f"\n{engine}"
@@ -210,7 +215,7 @@ class ResultCache:
         return hashlib.sha256(material.encode()).hexdigest()
 
     def _path(self, key: str, suffix: str = ".json") -> Path:
-        return self.root / key[:2] / key[2:4] / f"{key}{suffix}"
+        return self.root / key[:2] / f"{key}{suffix}"
 
     def get(self, key: str) -> Optional[SimResult]:
         payload = _load(self._path(key))
@@ -227,14 +232,15 @@ class ResultCache:
     def put(self, key: str, result: SimResult) -> None:
         _publish(self._path(key), result_to_payload(result))
 
-    def get_record(self, key: str) -> Optional[Dict]:
-        """A trace record (:mod:`repro.workloads.registry`), or None.
+    def get_record(self, key: str, suffix: str = RECORD_SUFFIX):
+        """A trace record (:mod:`repro.workloads.registry`) or, under
+        :data:`ANALYSIS_SUFFIX`, an analysis record; None when absent.
         Not counted in :attr:`hits`/:attr:`misses`, which are about
         results only."""
-        return _load(self._path(key, RECORD_SUFFIX))
+        return _load(self._path(key, suffix))
 
-    def put_record(self, key: str, record: Dict) -> None:
-        _publish(self._path(key, RECORD_SUFFIX), record)
+    def put_record(self, key: str, record, suffix: str = RECORD_SUFFIX) -> None:
+        _publish(self._path(key, suffix), record)
 
     def _entries(self):
         """Published cache entries, excluding in-flight ``.tmp-*`` files.
@@ -254,7 +260,7 @@ class ResultCache:
         """
         if not self.root.is_dir():
             return
-        # Both layouts: sharded (xx/yy/key.json) and legacy (xx/key.json).
+        # Both layouts: sharded (xx/key.json) and legacy (xx/yy/key.json).
         for pattern in ("*/*/*.json", "*/*.json"):
             for entry in self.root.glob(pattern):
                 if entry.name.startswith("."):
@@ -325,10 +331,11 @@ class ResultCache:
         return sum(1 for _ in self._entries())
 
     def counts(self) -> Tuple[int, int]:
-        """``(results, trace records)`` held."""
+        """``(results, records)`` held; records are trace records and
+        analysis records."""
         results = records = 0
         for entry in self._entries():
-            if entry.name.endswith(RECORD_SUFFIX):
+            if entry.name.endswith((RECORD_SUFFIX, ANALYSIS_SUFFIX)):
                 records += 1
             else:
                 results += 1
@@ -351,6 +358,58 @@ def open_cache(
     if cache == "auto":
         return ResultCache() if cache_enabled() else None
     return ResultCache(cache)
+
+
+# ----------------------------------------------------------------------
+# Per-trace analysis records
+# ----------------------------------------------------------------------
+def cached_analysis(
+    trace: Trace,
+    analysis: str,
+    params: Tuple,
+    sources: Tuple[str, ...],
+    compute: Callable[[], Any],
+    encode: Callable[[Any], Any],
+    decode: Callable[[Any], Any],
+):
+    """``compute()``, an analysis of ``trace``, read from its analysis
+    record when one exists.
+
+    The figures that analyse traces (reuse distances, vector lengths,
+    tags, gaps, Belady, miss attribution) call this, so a warm run reads
+    records instead of generating the traces.  The key hashes
+    ``SIM_VERSION``, the trace fingerprint (a registry handle reads it
+    from its trace record), the ``analysis`` name, ``repr(params)`` and
+    the bytes of the analysing ``sources`` (package-relative, as in
+    :func:`~repro.workloads.registry.source_digest`).  The record is
+    ``{"value": encode(result), "sha256": ...}``; ``encode`` must give
+    JSON that ``decode`` turns back into an equal result.  A missing,
+    corrupt or undecodable record is recomputed and rewritten.  Records
+    live in the default cache directory; with ``REPRO_CACHE=0`` this is
+    ``compute()``.
+    """
+    from ..workloads.registry import source_digest
+
+    store = open_cache("auto")
+    if store is None:
+        return compute()
+    material = (
+        f"{SIM_VERSION}\n{trace.fingerprint()}\n{analysis}\n{params!r}"
+        f"\n{source_digest(sources)}"
+    )
+    key = hashlib.sha256(material.encode()).hexdigest()
+    record = store.get_record(key, ANALYSIS_SUFFIX)
+    # A missing (None), torn, altered or undecodable record recomputes.
+    with contextlib.suppress(KeyError, TypeError, ValueError):
+        if record["sha256"] == stable_fingerprint(record["value"]):
+            return decode(record["value"])
+    result = compute()
+    value = encode(result)
+    store.put_record(
+        key, {"value": value, "sha256": stable_fingerprint(value)},
+        ANALYSIS_SUFFIX,
+    )
+    return result
 
 
 # ----------------------------------------------------------------------

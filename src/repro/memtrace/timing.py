@@ -64,9 +64,18 @@ class GapDistribution:
         """Draw ``n`` gaps using the supplied (seeded) generator."""
         if n < 0:
             raise ConfigError(f"cannot sample a negative count: {n}")
-        return rng.choice(
-            np.asarray(self.values, dtype=np.int64), size=n, p=self.probabilities
-        )
+        # numpy's own recipe for ``rng.choice(values, size=n, p=...)``,
+        # draw for draw: the index of a uniform draw is the count of CDF
+        # entries at or below it.  One counting pass per value is
+        # faster than ``choice``'s binary search of every draw.  The
+        # last entry is 1.0, which no draw reaches.
+        cdf = self.probabilities.cumsum()
+        cdf /= cdf[-1]
+        draws = rng.random(n)
+        index = np.zeros(n, dtype=np.intp)
+        for bound in cdf[:-1]:
+            index += draws >= bound
+        return np.asarray(self.values, dtype=np.int64)[index]
 
     def histogram(self, gaps: Sequence[int]) -> Dict[int, float]:
         """Fraction of ``gaps`` falling on each distribution value.
@@ -75,10 +84,11 @@ class GapDistribution:
         nearest larger value (or the largest value), mirroring the binning
         of figure 4b where the last bucket is "> 20 cycles".
         """
-        ordered = np.unique(self.values)
+        # Sorted in Python: ``np.unique`` would import ``numpy.ma``.
+        ordered = sorted(set(self.values))
         index = np.searchsorted(ordered, np.asarray(gaps), side="left")
         counts = dict(zip(
-            ordered.tolist(),
+            ordered,
             np.bincount(
                 np.minimum(index, len(ordered) - 1), minlength=len(ordered)
             ).tolist(),

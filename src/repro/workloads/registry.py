@@ -13,11 +13,12 @@ from a small on-disk *trace record* (``{"fingerprint", "refs",
 cache never generates the trace.  The columns are generated, once, on
 first access — when a cell misses or a figure analyses the trace.
 
-Records live in the result cache's sharded layout
+Records live in the result cache's layout
 (:meth:`~repro.harness.parallel.ResultCache.get_record`), keyed by the
 registry call, the bytes of the generator sources (``compiler/``,
 ``workloads/``, ``memtrace/trace.py``, ``memtrace/timing.py``) and
-numpy's version, whose ``Generator.choice`` stream is not promised
+numpy's version, whose ``Generator.random`` stream (the gap draws of
+:meth:`~repro.memtrace.timing.GapDistribution.sample`) is not promised
 stable across releases.  A record is written only when its trace was
 generated anyway; a materialised handle re-hashes its columns and
 raises :class:`~repro.errors.TraceRecordMismatch` if they disagree
@@ -95,11 +96,12 @@ _GENERATOR_SOURCES = (
     "compiler", "workloads", "memtrace/trace.py", "memtrace/timing.py",
 )
 
-def _generator_source_bytes() -> bytes:
-    """Every generator source file, named, in a stable order
-    (monkeypatch seam for the invalidation tests)."""
+def _source_bytes(entries: Tuple[str, ...]) -> bytes:
+    """Every source file under ``entries`` (package-relative files or
+    directories of ``*.py``), named, in a stable order (monkeypatch seam
+    for the invalidation tests)."""
     parts = []
-    for entry in _GENERATOR_SOURCES:
+    for entry in entries:
         path = _PACKAGE / entry
         for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
             parts.append(source.relative_to(_PACKAGE).as_posix().encode())
@@ -107,16 +109,17 @@ def _generator_source_bytes() -> bytes:
     return b"\0".join(parts)
 
 
-@lru_cache(maxsize=1)
-def _source_digest() -> str:
-    """sha256 of the generator sources, computed on first use so that
-    importing the registry reads no files."""
-    return hashlib.sha256(_generator_source_bytes()).hexdigest()
+@lru_cache(maxsize=None)
+def source_digest(entries: Tuple[str, ...] = _GENERATOR_SOURCES) -> str:
+    """sha256 of the sources under ``entries`` (by default the trace
+    generators), computed on first use so that importing the registry
+    reads no files."""
+    return hashlib.sha256(_source_bytes(entries)).hexdigest()
 
 
 def record_key(call: Tuple) -> str:
     """The record key of one registry call ``(getter, *arguments)``."""
-    material = f"{call!r}\n{_source_digest()}\n{np.__version__}"
+    material = f"{call!r}\n{source_digest()}\n{np.__version__}"
     return hashlib.sha256(material.encode()).hexdigest()
 
 

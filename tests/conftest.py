@@ -39,6 +39,19 @@ def pytest_configure(config):
     config.add_cleanup(lambda: shutil.rmtree(root, ignore_errors=True))
 
 
+def cache_entries(root, suffix=".json"):
+    """The published entries of the result cache at ``root`` whose names
+    end in ``suffix``, sorted.  Tests find entries through the cache's
+    own enumeration or ``ResultCache._path``, so only the cache knows
+    its directory layout."""
+    from repro.harness.parallel import ResultCache
+
+    return sorted(
+        entry for entry in ResultCache(root)._entries()
+        if entry.name.endswith(suffix)
+    )
+
+
 #: Skips a test when no C toolchain or prebuilt native library exists.
 #: Probed at test setup, once the session's cache directory is set.
 needs_toolchain = pytest.mark.needs_toolchain

@@ -81,23 +81,30 @@ class TestRacingWritersAndPruner:
         assert leftovers == []
 
 
+def _legacy_path(root, key):
+    """Where versions before the one-level layout published ``key``."""
+    return root / key[:2] / key[2:4] / f"{key}.json"
+
+
 class TestShardedLayout:
-    def test_put_publishes_to_two_level_shard(self, tmp_path):
+    def test_put_publishes_to_one_level_shard(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = _key_for(0)
         cache.put(key, _result_for(0))
-        expected = tmp_path / key[:2] / key[2:4] / f"{key}.json"
+        expected = tmp_path / key[:2] / f"{key}.json"
+        assert cache._path(key) == expected
         assert expected.is_file()
+        assert [p.name for p in tmp_path.iterdir()] == [key[:2]]
         assert cache.get(key) == _result_for(0)
         assert len(cache) == 1
 
     def test_legacy_entry_reads_as_miss(self, tmp_path):
-        """No key hashed with the current ``SIM_VERSION`` ever lived at
-        the single-level path, so a file there is never read — but it is
-        still counted and cleared."""
+        """An entry at the two-level ``key[:2]/key[2:4]/`` path of older
+        versions is never read (a cache they wrote reads as cold once),
+        but it is still counted and cleared."""
         cache = ResultCache(tmp_path)
         key = _key_for(1)
-        legacy = tmp_path / key[:2] / f"{key}.json"
+        legacy = _legacy_path(tmp_path, key)
         legacy.parent.mkdir(parents=True)
         legacy.write_text(json.dumps(result_to_payload(_result_for(1))))
 
@@ -112,7 +119,7 @@ class TestShardedLayout:
         cache = ResultCache(tmp_path)
         cache.put(_key_for(2), _result_for(2))  # sharded
         key = _key_for(3)
-        legacy = tmp_path / key[:2] / f"{key}.json"
+        legacy = _legacy_path(tmp_path, key)
         legacy.parent.mkdir(parents=True, exist_ok=True)
         legacy.write_text(json.dumps(result_to_payload(_result_for(3))))
         assert len(cache) == 2
@@ -125,8 +132,7 @@ class TestPruneSafety:
     def test_prune_never_touches_staging_files(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_key_for(4), _result_for(4))
-        shard = tmp_path / _key_for(4)[:2] / _key_for(4)[2:4]
-        staged = shard / ".tmp-inflight.json"
+        staged = cache._path(_key_for(4)).parent / ".tmp-inflight.json"
         staged.write_text("{}")  # an in-flight concurrent publish
         removed, removed_bytes = cache.prune(max_bytes=0)
         assert removed == 1 and removed_bytes > 0
@@ -136,7 +142,7 @@ class TestPruneSafety:
         cache = ResultCache(tmp_path)
         key = _key_for(5)
         cache.put(key, _result_for(5))
-        (tmp_path / key[:2] / key[2:4] / f"{key}.json").unlink()
+        cache._path(key).unlink()
         assert cache.get(key) is None
         assert cache.misses == 1
 

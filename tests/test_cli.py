@@ -82,13 +82,13 @@ class TestCacheCommand:
         ) == 0
         capsys.readouterr()
         assert main(["cache"]) == 0
-        assert "1 results, 1 trace records" in capsys.readouterr().out
+        assert "1 results, 1 records" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
-        assert "removed 1 cached results and 1 trace records" in (
+        assert "removed 1 cached results and 1 records" in (
             capsys.readouterr().out
         )
         assert main(["cache"]) == 0
-        assert "0 results, 0 trace records" in capsys.readouterr().out
+        assert "0 results, 0 records" in capsys.readouterr().out
 
 
 class TestTags:

@@ -21,7 +21,7 @@ from repro.harness.runner import run_sweep
 from repro.sim.geometry import CacheGeometry
 from repro.sim.standard import StandardCache
 
-from conftest import make_trace
+from conftest import cache_entries, make_trace
 
 
 def _suite(n_traces=3, length=400, seed=7):
@@ -156,7 +156,7 @@ class TestResultCache:
 
         cells = [(_suite(n_traces=1)["t0"], no_kernel_spec)]
         run_cells(cells, cache=ResultCache(tmp_path))
-        (entry,) = tmp_path.glob("*/*/*.json")
+        (entry,) = cache_entries(tmp_path)
         payload = json.loads(entry.read_text())
         # The older form kept only the refusal's message, as a string.
         payload["engine_refusal"] = payload["engine_refusal"]["message"]
@@ -170,7 +170,7 @@ class TestResultCache:
         traces = _suite(n_traces=1)
         store = ResultCache(tmp_path)
         run_sweep(traces, {"s": CONFIGS["Standard"]}, cache=store)
-        for entry in tmp_path.glob("*/*/*.json"):
+        for entry in cache_entries(tmp_path):
             entry.write_text("{not json")
         probe = ResultCache(tmp_path)
         sweep = run_sweep(traces, {"s": CONFIGS["Standard"]}, cache=probe)
@@ -206,13 +206,13 @@ class TestCachePrune:
 
         store = ResultCache(tmp_path)
         run_sweep(_suite(n_traces=1), CONFIGS, cache=store)
-        entries = sorted(tmp_path.glob("*/*/*.json"))
+        entries = cache_entries(tmp_path)
         assert len(entries) == 3
         for age, entry in zip((300, 200, 100), entries):
             os.utime(entry, (1_000_000 - age, 1_000_000 - age))
         keep = entries[2].stat().st_size  # newest entry
         store.prune(keep)
-        survivors = set(tmp_path.glob("*/*/*.json"))
+        survivors = set(cache_entries(tmp_path))
         assert survivors == {entries[2]}
 
     def test_get_refreshes_mtime_for_lru(self, tmp_path):
@@ -221,7 +221,7 @@ class TestCachePrune:
         traces = _suite(n_traces=1)
         store = ResultCache(tmp_path)
         run_sweep(traces, {"s": CONFIGS["Standard"]}, cache=store)
-        (entry,) = tmp_path.glob("*/*/*.json")
+        (entry,) = cache_entries(tmp_path)
         os.utime(entry, (1, 1))
         from repro.sim.engine import resolve_engine
 
@@ -251,7 +251,7 @@ class TestCachePrune:
         assert main(["cache", "prune", "--max-bytes", "0"]) == 0
         out = capsys.readouterr().out
         assert "pruned 2 entries" in out
-        assert "0 results and 0 trace records (0 bytes) remain" in out
+        assert "0 results and 0 records (0 bytes) remain" in out
         assert main(["cache", "prune"]) == 2
         assert "--max-bytes" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Every atomic writer publishes through a ``.tmp-*`` stage: a write that
 fails midway leaves neither the stage nor a partial target behind."""
 
+import contextlib
 import errno
 from types import SimpleNamespace
 
@@ -42,11 +43,18 @@ def result_entry(tmp_path, monkeypatch):
 
 def result_entry_disk_full(tmp_path, monkeypatch):
     # A full cache never fails the sweep: the write is dropped.
-    def dump(payload, handle):
-        handle.write("{")
-        raise OSError(errno.ENOSPC, "No space left on device")
+    real_staged = parallel.staged
 
-    monkeypatch.setattr(parallel, "json", SimpleNamespace(dump=dump))
+    @contextlib.contextmanager
+    def full_disk(path):
+        with real_staged(path) as handle:
+            def write(text):
+                handle.write(text[:1])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            yield SimpleNamespace(write=write)
+
+    monkeypatch.setattr(parallel, "staged", full_disk)
     target = tmp_path / "ab" / "entry.json"
     parallel._publish(target, {"refs": 1})
     return target

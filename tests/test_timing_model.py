@@ -62,6 +62,30 @@ class TestSampling:
         gaps = draw_gaps(200_000, FIG4B_DISTRIBUTION, seed=5)
         assert abs(gaps.mean() - FIG4B_DISTRIBUTION.mean()) < 0.05
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize(
+        "distribution",
+        [FIG4B_DISTRIBUTION, UNIT_GAPS,
+         GapDistribution((7, 2, 9, 2), (0.5, 0.0, 2.0, 1.0))],
+        ids=["fig4b", "unit", "unsorted-zero-weight"],
+    )
+    def test_sample_is_generator_choice_draw_for_draw(
+        self, distribution, seed
+    ):
+        """Traces keep their gaps, so their fingerprints and every
+        cached result stay valid."""
+        expected_rng = np.random.default_rng(seed)
+        expected = expected_rng.choice(
+            np.asarray(distribution.values, dtype=np.int64), size=20_000,
+            p=distribution.probabilities,
+        )
+        rng = np.random.default_rng(seed)
+        drawn = distribution.sample(20_000, rng)
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+        # Both used the same share of the stream.
+        assert rng.random() == expected_rng.random()
+
 
 class TestHistogram:
     def test_exact_values(self):
@@ -102,6 +126,24 @@ def brute_force_histogram(distribution, gaps):
 distributions = st.lists(
     st.integers(min_value=0, max_value=30), min_size=1, max_size=6
 ).map(lambda values: GapDistribution(tuple(values), (1.0,) * len(values)))
+
+
+def test_histogram_does_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` (about 14 ms) on first use."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from repro.memtrace.timing import FIG4B_DISTRIBUTION\n"
+        "FIG4B_DISTRIBUTION.histogram([1, 2, 30])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestHistogramOracle:

@@ -17,11 +17,13 @@ import pytest
 
 from repro.errors import TraceRecordMismatch, error_code
 from repro.experiments import ALL_FIGURES, EXTENSION_STUDIES
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import RECORD_SUFFIX, ResultCache
 from repro.harness.runner import run_sweep
 from repro.memtrace.trace import Trace
 from repro.presets import SPECS
 from repro.workloads import registry
+
+from conftest import cache_entries
 
 GETTERS = (
     registry.get_trace,
@@ -63,13 +65,13 @@ def generations(monkeypatch):
 
 
 def record_files(root):
-    return sorted(root.glob("*/*/*.trace.json"))
+    return cache_entries(root, RECORD_SUFFIX)
 
 
 def mv_record(root):
     """Path of ``get_trace("MV", "tiny")``'s record."""
     key = registry.record_key(("get_trace", "MV", "tiny", 0))
-    return root / key[:2] / key[2:4] / f"{key}.trace.json"
+    return ResultCache(root)._path(key, RECORD_SUFFIX)
 
 
 class TestHandle:
@@ -163,15 +165,16 @@ class TestKey:
     def test_source_change_misses_the_record(
         self, cache_root, generations, monkeypatch, request
     ):
-        request.addfinalizer(registry._source_digest.cache_clear)
+        request.addfinalizer(registry.source_digest.cache_clear)
         registry.get_trace("MV", "tiny").fingerprint()
         before = registry.record_key(("get_trace", "MV", "tiny", 0))
-        original = registry._generator_source_bytes
+        original = registry._source_bytes
         monkeypatch.setattr(
-            registry, "_generator_source_bytes",
-            lambda: original() + b"\n# record-invalidation probe\n",
+            registry, "_source_bytes",
+            lambda entries: original(entries)
+            + b"\n# record-invalidation probe\n",
         )
-        registry._source_digest.cache_clear()
+        registry.source_digest.cache_clear()
         assert registry.record_key(("get_trace", "MV", "tiny", 0)) != before
         fresh_handles()
         registry.get_trace("MV", "tiny").fingerprint()
@@ -189,7 +192,7 @@ class TestKey:
         assert len(record_files(cache_root)) == 2
 
     def test_source_bytes_cover_the_generators(self):
-        source = registry._generator_source_bytes()
+        source = registry._source_bytes(registry._GENERATOR_SOURCES)
         for name in (b"compiler/tracegen.py", b"workloads/registry.py",
                      b"memtrace/trace.py", b"memtrace/timing.py"):
             assert name in source
