@@ -153,8 +153,24 @@ class CacheSpec:
         )
 
     def fingerprint(self) -> str:
-        """Stable content hash (hex) — the result-cache key component."""
-        return stable_fingerprint(self.to_dict())
+        """Stable content hash (hex) — the result-cache key component.
+
+        Computed on the first call and kept in the instance dict (the
+        spec is frozen, and a sweep keys every cell of a column with
+        it); the stored value is not a field, so equality, hashing,
+        ``repr`` and :meth:`to_dict` never see it, and pickling leaves
+        it behind (:meth:`__getstate__`)."""
+        try:
+            return self.__dict__["_fingerprint"]
+        except KeyError:
+            value = stable_fingerprint(self.to_dict())
+            object.__setattr__(self, "_fingerprint", value)
+            return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     def __str__(self) -> str:
         return self.label()

@@ -21,13 +21,14 @@ from ..compiler import (
     Program,
     analyze_nest,
     generate_trace,
-    interchange,
     nest,
     strip_mine,
     var,
 )
 from ..core.spec import CacheSpec
 from ..harness.runner import run_sweep
+from ..workloads.registry import get_study_trace
+from ..workloads.studies import bad_order_program
 from .common import Claim, FigureResult, compare, per_row
 
 STANDARD_VS_SOFT = {
@@ -36,27 +37,9 @@ STANDARD_VS_SOFT = {
 }
 
 
-def _bad_order_program(n: int = 90, reps: int = 12) -> Program:
-    """The dusty-deck sweep: A(I,J) with J innermost (stride = leading
-    dimension)."""
-    i, j, r = var("i"), var("j"), var("r")
-    loop = nest(
-        [Loop("r", 0, reps, opaque=True), Loop("i", 0, n), Loop("j", 0, n)],
-        body=[ArrayRef("G", (i, j))],
-        name="bad-order",
-    )
-    return Program("badorder", [Array("G", (n, n))], [loop])
-
-
 def interchange_study(scale: str = "paper", seed: int = 0) -> FigureResult:
-    """AMAT before/after interchanging the badly ordered sweep."""
-    sizes = {"tiny": (24, 2), "test": (48, 6), "paper": (90, 12)}
-    n, reps = sizes.get(scale, sizes["paper"])
-    program = _bad_order_program(n, reps)
-    original = program.items[0]
-    swapped = interchange(original, ["r", "j", "i"], program.arrays)
-    transformed = Program("badorder-fixed", [Array("G", (n, n))], [swapped])
-
+    """AMAT before/after interchanging the badly ordered sweep
+    (:func:`~repro.workloads.studies.bad_order_program`)."""
     result = FigureResult(
         figure="transform-interchange",
         title="Loop interchange recovers the spatial tags (BDN-style sweep)",
@@ -64,16 +47,18 @@ def interchange_study(scale: str = "paper", seed: int = 0) -> FigureResult:
         metric="AMAT (cycles)",
     )
     traces = {
-        label: generate_trace(prog, seed=seed)
-        for label, prog in (("original (J inner)", program),
-                            ("interchanged (I inner)", transformed))
+        label: get_study_trace(program, scale, seed)
+        for label, program in (("original (J inner)", "bad-order"),
+                               ("interchanged (I inner)",
+                                "bad-order-interchanged"))
     }
     sweep = run_sweep(traces, STANDARD_VS_SOFT)
     for label, row in sweep.metric("amat").items():
         for config, value in row.items():
             result.add(label, config, value)
 
-    tags = analyze_nest(swapped, program.arrays)
+    fixed = bad_order_program(scale, interchanged=True)
+    tags = analyze_nest(fixed.items[0], fixed.arrays)
     result.notes = (
         f"after interchange: spatial tag = {tags.body[0].spatial} "
         f"(stride one in the new innermost loop)"
@@ -124,22 +109,11 @@ def expansion_study(scale: str = "paper", seed: int = 0) -> FigureResult:
     """Subscript expansion (the section 3.2 limitation, lifted).
 
     A dusty-deck sweep whose subscripts go through loop-index aliases
-    (``KK = 2*K; ... B(KK)``).  Without expansion the references are
-    untagged and the software-assisted cache can do nothing; expanding
-    recovers the stride-two spatial tags and the virtual-line gains.
+    (:func:`~repro.workloads.studies.aliased_sweep_program`).  Without
+    expansion the references are untagged and the software-assisted
+    cache can do nothing; expanding recovers the stride-two spatial tags
+    and the virtual-line gains.
     """
-    sizes = {"tiny": (64, 2), "test": (400, 4), "paper": (2200, 8)}
-    n, reps = sizes.get(scale, sizes["paper"])
-    k, kk, k3 = var("k"), var("kk"), var("k3")
-    sweep = nest(
-        [Loop("r", 0, reps, opaque=True), Loop("k", 0, n)],
-        body=[ArrayRef("B1", (kk,)), ArrayRef("B2", (k3,))],
-        aliases={"kk": k * 2, "k3": k * 2 + 1},
-        name="aliased-sweep",
-    )
-    arrays = [Array("B1", (2 * n,)), Array("B2", (2 * n + 1,))]
-    program = Program("aliased", arrays, [sweep])
-
     result = FigureResult(
         figure="transform-expansion",
         title="Subscript expansion recovers tags on aliased subscripts",
@@ -147,7 +121,9 @@ def expansion_study(scale: str = "paper", seed: int = 0) -> FigureResult:
         metric="AMAT (cycles)",
     )
     traces = {
-        label: generate_trace(program, seed=seed, expand_subscripts=expand)
+        label: get_study_trace(
+            "aliased-sweep", scale, seed, expand_subscripts=expand
+        )
         for label, expand in (("no expansion", False), ("expanded", True))
     }
     sweep = run_sweep(traces, STANDARD_VS_SOFT)

@@ -137,7 +137,7 @@ def payload_to_result(payload: Dict) -> SimResult:
 # Entry files: every write stages and publishes atomically, every read
 # takes a missing, torn or non-JSON file for a miss
 # ----------------------------------------------------------------------
-def _publish(path: Path, payload) -> None:
+def _publish(path: str, payload) -> None:
     """Write ``payload`` as JSON at ``path`` through a ``.tmp-*`` stage
     and an atomic rename, so concurrent writers race benignly and no
     reader sees a torn file.  A read-only or full cache is ignored: it
@@ -147,18 +147,41 @@ def _publish(path: Path, payload) -> None:
         handle.write(text)
 
 
-def _load(path: Path):
-    """The JSON value at ``path``, or None.  A concurrently pruned entry
-    lands here too: deletion mid-read is a miss, never an error.  A read
-    refreshes the mtime, so :meth:`ResultCache.prune`'s LRU order tracks
-    use, not write time."""
+#: Bytes asked of ``os.read`` at a time: results and trace records are a
+#: few hundred bytes, so a hit is one read; larger records loop.
+_READ_CHUNK = 1 << 16
+
+
+def _load(path: str):
+    """The JSON value at ``path``, or None.  A missing, unreadable
+    (a directory, say), torn, non-JSON or non-UTF-8 entry is a miss,
+    and so is one a concurrent prune deletes before it is opened: a
+    read never raises.  A read refreshes the mtime, so
+    :meth:`ResultCache.prune`'s LRU order tracks use, not write time.
+
+    This is the hit path of every warm cell, so it is plain ``os``
+    calls on a string path: one open, one read, one decode and the
+    mtime refresh."""
     try:
-        payload = json.loads(path.read_text())
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        data = chunk = os.read(fd, _READ_CHUNK)
+        while len(chunk) == _READ_CHUNK:
+            chunk = os.read(fd, _READ_CHUNK)
+            data += chunk
+        payload = json.loads(data.decode())
     except (OSError, ValueError):
         return None
-    with contextlib.suppress(OSError):
-        os.utime(path)
-    return payload
+    else:
+        try:
+            os.utime(fd)
+        except OSError:
+            pass
+        return payload
+    finally:
+        os.close(fd)
 
 
 #: File suffixes of trace records and of per-trace analysis records in
@@ -201,6 +224,9 @@ class ResultCache:
 
     def __init__(self, root: Union[str, os.PathLike, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        # Entry paths are joined onto this string: pathlib's ``/`` costs
+        # more than the os-level read of a small entry.
+        self._root = os.fspath(self.root)
         self.hits = 0
         self.misses = 0
 
@@ -214,8 +240,9 @@ class ResultCache:
         )
         return hashlib.sha256(material.encode()).hexdigest()
 
-    def _path(self, key: str, suffix: str = ".json") -> Path:
-        return self.root / key[:2] / f"{key}{suffix}"
+    def _path(self, key: str, suffix: str = ".json") -> str:
+        """Where ``key``'s entry lives: ``<root>/<key[:2]>/<key><suffix>``."""
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}{suffix}"
 
     def get(self, key: str) -> Optional[SimResult]:
         payload = _load(self._path(key))

@@ -14,6 +14,7 @@ from .registry import (
     get_blocked_mv_trace,
     get_kernel_trace,
     get_stream_trace,
+    get_study_trace,
     get_trace,
     suite_traces,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "get_blocked_mv_trace",
     "get_blocked_mm_trace",
     "get_stream_trace",
+    "get_study_trace",
     "suite_traces",
     "mv_program",
     "blocked_mv_program",

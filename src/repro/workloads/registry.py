@@ -7,7 +7,8 @@ instrumented kernels of seven Perfect Club codes
 (``ADM, MDG, BDN, DYF, ARC, FLO, TRF``).
 
 Every getter returns a :class:`TraceHandle`, cached per process by its
-arguments.  A handle's ``fingerprint()``, ``len()`` and ``name`` come
+arguments (but :func:`get_study_trace`, whose traces one study uses
+once).  A handle's ``fingerprint()``, ``len()`` and ``name`` come
 from a small on-disk *trace record* (``{"fingerprint", "refs",
 "name"}``) once one exists, so a run whose cells all hit the result
 cache never generates the trace.  The columns are generated, once, on
@@ -46,6 +47,7 @@ from .nas import nas_program
 from .perfect import perfect_kernel, perfect_program
 from .slalom import slalom_program
 from .sparse import spmv_program
+from .studies import STUDY_PROGRAMS
 
 #: The paper's benchmark order on every bar chart.
 BENCHMARK_ORDER: Tuple[str, ...] = (
@@ -332,6 +334,27 @@ def get_stream_trace(n_streams: int, scale: str = "paper", seed: int = 0) -> Tra
     return TraceHandle(
         ("get_stream_trace", n_streams, scale, seed),
         lambda: generate_trace(_stream_program(n_streams, scale), seed=seed),
+    )
+
+
+def get_study_trace(
+    program: str, scale: str = "paper", seed: int = 0,
+    policy: str = "elementary", expand_subscripts: bool = False,
+) -> Trace:
+    """The trace of an extension study's ``program``
+    (:data:`~repro.workloads.studies.STUDY_PROGRAMS`), tagged by the
+    compiler's ``policy``, with or without subscript expansion.
+
+    Unlike the suite getters this one keeps no handle per process: each
+    study asks for its traces once, and a kept handle would hold the
+    generated columns (about 20 MB at paper scale) until exit."""
+    builder = STUDY_PROGRAMS[program]
+    return TraceHandle(
+        ("get_study_trace", program, scale, seed, policy, expand_subscripts),
+        lambda: generate_trace(
+            builder(scale), seed=seed, policy=policy,
+            expand_subscripts=expand_subscripts,
+        ),
     )
 
 

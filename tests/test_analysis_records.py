@@ -1,20 +1,22 @@
-"""Analysis records: a warm run of the trace-analysis studies generates
-no trace.
+"""Analysis records: a warm run of every study generates no trace.
 
 fig1a, fig1b, fig4a, fig4b, headroom's Belady pass and the attribution
 study analyse whole traces.  Each analysis goes through
 :func:`repro.harness.parallel.cached_analysis`, which keeps its result
 in a ``<key>.analysis.json`` record keyed by the trace fingerprint, the
-analysis, its parameters and the analysing sources.  These tests pin
-the warm pass (no trace generated, identical rows), the failure modes
-(a torn or flipped record is recomputed and rewritten), the key and
-the cache accounting.
+analysis, its parameters and the analysing sources.  The other studies
+only simulate registry traces, whose cells hit the result cache.  These
+tests pin the warm pass of every study (no trace generated, identical
+rows), the failure modes (a torn or flipped record is recomputed and
+rewritten), the key and the cache accounting.
 """
 
 import json
+import sys
 
 import pytest
 
+from repro.compiler import tracegen
 from repro.errors import ConfigError
 from repro.experiments import STUDIES
 from repro.harness.parallel import (
@@ -27,11 +29,6 @@ from repro.sim.native import build
 from repro.workloads import registry
 
 from conftest import cache_entries, make_trace
-
-ANALYSING_STUDIES = (
-    "fig1a", "fig1b", "fig4a", "fig4b", "headroom", "attribution",
-)
-
 
 def fresh_handles():
     """Forget every registry handle, as a new process would."""
@@ -55,9 +52,27 @@ def cache_root(tmp_path, monkeypatch):
 
 def run_studies():
     return {
-        name: STUDIES[name].driver(scale="tiny", seed=0).rows
-        for name in ANALYSING_STUDIES
+        name: study.driver(scale="tiny", seed=0).rows
+        for name, study in STUDIES.items()
     }
+
+
+def refuse_trace_generation(patch):
+    """Make ``generate_trace`` raise wherever a loaded ``repro`` module
+    binds it; returns the names of those modules."""
+    original = tracegen.generate_trace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm pass generated a trace")
+
+    bound = sorted(
+        name for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro"
+        and getattr(module, "generate_trace", None) is original
+    )
+    for name in bound:
+        patch.setattr(sys.modules[name], "generate_trace", refuse)
+    return bound
 
 
 class TestWarmRun:
@@ -75,6 +90,8 @@ class TestWarmRun:
         monkeypatch.setattr(registry, "_source_bytes", recording)
         registry.source_digest.cache_clear()
         cold = run_studies()
+        # fig1a, fig1b, fig4a, fig4b, headroom and attribution analyse
+        # each of the nine suite traces once.
         assert len(cache_entries(cache_root, ANALYSIS_SUFFIX)) == 6 * 9
         # Each analysis is keyed by the sources that compute it (a
         # misspelt path would raise, not hash nothing).
@@ -84,12 +101,12 @@ class TestWarmRun:
             "telemetry/probes.py",
         } <= named
         fresh_handles()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a warm pass generated a trace")
-
         with monkeypatch.context() as patch:
-            patch.setattr(registry, "generate_trace", refuse)
+            bound = refuse_trace_generation(patch)
+            assert {
+                "repro.compiler", "repro.compiler.tracegen",
+                "repro.workloads.registry",
+            } <= set(bound)
             warm = run_studies()
         assert json.dumps(warm) == json.dumps(cold)
         monkeypatch.setenv("REPRO_CACHE", "0")

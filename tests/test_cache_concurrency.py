@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+from pathlib import Path
+
+import pytest
 
 from repro.harness.parallel import (
     ResultCache,
@@ -92,7 +96,7 @@ class TestShardedLayout:
         key = _key_for(0)
         cache.put(key, _result_for(0))
         expected = tmp_path / key[:2] / f"{key}.json"
-        assert cache._path(key) == expected
+        assert Path(cache._path(key)) == expected
         assert expected.is_file()
         assert [p.name for p in tmp_path.iterdir()] == [key[:2]]
         assert cache.get(key) == _result_for(0)
@@ -132,7 +136,7 @@ class TestPruneSafety:
     def test_prune_never_touches_staging_files(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_key_for(4), _result_for(4))
-        staged = cache._path(_key_for(4)).parent / ".tmp-inflight.json"
+        staged = Path(cache._path(_key_for(4))).parent / ".tmp-inflight.json"
         staged.write_text("{}")  # an in-flight concurrent publish
         removed, removed_bytes = cache.prune(max_bytes=0)
         assert removed == 1 and removed_bytes > 0
@@ -142,10 +146,46 @@ class TestPruneSafety:
         cache = ResultCache(tmp_path)
         key = _key_for(5)
         cache.put(key, _result_for(5))
-        cache._path(key).unlink()
+        Path(cache._path(key)).unlink()
         assert cache.get(key) is None
         assert cache.misses == 1
 
     def test_round_trip_is_lossless(self, tmp_path):
         result = _result_for(6)
         assert payload_to_result(result_to_payload(result)) == result
+
+
+class TestLeanRead:
+    """A read is ``os.open``/``os.read``/``json.loads``/``os.utime`` on a
+    string path; whatever is at the path, a read that cannot return a
+    result is a counted miss and never raises (an unlinked entry:
+    ``TestPruneSafety``; the mtime refresh of a hit:
+    ``test_parallel_sweep.py::test_get_refreshes_mtime_for_lru``)."""
+
+    @pytest.mark.parametrize("entry", ["directory", "empty", "non-utf8", "torn"])
+    def test_unreadable_entry_is_a_counted_miss(self, tmp_path, entry):
+        cache = ResultCache(tmp_path)
+        key = _key_for(7)
+        cache.put(key, _result_for(7))
+        path = Path(cache._path(key))
+        text = path.read_text()
+        if entry == "directory":
+            path.unlink()
+            path.mkdir()
+        elif entry == "empty":
+            path.write_bytes(b"")
+        elif entry == "non-utf8":
+            # Valid JSON around one byte that is not UTF-8.
+            path.write_bytes(text.encode().replace(b"trace-7", b"trace-\xff"))
+        else:
+            path.write_text(text[: len(text) // 2])
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.get_record(key, ".json") is None
+
+    def test_record_larger_than_one_read(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        record = {"value": list(range(40_000)), "name": "big"}
+        cache.put_record(_key_for(9), record)
+        assert os.path.getsize(cache._path(_key_for(9), ".trace.json")) > 1 << 16
+        assert cache.get_record(_key_for(9)) == record

@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,7 +220,7 @@ class TestPruneInteraction:
         cache = ResultCache(cache_root)
         key = ResultCache.key("t", "s", "auto")
         cache.put(key, SimResult(cache="c", trace="t", refs=1, cycles=1))
-        path = cache._path(key)
+        path = Path(cache._path(key))
         old = path.stat().st_mtime - 3600
         os.utime(path, (old, old))
         assert cache.get(key) is not None
@@ -227,7 +228,7 @@ class TestPruneInteraction:
         # ...and prune order still follows use, not corpus contents.
         other = ResultCache.key("t2", "s", "auto")
         cache.put(other, SimResult(cache="c", trace="t2", refs=1, cycles=1))
-        stale = cache._path(other)
+        stale = Path(cache._path(other))
         os.utime(stale, (old, old))
         removed, _ = cache.prune(path.stat().st_size)
         assert removed == 1

@@ -8,7 +8,7 @@ import pytest
 
 from repro import presets
 from repro.core.software_cache import SoftwareAssistedCache
-from repro.core.spec import CacheSpec, registered_kinds
+from repro.core.spec import CacheSpec, registered_kinds, stable_fingerprint
 from repro.errors import ConfigError
 from repro.sim.standard import StandardCache
 from repro.sim.timing import MemoryTiming
@@ -116,6 +116,42 @@ class TestSerialisation:
         a = CacheSpec.of("standard", timing=MemoryTiming(latency=20))
         b = CacheSpec.of("standard", timing=MemoryTiming(latency=30))
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestStoredFingerprint:
+    """``fingerprint()`` is computed once and kept outside the fields."""
+
+    def spec(self):
+        return CacheSpec.of(
+            "soft", virtual_line_size=128, timing=MemoryTiming(latency=25)
+        )
+
+    def test_equals_the_hash_of_the_dict(self):
+        spec = self.spec()
+        assert spec.fingerprint() == stable_fingerprint(spec.to_dict())
+        assert spec.fingerprint() == stable_fingerprint(spec.to_dict())
+
+    def test_read_and_unread_specs_are_alike(self):
+        read, unread = self.spec(), self.spec()
+        fingerprint = read.fingerprint()
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert str(read) == str(unread)
+        assert read.to_dict() == unread.to_dict()
+        assert pickle.dumps(read) == pickle.dumps(unread)
+        for clone in (pickle.loads(pickle.dumps(read)),
+                      pickle.loads(pickle.dumps(unread))):
+            assert clone == read
+            assert clone.fingerprint() == fingerprint
+
+    def test_derive_gets_its_own_fingerprint(self):
+        base = self.spec()
+        base.fingerprint()
+        derived = base.derive(virtual_line_size=64)
+        assert derived.fingerprint() != base.fingerprint()
+        assert derived.fingerprint() == stable_fingerprint(derived.to_dict())
+        assert base.derive().fingerprint() == base.fingerprint()
 
 
 class TestNamedRegistry:

@@ -11,6 +11,7 @@ and the pool path.
 
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def record_files(root):
 def mv_record(root):
     """Path of ``get_trace("MV", "tiny")``'s record."""
     key = registry.record_key(("get_trace", "MV", "tiny", 0))
-    return ResultCache(root)._path(key, RECORD_SUFFIX)
+    return Path(ResultCache(root)._path(key, RECORD_SUFFIX))
 
 
 class TestHandle:
